@@ -91,7 +91,8 @@ func BenchmarkServerPan_Scratch(b *testing.B) {
 // each request changes resolution (overview level ↔ zoomed level), panned
 // a little each time so the cache never has the exact window.
 //
-//   - Pyramid: both levels are warm in the ladder, so every zoom is a
+//   - Pyramid (the ladder's historical name, kept for the benchdiff
+//     baseline): both levels are warm in the ladder, so every zoom is a
 //     miss served by same-grid derivation from its level's resident;
 //   - Scratch: caching disabled, every zoom pays the full input pass.
 func benchServerZoom(b *testing.B, cacheBytes int64) {

@@ -1,6 +1,7 @@
 package ocelotl
 
 import (
+	"context"
 	"testing"
 
 	"ocelotl/internal/core"
@@ -87,14 +88,17 @@ func BenchmarkWindowPan_DiskIndex(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	in := core.NewInput(m, core.Options{})
+	in, err := core.NewInputContext(context.Background(), m, core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := 1
 		if i%2 == 1 {
 			d = -1
 		}
-		if in, err = in.Pan(d); err != nil {
+		if in, err = in.Pan(context.Background(), d); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -24,10 +24,13 @@ import (
 	"ocelotl/internal/grid5000"
 	"ocelotl/internal/microscopic"
 	"ocelotl/internal/mpisim"
+	"ocelotl/internal/partition"
 	"ocelotl/internal/product"
 	"ocelotl/internal/render"
+	"ocelotl/internal/server"
 	"ocelotl/internal/spatial"
 	"ocelotl/internal/temporal"
+	"ocelotl/internal/timeslice"
 	"ocelotl/internal/trace"
 	"ocelotl/internal/traceio"
 )
@@ -40,8 +43,7 @@ type caseData struct {
 	res   *mpisim.Result
 	model *microscopic.Model
 	in    *core.Input
-	agg   *core.Aggregator // compatibility facade over in
-	path  string           // binary trace on disk
+	path  string // binary trace on disk
 }
 
 var (
@@ -51,7 +53,7 @@ var (
 )
 
 // loadCase generates (once) a scaled Table II case, its on-disk binary
-// trace, its microscopic model and its prepared aggregator.
+// trace, its microscopic model and its prepared Input.
 func loadCase(b *testing.B, c grid5000.Case) *caseData {
 	b.Helper()
 	caseMu.Lock()
@@ -78,10 +80,37 @@ func loadCase(b *testing.B, c grid5000.Case) *caseData {
 	if err != nil {
 		b.Fatal(err)
 	}
-	agg := core.New(model, core.Options{})
-	d := &caseData{res: res, model: model, in: agg.Input, agg: agg, path: path}
+	d := &caseData{res: res, model: model, in: benchInput(b, model, core.Options{}), path: path}
 	caseCache[c] = d
 	return d
+}
+
+// benchInput runs the input pass, failing the benchmark on error.
+func benchInput(b *testing.B, m *microscopic.Model, opt core.Options) *core.Input {
+	b.Helper()
+	in, err := core.NewInputContext(context.Background(), m, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return in
+}
+
+// runPooled answers one p on a solver borrowed from in's bounded pool —
+// the steady-state per-query cost of a long-lived Input, as the serving
+// layer pays it.
+func runPooled(b *testing.B, in *core.Input, p float64) *partition.Partition {
+	b.Helper()
+	ctx := context.Background()
+	s, err := in.AcquireSolverContext(ctx)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer in.ReleaseSolver(s)
+	pt, err := s.RunContext(ctx, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return pt
 }
 
 // ---------------------------------------------------------------------------
@@ -134,7 +163,7 @@ func benchTable2AggInput(b *testing.B, c grid5000.Case) {
 	d := loadCase(b, c)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.NewInput(d.model, core.Options{})
+		benchInput(b, d.model, core.Options{})
 	}
 }
 
@@ -146,9 +175,7 @@ func benchTable2AggRun(b *testing.B, c grid5000.Case) {
 	d := loadCase(b, c)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.agg.Run(0.5); err != nil {
-			b.Fatal(err)
-		}
+		runPooled(b, d.in, 0.5)
 	}
 }
 
@@ -164,10 +191,7 @@ func BenchmarkFig1_CaseA_Overview(b *testing.B) {
 	d := loadCase(b, grid5000.CaseA)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pt, err := d.agg.Run(0.2)
-		if err != nil {
-			b.Fatal(err)
-		}
+		pt := runPooled(b, d.in, 0.2)
 		render.BuildScene(d.in, pt, render.Options{Width: 1000, Height: 512})
 	}
 }
@@ -196,15 +220,16 @@ func BenchmarkFig3_Artificial(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		in := core.NewInput(m, core.Options{})
+		in := benchInput(b, m, core.Options{})
 		solver := in.NewSolver()
-		lo, err := solver.Run(0.25)
+		lo, err := solver.RunContext(ctx, 0.25)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := solver.Run(0.9); err != nil {
+		if _, err := solver.RunContext(ctx, 0.9); err != nil {
 			b.Fatal(err)
 		}
 		render.BuildScene(in, lo, render.Options{Width: 480, Height: 36, MinHeight: 6})
@@ -218,10 +243,7 @@ func BenchmarkFig4_CaseC_Overview(b *testing.B) {
 	d := loadCase(b, grid5000.CaseC)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pt, err := d.agg.Run(0.35)
-		if err != nil {
-			b.Fatal(err)
-		}
+		pt := runPooled(b, d.in, 0.35)
 		render.BuildScene(d.in, pt, render.Options{Width: 1000, Height: 700, MinHeight: 2})
 	}
 }
@@ -242,12 +264,10 @@ func scalingModel(b *testing.B, S, T int) *microscopic.Model {
 
 func benchScalingT(b *testing.B, T int) {
 	m := scalingModel(b, 48, T)
-	agg := core.New(m, core.Options{})
+	in := benchInput(b, m, core.Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := agg.Run(0.5); err != nil {
-			b.Fatal(err)
-		}
+		runPooled(b, in, 0.5)
 	}
 }
 
@@ -258,12 +278,10 @@ func BenchmarkScaling_T_128(b *testing.B) { benchScalingT(b, 128) }
 
 func benchScalingS(b *testing.B, S int) {
 	m := scalingModel(b, S, 32)
-	agg := core.New(m, core.Options{})
+	in := benchInput(b, m, core.Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := agg.Run(0.5); err != nil {
-			b.Fatal(err)
-		}
+		runPooled(b, in, 0.5)
 	}
 }
 
@@ -277,12 +295,10 @@ func BenchmarkScaling_S_384(b *testing.B) { benchScalingS(b, 384) }
 
 func BenchmarkAblation_Spatiotemporal(b *testing.B) {
 	m := scalingModel(b, 96, 30)
-	agg := core.New(m, core.Options{})
+	in := benchInput(b, m, core.Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := agg.Run(0.5); err != nil {
-			b.Fatal(err)
-		}
+		runPooled(b, in, 0.5)
 	}
 }
 
@@ -323,10 +339,10 @@ func BenchmarkAblation_TemporalOnly(b *testing.B) {
 // search (the interactive exploration cost).
 func BenchmarkAblation_SignificantPs(b *testing.B) {
 	m := scalingModel(b, 48, 30)
-	agg := core.New(m, core.Options{})
+	in := benchInput(b, m, core.Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := agg.SignificantPs(1e-3); err != nil {
+		if _, err := in.SignificantPsContext(context.Background(), 1e-3); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -336,9 +352,9 @@ func BenchmarkAblation_SignificantPs(b *testing.B) {
 // significant-p exploration — the end-to-end latency an analyst waits for
 // slider stops — with the batched fused frontier at default workers and
 // the Workers=1 reference. Since the batched rewrite, each dichotomy
-// round solves all of its midpoints in one fused RunMany call, so the
-// default-workers number improves over the committed pre-fusion baseline
-// even on a single core; _Batched pins the same path under its
+// round solves all of its midpoints in one fused RunManyContext call, so
+// the default-workers number improves over the committed pre-fusion
+// baseline even on a single core; _Batched pins the same path under its
 // post-rewrite name for the benchdiff trajectory.
 func BenchmarkSignificantPs(b *testing.B)            { benchSignificantPs(b, 0) }
 func BenchmarkSignificantPs_Batched(b *testing.B)    { benchSignificantPs(b, 0) }
@@ -346,23 +362,23 @@ func BenchmarkSignificantPs_Sequential(b *testing.B) { benchSignificantPs(b, 1) 
 
 func benchSignificantPs(b *testing.B, workers int) {
 	m := scalingModel(b, 96, 40)
-	in := core.NewInput(m, core.Options{Workers: workers})
+	in := benchInput(b, m, core.Options{Workers: workers})
 	// One warm-up exploration so the timed iterations measure the pooled
 	// steady state (solver pool populated, lane arenas faulted in) — the
 	// latency a served slider sees — rather than first-use page faults.
-	if _, err := in.SignificantPs(1e-3); err != nil {
+	if _, err := in.SignificantPsContext(context.Background(), 1e-3); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := in.SignificantPs(1e-3); err != nil {
+		if _, err := in.SignificantPsContext(context.Background(), 1e-3); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // The fused-sweep family measures the tentpole economics directly: one
-// lane-blocked SweepQuality call over n evenly spaced ps versus the
+// lane-blocked SweepQualityContext call over n evenly spaced ps versus the
 // unfused reference of n pooled single-p runs (BenchmarkSweepSingle_K16 —
 // what every caller paid before the fusion, and still the right baseline
 // because the per-p kernels are unchanged). The acceptance bar is ≥ 1.5×
@@ -380,14 +396,14 @@ func benchSweepPs(n int) []float64 {
 
 func benchSweepFused(b *testing.B, n int) {
 	m := scalingModel(b, 96, 40)
-	in := core.NewInput(m, core.Options{})
+	in := benchInput(b, m, core.Options{})
 	ps := benchSweepPs(n)
-	if _, err := in.SweepQuality(ps); err != nil { // steady-state warm-up
+	if _, err := in.SweepQualityContext(context.Background(), ps); err != nil { // steady-state warm-up
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := in.SweepQuality(ps); err != nil {
+		if _, err := in.SweepQualityContext(context.Background(), ps); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -397,19 +413,18 @@ func benchSweepFused(b *testing.B, n int) {
 
 func BenchmarkSweepSingle_K16(b *testing.B) {
 	m := scalingModel(b, 96, 40)
-	in := core.NewInput(m, core.Options{})
+	in := benchInput(b, m, core.Options{})
 	ps := benchSweepPs(16)
-	if s := in.AcquireSolver(); s != nil { // steady-state warm-up
-		if _, err := s.Quality(ps[0]); err != nil {
-			b.Fatal(err)
-		}
-		in.ReleaseSolver(s)
-	}
+	ctx := context.Background()
+	runPooled(b, in, ps[0]) // steady-state warm-up
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range ps {
-			s := in.AcquireSolver()
-			if _, err := s.Quality(p); err != nil {
+			s, err := in.AcquireSolverContext(ctx)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := s.QualityContext(ctx, p); err != nil {
 				b.Fatal(err)
 			}
 			in.ReleaseSolver(s)
@@ -427,7 +442,7 @@ func BenchmarkSweepSingle_K16(b *testing.B) {
 // let-it-start delay, so cancel-ns/op is the headline number).
 func BenchmarkSweepCancel(b *testing.B) {
 	m := scalingModel(b, 96, 40)
-	in := core.NewInput(m, core.Options{})
+	in := benchInput(b, m, core.Options{})
 	ps := make([]float64, 64)
 	for i := range ps {
 		ps[i] = float64(i) / float64(len(ps)-1)
@@ -487,7 +502,7 @@ func windowCase(b *testing.B) (*trace.Trace, *microscopic.Reslicer, *core.Input)
 		if err != nil {
 			b.Fatal(err)
 		}
-		windowR, windowIn = r, core.NewInput(m, core.Options{})
+		windowR, windowIn = r, benchInput(b, m, core.Options{})
 	})
 	return windowTr, windowR, windowIn
 }
@@ -504,7 +519,7 @@ func benchWindowPanIncremental(b *testing.B, k int) {
 		if i%2 == 1 {
 			d = -k
 		}
-		if in, err = in.Pan(d); err != nil {
+		if in, err = in.Pan(context.Background(), d); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -526,7 +541,7 @@ func benchWindowPanScratch(b *testing.B, k int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		core.NewInput(m, core.Options{})
+		benchInput(b, m, core.Options{})
 	}
 }
 
@@ -536,38 +551,50 @@ func BenchmarkWindowPan8_Incremental(b *testing.B) { benchWindowPanIncremental(b
 func BenchmarkWindowPan8_Scratch(b *testing.B)     { benchWindowPanScratch(b, 8) }
 
 // Zooming changes the slice width, so nothing of the matrices transfers
-// across the resolution change itself — the pyramid instead keeps one
-// Input resident per visited grid level, so revisiting a resolution is a
-// same-grid pan (Input.Update) rather than a rebuild. The benchmark
-// ping-pongs between the overview level and a zoomed level with the
-// target always a slice or two off the level's resident window, so every
-// iteration is a genuine zoom request served by pan-derivation, never a
-// pure map hit.
+// across the resolution change itself — the serving layer's ladder
+// (server.InputCache) instead pins one window per visited grid level, so
+// revisiting a resolution is a same-grid pan (Input.UpdateContext) rather
+// than a rebuild. The benchmark ping-pongs between the overview level and
+// a zoomed level through InputCache.Get, the path ocelotld serves zooms
+// from, with the target always a slice or two off the level's resident
+// window, so every iteration is a genuine zoom request served by
+// pan-derivation, never a pure map hit. The byte budget holds about 2.5
+// Inputs, so each insert evicts everything but the two ladder residents.
+// The zoomed level's slice width (0.8 s) is not a power-of-two fraction,
+// so the benchmark also holds the ladder to keying pans of one grid as
+// one level.
 func BenchmarkWindowZoom_Incremental(b *testing.B) {
-	_, r, in := windowCase(b)
+	tr, _, in := windowCase(b)
 	ctx := context.Background()
-	py := core.NewPyramid(r, core.Options{}, 0)
-	if _, _, err := py.Resolve(ctx, in.Model.Slicer); err != nil {
-		b.Fatal(err)
-	}
-	zin, _, err := py.Zoom(ctx, in, 10, 19)
+	st, err := server.NewRegistry().LoadTrace("zoom", tr)
 	if err != nil {
 		b.Fatal(err)
 	}
-	over, zoom := in.Model.Slicer, zin.Model.Slicer
+	over := in.Model.Slicer
+	zs, ze := over.IntervalBounds(10, 19)
+	zoom, err := timeslice.New(zs, ze, windowBenchT)
+	if err != nil {
+		b.Fatal(err)
+	}
+	budget := 5 * core.EstimateMemoryBytes(in.Model.H.NumNodes(), in.X, windowBenchT) / 2
+	c := server.NewInputCache(budget, core.Options{}, 0)
+	for _, sl := range []timeslice.Slicer{over, zoom} {
+		if _, _, err := c.Get(ctx, st, sl); err != nil {
+			b.Fatal(err)
+		}
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sl := zoom
 		if i%2 == 1 {
 			sl = over
 		}
-		sl = sl.Shift(1 + i%3)
-		_, kind, err := py.Resolve(ctx, sl)
+		_, kind, err := c.Get(ctx, st, sl.Shift(1+i%3))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if kind != core.ResolvePan {
-			b.Fatalf("iteration %d resolved %v, want pan (warm level)", i, kind)
+		if kind != server.BuildDerived {
+			b.Fatalf("iteration %d built %v, want derived (warm level)", i, kind)
 		}
 	}
 }
@@ -581,7 +608,7 @@ func BenchmarkWindowZoom_Scratch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		core.NewInput(m, core.Options{})
+		benchInput(b, m, core.Options{})
 	}
 }
 
@@ -594,7 +621,7 @@ func BenchmarkWindowZoomOut_Incremental(b *testing.B) {
 	_, _, in := windowCase(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := in.Coarsen(2); err != nil {
+		if _, err := in.CoarsenContext(context.Background(), 2); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -690,7 +717,7 @@ func followBenchSetup(b *testing.B) (*microscopic.Reslicer, *core.Input, *trace.
 	if err != nil {
 		b.Fatal(err)
 	}
-	return r, core.NewInput(m, core.Options{}), tr
+	return r, benchInput(b, m, core.Options{}), tr
 }
 
 // BenchmarkFollowTick is one steady-state live-ingestion tick at the
@@ -739,6 +766,6 @@ func BenchmarkFollowTick_Rebuild(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		core.NewInput(m, core.Options{})
+		benchInput(b, m, core.Options{})
 	}
 }

@@ -110,9 +110,12 @@ func main() {
 	}
 	onFatal = cleanup
 	defer cleanup()
-	in := core.NewInput(m, core.Options{Normalize: *normalize})
+	in, err := core.NewInputContext(ctx, m, core.Options{Normalize: *normalize})
+	if err != nil {
+		fatal(err)
+	}
 	if replaying {
-		if in, err = replayWindow(os.Stderr, in, *zoomSeq, *panSeq); err != nil {
+		if in, err = replayWindow(ctx, os.Stderr, in, *zoomSeq, *panSeq); err != nil {
 			fatal(err)
 		}
 		m = in.Model // the report/render and baseline modes use the final window
@@ -238,7 +241,7 @@ func loadModel(tracePath, caseName string, scale float64, seed int64, slices int
 // replayWindow applies the -zoom steps then the -pan steps through the
 // incremental engine path, reporting each step's window, slice reuse and
 // latency. The partition/rendering then runs on the final window's input.
-func replayWindow(log io.Writer, in *core.Input, zoomSpec, panSpec string) (*core.Input, error) {
+func replayWindow(ctx context.Context, log io.Writer, in *core.Input, zoomSpec, panSpec string) (*core.Input, error) {
 	step := func(label string, fn func() (*core.Input, error)) error {
 		prev := in.Model.Slicer
 		t0 := time.Now()
@@ -264,7 +267,7 @@ func replayWindow(log io.Writer, in *core.Input, zoomSpec, panSpec string) (*cor
 			if err1 != nil || err2 != nil {
 				return nil, fmt.Errorf("bad -zoom step %q (want lo:hi)", part)
 			}
-			if err := step(fmt.Sprintf("zoom %d:%d", lo, hi), func() (*core.Input, error) { return in.Zoom(lo, hi) }); err != nil {
+			if err := step(fmt.Sprintf("zoom %d:%d", lo, hi), func() (*core.Input, error) { return in.Zoom(ctx, lo, hi) }); err != nil {
 				return nil, err
 			}
 		}
@@ -275,7 +278,7 @@ func replayWindow(log io.Writer, in *core.Input, zoomSpec, panSpec string) (*cor
 			if err != nil {
 				return nil, fmt.Errorf("bad -pan step %q (want an integer slice shift)", part)
 			}
-			if err := step(fmt.Sprintf("pan %+d", k), func() (*core.Input, error) { return in.Pan(k) }); err != nil {
+			if err := step(fmt.Sprintf("pan %+d", k), func() (*core.Input, error) { return in.Pan(ctx, k) }); err != nil {
 				return nil, err
 			}
 		}
@@ -287,8 +290,8 @@ func replayWindow(log io.Writer, in *core.Input, zoomSpec, panSpec string) (*cor
 // a writer appends to it, extend the event index copy-on-write each poll
 // tick (traceio.TailReader → microscopic.Reslicer.Extend), slide a
 // slices-wide window to the ingestion horizon, and re-aggregate it
-// incrementally (core.Input.Advance — O(Δ slices) per tick). One summary
-// line per tick that carried events.
+// incrementally (core.Input.AdvanceContext — O(Δ slices) per tick). One
+// summary line per tick that carried events.
 func runFollow(ctx context.Context, w io.Writer, path string, slices int, p float64, mode string, normalize bool, indexMode microscopic.IndexMode, poll, idle time.Duration) error {
 	var tail *traceio.TailReader
 	for {

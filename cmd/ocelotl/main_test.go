@@ -88,7 +88,10 @@ func TestRunModeAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := core.NewInput(m, core.Options{})
+	in, err := core.NewInputContext(context.Background(), m, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, mode := range []string{"st", "spatial", "temporal", "product"} {
 		pt, err := runMode(context.Background(), m, in, mode, 0.4)
 		if err != nil {
@@ -135,9 +138,12 @@ func TestReplayWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := core.NewInput(m, core.Options{})
+	in, err := core.NewInputContext(context.Background(), m, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var log bytes.Buffer
-	out, err := replayWindow(&log, in, "2:7,0:9", "1,1,-3")
+	out, err := replayWindow(context.Background(), &log, in, "2:7,0:9", "1,1,-3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,12 +162,15 @@ func TestReplayWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := core.NewInput(fm, core.Options{})
-	a, err := out.NewSolver().Run(0.5)
+	fresh, err := core.NewInputContext(context.Background(), fm, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := fresh.NewSolver().Run(0.5)
+	a, err := out.NewSolver().RunContext(context.Background(), 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := fresh.NewSolver().RunContext(context.Background(), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +181,7 @@ func TestReplayWindow(t *testing.T) {
 	for _, bad := range []struct{ zoom, pan string }{
 		{"2", ""}, {"a:b", ""}, {"", "x"}, {"3:1", ""},
 	} {
-		if _, err := replayWindow(&log, in, bad.zoom, bad.pan); err == nil {
+		if _, err := replayWindow(context.Background(), &log, in, bad.zoom, bad.pan); err == nil {
 			t.Errorf("replay accepted zoom=%q pan=%q", bad.zoom, bad.pan)
 		}
 	}
@@ -195,19 +204,25 @@ func TestLoadModelDiskIndex(t *testing.T) {
 		t.Fatalf("forced disk index reports kind %q", kind)
 	}
 	var ramLog, diskLog bytes.Buffer
-	ramIn, err := replayWindow(&ramLog, core.NewInput(ramM, core.Options{}), "2:7", "1,-2")
+	ramIn, err := core.NewInputContext(context.Background(), ramM, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	diskIn, err := replayWindow(&diskLog, core.NewInput(diskM, core.Options{}), "2:7", "1,-2")
+	if ramIn, err = replayWindow(context.Background(), &ramLog, ramIn, "2:7", "1,-2"); err != nil {
+		t.Fatal(err)
+	}
+	diskIn, err := core.NewInputContext(context.Background(), diskM, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := ramIn.NewSolver().Run(0.5)
+	if diskIn, err = replayWindow(context.Background(), &diskLog, diskIn, "2:7", "1,-2"); err != nil {
+		t.Fatal(err)
+	}
+	a, err := ramIn.NewSolver().RunContext(context.Background(), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := diskIn.NewSolver().Run(0.5)
+	b, err := diskIn.NewSolver().RunContext(context.Background(), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}

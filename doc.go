@@ -10,21 +10,22 @@
 // The engine serves interactive exploration in both of its dimensions:
 // one immutable core.Input answers any number of concurrent p-queries
 // from a capacity-bounded solver pool, and many-p exploration is fused —
-// Solver.RunMany carries up to core.MaxLanes p-lanes through a single
-// triangular iteration per hierarchy node (SweepRun/SweepQuality split
-// their p list into lane blocks over the worker pool; SignificantPs is a
-// batched dichotomy solving each frontier generation in one fused call),
-// bit-identical per lane to independent Run(p) solves. Window changes
-// are incremental — microscopic.Reslicer keeps a per-resource event
-// index and core.Input.Update rebuilds only what the new slices touch,
-// so a zoom or pan costs O(changed slices), not a fresh input pass.
-// Queries whose answer stops mattering stop costing: every engine entry
-// point has a context-aware twin (RunContext, RunManyContext,
-// SweepRunContext, SignificantPsContext, AcquireSolverContext — and
-// NewInputContext/UpdateContext for the input pass itself, which dies
-// mid-fill) that cancels cooperatively at hierarchy-node granularity,
-// drains its goroutines, releases its pooled solvers, and returns
-// ctx.Err() with no partial results.
+// Solver.RunManyContext carries up to core.MaxLanes p-lanes through a
+// single triangular iteration per hierarchy node (SweepRunContext and
+// SweepQualityContext split their p list into lane blocks over the
+// worker pool; SignificantPsContext is a batched dichotomy solving each
+// frontier generation in one fused call), bit-identical per lane to
+// independent single-p solves. Window changes are incremental —
+// microscopic.Reslicer keeps a per-resource event index and
+// core.Input.UpdateContext rebuilds only what the new slices touch, so a
+// pan costs O(changed slices), not a fresh input pass; resolution
+// changes go through the serving layer's ladder of warm grid levels.
+// Every engine entry point that does real work takes a context
+// (NewInputContext, UpdateContext, AcquireSolverContext, RunContext,
+// SweepRunContext, SignificantPsContext, …) and cancels cooperatively at
+// hierarchy-node granularity: it drains its goroutines, releases its
+// pooled solvers, and returns ctx.Err() with no partial results, so
+// queries whose answer stops mattering stop costing.
 //
 // The serving layer turns that into a long-lived service. The packages
 // layer traceio → eventstore → microscopic → core → server: traceio

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -38,13 +39,17 @@ func main() {
 	}
 	// One immutable input serves every query below; the sweeps solve
 	// many p values concurrently against it.
-	in := core.NewInput(model, core.Options{})
+	ctx := context.Background()
+	in, err := core.NewInputContext(ctx, model, core.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	rootGain, rootLoss := in.RootGainLoss()
 	fmt.Printf("case %s: %d events, |S|=%d, |T|=%d\n", *caseName, res.Trace.NumEvents(),
 		model.NumResources(), model.NumSlices())
 	fmt.Printf("full aggregation: gain %.1f bits, loss %.1f bits\n\n", rootGain, rootLoss)
 
-	points, err := in.SignificantPs(1e-3)
+	points, err := in.SignificantPsContext(ctx, 1e-3)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,7 +66,7 @@ func main() {
 	fmt.Printf("\nbaseline comparison (pIC at equal p; higher is better):\n")
 	fmt.Printf("%6s %14s %14s %14s %14s\n", "p", "spatiotemporal", "product", "spatial-only", "temporal-only")
 	ps := []float64{0.15, 0.5, 0.85}
-	sts, err := in.SweepRun(ps)
+	sts, err := in.SweepRunContext(ctx, ps)
 	if err != nil {
 		log.Fatal(err)
 	}

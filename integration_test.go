@@ -5,6 +5,7 @@ package ocelotl
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"path/filepath"
 	"strings"
@@ -15,6 +16,7 @@ import (
 	"ocelotl/internal/grid5000"
 	"ocelotl/internal/microscopic"
 	"ocelotl/internal/mpisim"
+	"ocelotl/internal/partition"
 	"ocelotl/internal/product"
 	"ocelotl/internal/render"
 	"ocelotl/internal/traceio"
@@ -42,8 +44,11 @@ func TestPipelineCaseA(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		agg := core.New(m, core.Options{})
-		pt, err := agg.Run(0.2)
+		in, err := core.NewInputContext(context.Background(), m, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pt, err := in.NewSolver().RunContext(context.Background(), 0.2)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -59,7 +64,7 @@ func TestPipelineCaseA(t *testing.T) {
 			t.Errorf("%s: only %d deviators for %d perturbed ranks", name, len(devs), len(gt.Ranks))
 		}
 		// And the rendering must carry every aggregate.
-		scene := render.BuildScene(agg.Input, pt, render.Options{Width: 800, Height: 512})
+		scene := render.BuildScene(in, pt, render.Options{Width: 800, Height: 512})
 		if scene.DataAggregates+scene.HiddenAggregates != pt.NumAreas() {
 			t.Errorf("%s: scene accounts %d+%d of %d areas", name,
 				scene.DataAggregates, scene.HiddenAggregates, pt.NumAreas())
@@ -111,17 +116,24 @@ func TestFormatsProduceIdenticalModels(t *testing.T) {
 		}
 	}
 	// Consequently the partitions agree exactly.
-	pa, err := core.Aggregate(a, 0.35)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb, err := core.Aggregate(b, 0.35)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pa.Signature() != pb.Signature() {
+	if aggregate(t, a, 0.35).Signature() != aggregate(t, b, 0.35).Signature() {
 		t.Error("partitions differ across formats")
 	}
+}
+
+// aggregate runs the whole engine on m: the input pass, then one
+// Algorithm 1 solve at p.
+func aggregate(t *testing.T, m *microscopic.Model, p float64) *partition.Partition {
+	t.Helper()
+	in, err := core.NewInputContext(context.Background(), m, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := in.NewSolver().RunContext(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pt
 }
 
 // TestAllAlgorithmsOnAllCases: the four algorithms produce valid
@@ -137,8 +149,11 @@ func TestAllAlgorithmsOnAllCases(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %s: %v", c, err)
 		}
-		in := core.NewInput(m, core.Options{})
-		st, err := in.NewSolver().Run(0.5)
+		in, err := core.NewInputContext(context.Background(), m, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := in.NewSolver().RunContext(context.Background(), 0.5)
 		if err != nil {
 			t.Fatalf("case %s st: %v", c, err)
 		}
@@ -169,8 +184,11 @@ func TestSliderWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg := core.New(m, core.Options{})
-	points, err := agg.SignificantPs(1e-3)
+	in, err := core.NewInputContext(context.Background(), m, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	points, err := in.SignificantPsContext(context.Background(), 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +196,7 @@ func TestSliderWorkflow(t *testing.T) {
 		t.Fatalf("only %d slider stops on a 512-process trace", len(points))
 	}
 	for _, q := range points {
-		pt, err := agg.Run(q.P)
+		pt, err := in.NewSolver().RunContext(context.Background(), q.P)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,8 +228,11 @@ func TestGanttVsOverviewContrast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg := core.New(m, core.Options{})
-	pt, err := agg.Run(0.35)
+	in, err := core.NewInputContext(context.Background(), m, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := in.NewSolver().RunContext(context.Background(), 0.35)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +242,7 @@ func TestGanttVsOverviewContrast(t *testing.T) {
 	if pt.NumAreas() > 512 {
 		t.Errorf("overview exceeds entity budget: %d areas", pt.NumAreas())
 	}
-	rootGain, _ := agg.RootGainLoss()
+	rootGain, _ := in.RootGainLoss()
 	if pt.Gain < 0.5*rootGain {
 		t.Errorf("overview reduction too weak: gain %.1f of %.1f", pt.Gain, rootGain)
 	}

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -53,8 +54,11 @@ func TestPhasesFindInitAndComputation(t *testing.T) {
 
 func TestDeviatingResourcesFindsPerturbedRanks(t *testing.T) {
 	res, m := caseAModel(t)
-	in := core.NewInput(m, core.Options{})
-	pt, err := in.NewSolver().Run(0.2)
+	in, err := core.NewInputContext(context.Background(), m, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := in.NewSolver().RunContext(context.Background(), 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +94,11 @@ func TestSummarizeClustersCaseC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := core.NewInput(m, core.Options{})
-	pt, err := in.NewSolver().Run(0.35)
+	in, err := core.NewInputContext(context.Background(), m, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := in.NewSolver().RunContext(context.Background(), 0.35)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,8 +123,11 @@ func TestSummarizeClustersCaseC(t *testing.T) {
 
 func TestDescribeAndFormat(t *testing.T) {
 	_, m := caseAModel(t)
-	in := core.NewInput(m, core.Options{})
-	pt, err := in.NewSolver().Run(0.3)
+	in, err := core.NewInputContext(context.Background(), m, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := in.NewSolver().RunContext(context.Background(), 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,8 +153,11 @@ func TestDeviatingResourcesHomogeneous(t *testing.T) {
 			m.AddD(0, s, ti, 0.5)
 		}
 	}
-	in := core.NewInput(m, core.Options{})
-	pt, err := in.NewSolver().Run(0.5)
+	in, err := core.NewInputContext(context.Background(), m, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := in.NewSolver().RunContext(context.Background(), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func cancelTestInput(t testing.TB, opt Options) *Input {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewInput(m, opt)
+	return testInput(t, m, opt)
 }
 
 // cancelAfterChecks is a context that cancels itself after its Err method
@@ -101,11 +101,11 @@ func TestRunContextCancelled(t *testing.T) {
 
 	// The scratch is reusable: the same solver must now produce the same
 	// partition as a fresh one.
-	got, err := s.Run(0.5)
+	got, err := s.RunContext(context.Background(), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := in.NewSolver().Run(0.5)
+	want, err := in.NewSolver().RunContext(context.Background(), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestRunContextCancelled(t *testing.T) {
 	}
 }
 
-// TestSweepCancelMidRun cancels a parallel SweepRun partway through and
+// TestSweepCancelMidRun cancels a parallel SweepRunContext partway through and
 // checks the three-part contract of the tentpole: the call returns
 // ctx.Err() with no partial results, leaks no goroutines (the armed
 // guard), and releases every pooled solver.
@@ -151,7 +151,7 @@ func TestSweepCancelMidRun(t *testing.T) {
 	assertPoolReleased(t, in)
 
 	// The input is unharmed: the same sweep, uncancelled, still works.
-	if _, err := in.SweepRun(ps[:8]); err != nil {
+	if _, err := in.SweepRunContext(context.Background(), ps[:8]); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -174,15 +174,15 @@ func TestSignificantPsCancelMidRun(t *testing.T) {
 	defer ctx.cancel()
 	points, err := in.SignificantPsContext(ctx, 1e-3)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled SignificantPs returned err = %v, want context.Canceled", err)
+		t.Fatalf("cancelled SignificantPsContext returned err = %v, want context.Canceled", err)
 	}
 	if points != nil {
-		t.Fatalf("cancelled SignificantPs returned %d points, want none", len(points))
+		t.Fatalf("cancelled SignificantPsContext returned %d points, want none", len(points))
 	}
 	assertPoolReleased(t, in)
 
 	// And uncancelled, the ladder is reproduced exactly.
-	again, err := in.SignificantPs(1e-3)
+	again, err := in.SignificantPsContext(context.Background(), 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,77 +245,22 @@ func TestAcquireSolverContextGivesUp(t *testing.T) {
 	assertPoolReleased(t, in)
 }
 
-// TestContextPathsBitIdenticalToLegacy pins the compatibility guarantee:
-// with a never-cancelled ctx, every ctx-aware entry point returns results
-// bit-identical (float-for-float, signature-for-signature) to its legacy
-// twin.
-func TestContextPathsBitIdenticalToLegacy(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	in := cancelTestInput(t, Options{Workers: 4})
-	ctx := context.Background()
-	ps := sweepPs(17)
-
-	legacyPt, err := in.NewSolver().Run(0.35)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctxPt, err := in.NewSolver().RunContext(ctx, 0.35)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacyPt.Signature() != ctxPt.Signature() ||
-		legacyPt.Gain != ctxPt.Gain || legacyPt.Loss != ctxPt.Loss || legacyPt.PIC != ctxPt.PIC {
-		t.Error("RunContext(background) diverges from Run")
-	}
-
-	legacySweep, err := in.SweepQuality(ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctxSweep, err := in.SweepQualityContext(ctx, ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range legacySweep {
-		if legacySweep[i] != ctxSweep[i] {
-			t.Fatalf("SweepQualityContext diverges at p=%g: %+v vs %+v", ps[i], ctxSweep[i], legacySweep[i])
-		}
-	}
-
-	legacySig, err := in.SignificantPs(1e-3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctxSig, err := in.SignificantPsContext(ctx, 1e-3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(legacySig) != len(ctxSig) {
-		t.Fatalf("SignificantPsContext found %d points, legacy %d", len(ctxSig), len(legacySig))
-	}
-	for i := range legacySig {
-		if legacySig[i] != ctxSig[i] {
-			t.Fatalf("SignificantPsContext diverges at point %d: %+v vs %+v", i, ctxSig[i], legacySig[i])
-		}
-	}
-}
-
 // TestCancelInjectionNeverPartial is the property test of the satellite
-// list: random cancel points injected across SweepRun and SignificantPs —
-// a ctx that cancels after N engine checks (solver acquisitions and node
-// boundaries), N drawn uniformly over every reachable point — must always
-// yield either the complete, correct result with a nil error, or
+// list: random cancel points injected across SweepRunContext and
+// SignificantPsContext — a ctx that cancels after N engine checks (solver
+// acquisitions and node boundaries), N drawn uniformly over every
+// reachable point — must always yield either the complete, correct result with a nil error, or
 // (nil, context.Canceled). Nothing in between, under any interleaving.
 func TestCancelInjectionNeverPartial(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	in := cancelTestInput(t, Options{Workers: 4})
 	ps := sweepPs(12)
 
-	wantSweep, err := in.SweepRun(ps)
+	wantSweep, err := in.SweepRunContext(context.Background(), ps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSig, err := in.SignificantPs(5e-3)
+	wantSig, err := in.SignificantPsContext(context.Background(), 5e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +320,7 @@ func TestCancelInjectionNeverPartial(t *testing.T) {
 				t.Fatalf("trial %d (sig cancel after %d checks): err = %v, want context.Canceled", trial, n, err)
 			}
 			if points != nil {
-				t.Fatalf("trial %d: SignificantPs error AND %d points", trial, len(points))
+				t.Fatalf("trial %d: SignificantPsContext error AND %d points", trial, len(points))
 			}
 		default:
 			if len(points) != len(wantSig) {

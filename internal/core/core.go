@@ -13,64 +13,54 @@
 //     O(|H(S)|·|T|²) space; once built it is never written again.
 //
 //   - Solver (solver.go) owns the pIC/cut scratch of one Algorithm 1
-//     query, costing O(|S|·|T|³) time per Run(p). Any number of Solvers
-//     share one Input concurrently, and one Solver can fuse many queries:
-//     RunMany (fused.go) carries up to MaxLanes p-lanes through a single
-//     triangular iteration per node — each cell reads its gain/loss and
-//     child offsets once and updates every lane in the inner add-compare
-//     loop — bit-identically per lane to separate Run(p) calls. The sweep
-//     layer (sweep.go: SweepRun, SweepQuality, SignificantPs) builds on
-//     it: sweeps partition their ps into lane blocks over the worker
-//     pool, and the significant-p dichotomy solves each frontier
-//     generation as one fused batch per round.
+//     query, costing O(|S|·|T|³) time per RunContext. Any number of
+//     Solvers share one Input concurrently, and one Solver can fuse many
+//     queries: RunManyContext (fused.go) carries up to MaxLanes p-lanes
+//     through a single triangular iteration per node — each cell reads
+//     its gain/loss and child offsets once and updates every lane in the
+//     inner add-compare loop — bit-identically per lane to separate
+//     single-p solves. The sweep layer (sweep.go: SweepRunContext,
+//     SweepQualityContext, SignificantPsContext) builds on it: sweeps
+//     partition their ps into lane blocks over the worker pool, and the
+//     significant-p dichotomy solves each frontier generation as one
+//     fused batch per round.
 //
-// Window changes are incremental (update.go): Input.Update — and the
-// Pan/Zoom conveniences over a microscopic.Reslicer-built model — derives
-// the next window's Input from the current one, copying everything the
-// surviving slices pin down and recomputing only the O(Δ·|T|) cells per
-// node that touch new slices, bit-identically to a fresh build.
+// Window changes are incremental (update.go): Input.UpdateContext — and
+// the Pan/Zoom conveniences over a microscopic.Reslicer-built model —
+// derives the next window's Input from the current one, copying
+// everything the surviving slices pin down and recomputing only the
+// O(Δ·|T|) cells per node that touch new slices, bit-identically to a
+// fresh build.
 //
-// Resolution changes are incremental too (pyramid.go): Pyramid keeps the
-// most recent Input resident per slice-width grid level, so a zoom back
-// to a visited resolution resolves as a hit or a same-grid pan before
-// touching the event index — Update's economics extended across the
-// resolution axis. Input.Coarsen derives the overview one level up by
-// slice-pair merging (microscopic.Model.MergePairs), bit-identical to
-// NewInput on the merged model and free of any event-index pass; it
-// feeds preview responses, never cache entries that promise equality
-// with a scratch build at the coarse grid (boundary-spanning events
-// split-then-sum differently there, so the last ulp can differ). The
-// layering is deliberate: timeslice names the grids (Grid/CoarsenGrid),
-// microscopic merges models, core derives Inputs and keys the ladder,
-// and the serving layer adds byte budgets, singleflight and progressive
-// delivery on top.
+// Resolution changes reuse work too: Input.CoarsenContext derives the
+// overview one level up by slice-pair merging (microscopic.Model.
+// MergePairs), bit-identical to NewInputContext on the merged model and
+// free of any event-index pass. It feeds preview responses, never cache
+// entries that promise equality with a scratch build at the coarse grid
+// (boundary-spanning events split-then-sum differently there, so the
+// last ulp can differ). The multi-resolution ladder itself — one warm
+// window per visited slice-width level — lives in the serving layer's
+// InputCache: timeslice names the grids (Grid/CoarsenGrid), microscopic
+// merges models, core derives Inputs, and the serving layer keys the
+// ladder and adds byte budgets, singleflight and progressive delivery.
 //
-// Every query entry point has a context-aware twin (RunContext,
-// QualityContext, RunManyContext, SweepRunContext, SweepQualityContext,
-// SignificantPsContext, AcquireSolverContext) for callers whose work can
-// become worthless mid-flight — a serving layer whose request timed out, a
-// CLI hit by SIGINT. Cancellation is cooperative at hierarchy-node
+// Every entry point that does real work takes a context (NewInputContext,
+// UpdateContext, AdvanceContext, CoarsenContext, AcquireSolverContext,
+// RunContext, QualityContext, RunManyContext, SweepRunContext,
+// SweepQualityContext, SignificantPsContext), because callers' work can
+// become worthless mid-flight — a serving layer whose request timed out,
+// a CLI hit by SIGINT. Cancellation is cooperative at hierarchy-node
 // granularity: a cancelled call stops launching work, aborts in-flight
 // solves at their next node boundary, joins every goroutine it spawned,
 // returns every pooled solver, and reports ctx.Err() with no partial
 // results (a cancelled fused sweep never returns solved lanes next to
-// holes). The input pass itself is cancellable the same way:
-// NewInputContext and UpdateContext check their ctx once per node inside
-// the matrix fill, so an abandoned large-|T| build dies mid-fill. The
-// context-free names delegate to their twins with a background context,
-// so legacy callers pay only a nil-check per node and get bit-identical
-// results.
-//
-// Aggregator below is a thin compatibility facade over an Input (queries
-// run on the Input's solver pool); new code should use Input and Solver
-// directly.
+// holes). The input pass checks its ctx once per node inside the matrix
+// fill, so an abandoned large-|T| build dies mid-fill. Callers with
+// nothing to cancel pass context.Background() and pay a nil-check per
+// node.
 package core
 
-import (
-	"ocelotl/internal/measures"
-	"ocelotl/internal/microscopic"
-	"ocelotl/internal/partition"
-)
+import "ocelotl/internal/measures"
 
 // CutSpatial is the cut-matrix marker for a spatial cut (the area is
 // partitioned into its node's children over the same interval).
@@ -79,41 +69,3 @@ const CutSpatial = int32(-1)
 // improves is measures.Improves: a strict comparison with a relative
 // rounding-noise tolerance, so ties keep the aggregate as in Algorithm 1.
 func improves(candidate, best float64) bool { return measures.Improves(candidate, best) }
-
-// Aggregator is the original one-struct API, kept as a facade over
-// Input + Solver: it holds the precomputed input for one microscopic
-// model and answers optimal-partition queries for any p. Run is safe for
-// concurrent calls — each call borrows a Solver from the Input's pool, so
-// concurrent queries never share pIC/cut scratch.
-type Aggregator struct {
-	*Input
-}
-
-// New builds the aggregator: the immutable Input (per-node slice rows and
-// the gain/loss triangular matrices for every area of A(S×T)); queries run
-// on the Input's solver pool.
-func New(m *microscopic.Model, opt Options) *Aggregator {
-	return &Aggregator{Input: NewInput(m, opt)}
-}
-
-// Run executes Algorithm 1 for trade-off ratio p ∈ [0,1] on a pooled
-// Solver and returns the optimal partition, with its total gain, loss and
-// pIC.
-func (a *Aggregator) Run(p float64) (*partition.Partition, error) {
-	s := a.AcquireSolver()
-	defer a.ReleaseSolver(s)
-	return s.Run(p)
-}
-
-// Quality runs the algorithm at p and summarizes the result.
-func (a *Aggregator) Quality(p float64) (QualityPoint, error) {
-	s := a.AcquireSolver()
-	defer a.ReleaseSolver(s)
-	return s.Quality(p)
-}
-
-// Aggregate is the one-call convenience API: build the input structure for
-// the model and return the optimal partition at p.
-func Aggregate(m *microscopic.Model, p float64) (*partition.Partition, error) {
-	return NewInput(m, Options{}).NewSolver().Run(p)
-}

@@ -29,8 +29,3 @@ func (in *Input) AdvanceContext(ctx context.Context, r *microscopic.Reslicer, k 
 	}
 	return in.UpdateContext(ctx, m, ov)
 }
-
-// Advance is AdvanceContext without cancellation.
-func (in *Input) Advance(r *microscopic.Reslicer, k int) (*Input, error) {
-	return in.AdvanceContext(context.Background(), r, k)
-}

@@ -10,7 +10,7 @@ import (
 )
 
 // MaxLanes is the widest fused lane block a Solver carries through one
-// triangular iteration: RunMany partitions its p list into blocks of at
+// triangular iteration: RunManyContext partitions its p list into blocks of at
 // most this many lanes. The width trades per-lane efficiency (wider blocks
 // amortize more of the DP control flow, index arithmetic and gain/loss
 // traffic) against the per-node working set — a block holds
@@ -31,25 +31,22 @@ func improveThr(best float64) float64 {
 	return best + measures.ImproveEps*(1+math.Abs(best))
 }
 
-// RunMany executes Algorithm 1 once per entry of ps on this solver and
-// returns the optimal partitions in input order, each bit-identical to a
-// separate Run(p). The ps are solved in fused lane blocks of up to
-// MaxLanes values: one triangular iteration per hierarchy node reads each
-// cell's gain/loss and child offsets once and updates every lane in the
-// inner add-compare loop, instead of re-streaming the whole arena once
-// per p. That amortizes the DP control flow and memory traffic across the
-// block, which is what makes wide p-sweeps (quality curves, the
-// significant-p dichotomy) cheap per query.
-func (s *Solver) RunMany(ps []float64) ([]*partition.Partition, error) {
-	return s.RunManyContext(context.Background(), ps)
-}
-
-// RunManyContext is RunMany with cooperative cancellation: ctx is checked
-// once per hierarchy node (the same cadence as RunContext, though a fused
-// node iteration is up to MaxLanes single-p iterations of work), and a
-// cancelled call returns ctx.Err() with no partitions — never a result
-// slice with solved lanes next to holes. The lane scratch is grown on
-// first use and retained for reuse, exactly like the pIC/cut scratch.
+// RunManyContext executes Algorithm 1 once per entry of ps on this
+// solver and returns the optimal partitions in input order, each
+// bit-identical to a separate RunContext. The ps are solved in fused lane
+// blocks of up to MaxLanes values: one triangular iteration per hierarchy
+// node reads each cell's gain/loss and child offsets once and updates
+// every lane in the inner add-compare loop, instead of re-streaming the
+// whole arena once per p. That amortizes the DP control flow and memory
+// traffic across the block, which is what makes wide p-sweeps (quality
+// curves, the significant-p dichotomy) cheap per query.
+//
+// ctx is checked once per hierarchy node (the same cadence as RunContext,
+// though a fused node iteration is up to MaxLanes single-p iterations of
+// work), and a cancelled call returns ctx.Err() with no partitions —
+// never a result slice with solved lanes next to holes. The lane scratch
+// is grown on first use and retained for reuse, exactly like the pIC/cut
+// scratch.
 func (s *Solver) RunManyContext(ctx context.Context, ps []float64) ([]*partition.Partition, error) {
 	if err := validatePs(ps); err != nil {
 		return nil, err
@@ -63,19 +60,6 @@ func (s *Solver) RunManyContext(ctx context.Context, ps []float64) ([]*partition
 		if err := s.runLanes(ctx, ps[lo:hi], out[lo:hi]); err != nil {
 			return nil, err
 		}
-	}
-	return out, nil
-}
-
-// QualityMany is RunMany reduced to quality-curve samples.
-func (s *Solver) QualityMany(ctx context.Context, ps []float64) ([]QualityPoint, error) {
-	pts, err := s.RunManyContext(ctx, ps)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]QualityPoint, len(pts))
-	for i, pt := range pts {
-		out[i] = qualityOf(ps[i], pt)
 	}
 	return out, nil
 }

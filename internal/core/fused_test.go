@@ -66,8 +66,8 @@ func randomPs(rng *rand.Rand) []float64 {
 
 // TestRunManyBitIdenticalToRun is the fused-path property test: across
 // random hierarchies, dimensions, data, normalization and p lists, every
-// lane of RunMany must equal its own Run(p) — same partition signature,
-// same gain/loss/pIC floats — for any lane count.
+// lane of RunManyContext must equal its own single-p RunContext — same
+// partition signature, same gain/loss/pIC floats — for any lane count.
 func TestRunManyBitIdenticalToRun(t *testing.T) {
 	trials := 25
 	if testing.Short() {
@@ -76,20 +76,20 @@ func TestRunManyBitIdenticalToRun(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
 		m := randomFusedModel(rng)
-		in := NewInput(m, Options{Normalize: trial%2 == 1})
+		in := testInput(t, m, Options{Normalize: trial%2 == 1})
 		ps := randomPs(rng)
 
 		s := in.NewSolver()
-		got, err := s.RunMany(ps)
+		got, err := s.RunManyContext(context.Background(), ps)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(got) != len(ps) {
-			t.Fatalf("trial %d: RunMany returned %d partitions for %d ps", trial, len(got), len(ps))
+			t.Fatalf("trial %d: RunManyContext returned %d partitions for %d ps", trial, len(got), len(ps))
 		}
 		ref := in.NewSolver()
 		for i, p := range ps {
-			want, err := ref.Run(p)
+			want, err := ref.RunContext(context.Background(), p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,13 +104,13 @@ func TestRunManyBitIdenticalToRun(t *testing.T) {
 		}
 		// The same solver must reproduce the sweep after its lanes have
 		// been overwritten (scratch reuse, like single-p solvers).
-		again, err := s.RunMany(ps)
+		again, err := s.RunManyContext(context.Background(), ps)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range again {
 			if again[i].Signature() != got[i].Signature() {
-				t.Fatalf("trial %d: repeated RunMany changed lane %d", trial, i)
+				t.Fatalf("trial %d: repeated RunManyContext changed lane %d", trial, i)
 			}
 		}
 	}
@@ -122,49 +122,50 @@ func TestRunManyBitIdenticalToRun(t *testing.T) {
 // bypass the validation the per-p path performed).
 func TestRunManyRejectsBadP(t *testing.T) {
 	m := randomFusedModel(rand.New(rand.NewSource(7)))
-	in := NewInput(m, Options{})
+	in := testInput(t, m, Options{})
 	for _, ps := range [][]float64{{0.5, 2}, {-0.1}, {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 1.5}} {
-		if out, err := in.NewSolver().RunMany(ps); err == nil || out != nil {
-			t.Fatalf("RunMany(%v) = (%v, %v), want rejection", ps, out, err)
+		if out, err := in.NewSolver().RunManyContext(context.Background(), ps); err == nil || out != nil {
+			t.Fatalf("RunManyContext(%v) = (%v, %v), want rejection", ps, out, err)
 		}
 	}
 	for _, workers := range []int{1, 4} {
-		wIn := NewInput(m, Options{Workers: workers})
-		if out, err := wIn.SweepRun([]float64{0.5, 2}); err == nil || out != nil {
-			t.Fatalf("workers=%d: SweepRun with p=2 = (%v, %v), want rejection", workers, out, err)
+		wIn := testInput(t, m, Options{Workers: workers})
+		if out, err := wIn.SweepRunContext(context.Background(), []float64{0.5, 2}); err == nil || out != nil {
+			t.Fatalf("workers=%d: SweepRunContext with p=2 = (%v, %v), want rejection", workers, out, err)
 		}
-		if out, err := wIn.SweepQuality([]float64{0.3, math.NaN()}); err == nil || out != nil {
-			t.Fatalf("workers=%d: SweepQuality with NaN = (%v, %v), want rejection", workers, out, err)
+		if out, err := wIn.SweepQualityContext(context.Background(), []float64{0.3, math.NaN()}); err == nil || out != nil {
+			t.Fatalf("workers=%d: SweepQualityContext with NaN = (%v, %v), want rejection", workers, out, err)
 		}
 	}
 }
 
 // TestSweepMatchesFusedAndSingle pins the sweep layer across worker
-// counts: SweepRun/SweepQuality results must be bit-identical to per-p
-// Run regardless of how the ps are partitioned into lane blocks.
+// counts: SweepRunContext/SweepQualityContext results must be
+// bit-identical to per-p RunContext regardless of how the ps are
+// partitioned into lane blocks.
 func TestSweepMatchesFusedAndSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	m := randomFusedModel(rng)
 	ps := sweepPs(23)
-	ref := NewInput(m, Options{Workers: 1})
+	ref := testInput(t, m, Options{Workers: 1})
 	want := make([]QualityPoint, len(ps))
 	s := ref.NewSolver()
 	for i, p := range ps {
-		q, err := s.Quality(p)
+		q, err := s.QualityContext(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = q
 	}
 	for _, workers := range []int{1, 2, 5, 0} {
-		in := NewInput(m, Options{Workers: workers})
-		got, err := in.SweepQuality(ps)
+		in := testInput(t, m, Options{Workers: workers})
+		got, err := in.SweepQualityContext(context.Background(), ps)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("workers=%d: SweepQuality diverges at p=%g: %+v vs %+v", workers, ps[i], got[i], want[i])
+				t.Fatalf("workers=%d: SweepQualityContext diverges at p=%g: %+v vs %+v", workers, ps[i], got[i], want[i])
 			}
 		}
 	}
@@ -178,13 +179,13 @@ func TestSignificantPsMatchesRecursiveDichotomy(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		rng := rand.New(rand.NewSource(100 + seed))
 		m := randomFusedModel(rng)
-		in := NewInput(m, Options{})
+		in := testInput(t, m, Options{})
 		eps := []float64{1e-2, 1e-3}[seed%2]
 
 		// Oracle: the recursive dichotomy on a dedicated solver.
 		s := in.NewSolver()
 		quality := func(p float64) QualityPoint {
-			pt, err := s.Run(p)
+			pt, err := s.RunContext(context.Background(), p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -207,7 +208,7 @@ func TestSignificantPsMatchesRecursiveDichotomy(t *testing.T) {
 		explore(lo, hi)
 		want := sortedPoints(points)
 
-		got, err := in.SignificantPs(eps)
+		got, err := in.SignificantPsContext(context.Background(), eps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +232,7 @@ func TestRunManyCancellation(t *testing.T) {
 	in := cancelTestInput(t, Options{Workers: 1})
 	ps := sweepPs(2*MaxLanes + 3) // three blocks
 	s := in.NewSolver()
-	want, err := s.RunMany(ps)
+	want, err := s.RunManyContext(context.Background(), ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,13 +333,13 @@ func TestInputBuildCancellation(t *testing.T) {
 		uctx.cancel()
 
 		// An uncancelled retry reproduces the builds float for float.
-		full := NewInput(m, opt)
+		full := testInput(t, m, opt)
 		for c := range full.gain {
 			if full.gain[c] != want.gain[c] || full.loss[c] != want.loss[c] {
-				t.Fatalf("workers=%d: ctx build diverges from NewInput at cell %d", workers, c)
+				t.Fatalf("workers=%d: ctx build diverges from a fresh build at cell %d", workers, c)
 			}
 		}
-		fullUpd := want.Update(shifted, ov)
+		fullUpd := testUpdate(t, want, shifted, ov)
 		for c := range fullUpd.gain {
 			if fullUpd.gain[c] != wantUpd.gain[c] || fullUpd.loss[c] != wantUpd.loss[c] {
 				t.Fatalf("workers=%d: ctx update diverges from Update at cell %d", workers, c)
@@ -357,7 +358,7 @@ func TestFusedScratchAccounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.RunMany(sweepPs(MaxLanes)); err != nil {
+	if _, err := s.RunManyContext(context.Background(), sweepPs(MaxLanes)); err != nil {
 		t.Fatal(err)
 	}
 	in.ReleaseSolver(s)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"ocelotl/internal/microscopic"
@@ -25,4 +26,26 @@ func testShift(t *testing.T, r *microscopic.Reslicer, m *microscopic.Model, k in
 		t.Fatalf("Shift: %v", err)
 	}
 	return nm, ov
+}
+
+// testInput runs the input pass with a background context; any error
+// (only an armed failpoint can cause one) fails the test.
+func testInput(tb testing.TB, m *microscopic.Model, opt Options) *Input {
+	tb.Helper()
+	in, err := NewInputContext(context.Background(), m, opt)
+	if err != nil {
+		tb.Fatalf("NewInputContext: %v", err)
+	}
+	return in
+}
+
+// testUpdate is UpdateContext with a background context, failing the test
+// on error.
+func testUpdate(tb testing.TB, in *Input, m *microscopic.Model, ov microscopic.SliceOverlap) *Input {
+	tb.Helper()
+	out, err := in.UpdateContext(context.Background(), m, ov)
+	if err != nil {
+		tb.Fatalf("UpdateContext: %v", err)
+	}
+	return out
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -81,9 +82,9 @@ type Input struct {
 	// arenas) across queries and bounds how many pooled Solvers can exist
 	// at once: solverFree holds idle solvers, and creating a new one
 	// claims a slot of solverTokens, so at most poolBound solvers are ever
-	// live and AcquireSolver blocks once they are all in flight. That caps
-	// the peak pooled scratch memory at poolBound·O(|H(S)|·|T|²) no matter
-	// how many queries race. The pool is internal concurrency-safe state,
+	// live and AcquireSolverContext blocks once they are all in flight.
+	// That caps the peak pooled scratch memory at poolBound·O(|H(S)|·|T|²)
+	// no matter how many queries race. The pool is internal concurrency-safe state,
 	// not a mutation of the aggregation results.
 	solverFree   chan *Solver
 	solverTokens chan struct{}
@@ -92,8 +93,9 @@ type Input struct {
 	// Input's lifetime, so their scratch is part of the Input's resident
 	// cost and MemoryBytes includes it.
 	solversLive atomic.Int64
-	// laneBytes totals the fused-lane scratch (RunMany's K-wide pIC/cut
-	// strips) grown by pooled solvers, which the pool likewise retains.
+	// laneBytes totals the fused-lane scratch (RunManyContext's K-wide
+	// pIC/cut strips) grown by pooled solvers, which the pool likewise
+	// retains.
 	laneBytes atomic.Int64
 }
 
@@ -106,8 +108,8 @@ type Options struct {
 	// is unchanged.
 	Normalize bool
 	// Workers bounds the parallelism of the input pass, of Algorithm 1
-	// across independent subtrees, and of the p-sweeps (SweepRun,
-	// SignificantPs): 0 picks GOMAXPROCS, 1 forces the sequential paths.
+	// across independent subtrees, and of the p-sweeps (SweepRunContext,
+	// SignificantPsContext): 0 picks GOMAXPROCS, 1 forces the sequential paths.
 	// Results are bit-identical for any worker count — each node's
 	// matrices depend only on its own slice rows (input pass) and on its
 	// children's completed matrices (optimization), and sweep results are
@@ -116,9 +118,9 @@ type Options struct {
 	// SolverPoolBound caps how many pooled Solvers (each holding
 	// O(|H(S)|·|T|²) pIC/cut scratch) an Input keeps alive at once: 0
 	// defaults to the resolved worker count (i.e. GOMAXPROCS). Once the
-	// bound is reached, AcquireSolver blocks until a solver is released,
-	// so the sweep's peak scratch memory is capped even under unbounded
-	// query concurrency. Solvers allocated directly with NewSolver are
+	// bound is reached, AcquireSolverContext blocks until a solver is
+	// released, so the sweep's peak scratch memory is capped even under
+	// unbounded query concurrency. Solvers allocated directly with NewSolver are
 	// outside the pool and uncounted.
 	SolverPoolBound int
 }
@@ -132,31 +134,18 @@ func (o Options) workers() int {
 }
 
 // FailpointInputFill names the fault-injection site at the head of every
-// input pass (NewInputContext/NewInput), the most expensive stage of a
+// input pass (NewInputContext), the most expensive stage of a
 // window build — chaos tests use it to make builds fail, stall, or panic.
 const FailpointInputFill = "core/input-fill"
 
-// NewInput runs the input pass: per-node slice rows, prefix sums and the
-// fused gain/loss triangular matrices for every area of A(S×T). With a
-// background context the pass cannot fail — except through an armed
-// FailpointInputFill, whose injected error panics here rather than
-// returning a nil Input; the serving layer's recovery converts that into
-// a 500, and non-chaos processes never arm failpoints.
-func NewInput(m *microscopic.Model, opt Options) *Input {
-	in, err := NewInputContext(context.Background(), m, opt)
-	if err != nil {
-		panic(err)
-	}
-	return in
-}
-
-// NewInputContext is NewInput with cooperative cancellation: ctx is
-// checked once per hierarchy node inside the matrix fill (the
+// NewInputContext runs the input pass: per-node slice rows, prefix sums
+// and the fused gain/loss triangular matrices for every area of A(S×T).
+// ctx is checked once per hierarchy node inside the matrix fill (the
 // O(|X|·|T|²)-per-node bulk of the pass), so an abandoned large-|T| build
 // dies mid-fill — within one node's worth of work plus the worker join —
 // instead of running to completion. A cancelled build returns
-// (nil, ctx.Err()); with a never-cancelled ctx the result is bit-identical
-// to NewInput. An already-cancelled ctx fails before allocating the
+// (nil, ctx.Err()), and so does an armed FailpointInputFill with its
+// injected error. An already-cancelled ctx fails before allocating the
 // arenas.
 func NewInputContext(ctx context.Context, m *microscopic.Model, opt Options) (*Input, error) {
 	if err := ctx.Err(); err != nil {
@@ -523,37 +512,23 @@ func (in *Input) RootGainLoss() (gain, loss float64) { return in.rootGain, in.ro
 // O(|H(S)|·|T|²) space term; exposed for the scaling ablations.
 func (in *Input) InputCells() int { return len(in.gain) }
 
-// AcquireSolver returns a Solver from the input's bounded pool, with
-// Workers reset to the input's default. Callers should ReleaseSolver it
-// when the query is done; the sweeps, the Aggregator facade and the
-// serving layer use this so repeated queries stop reallocating the
-// O(|H(S)|·|T|²) pIC/cut scratch. At most Options.SolverPoolBound solvers
-// (default: the worker count) exist at once — when they are all in
-// flight, AcquireSolver blocks until one is released, capping the peak
-// pooled scratch memory under any request concurrency.
-func (in *Input) AcquireSolver() *Solver {
-	s, _ := in.acquireSolver(context.Background())
-	return s
-}
-
-// AcquireSolverContext is AcquireSolver with a way out: a caller blocked at
-// the pool bound (every solver in flight) gives up when ctx is cancelled
-// and gets ctx.Err() instead of a solver. An already-cancelled ctx fails
-// immediately, so a request whose deadline expired never claims scratch it
-// cannot use. On success the caller owns the solver exactly as with
-// AcquireSolver and must ReleaseSolver it.
+// AcquireSolverContext returns a Solver from the input's bounded pool,
+// with Workers reset to the input's default. Callers must ReleaseSolver
+// it when the query is done; the sweeps and the serving layer use this so
+// repeated queries stop reallocating the O(|H(S)|·|T|²) pIC/cut scratch.
+// At most Options.SolverPoolBound solvers (default: the worker count)
+// exist at once — when they are all in flight, AcquireSolverContext
+// blocks until one is released, capping the peak pooled scratch memory
+// under any request concurrency. A caller blocked at the bound gives up
+// when ctx is cancelled and gets ctx.Err() instead of a solver; an
+// already-cancelled ctx fails immediately, so a request whose deadline
+// expired never claims scratch it cannot use. An idle solver is taken
+// without blocking; otherwise the wait is on a release or a creation slot
+// (a background ctx's nil Done channel never fires).
 func (in *Input) AcquireSolverContext(ctx context.Context) (*Solver, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return in.acquireSolver(ctx)
-}
-
-// acquireSolver implements both acquire paths: a non-blocking grab of an
-// idle solver first, then a blocking wait on a release or a creation slot,
-// abandoned if ctx cancels (a background ctx never does — its nil Done
-// channel makes that select arm unreachable).
-func (in *Input) acquireSolver(ctx context.Context) (*Solver, error) {
 	var s *Solver
 	select {
 	case s = <-in.solverFree:
@@ -572,8 +547,8 @@ func (in *Input) acquireSolver(ctx context.Context) (*Solver, error) {
 	return s, nil
 }
 
-// ReleaseSolver returns a Solver obtained from AcquireSolver to the pool,
-// unblocking a waiting AcquireSolver if any. Extra solvers beyond the
+// ReleaseSolver returns a Solver obtained from AcquireSolverContext to the
+// pool, unblocking a waiting acquire if any. Extra solvers beyond the
 // bound (e.g. created directly with NewSolver) are dropped for the GC.
 func (in *Input) ReleaseSolver(s *Solver) {
 	select {
@@ -601,4 +576,57 @@ func (in *Input) MemoryBytes() int {
 	// len(gain) cells, plus whatever fused-lane strips it has grown.
 	solver := len(in.gain) * (8 + 4)
 	return floats*8 + int(in.solversLive.Load())*solver + int(in.laneBytes.Load())
+}
+
+// FailpointCoarsen names the fault-injection site at the head of every
+// pair-merge coarsening (preview overviews) — chaos tests use it to fail
+// the degrade path independently of the fine build.
+const FailpointCoarsen = "core/coarsen"
+
+// CoarsenContext derives the Input one resolution level up: the same
+// window at factor× the slice width (factor a power of two dividing |T|),
+// computed from this input's model by slice-pair merging
+// (microscopic.MergePairs) and therefore bit-identical to NewInputContext
+// at the coarse grid — the merged model's rows are exactly this input's
+// leaf slice rows summed in pairs, and the input pass over them is the one
+// shared fill path. The property tests enforce the equality down to the
+// float.
+//
+// Against a from-scratch coarse build, CoarsenContext skips the
+// event-index fill entirely (the merge is O(|X|·|S|·|T|), independent of
+// event count) and its matrix pass is (1/factor²) the size of the fine
+// one — the overview economics the serving layer's progressive responses
+// ride on: an analyst's coarse preview costs a fraction of the window they
+// are waiting for. ctx is checked once per hierarchy node inside the
+// coarse matrix fill like every other input pass.
+func (in *Input) CoarsenContext(ctx context.Context, factor int) (*Input, error) {
+	if err := failpoint.InjectContext(ctx, FailpointCoarsen); err != nil {
+		return nil, err
+	}
+	m, err := in.Model.MergePairs(factor)
+	if err != nil {
+		return nil, fmt.Errorf("core: coarsen: %w", err)
+	}
+	return NewInputContext(ctx, m, Options{
+		Normalize:       in.normalize,
+		Workers:         in.workers,
+		SolverPoolBound: in.poolBound,
+	})
+}
+
+// EstimateMemoryBytes predicts Input.MemoryBytes for a build over
+// numNodes hierarchy nodes, numStates states and slices time slices,
+// before any arena is allocated: the matrix triangles, slice rows, prefix
+// sums and duration prefix, exactly as MemoryBytes sums them for a fresh
+// Input (whose solver pool is still empty). Serving-layer admission
+// guards use this to reject windows whose Input alone would blow a cache
+// budget, arithmetically, before paying the build.
+func EstimateMemoryBytes(numNodes, numStates, slices int) int64 {
+	n, x, t := int64(numNodes), int64(numStates), int64(slices)
+	cells := t * (t + 1) / 2
+	floats := 2*n*cells + // gain, loss triangles
+		3*n*x*t + // slcD, slcRho, slcRL
+		3*n*x*(t+1) + // prefD, prefRho, prefRL
+		(t + 1) // durPref
+	return floats * 8
 }

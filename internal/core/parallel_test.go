@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -32,9 +33,9 @@ func widerModel(t *testing.T, seed int64) *microscopic.Model {
 // same matrices and partitions as the sequential path.
 func TestParallelMatchesSequential(t *testing.T) {
 	m := widerModel(t, 1)
-	seq := New(m, Options{Workers: 1})
+	seq := testInput(t, m, Options{Workers: 1})
 	for _, workers := range []int{2, 4, 8, 0} {
-		par := New(m, Options{Workers: workers})
+		par := testInput(t, m, Options{Workers: workers})
 		// Input matrix arenas bit-identical.
 		for c := range seq.gain {
 			if seq.gain[c] != par.gain[c] || seq.loss[c] != par.loss[c] {
@@ -42,11 +43,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 			}
 		}
 		for _, p := range []float64{0, 0.2, 0.5, 0.8, 1} {
-			a, err := seq.Run(p)
+			a, err := seq.NewSolver().RunContext(context.Background(), p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := par.Run(p)
+			b, err := par.NewSolver().RunContext(context.Background(), p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,16 +64,16 @@ func TestParallelMatchesSequential(t *testing.T) {
 // TestParallelRepeatedRuns exercises matrix reuse under the parallel path.
 func TestParallelRepeatedRuns(t *testing.T) {
 	m := widerModel(t, 2)
-	agg := New(m, Options{Workers: 4})
-	first, err := agg.Run(0.4)
+	s := testInput(t, m, Options{Workers: 4}).NewSolver()
+	first, err := s.RunContext(context.Background(), 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := agg.Run(0.9); err != nil {
+		if _, err := s.RunContext(context.Background(), 0.9); err != nil {
 			t.Fatal(err)
 		}
-		again, err := agg.Run(0.4)
+		again, err := s.RunContext(context.Background(), 0.4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +94,7 @@ func benchInput(b *testing.B, workers int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		New(m, Options{Workers: workers})
+		testInput(b, m, Options{Workers: workers})
 	}
 }
 
@@ -106,10 +107,10 @@ func benchRun(b *testing.B, workers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	agg := New(m, Options{Workers: workers})
+	s := testInput(b, m, Options{Workers: workers}).NewSolver()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := agg.Run(0.5); err != nil {
+		if _, err := s.RunContext(context.Background(), 0.5); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -16,7 +17,7 @@ func poolTestInput(t *testing.T, opt Options) *Input {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewInput(m, opt)
+	return testInput(t, m, opt)
 }
 
 func TestSolverPoolBoundDefaultsToWorkers(t *testing.T) {
@@ -36,13 +37,13 @@ func TestSolverPoolBoundDefaultsToWorkers(t *testing.T) {
 func TestSolverPoolBlocksAtBound(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	in := poolTestInput(t, Options{Workers: 1, SolverPoolBound: 2})
-	s1 := in.AcquireSolver()
-	s2 := in.AcquireSolver()
+	s1 := acquire(in)
+	s2 := acquire(in)
 	if s1 == s2 {
 		t.Fatal("pool handed out the same solver twice")
 	}
 	acquired := make(chan *Solver)
-	go func() { acquired <- in.AcquireSolver() }()
+	go func() { acquired <- acquire(in) }()
 	select {
 	case <-acquired:
 		t.Fatal("third acquire succeeded with bound 2 and both solvers in flight")
@@ -72,8 +73,8 @@ func TestSolverPoolBoundSurvivesUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := NewInput(m, Options{SolverPoolBound: 5})
-	next, err := in.Pan(1)
+	in := testInput(t, m, Options{SolverPoolBound: 5})
+	next, err := in.Pan(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestSolverPoolBoundSurvivesUpdate(t *testing.T) {
 func TestSolverPoolUnderChurn(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	in := poolTestInput(t, Options{Workers: 2, SolverPoolBound: 2})
-	want, err := in.NewSolver().Run(0.5)
+	want, err := in.NewSolver().RunContext(context.Background(), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +100,8 @@ func TestSolverPoolUnderChurn(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				s := in.AcquireSolver()
-				pt, err := s.Run(0.5)
+				s := acquire(in)
+				pt, err := s.RunContext(context.Background(), 0.5)
 				in.ReleaseSolver(s)
 				if err != nil {
 					errs <- err
@@ -133,4 +134,11 @@ func TestInputMemoryBytes(t *testing.T) {
 	if min := 2 * in.InputCells() * 8; got < min {
 		t.Fatalf("MemoryBytes() = %d, want ≥ %d (the gain/loss arenas)", got, min)
 	}
+}
+
+// acquire takes a pooled solver with a background context, which never
+// gives up, so the error is always nil.
+func acquire(in *Input) *Solver {
+	s, _ := in.AcquireSolverContext(context.Background())
+	return s
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strconv"
@@ -64,10 +65,10 @@ func TestPropertyOptimalOnRandomShapes(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := randomSmallModel(rng)
-		agg := New(m, Options{})
+		in := testInput(t, m, Options{})
 		enumerated := exhaustive.EnumerateSpatiotemporal(m.H.Root, 0, m.NumSlices()-1, 0)
 		p := rng.Float64()
-		pt, err := agg.Run(p)
+		pt, err := in.NewSolver().RunContext(context.Background(), p)
 		if err != nil {
 			return false
 		}
@@ -88,15 +89,15 @@ func TestPropertyReportedPICMatchesAreas(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := randomSmallModel(rng)
-		agg := New(m, Options{})
+		in := testInput(t, m, Options{})
 		p := rng.Float64()
-		pt, err := agg.Run(p)
+		pt, err := in.NewSolver().RunContext(context.Background(), p)
 		if err != nil {
 			return false
 		}
 		var gain, loss float64
 		for _, ar := range pt.Areas {
-			g, l := agg.EvaluateArea(ar)
+			g, l := in.EvaluateArea(ar)
 			gain += g
 			loss += l
 		}
@@ -114,7 +115,7 @@ func TestPropertyMicroscopicBeatsNothingAtPZero(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := randomSmallModel(rng)
-		pt, err := New(m, Options{}).Run(0)
+		pt, err := testInput(t, m, Options{}).NewSolver().RunContext(context.Background(), 0)
 		if err != nil {
 			return false
 		}
@@ -152,11 +153,11 @@ func TestPropertyScaleInvariance(t *testing.T) {
 			}
 		}
 		p := rng.Float64()
-		p1, err := New(m1, Options{}).Run(p)
+		p1, err := testInput(t, m1, Options{}).NewSolver().RunContext(context.Background(), p)
 		if err != nil {
 			return false
 		}
-		p2, err := New(m2, Options{}).Run(p)
+		p2, err := testInput(t, m2, Options{}).NewSolver().RunContext(context.Background(), p)
 		if err != nil {
 			return false
 		}
@@ -192,11 +193,11 @@ func TestPropertyPermutationInvariance(t *testing.T) {
 			}
 		}
 		p := rng.Float64()
-		p1, err := New(m1, Options{}).Run(p)
+		p1, err := testInput(t, m1, Options{}).NewSolver().RunContext(context.Background(), p)
 		if err != nil {
 			return false
 		}
-		p2, err := New(m2, Options{}).Run(p)
+		p2, err := testInput(t, m2, Options{}).NewSolver().RunContext(context.Background(), p)
 		if err != nil {
 			return false
 		}

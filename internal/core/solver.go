@@ -16,17 +16,17 @@ import (
 // Input — this is the paper's interactivity model taken to multi-core:
 // build the input once, answer every p in parallel.
 //
-// A single Solver is NOT safe for concurrent use of itself (Run reuses its
-// scratch); create one Solver per in-flight query, or use the Aggregator
-// facade, which pools them.
+// A single Solver is NOT safe for concurrent use of itself (RunContext
+// reuses its scratch); create one Solver per in-flight query, or borrow
+// one per query from the Input's pool (AcquireSolverContext).
 type Solver struct {
 	in  *Input
 	pic []float64
 	cut []int32
 
-	// Lane arenas of the fused multi-p path (RunMany): one K-wide strip of
-	// pIC/cut state per triangle cell. Grown on first fused use, retained
-	// like the single-p scratch; see fused.go.
+	// Lane arenas of the fused multi-p path (RunManyContext): one K-wide
+	// strip of pIC/cut state per triangle cell. Grown on first fused use,
+	// retained like the single-p scratch; see fused.go.
 	lanePic []float64
 	laneCut []int32
 	// pooled marks solvers created through the Input's bounded pool, whose
@@ -52,23 +52,18 @@ func (in *Input) NewSolver() *Solver {
 	}
 }
 
-// Run executes Algorithm 1 for trade-off ratio p ∈ [0,1] and returns the
-// optimal partition, with its total gain, loss and pIC. Ties are resolved
-// in favor of aggregation (strict improvement is required to cut), exactly
-// as in the paper's pseudocode.
-func (s *Solver) Run(p float64) (*partition.Partition, error) {
-	return s.RunContext(context.Background(), p)
-}
-
-// RunContext is Run with cooperative cancellation: ctx is checked once per
-// hierarchy node before its triangular iteration (the O(|T|²·|T|) unit of
-// work), so a cancelled query returns ctx.Err() within one node's worth of
-// computation — and, in the parallel path, after every in-flight subtree
-// goroutine has been joined, so no work outlives the call. A cancelled run
-// returns no partition; the solver's scratch is left in an undefined state
-// but is fully overwritten by the next run, so the solver stays reusable
-// (and poolable). With a never-cancelled ctx the computation is
-// bit-identical to Run.
+// RunContext executes Algorithm 1 for trade-off ratio p ∈ [0,1] and
+// returns the optimal partition, with its total gain, loss and pIC. Ties
+// are resolved in favor of aggregation (strict improvement is required to
+// cut), exactly as in the paper's pseudocode.
+//
+// ctx is checked once per hierarchy node before its triangular iteration
+// (the O(|T|²·|T|) unit of work), so a cancelled query returns ctx.Err()
+// within one node's worth of computation — and, in the parallel path,
+// after every in-flight subtree goroutine has been joined, so no work
+// outlives the call. A cancelled run returns no partition; the solver's
+// scratch is left in an undefined state but is fully overwritten by the
+// next run, so the solver stays reusable (and poolable).
 func (s *Solver) RunContext(ctx context.Context, p float64) (*partition.Partition, error) {
 	if p < 0 || p > 1 || math.IsNaN(p) {
 		return nil, fmt.Errorf("core: p = %v out of [0,1]", p)
@@ -91,12 +86,8 @@ func (s *Solver) RunContext(ctx context.Context, p float64) (*partition.Partitio
 	return pt, nil
 }
 
-// Quality runs the algorithm at p and summarizes the result.
-func (s *Solver) Quality(p float64) (QualityPoint, error) {
-	return s.QualityContext(context.Background(), p)
-}
-
-// QualityContext is Quality with cooperative cancellation (see RunContext).
+// QualityContext runs the algorithm at p and summarizes the result
+// (cancellation as in RunContext).
 func (s *Solver) QualityContext(ctx context.Context, p float64) (QualityPoint, error) {
 	pt, err := s.RunContext(ctx, p)
 	if err != nil {

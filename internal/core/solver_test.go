@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 )
@@ -13,7 +14,7 @@ func sequentialReference(t *testing.T, in *Input, ps []float64) map[float64][4]i
 	s := in.NewSolver()
 	s.Workers = 1
 	for _, p := range ps {
-		pt, err := s.Run(p)
+		pt, err := s.RunContext(context.Background(), p)
 		if err != nil {
 			t.Fatalf("sequential Run(%v): %v", p, err)
 		}
@@ -29,7 +30,7 @@ func sequentialReference(t *testing.T, in *Input, ps []float64) map[float64][4]i
 // Input is never written after construction.
 func TestConcurrentSolversMatchSequential(t *testing.T) {
 	m := widerModel(t, 5)
-	in := NewInput(m, Options{})
+	in := testInput(t, m, Options{})
 	ps := []float64{0, 0.05, 0.15, 0.3, 0.45, 0.6, 0.75, 0.85, 0.95, 1}
 	if len(ps) < 8 {
 		t.Fatalf("need at least 8 concurrent queries, have %d", len(ps))
@@ -44,7 +45,7 @@ func TestConcurrentSolversMatchSequential(t *testing.T) {
 			wg.Add(1)
 			go func(i int, p float64) {
 				defer wg.Done()
-				pt, err := in.NewSolver().Run(p)
+				pt, err := in.NewSolver().RunContext(context.Background(), p)
 				if err != nil {
 					errs[i] = err
 					return
@@ -69,15 +70,15 @@ func TestConcurrentSolversMatchSequential(t *testing.T) {
 // (scratch reuse) matches fresh Solvers per query.
 func TestSolverReuseAcrossPs(t *testing.T) {
 	m := widerModel(t, 6)
-	in := NewInput(m, Options{Workers: 1})
+	in := testInput(t, m, Options{Workers: 1})
 	ps := []float64{0.9, 0.1, 0.5, 0.1, 0.9, 0.3}
 	reused := in.NewSolver()
 	for _, p := range ps {
-		a, err := reused.Run(p)
+		a, err := reused.RunContext(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := in.NewSolver().Run(p)
+		b, err := in.NewSolver().RunContext(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,10 +92,10 @@ func TestSolverReuseAcrossPs(t *testing.T) {
 // exact partitions of a sequential pass.
 func TestSweepRunMatchesSequential(t *testing.T) {
 	m := widerModel(t, 7)
-	in := NewInput(m, Options{Workers: 8})
+	in := testInput(t, m, Options{Workers: 8})
 	ps := []float64{0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1}
 	ref := sequentialReference(t, in, ps)
-	pts, err := in.SweepRun(ps)
+	pts, err := in.SweepRunContext(context.Background(), ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +105,8 @@ func TestSweepRunMatchesSequential(t *testing.T) {
 			t.Errorf("p=%v: sweep result differs from sequential", p)
 		}
 	}
-	if _, err := in.SweepRun([]float64{0.5, 2}); err == nil {
-		t.Error("SweepRun accepted p out of range")
+	if _, err := in.SweepRunContext(context.Background(), []float64{0.5, 2}); err == nil {
+		t.Error("SweepRunContext accepted p out of range")
 	}
 }
 
@@ -113,16 +114,16 @@ func TestSweepRunMatchesSequential(t *testing.T) {
 // order, exactly what per-p Quality calls report.
 func TestSweepQualityMatchesQuality(t *testing.T) {
 	m := widerModel(t, 10)
-	in := NewInput(m, Options{Workers: 4})
+	in := testInput(t, m, Options{Workers: 4})
 	ps := []float64{0, 0.2, 0.4, 0.6, 0.8, 1}
-	qs, err := in.SweepQuality(ps)
+	qs, err := in.SweepQualityContext(context.Background(), ps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := in.NewSolver()
 	s.Workers = 1
 	for i, p := range ps {
-		want, err := s.Quality(p)
+		want, err := s.QualityContext(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,8 +131,8 @@ func TestSweepQualityMatchesQuality(t *testing.T) {
 			t.Errorf("p=%v: sweep quality %+v, sequential %+v", p, qs[i], want)
 		}
 	}
-	if _, err := in.SweepQuality([]float64{-1}); err == nil {
-		t.Error("SweepQuality accepted p out of range")
+	if _, err := in.SweepQualityContext(context.Background(), []float64{-1}); err == nil {
+		t.Error("SweepQualityContext accepted p out of range")
 	}
 }
 
@@ -140,13 +141,13 @@ func TestSweepQualityMatchesQuality(t *testing.T) {
 // signatures, measures) must be exactly the sequential exploration's.
 func TestSignificantPsParallelMatchesSequential(t *testing.T) {
 	m := widerModel(t, 8)
-	seq := NewInput(m, Options{Workers: 1})
-	par := NewInput(m, Options{Workers: 8})
-	a, err := seq.SignificantPs(1e-3)
+	seq := testInput(t, m, Options{Workers: 1})
+	par := testInput(t, m, Options{Workers: 8})
+	a, err := seq.SignificantPsContext(context.Background(), 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := par.SignificantPs(1e-3)
+	b, err := par.SignificantPsContext(context.Background(), 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,30 +162,4 @@ func TestSignificantPsParallelMatchesSequential(t *testing.T) {
 			t.Errorf("point %d differs:\nsequential %+v\nparallel   %+v", i, a[i], b[i])
 		}
 	}
-}
-
-// TestAggregatorFacadeConcurrentRuns: the compatibility facade pools
-// solvers, so concurrent Run calls on one Aggregator are safe and agree
-// with the sequential answers.
-func TestAggregatorFacadeConcurrentRuns(t *testing.T) {
-	m := widerModel(t, 9)
-	agg := New(m, Options{})
-	ps := []float64{0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 0.9}
-	ref := sequentialReference(t, agg.Input, ps)
-	var wg sync.WaitGroup
-	for _, p := range ps {
-		wg.Add(1)
-		go func(p float64) {
-			defer wg.Done()
-			pt, err := agg.Run(p)
-			if err != nil {
-				t.Errorf("Run(%v): %v", p, err)
-				return
-			}
-			if got := [4]interface{}{pt.Signature(), pt.Gain, pt.Loss, pt.PIC}; got != ref[p] {
-				t.Errorf("p=%v: facade concurrent result differs from sequential", p)
-			}
-		}(p)
-	}
-	wg.Wait()
 }

@@ -44,24 +44,19 @@ func laneWidth(n, w int) int {
 	return k
 }
 
-// SweepRun solves one query per entry of ps — fused into lane blocks on
-// pooled Solvers against this shared Input — and returns the partitions
-// in input order. Blocks run concurrently over the worker pool with
-// per-run subtree parallelism disabled (cross-block parallelism already
-// saturates it); within a block one triangular iteration per node answers
-// every lane. Results are bit-identical to solving each p with its own
-// Run.
-func (in *Input) SweepRun(ps []float64) ([]*partition.Partition, error) {
-	return in.SweepRunContext(context.Background(), ps)
-}
-
-// SweepRunContext is SweepRun with cooperative cancellation: once ctx is
-// cancelled no further lane block starts, every in-flight block aborts at
-// its next node-level check, every worker goroutine is drained, every
-// pooled solver is released, and the call returns ctx.Err() with no
-// partial result slice — callers never see a sweep that is half
-// partitions, half holes. With a never-cancelled ctx the computation and
-// result are bit-identical to SweepRun.
+// SweepRunContext solves one query per entry of ps — fused into lane
+// blocks on pooled Solvers against this shared Input — and returns the
+// partitions in input order. Blocks run concurrently over the worker pool
+// with per-run subtree parallelism disabled (cross-block parallelism
+// already saturates it); within a block one triangular iteration per node
+// answers every lane. Results are bit-identical to solving each p with
+// its own RunContext.
+//
+// Once ctx is cancelled no further lane block starts, every in-flight
+// block aborts at its next node-level check, every worker goroutine is
+// drained, every pooled solver is released, and the call returns
+// ctx.Err() with no partial result slice — callers never see a sweep that
+// is half partitions, half holes.
 func (in *Input) SweepRunContext(ctx context.Context, ps []float64) ([]*partition.Partition, error) {
 	if err := validatePs(ps); err != nil {
 		return nil, err
@@ -137,11 +132,6 @@ func (in *Input) SweepRunContext(ctx context.Context, ps []float64) ([]*partitio
 	return out, nil
 }
 
-// SweepQuality is SweepRun reduced to quality-curve samples.
-func (in *Input) SweepQuality(ps []float64) ([]QualityPoint, error) {
-	return in.SweepQualityContext(context.Background(), ps)
-}
-
 // SweepQualityContext is SweepRunContext reduced to quality-curve samples.
 func (in *Input) SweepQualityContext(ctx context.Context, ps []float64) ([]QualityPoint, error) {
 	pts, err := in.SweepRunContext(ctx, ps)
@@ -161,32 +151,27 @@ type gap struct {
 	l, h QualityPoint
 }
 
-// SignificantPs explores [0,1] by dichotomy and returns one QualityPoint
-// per distinct optimal partition, sorted by p (each point carries the
-// smallest sampled p producing that partition). This reproduces Ocelotl's
-// "significant values" slider stops: between two consecutive returned
-// values the optimal partition does not change (up to the eps resolution).
+// SignificantPsContext explores [0,1] by dichotomy and returns one
+// QualityPoint per distinct optimal partition, sorted by p (each point
+// carries the smallest sampled p producing that partition). This
+// reproduces Ocelotl's "significant values" slider stops: between two
+// consecutive returned values the optimal partition does not change (up
+// to the eps resolution).
 //
 // The exploration is round-based: every gap of the current frontier
 // generation contributes its midpoint, the whole batch is solved in one
-// fused SweepRun call, and the next generation is built from the results.
-// A frontier generation is exactly one level of the sequential recursion
-// tree, and whether a gap subdivides depends only on its endpoints'
-// signatures — never on exploration order — so the sampled p set, and
-// therefore the returned point set, is identical to the plain recursive
-// dichotomy's. Unlike a chain of dependent bisections, each round is one
-// wide data-parallel solve: the lanes fuse across the batch and the
-// blocks spread over the worker pool.
-func (in *Input) SignificantPs(eps float64) ([]QualityPoint, error) {
-	return in.SignificantPsContext(context.Background(), eps)
-}
-
-// SignificantPsContext is SignificantPs with cooperative cancellation: a
-// cancelled ctx aborts the current round's fused sweep at its next
+// fused SweepRunContext call, and the next generation is built from the
+// results. A frontier generation is exactly one level of the sequential
+// recursion tree, and whether a gap subdivides depends only on its
+// endpoints' signatures — never on exploration order — so the sampled p
+// set, and therefore the returned point set, is identical to the plain
+// recursive dichotomy's. Unlike a chain of dependent bisections, each
+// round is one wide data-parallel solve: the lanes fuse across the batch
+// and the blocks spread over the worker pool.
+//
+// A cancelled ctx aborts the current round's fused sweep at its next
 // node-level check, launches no further round, releases every pooled
-// solver and returns ctx.Err() — never a partially explored ladder. With
-// a never-cancelled ctx the exploration and result are bit-identical to
-// SignificantPs.
+// solver and returns ctx.Err() — never a partially explored ladder.
 func (in *Input) SignificantPsContext(ctx context.Context, eps float64) ([]QualityPoint, error) {
 	if eps <= 0 {
 		eps = 1e-4

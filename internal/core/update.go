@@ -7,7 +7,7 @@ import (
 	"ocelotl/internal/microscopic"
 )
 
-// Update derives the Input of a new window from this one, reusing
+// UpdateContext derives the Input of a new window from this one, reusing
 // everything the overlapping slices pin down. newModel must share this
 // input's hierarchy and dimensions (which models from one
 // microscopic.Reslicer do); ov says which of its slices are bit-identical
@@ -22,25 +22,19 @@ import (
 // add-only accumulation pass to reach their Δ tail cells — bit-identical
 // running sums cannot start mid-row — so its savings are the dropped
 // gain/loss evaluations, the logarithm-heavy part, not the adds.) The
-// work is spread over the worker pool exactly like NewInput's.
+// work is spread over the worker pool exactly like NewInputContext's.
 //
 // The result is a new immutable Input, bit-identical to
-// NewInput(newModel, same options) — the property tests enforce equality
-// down to the float. The receiver is left untouched and stays valid.
+// NewInputContext(newModel, same options) — the property tests enforce
+// equality down to the float. The receiver is left untouched and stays
+// valid.
 //
 // If newModel has a different hierarchy or shape, or the overlap is empty,
-// Update degrades to a full (still parallel) rebuild and remains correct.
-func (in *Input) Update(newModel *microscopic.Model, ov microscopic.SliceOverlap) *Input {
-	out, _ := in.UpdateContext(context.Background(), newModel, ov)
-	return out
-}
-
-// UpdateContext is Update with cooperative cancellation: like
-// NewInputContext, ctx is checked once per hierarchy node inside the
-// matrix pass (copy-then-extend here), so an abandoned derivation dies
-// mid-fill and returns (nil, ctx.Err()) instead of finishing an Input
-// nobody will read. With a never-cancelled ctx the result is bit-identical
-// to Update.
+// UpdateContext degrades to a full (still parallel) rebuild and remains
+// correct. Like NewInputContext, ctx is checked once per hierarchy node
+// inside the matrix pass (copy-then-extend here), so an abandoned
+// derivation dies mid-fill and returns (nil, ctx.Err()) instead of
+// finishing an Input nobody will read.
 func (in *Input) UpdateContext(ctx context.Context, newModel *microscopic.Model, ov microscopic.SliceOverlap) (*Input, error) {
 	if newModel.H != in.Model.H || newModel.NumSlices() != in.T || newModel.NumStates() != in.X {
 		return NewInputContext(ctx, newModel, Options{Normalize: in.normalize, Workers: in.workers, SolverPoolBound: in.poolBound})
@@ -74,19 +68,16 @@ func (in *Input) UpdateContext(ctx context.Context, newModel *microscopic.Model,
 	return out, nil
 }
 
-// Pan returns the Input of the window panned by k slices, going through
-// the model's Reslicer for the O(Δ) model update. The model must have been
-// produced by a microscopic.Reslicer (Model.Reslicer() != nil).
-func (in *Input) Pan(k int) (*Input, error) {
+// Pan returns the Input of the window panned by k slices: AdvanceContext
+// over the model's own Reslicer, so the model update is O(Δ) too. The
+// model must have been produced by a microscopic.Reslicer
+// (Model.Reslicer() != nil).
+func (in *Input) Pan(ctx context.Context, k int) (*Input, error) {
 	r := in.Model.Reslicer()
 	if r == nil {
 		return nil, fmt.Errorf("core: Pan needs a model built by a microscopic.Reslicer")
 	}
-	m, ov, err := r.Shift(in.Model, k)
-	if err != nil {
-		return nil, err
-	}
-	return in.Update(m, ov), nil
+	return in.AdvanceContext(ctx, r, k)
 }
 
 // Zoom returns the Input of the window re-sliced to the range covered by
@@ -94,7 +85,7 @@ func (in *Input) Pan(k int) (*Input, error) {
 // out). A full-width zoom is recognized as a pan and reuses the shared
 // slices; other zooms change the slice width, so the model is refilled
 // from the event index and the matrices rebuilt.
-func (in *Input) Zoom(lo, hi int) (*Input, error) {
+func (in *Input) Zoom(ctx context.Context, lo, hi int) (*Input, error) {
 	r := in.Model.Reslicer()
 	if r == nil {
 		return nil, fmt.Errorf("core: Zoom needs a model built by a microscopic.Reslicer")
@@ -103,7 +94,7 @@ func (in *Input) Zoom(lo, hi int) (*Input, error) {
 	if err != nil {
 		return nil, err
 	}
-	return in.Update(m, ov), nil
+	return in.UpdateContext(ctx, m, ov)
 }
 
 // verifyOverlap cross-checks a claimed overlap against the two windows'
@@ -127,8 +118,8 @@ func (in *Input) verifyOverlap(newModel *microscopic.Model, ov microscopic.Slice
 // updateSliceRows fills out's slice rows and prefix sums: surviving slices
 // are copied from old (shift-invariant), new slices come from the model
 // (leaves) or the children's fresh rows (inner nodes), and the prefix pass
-// reruns over the assembled rows — the same computation NewInput does, on
-// the same values, hence the same floats.
+// reruns over the assembled rows — the same computation NewInputContext
+// does, on the same values, hence the same floats.
 func (out *Input) updateSliceRows(old *Input, ov microscopic.SliceOverlap) {
 	T, X := out.T, out.X
 	// Half-open ranges of genuinely new slices in the new window.

@@ -70,7 +70,10 @@ func buildBundle(cfg Config, c grid5000.Case) (*caseBundle, error) {
 	if err != nil {
 		return nil, err
 	}
-	in := core.NewInput(m, core.Options{Workers: cfg.Workers})
+	in, err := core.NewInputContext(cfg.context(), m, core.Options{Workers: cfg.Workers})
+	if err != nil {
+		return nil, err
+	}
 	return &caseBundle{res: res, model: m, in: in}, nil
 }
 

@@ -1,23 +1,28 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"ocelotl/internal/core"
 	"ocelotl/internal/microscopic"
 	"ocelotl/internal/mpisim"
+	"ocelotl/internal/server"
 	"ocelotl/internal/timeslice"
 )
 
 // RunWindowing backs the incremental-windowing claim with measurements: a
-// window change through microscopic.Reslicer + core.Input.Update costs
+// window change through microscopic.Reslicer + core.Input.UpdateContext costs
 // O(changed slices), against rebuilding the model and the whole Input from
 // scratch. The table sweeps the overlap fraction W/|T| from a 1-slice pan
 // down to a full displacement, plus a zoom (whose slice width changes, so
 // only the indexed model fill is saved). Every incremental result is
 // checked against the from-scratch build before timing is reported — the
-// experiment fails rather than print a speedup for a wrong answer.
+// experiment fails rather than print a speedup for a wrong answer. A
+// second table runs an overview ⇄ drill sequence through the serving
+// layer's resolution ladder (server.InputCache), the path ocelotld serves
+// zooms from.
 func RunWindowing(cfg Config) error {
 	const (
 		S = 96
@@ -32,7 +37,11 @@ func RunWindowing(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	in := core.NewInput(base, core.Options{})
+	ctx := cfg.context()
+	in, err := core.NewInputContext(ctx, base, core.Options{})
+	if err != nil {
+		return err
+	}
 
 	cfg.printf("incremental window updates vs from-scratch rebuild (|S|=%d, |T|=%d, %d events):\n",
 		S, T, r.NumEvents())
@@ -45,8 +54,8 @@ func RunWindowing(cfg Config) error {
 		if err != nil {
 			return nil, 0, err
 		}
-		fresh := core.NewInput(m, core.Options{})
-		return fresh, time.Since(t0), nil
+		fresh, err := core.NewInputContext(ctx, m, core.Options{})
+		return fresh, time.Since(t0), err
 	}
 	row := func(label string, overlap int, inc func() (*core.Input, error), start, end float64) error {
 		t0 := time.Now()
@@ -60,15 +69,8 @@ func RunWindowing(cfg Config) error {
 			return err
 		}
 		// Bit-exact self-check against a full fill of the same window from
-		// the same index (Build accumulates in trace order, the index in
-		// per-resource start order, so *that* comparison is only ever
-		// tolerance-exact; within the index family equality is exact).
-		fm, err := r.BuildAt(got.Model.Slicer)
-		if err != nil {
-			return err
-		}
-		fresh := core.NewInput(fm, core.Options{})
-		if err := sameAnswers(got, fresh); err != nil {
+		// the same index.
+		if err := sameAsIndexBuild(ctx, r, got); err != nil {
 			return fmt.Errorf("windowing %s: incremental diverged from fresh build: %w", label, err)
 		}
 		cfg.printf("%12s %9.0f%% %14v %14v %9.1f×\n", label,
@@ -86,49 +88,50 @@ func RunWindowing(cfg Config) error {
 			overlap = 0
 		}
 		if err := row(fmt.Sprintf("pan %d", k), overlap,
-			func() (*core.Input, error) { return in.Pan(k) }, start, end); err != nil {
+			func() (*core.Input, error) { return in.Pan(ctx, k) }, start, end); err != nil {
 			return err
 		}
 	}
 	zs, ze := base.Slicer.IntervalBounds(10, 19)
 	if err := row("zoom 10:19", 0,
-		func() (*core.Input, error) { return in.Zoom(10, 19) }, zs, ze); err != nil {
+		func() (*core.Input, error) { return in.Zoom(ctx, 10, 19) }, zs, ze); err != nil {
 		return err
 	}
 	cfg.println("\n(speedup scales with the overlap: surviving slice rows and the shared")
 	cfg.println(" gain/loss sub-triangle are reused; a zoom changes the slice width, so")
 	cfg.println(" only the indexed event fill is saved.)")
 
-	// The multi-resolution pyramid closes the zoom gap: one Input stays
-	// resident per visited grid level, so the overview-then-drill loop
-	// pays scratch once per resolution and pan prices on every revisit.
-	// The same bit-exact self-check guards every row.
-	py := core.NewPyramid(r, core.Options{}, 0)
-	ctx := cfg.context()
-	cfg.println("\npyramid zoom sequence (overview ⇄ drill, levels stay warm):")
-	cfg.printf("%24s %10s %14s %14s %10s\n", "step", "resolve", "pyramid", "scratch", "speedup")
-	pyRow := func(label string, sl timeslice.Slicer) error {
+	// The serving layer's resolution ladder closes the zoom gap: the
+	// InputCache pins one window per visited grid level, so the
+	// overview-then-drill loop pays scratch once per resolution and pan
+	// prices on every revisit. The same bit-exact self-check guards every
+	// row.
+	reg := server.NewRegistry()
+	defer reg.CloseAll()
+	st, err := reg.LoadTrace("windowing", tr)
+	if err != nil {
+		return err
+	}
+	cache := server.NewInputCache(server.DefaultCacheBytes, core.Options{}, 0)
+	cfg.println("\nladder zoom sequence (overview ⇄ drill, levels stay warm):")
+	cfg.printf("%24s %10s %14s %14s %10s\n", "step", "build", "ladder", "scratch", "speedup")
+	ladderRow := func(label string, sl timeslice.Slicer) error {
 		t0 := time.Now()
-		got, kind, err := py.Resolve(ctx, sl)
+		got, kind, err := cache.Get(ctx, st, sl)
 		if err != nil {
 			return err
 		}
-		dPy := time.Since(t0)
+		dLadder := time.Since(t0)
 		_, dScr, err := scratch(sl.Start, sl.End)
 		if err != nil {
 			return err
 		}
-		fm, err := r.BuildAt(got.Model.Slicer)
-		if err != nil {
-			return err
-		}
-		fresh := core.NewInput(fm, core.Options{})
-		if err := sameAnswers(got, fresh); err != nil {
-			return fmt.Errorf("pyramid %s: diverged from fresh build: %w", label, err)
+		if err := sameAsIndexBuild(ctx, r, got); err != nil {
+			return fmt.Errorf("ladder %s: diverged from fresh build: %w", label, err)
 		}
 		cfg.printf("%24s %10s %14v %14v %9.1f×\n", label, kind,
-			dPy.Round(time.Microsecond), dScr.Round(time.Microsecond),
-			float64(dScr)/float64(dPy))
+			dLadder.Round(time.Microsecond), dScr.Round(time.Microsecond),
+			float64(dScr)/float64(dLadder))
 		return nil
 	}
 	drillSl, err := timeslice.New(zs, ze, T)
@@ -146,7 +149,7 @@ func RunWindowing(cfg Config) error {
 		{"re-drill panned (warm)", drillSl.Shift(2)},
 		{"overview panned (warm)", overview.Shift(-3)},
 	} {
-		if err := pyRow(step.label, step.sl); err != nil {
+		if err := ladderRow(step.label, step.sl); err != nil {
 			return err
 		}
 	}
@@ -155,22 +158,38 @@ func RunWindowing(cfg Config) error {
 	return nil
 }
 
+// sameAsIndexBuild cross-checks got against a fresh input pass over r's
+// index at got's window (Build accumulates in trace order, the index in
+// per-resource start order, so a comparison with Build is only ever
+// tolerance-exact; within the index family equality is exact).
+func sameAsIndexBuild(ctx context.Context, r *microscopic.Reslicer, got *core.Input) error {
+	fm, err := r.BuildAt(got.Model.Slicer)
+	if err != nil {
+		return err
+	}
+	fresh, err := core.NewInputContext(ctx, fm, core.Options{})
+	if err != nil {
+		return err
+	}
+	return sameAnswers(ctx, got, fresh)
+}
+
 // sameAnswers cross-checks the observable behavior of two Inputs over the
 // same window: normalization constants and the optimal partitions at a few
 // p. The incremental path promises bit-identity, so the comparison is
 // exact.
-func sameAnswers(a, b *core.Input) error {
+func sameAnswers(ctx context.Context, a, b *core.Input) error {
 	ag, al := a.RootGainLoss()
 	bg, bl := b.RootGainLoss()
 	if ag != bg || al != bl {
 		return fmt.Errorf("RootGainLoss (%v,%v) vs (%v,%v)", ag, al, bg, bl)
 	}
 	for _, p := range []float64{0.25, 0.75} {
-		pa, err := a.NewSolver().Run(p)
+		pa, err := a.NewSolver().RunContext(ctx, p)
 		if err != nil {
 			return err
 		}
-		pb, err := b.NewSolver().Run(p)
+		pb, err := b.NewSolver().RunContext(ctx, p)
 		if err != nil {
 			return err
 		}

@@ -2,13 +2,14 @@ package microscopic
 
 import "fmt"
 
-// MergePairs derives the model one pyramid level up: the same window
+// MergePairs derives the model one resolution level up: the same window
 // re-sliced at factor× the slice width (factor a power of two), with each
 // coarse cell d_x(s,t') the sum of its factor fine cells in ascending
 // slice order. This is the canonical coarse fill of the multi-resolution
-// pyramid: core.Input.Coarsen reproduces exactly these floats from its
-// slice rows, which is what makes "coarsen a fine Input" and "NewInput on
-// the merged model" bit-identical (see core's pyramid property tests).
+// ladder: core.Input.CoarsenContext reproduces exactly these floats from
+// its slice rows, which is what makes "coarsen a fine Input" and "an input
+// pass over the merged model" bit-identical (see core's coarsen property
+// tests).
 //
 // The merged d values are the exact event times of the window re-binned,
 // so the coarse model is a faithful microscopic model of the same trace

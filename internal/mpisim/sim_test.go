@@ -1,6 +1,7 @@
 package mpisim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -266,7 +267,11 @@ func TestAggregationFindsCGPerturbation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := core.Aggregate(m, 0.2)
+	in, err := core.NewInputContext(context.Background(), m, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := in.NewSolver().RunContext(context.Background(), 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,14 +330,17 @@ func TestArtificialAggregationShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg := core.New(m, core.Options{})
-	// A low p keeps detail; a high p aggregates more coarsely
-	// (Fig. 3.d vs 3.e: 56 areas then 15).
-	lo, err := agg.Run(0.3)
+	in, err := core.NewInputContext(context.Background(), m, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi, err := agg.Run(0.95)
+	// A low p keeps detail; a high p aggregates more coarsely
+	// (Fig. 3.d vs 3.e: 56 areas then 15).
+	lo, err := in.NewSolver().RunContext(context.Background(), 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hi, err := in.NewSolver().RunContext(context.Background(), 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package product
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -70,14 +71,17 @@ func TestProductIsCartesian(t *testing.T) {
 func TestCoreDominatesProduct(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		m := randomModel(t, seed, 6)
-		ca := core.NewInput(m, core.Options{})
+		ca, err := core.NewInputContext(context.Background(), m, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		pa := New(m)
 		for _, p := range []float64{0, 0.2, 0.4, 0.6, 0.8, 1} {
 			prodPt, err := pa.Evaluate(ca, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			corePt, err := ca.NewSolver().Run(p)
+			corePt, err := ca.NewSolver().RunContext(context.Background(), p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,14 +111,17 @@ func TestCoreStrictlyBeatsProductOnCrossPattern(t *testing.T) {
 		m.AddD(0, 2, ti, 0.35)
 		m.AddD(0, 3, ti, 0.65)
 	}
-	ca := core.NewInput(m, core.Options{})
+	ca, err := core.NewInputContext(context.Background(), m, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	pa := New(m)
 	p := 0.45
 	prodPt, err := pa.Evaluate(ca, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	corePt, err := ca.NewSolver().Run(p)
+	corePt, err := ca.NewSolver().RunContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +138,10 @@ func TestCoreStrictlyBeatsProductOnCrossPattern(t *testing.T) {
 
 func TestEvaluatePopulatesMeasures(t *testing.T) {
 	m := randomModel(t, 7, 4)
-	ca := core.NewInput(m, core.Options{})
+	ca, err := core.NewInputContext(context.Background(), m, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	pt, err := New(m).Evaluate(ca, 0.5)
 	if err != nil {
 		t.Fatal(err)

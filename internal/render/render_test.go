@@ -2,6 +2,7 @@ package render
 
 import (
 	"bytes"
+	"context"
 	"image/color"
 	"image/png"
 	"strings"
@@ -25,8 +26,11 @@ func artificialScene(t *testing.T, p float64, opt Options) (*core.Input, *partit
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := core.NewInput(m, core.Options{})
-	pt, err := in.NewSolver().Run(p)
+	in, err := core.NewInputContext(context.Background(), m, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := in.NewSolver().RunContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +112,10 @@ func TestDiagonalVsCrossMarks(t *testing.T) {
 			m.AddD(0, s, ti, 0.5)
 		}
 	}
-	in := core.NewInput(m, core.Options{})
+	in, err := core.NewInputContext(context.Background(), m, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Same temporal partitioning within A → diagonal.
 	same := &partition.Partition{Areas: []partition.Area{
 		{Node: h.ByPath["A/a0"], I: 0, J: 1}, {Node: h.ByPath["A/a0"], I: 2, J: 3},

@@ -2,6 +2,7 @@ package render
 
 import (
 	"bytes"
+	"context"
 	"image/color"
 	"math"
 	"strings"
@@ -71,8 +72,11 @@ func TestSceneWithYCbCrPalette(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := core.NewInput(m, core.Options{})
-	pt, err := in.NewSolver().Run(0.4)
+	in, err := core.NewInputContext(context.Background(), m, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := in.NewSolver().RunContext(context.Background(), 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +94,11 @@ func TestSVGTooltips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := core.NewInput(m, core.Options{})
-	pt, err := in.NewSolver().Run(0.5)
+	in, err := core.NewInputContext(context.Background(), m, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := in.NewSolver().RunContext(context.Background(), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +128,11 @@ func TestSVGTooltips(t *testing.T) {
 func TestTooltipTextContents(t *testing.T) {
 	tr := mpisim.Artificial()
 	m, _ := microscopic.Build(tr, microscopic.Options{Slices: 20})
-	in := core.NewInput(m, core.Options{})
-	pt, _ := in.NewSolver().Run(0.5)
+	in, err := core.NewInputContext(context.Background(), m, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, _ := in.NewSolver().RunContext(context.Background(), 0.5)
 	sc := BuildScene(in, pt, Options{Tooltips: true})
 	txt := tooltipText(sc, sc.Rects[0])
 	if !strings.Contains(txt, sc.Rects[0].Area.String()) {

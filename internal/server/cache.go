@@ -21,11 +21,11 @@ type BuildKind string
 const (
 	// BuildHit: the exact window was cached.
 	BuildHit BuildKind = "hit"
-	// BuildDerived: a miss served by Input.Update from the nearest cached
-	// overlapping window (O(Δ·|T|) per node instead of O(|T|²)).
+	// BuildDerived: a miss served by Input.UpdateContext from the nearest
+	// cached overlapping window (O(Δ·|T|) per node instead of O(|T|²)).
 	BuildDerived BuildKind = "derived"
-	// BuildScratch: a miss with no overlapping neighbor — a full NewInput
-	// over a Reslicer-filled model.
+	// BuildScratch: a miss with no overlapping neighbor — a full input
+	// pass (NewInputContext) over a Reslicer-filled model.
 	BuildScratch BuildKind = "scratch"
 	// BuildCoalesced: the request piggybacked on an identical in-flight
 	// build (singleflight).
@@ -35,41 +35,43 @@ const (
 	BuildPreview BuildKind = "preview"
 )
 
-// windowKey identifies one cached Input by (trace, grid level, window):
-// the trace load (id + its load generation, so a reloaded id never
-// matches the old load's entries or in-flight builds), the pyramid level
-// — the slice width as exact float bits, computed canonically from the
-// window so every derivation of the same window agrees — and the window's
-// position at that level (slice count + exact boundary floats). Two
-// windows on the same grid at different offsets share a level but hash to
-// different keys; the grid relation between them is what the derivation
-// path exploits, and the shared level is what the ladder pins.
+// windowKey identifies one cached Input by (trace load, window): the
+// trace id + its load generation (so a reloaded id never matches the old
+// load's entries or in-flight builds) and the window's slice count +
+// exact boundary floats. Windows on one grid at different offsets — pans
+// of one another — hash to different keys but share a resolution level
+// (levelOf); the grid relation between them is what the derivation path
+// exploits, and the shared level is what the ladder pins.
 type windowKey struct {
 	trace      string
 	gen        uint64
-	level      uint64
 	slices     int
 	start, end float64
 }
 
-// levelOf is the canonical pyramid level of a window: the float bits of
-// its slice width derived from the public boundary floats (never the
-// slicer's internal grid width, which can differ in the last ulp between
-// a New-built and a Shift-derived slicer for the same window). A pure
-// function of (start, end, slices), so it adds no distinctions to key
-// equality — it names the resolution axis the ladder is organized along.
+// levelOf is the ladder level of a window: the float bits of its slice
+// grid's width (timeslice.Slicer.Grid). Every pan of one grid carries the
+// grid's width bit-for-bit, whereas (End−Start)/N recomputed from the
+// boundary floats drifts in the last ulp from pan to pan whenever the
+// width is not a power-of-two fraction — which would count pans as zooms
+// and fill the pin cap with phantom levels. The level is an attribute of
+// an entry, not part of its key: a New-built and a Shift-derived slicer
+// for the same boundary floats may differ in their grid width's last ulp,
+// and they must still hit the same entry.
 func levelOf(sl timeslice.Slicer) uint64 {
-	return math.Float64bits((sl.End - sl.Start) / float64(sl.N))
+	_, w, _ := sl.Grid()
+	return math.Float64bits(w)
 }
 
 // entry is one cached Input on the LRU list. ov memoizes the entry's
-// pair-merged coarse overview (core.Input.Coarsen) for progressive
+// pair-merged coarse overview (core.Input.CoarsenContext) for progressive
 // responses: built at most once, labeled preview on the wire, and never
 // inserted under a window key of its own — merge-derived floats may
 // differ in the last ulp from an event-index build at the coarse grid,
 // and window keys promise byte-identity with scratch.
 type entry struct {
 	key   windowKey
+	level uint64 // levelOf the Input's slicer
 	in    *core.Input
 	bytes int // in + ovBytes, charged against the budget
 
@@ -97,9 +99,10 @@ type ladder struct {
 }
 
 // DefaultLadderLevels bounds each trace's pinned ladder when no cap is
-// configured; levels beyond the cap lose their pin oldest-first (their
-// entries still cache normally).
-const DefaultLadderLevels = core.DefaultPyramidLevels
+// configured: 8 levels span a 128× zoom range at factor-2 steps. Levels
+// beyond the cap lose their pin oldest-first (their entries still cache
+// normally).
+const DefaultLadderLevels = 8
 
 // flight is one in-flight build; concurrent requests for the same key
 // wait on done instead of building again. The build runs under the
@@ -122,22 +125,23 @@ type flight struct {
 }
 
 // InputCache is the window-keyed Input cache of the serving layer: an LRU
-// over (trace, grid level, window) with a byte budget derived from
-// core.Input.MemoryBytes. A miss does not go straight to NewInput — it
-// first looks for the nearest cached window of the same trace and shape
-// that overlaps the request on its slice grid (microscopic.GridOverlap)
-// and derives the new Input incrementally via Input.Update, falling back
-// to a from-scratch build only when nothing overlaps. Concurrent requests
-// for the same window are deduplicated (singleflight): one build runs,
-// the rest wait for its result.
+// over (trace, window) with a byte budget derived from
+// core.Input.MemoryBytes. A miss does not go straight to a scratch build
+// — it first looks for the nearest cached window of the same trace and
+// shape that overlaps the request on its slice grid
+// (microscopic.GridOverlap) and derives the new Input incrementally via
+// Input.UpdateContext, falling back to a from-scratch build only when
+// nothing overlaps. Concurrent requests for the same window are
+// deduplicated (singleflight): one build runs, the rest wait for its
+// result.
 //
 // On top of the LRU the cache maintains one multi-resolution ladder per
 // hot trace, lazily: the most recent entry of each visited grid level is
 // pinned against the first eviction pass (see evictToBudgetLocked), so a
 // zoom back to a resolution the analyst has touched before lands next to
-// a warm same-level window and resolves as a hit or pan-derivation — the
-// serving-layer form of core.Pyramid, with a byte budget and
-// singleflight on top.
+// a warm same-level window and resolves as a hit or pan-derivation: the
+// first visit to a resolution pays a scratch build, every later visit
+// pays O(Δ·|T|) per node.
 type InputCache struct {
 	budget    int64
 	opts      core.Options
@@ -187,7 +191,7 @@ func NewInputCache(budget int64, opts core.Options, ladderLevels int) *InputCach
 }
 
 func keyFor(tr *Trace, sl timeslice.Slicer) windowKey {
-	return windowKey{trace: tr.ID, gen: tr.gen, level: levelOf(sl), slices: sl.N, start: sl.Start, end: sl.End}
+	return windowKey{trace: tr.ID, gen: tr.gen, slices: sl.N, start: sl.Start, end: sl.End}
 }
 
 // Get returns the Input for the trace restricted to sl's window, and how
@@ -223,15 +227,15 @@ func (c *InputCache) getOnce(ctx context.Context, tr *Trace, sl timeslice.Slicer
 	key := keyFor(tr, sl)
 
 	c.mu.Lock()
-	zoom := c.noteLevelLocked(key)
+	zoom := c.noteLevelLocked(traceGen{tr.ID, tr.gen}, levelOf(sl))
 	if el, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(el)
 		c.stats.Hits.Add(1)
-		in := el.Value.(*entry).in
-		c.touchLadderLocked(key)
+		e := el.Value.(*entry)
+		c.touchLadderLocked(e)
 		c.refreshLocked(el)
 		c.mu.Unlock()
-		return in, BuildHit, nil
+		return e.in, BuildHit, nil
 	}
 	if err := ctx.Err(); err != nil {
 		// Expired before any build work: fail fast rather than start (or
@@ -280,7 +284,7 @@ func (c *InputCache) getOnce(ctx context.Context, tr *Trace, sl timeslice.Slicer
 	c.mu.Lock()
 	delete(c.inflight, key)
 	if f.err == nil {
-		c.insertLocked(keyFor(tr, f.in.Model.Slicer), f.in)
+		c.insertLocked(tr, f.in)
 		if zoom {
 			// A resolution change that built: the ladder either made it a
 			// derivation (the level was warm) or it fell through to the
@@ -385,42 +389,47 @@ func (c *InputCache) ladderLocked(tg traceGen) *ladder {
 	return ld
 }
 
-// noteLevelLocked records key's grid level as the trace's last requested
+// noteLevelLocked records level as the trace load's last requested
 // resolution and reports whether this request changed level — a zoom, as
 // opposed to a pan or re-query at the current resolution.
-func (c *InputCache) noteLevelLocked(key windowKey) bool {
-	ld := c.ladderLocked(traceGen{key.trace, key.gen})
-	zoom := ld.hasLast && ld.last != key.level
-	ld.last, ld.hasLast = key.level, true
+func (c *InputCache) noteLevelLocked(tg traceGen, level uint64) bool {
+	ld := c.ladderLocked(tg)
+	zoom := ld.hasLast && ld.last != level
+	ld.last, ld.hasLast = level, true
 	return zoom
 }
 
-// touchLadderLocked makes key the resident of its grid level and moves
-// the level to the most-recently-used end, dropping the oldest level's
-// pin beyond the cap. The resident entry per level is exempt from the
-// first eviction pass, so a hot trace's ladder survives pressure from
-// one-off windows.
-func (c *InputCache) touchLadderLocked(key windowKey) {
-	ld := c.ladderLocked(traceGen{key.trace, key.gen})
-	if _, ok := ld.resident[key.level]; !ok && len(ld.resident) >= c.ladderMax {
+// touchLadderLocked makes e the resident of its grid level and moves the
+// level to the most-recently-used end, dropping the oldest level's pin
+// beyond the cap. The resident entry per level is exempt from the first
+// eviction pass, so a hot trace's ladder survives pressure from one-off
+// windows.
+func (c *InputCache) touchLadderLocked(e *entry) {
+	ld := c.ladderLocked(traceGen{e.key.trace, e.key.gen})
+	if _, ok := ld.resident[e.level]; !ok && len(ld.resident) >= c.ladderMax {
 		oldest := ld.order[0]
 		ld.order = ld.order[1:]
 		delete(ld.resident, oldest)
 	}
+	ld.dropFromOrder(e.level)
+	ld.order = append(ld.order, e.level)
+	ld.resident[e.level] = e.key
+}
+
+// dropFromOrder drops level from the recency order.
+func (ld *ladder) dropFromOrder(level uint64) {
 	for i, l := range ld.order {
-		if l == key.level {
+		if l == level {
 			ld.order = append(ld.order[:i], ld.order[i+1:]...)
-			break
+			return
 		}
 	}
-	ld.order = append(ld.order, key.level)
-	ld.resident[key.level] = key
 }
 
 // pinnedLocked reports whether e is its level's ladder resident.
 func (c *InputCache) pinnedLocked(e *entry) bool {
 	ld := c.ladders[traceGen{e.key.trace, e.key.gen}]
-	return ld != nil && ld.resident[e.key.level] == e.key
+	return ld != nil && ld.resident[e.level] == e.key
 }
 
 // Admit is the arithmetic admission guard: it rejects a window whose
@@ -496,8 +505,8 @@ func (c *InputCache) Preview(tr *Trace, sl timeslice.Slicer) *core.Input {
 const previewCoarsenMin = 32
 
 // overview returns e's preview Input: the entry's own Input for small
-// windows, otherwise its factor-2 Coarsen, built at most once per entry
-// and charged against the cache budget alongside the entry.
+// windows, otherwise its factor-2 CoarsenContext, built at most once per
+// entry and charged against the cache budget alongside the entry.
 func (c *InputCache) overview(e *entry) *core.Input {
 	if e.key.slices < previewCoarsenMin || e.key.slices%2 != 0 {
 		return e.in
@@ -505,7 +514,9 @@ func (c *InputCache) overview(e *entry) *core.Input {
 	e.ovMu.Lock()
 	defer e.ovMu.Unlock()
 	if e.ov == nil {
-		ov, err := e.in.Coarsen(2)
+		// The overview is memoized and shared by every later preview of
+		// this entry, so no single request's context may abort it.
+		ov, err := e.in.CoarsenContext(context.Background(), 2)
 		if err != nil {
 			return e.in
 		}
@@ -627,26 +638,27 @@ func (c *InputCache) noteSweep(ps int) {
 	c.stats.SweepPs.Add(int64(ps))
 }
 
-// insertLocked caches in under key and evicts from the LRU tail until the
-// byte budget holds. The inserted entry itself is exempt from its own
-// eviction pass (an over-budget single Input still serves its request and
-// is dropped on the next insert).
-func (c *InputCache) insertLocked(key windowKey, in *core.Input) {
+// insertLocked caches in under its own window of tr and evicts from the
+// LRU tail until the byte budget holds. The inserted entry itself is
+// exempt from its own eviction pass (an over-budget single Input still
+// serves its request and is dropped on the next insert).
+func (c *InputCache) insertLocked(tr *Trace, in *core.Input) {
 	if c.budget <= 0 {
 		return
 	}
-	if key.gen <= c.purged[key.trace] { // built across an unload: discard
+	if tr.gen <= c.purged[tr.ID] { // built across an unload: discard
 		return
 	}
+	key := keyFor(tr, in.Model.Slicer)
 	if el, ok := c.entries[key]; ok { // lost a race with an equivalent build
 		c.lru.MoveToFront(el)
-		c.touchLadderLocked(key)
+		c.touchLadderLocked(el.Value.(*entry))
 		return
 	}
-	e := &entry{key: key, in: in, bytes: in.MemoryBytes()}
+	e := &entry{key: key, level: levelOf(in.Model.Slicer), in: in, bytes: in.MemoryBytes()}
 	c.entries[key] = c.lru.PushFront(e)
 	c.bytes += int64(e.bytes)
-	c.touchLadderLocked(key)
+	c.touchLadderLocked(e)
 	c.evictToBudgetLocked()
 }
 
@@ -660,7 +672,7 @@ func (c *InputCache) Seed(tr *Trace, in *core.Input) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.insertLocked(keyFor(tr, in.Model.Slicer), in)
+	c.insertLocked(tr, in)
 }
 
 // refreshLocked re-reads an entry's byte cost (it grows as the Input's
@@ -704,14 +716,10 @@ func (c *InputCache) evictLocked(el *list.Element) {
 	delete(c.entries, e.key)
 	c.bytes -= int64(e.bytes)
 	c.stats.Evictions.Add(1)
-	if ld := c.ladders[traceGen{e.key.trace, e.key.gen}]; ld != nil && ld.resident[e.key.level] == e.key {
-		delete(ld.resident, e.key.level)
-		for i, l := range ld.order {
-			if l == e.key.level {
-				ld.order = append(ld.order[:i], ld.order[i+1:]...)
-				break
-			}
-		}
+	if c.pinnedLocked(e) {
+		ld := c.ladders[traceGen{e.key.trace, e.key.gen}]
+		delete(ld.resident, e.level)
+		ld.dropFromOrder(e.level)
 	}
 }
 
@@ -752,18 +760,4 @@ func (c *InputCache) Snapshot() StatsSnapshot {
 	s.Bytes = bytes
 	s.BudgetBytes = c.budget
 	return s
-}
-
-// insertStaleForTest re-inserts a scratch build under an old trace
-// generation, simulating a build that was in flight across an unload;
-// tests use it to prove generation isolation.
-func (c *InputCache) insertStaleForTest(tr *Trace, sl timeslice.Slicer) {
-	m, err := tr.resl.BuildAt(sl)
-	if err != nil {
-		panic(err) // test-only helper; RAM-backed fills cannot fail
-	}
-	in := core.NewInput(m, c.opts)
-	c.mu.Lock()
-	c.insertLocked(keyFor(tr, sl), in)
-	c.mu.Unlock()
 }

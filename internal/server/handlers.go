@@ -335,16 +335,35 @@ const (
 	degradeOverload  = "overload"   // build gate shed the request but a preview was warm
 )
 
-// getInputDegraded is getInput with the degrade-to-preview fallback: if
-// the fine build exceeds the degrade deadline, dies on a retryable fault,
-// or is shed by the build gate while a cached window covers the request,
-// the covering window's coarse preview is served instead — the refine=1
-// preview machinery promoted to an automatic fallback — with the reason in
-// the X-Ocelotl-Degraded header. For slow builds the fine build is kept
-// alive in the background (same adoption pattern as refineLookup) so a
-// follow-up request for the same URL lands on a warm entry. The second
-// return value reports whether the Input is a degraded preview.
-func (s *Server) getInputDegraded(w http.ResponseWriter, r *http.Request, tr *Trace, sl timeslice.Slicer) (*core.Input, bool, bool) {
+// getInputProgressive is getInput plus the two preview answers of
+// /aggregate, which share one serve-the-covering-preview path
+// (previewFor):
+//
+//   - refine=1, the progressive zoom: an exact cached window is final
+//     ("ready" in X-Ocelotl-Refine); otherwise a covering cached window's
+//     coarse overview is served at once ("pending") while the fine build
+//     runs in the background; with nothing covering the request ("none")
+//     it takes the synchronous path.
+//   - degrade-to-preview: if the fine build exceeds the degrade deadline,
+//     dies on a retryable fault, or is shed by the build gate while a
+//     cached window covers the request, the covering preview is served
+//     instead, with the reason in the X-Ocelotl-Degraded header. A slow
+//     fine build is kept alive in the background, as for refine=1.
+//
+// The second return value reports whether the Input is a preview.
+func (s *Server) getInputProgressive(w http.ResponseWriter, r *http.Request, tr *Trace, sl timeslice.Slicer, refine bool) (*core.Input, bool, bool) {
+	if refine {
+		state := "ready"
+		if !s.cache.Cached(tr, sl) {
+			if pv := s.previewFor(w, tr, sl, time.Now(), true); pv != nil {
+				s.cache.stats.Previews.Add(1)
+				w.Header().Set(refineHeader, "pending")
+				return pv, true, true
+			}
+			state = "none"
+		}
+		w.Header().Set(refineHeader, state)
+	}
 	if s.degradeAfter <= 0 {
 		in, ok := s.getInput(w, r, tr, sl)
 		return in, false, ok
@@ -388,7 +407,10 @@ func (s *Server) getInputDegraded(w http.ResponseWriter, r *http.Request, tr *Tr
 	case <-timer.C:
 		reason = degradeSlowBuild
 	}
-	pv := s.cache.Preview(tr, sl)
+	// The waiter spawned above abandons its stake in a slow flight when
+	// r.Context() dies at handler return, so previewFor adopts the build
+	// lest the degraded answer kill the fine build it stands in for.
+	pv := s.previewFor(w, tr, sl, start, reason == degradeSlowBuild)
 	if pv == nil {
 		// Nothing cached covers the request, so no degraded answer
 		// exists: wait a slow build out, or surface the error in hand.
@@ -398,11 +420,25 @@ func (s *Server) getInputDegraded(w http.ResponseWriter, r *http.Request, tr *Tr
 		s.writeGetError(w, res.err)
 		return nil, false, false
 	}
-	if reason == degradeSlowBuild {
-		// The waiter spawned above abandons its stake in the flight
-		// when r.Context() dies at handler return; adopt the build
-		// under the server's own deadline first so the degraded answer
-		// doesn't kill the fine build it is standing in for.
+	s.cache.noteDegraded()
+	w.Header().Set(degradedHeader, reason)
+	return pv, true, true
+}
+
+// previewFor is the one serve-the-covering-preview path: the tightest
+// cached window covering sl, served through its memoized coarse overview
+// (InputCache.Preview) with the preview build headers. With adopt set,
+// the fine build is kept going in the background under the server's own
+// deadline, detached from the request — singleflight dedups it against
+// concurrent requests for the same window — so the client's follow-up
+// for the same URL lands on a warm entry. Nil, with no headers written
+// and nothing started, when no cached window covers the request.
+func (s *Server) previewFor(w http.ResponseWriter, tr *Trace, sl timeslice.Slicer, start time.Time, adopt bool) *core.Input {
+	pv := s.cache.Preview(tr, sl)
+	if pv == nil {
+		return nil
+	}
+	if adopt {
 		go func() {
 			ctx := context.Background()
 			if s.timeout > 0 {
@@ -413,11 +449,9 @@ func (s *Server) getInputDegraded(w http.ResponseWriter, r *http.Request, tr *Tr
 			s.cache.Get(ctx, tr, sl)
 		}()
 	}
-	s.cache.noteDegraded()
-	w.Header().Set(degradedHeader, reason)
 	w.Header().Set(buildHeader, string(BuildPreview))
 	w.Header().Set(buildLatencyHeader, strconv.FormatInt(time.Since(start).Microseconds(), 10))
-	return pv, true, true
+	return pv
 }
 
 // inputFor is resolveWindow + getInput — the shared serve path of every
@@ -432,36 +466,6 @@ func (s *Server) inputFor(w http.ResponseWriter, r *http.Request) (*Trace, *core
 		return nil, nil, false
 	}
 	return tr, in, true
-}
-
-// refineLookup implements the progressive zoom path (aggregate with
-// refine=1). When the exact window is already cached the response is
-// final ("ready"). Otherwise, if some cached window covers the request,
-// its coarse overview is served immediately as a preview ("pending") and
-// the fine build is kicked off in the background under its own deadline —
-// singleflight dedups concurrent refines of one window — so the client's
-// follow-up request for the same URL lands on a warm entry. With nothing
-// covering the request ("none") the caller falls back to the synchronous
-// path.
-func (s *Server) refineLookup(tr *Trace, sl timeslice.Slicer) (*core.Input, string) {
-	if s.cache.Cached(tr, sl) {
-		return nil, "ready"
-	}
-	pv := s.cache.Preview(tr, sl)
-	if pv == nil {
-		return nil, "none"
-	}
-	s.cache.stats.Previews.Add(1)
-	go func() {
-		ctx := context.Background()
-		if s.timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.timeout)
-			defer cancel()
-		}
-		s.cache.Get(ctx, tr, sl)
-	}()
-	return pv, "pending"
 }
 
 // windowJSON describes the exact window a response was computed over.
@@ -515,26 +519,11 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var in *core.Input
-	preview := false
-	if q.Get("refine") == "1" {
-		start := time.Now()
-		pv, state := s.refineLookup(tr, sl)
-		w.Header().Set(refineHeader, state)
-		if pv != nil {
-			in, preview = pv, true
-			w.Header().Set(buildHeader, string(BuildPreview))
-			w.Header().Set(buildLatencyHeader, strconv.FormatInt(time.Since(start).Microseconds(), 10))
-		}
-	}
-	if in == nil {
-		var degraded bool
-		if in, degraded, ok = s.getInputDegraded(w, r, tr, sl); !ok {
-			return
-		}
-		// A degraded body is the same preview body refine=1 would
-		// serve — byte-identical across the two paths.
-		preview = preview || degraded
+	// A degraded body is the same preview body refine=1 would serve —
+	// byte-identical across the two paths.
+	in, preview, ok := s.getInputProgressive(w, r, tr, sl, q.Get("refine") == "1")
+	if !ok {
+		return
 	}
 	pt, err := s.solve(r.Context(), in, p)
 	if err != nil {

@@ -9,7 +9,7 @@ import (
 // exposition format (version 0.0.4). The counters are already monotonic
 // atomics and the format is plain text, so no client library is needed —
 // the daemon stays dependency-free while any standard scraper can watch
-// the pyramid's zoom hit rate (ocelotl_zoom_derived_total vs
+// the ladder's zoom hit rate (ocelotl_zoom_derived_total vs
 // ocelotl_zoom_scratch_total) and the cache's pressure counters.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	snap := s.CacheStats()

@@ -46,10 +46,10 @@
 // headers, keeping bodies byte-comparable across build paths.
 //
 // The cache behind those endpoints is multi-resolution (see InputCache):
-// entries are keyed by (trace, grid level, window) and the most recent
-// entry per visited level is pinned as a per-trace ladder, so zooming
-// back to a familiar resolution resolves as a hit or an incremental
-// same-grid derivation instead of an event-index rebuild. Two guards
+// entries are keyed by (trace, window), and the most recent entry per
+// visited grid level (slice width) is pinned as a per-trace ladder, so
+// zooming back to a familiar resolution resolves as a hit or an
+// incremental same-grid derivation instead of an event-index rebuild. Two guards
 // bound the residency this trades on: windows whose single Input would
 // exceed the cache budget are rejected up front with 413 (estimated
 // arithmetically, before building), and /aggregate accepts refine=1 for

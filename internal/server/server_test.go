@@ -308,7 +308,10 @@ func TestEvictionUnderTinyBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe := core.NewInput(pm, core.Options{})
+	probe, err := core.NewInputContext(context.Background(), pm, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	budget := int64(probe.MemoryBytes()) + 64 // one entry fits, two don't
 
 	c := NewInputCache(budget, core.Options{}, 0)
@@ -364,17 +367,20 @@ func TestDerivedMatchesScratchAtCacheLevel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh := core.NewInput(fm, core.Options{})
+		fresh, err := core.NewInputContext(context.Background(), fm, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		dg, dl := derived.RootGainLoss()
 		fg, fl := fresh.RootGainLoss()
 		if dg != fg || dl != fl {
 			t.Fatalf("pan %+d: root gain/loss (%v,%v) != fresh (%v,%v)", k, dg, dl, fg, fl)
 		}
-		dp, err := derived.NewSolver().Run(0.5)
+		dp, err := derived.NewSolver().RunContext(context.Background(), 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fp, err := fresh.NewSolver().Run(0.5)
+		fp, err := fresh.NewSolver().RunContext(context.Background(), 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -519,7 +525,7 @@ func TestReloadedTraceDoesNotHitStaleCache(t *testing.T) {
 	// the unload) is discarded outright — no budget parked on an
 	// unreachable entry, and the new generation can never hit it.
 	before := c.Snapshot()
-	c.insertStaleForTest(trOld, sl)
+	c.insertStaleForTest(t, trOld, sl)
 	after := c.Snapshot()
 	if after.Entries != before.Entries || after.Bytes != before.Bytes {
 		t.Fatalf("stale insert was cached: %+v -> %+v", before, after)
@@ -527,6 +533,24 @@ func TestReloadedTraceDoesNotHitStaleCache(t *testing.T) {
 	if _, kind, _ := c.Get(context.Background(), trNew, sl.Shift(1)); kind == BuildHit {
 		t.Fatal("new generation hit a stale entry")
 	}
+}
+
+// insertStaleForTest re-inserts a scratch build under an old trace
+// generation, simulating a build that was in flight across an unload;
+// tests use it to prove generation isolation.
+func (c *InputCache) insertStaleForTest(t *testing.T, tr *Trace, sl timeslice.Slicer) {
+	t.Helper()
+	m, err := tr.resl.BuildAt(sl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := core.NewInputContext(context.Background(), m, c.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	c.insertLocked(tr, in)
+	c.mu.Unlock()
 }
 
 // TestRequestWorkCaps: the render-dimension and quality-sweep caps reject
@@ -556,7 +580,10 @@ func TestCacheAccountsForSolverPoolWarmup(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold := c.Snapshot().Bytes
-	s := in.AcquireSolver() // warms the pool: scratch is now resident
+	s, err := in.AcquireSolverContext(context.Background()) // warms the pool: scratch is now resident
+	if err != nil {
+		t.Fatal(err)
+	}
 	in.ReleaseSolver(s)
 	if got := int64(in.MemoryBytes()); got <= cold {
 		t.Fatalf("MemoryBytes %d does not include pooled solver scratch (arenas alone: %d)", got, cold)

@@ -18,7 +18,7 @@ import "sync/atomic"
 // change (the request's grid level differs from the trace's previous
 // request): derived means the ladder had the level warm and the build was
 // an incremental Update, scratch means it fell through to the event
-// index — the ratio is the pyramid's zoom hit rate. Previews counts
+// index — the ratio is the ladder's zoom hit rate. Previews counts
 // refine requests answered immediately with a coarse covering window
 // while the fine build proceeded in the background.
 //

@@ -72,7 +72,7 @@ func (s Slicer) OnGrid(o Slicer) (k int, ok bool) {
 // Grid exposes the slicer's grid anchoring (origin, slice width, offset of
 // slice 0 on that grid). Two slicers with equal base and width address the
 // same grid at possibly different offsets — the identity the multi-
-// resolution pyramid keys its levels by. A hand-assembled slicer (w ≤ 0)
+// resolution ladder keys its levels by. A hand-assembled slicer (w ≤ 0)
 // reports its window-derived width anchored at its own start.
 func (s Slicer) Grid() (base, width float64, off int) {
 	if s.w > 0 {
@@ -86,7 +86,7 @@ func (s Slicer) Grid() (base, width float64, off int) {
 // every factor-th boundary). factor must be a power of two ≥ 2 (so
 // width·factor is float-exact and the coarse boundaries are bit-exact
 // members of the fine grid), N must be divisible by factor, and the grid
-// offset must be divisible by factor; pyramid levels anchored at a trace
+// offset must be divisible by factor; ladder levels anchored at a trace
 // origin satisfy this by construction, arbitrary pans may not.
 func (s Slicer) CoarsenGrid(factor int) (Slicer, error) {
 	if factor < 2 || factor&(factor-1) != 0 {
