@@ -109,3 +109,57 @@ func TestEstimateMemoryBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestPyramidCancelledResolve: a cancelled context aborts every step a
+// ladder resolve is made of — the scratch build, a coarsening and a zoom
+// — and the same steps succeed afterwards on a live context, so nothing a
+// cancelled resolve touched is left unusable.
+func TestPyramidCancelledResolve(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	tr := windowTrace(rng, 6, 400, 20)
+	r, err := microscopic.NewReslicer(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := r.Build(microscopic.Options{Slices: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if in, err := NewInputContext(ctx, m, Options{}); err == nil || in != nil {
+		t.Fatalf("cancelled build: input %v, err %v; want nil and ctx error", in, err)
+	}
+	in := testInput(t, m, Options{})
+	if c, err := in.CoarsenContext(ctx, 2); err == nil || c != nil {
+		t.Fatalf("cancelled coarsen: input %v, err %v; want nil and ctx error", c, err)
+	}
+	if z, err := in.Zoom(ctx, 2, 6); err == nil || z != nil {
+		t.Fatalf("cancelled zoom: input %v, err %v; want nil and ctx error", z, err)
+	}
+	if _, err := in.CoarsenContext(context.Background(), 2); err != nil {
+		t.Fatalf("post-cancel coarsen: %v", err)
+	}
+	if z, err := in.Zoom(context.Background(), 2, 6); err != nil || z == nil {
+		t.Fatalf("post-cancel zoom: input %v, err %v", z, err)
+	}
+}
+
+// TestPyramidZoomRejectsInvertedRange: Input.Zoom, the step a ladder
+// resolve derives a zoomed level with, rejects an inverted slice range.
+func TestPyramidZoomRejectsInvertedRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	tr := windowTrace(rng, 4, 100, 10)
+	r, err := microscopic.NewReslicer(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := r.Build(microscopic.Options{Slices: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := testInput(t, m, Options{})
+	if _, err := in.Zoom(context.Background(), 5, 2); err == nil {
+		t.Fatal("inverted zoom range succeeded")
+	}
+}
