@@ -211,12 +211,11 @@ func main() {
 	}
 	// Preloads tolerate ids that recovery already restored, so a
 	// supervisor can restart a crashed daemon with identical flags.
-	alreadyLoaded := func(err error) bool { return strings.Contains(err.Error(), "already load") }
 	for _, spec := range preloads {
 		id, path, _ := strings.Cut(spec, "=")
 		tr, err := srv.Registry().Load(id, path)
 		if err != nil {
-			if alreadyLoaded(err) {
+			if errors.Is(err, server.ErrAlreadyLoaded) {
 				logger.Info("preload already recovered", "trace", id)
 				continue
 			}
@@ -229,7 +228,7 @@ func main() {
 		id, path, _ := strings.Cut(spec, "=")
 		tr, err := srv.FollowTrace(context.Background(), id, path)
 		if err != nil {
-			if alreadyLoaded(err) {
+			if errors.Is(err, server.ErrAlreadyLoaded) {
 				logger.Info("follow preload already recovered", "trace", id)
 				continue
 			}

@@ -616,28 +616,6 @@ func (c *InputCache) build(ctx context.Context, tr *Trace, sl timeslice.Slicer, 
 	return in, BuildScratch, nil
 }
 
-// noteAborted records one cancelled request in the serve stats; the
-// handlers call it whenever they map a cancellation to a client response.
-func (c *InputCache) noteAborted() { c.stats.Aborted.Add(1) }
-
-// noteShed records one load-shed request (503 + Retry-After).
-func (c *InputCache) noteShed() { c.stats.Shed.Add(1) }
-
-// notePanic records one recovered panic (handler middleware; flight
-// panics are counted at the recovery site in runBuild).
-func (c *InputCache) notePanic() { c.stats.Panics.Add(1) }
-
-// noteDegraded records one request answered with the coarse preview
-// because the fine build was slow or faulted.
-func (c *InputCache) noteDegraded() { c.stats.Degraded.Add(1) }
-
-// noteSweep records one multi-p query served through the fused sweep path
-// (/significant, /quality) and the number of p points it answered.
-func (c *InputCache) noteSweep(ps int) {
-	c.stats.SweepQueries.Add(1)
-	c.stats.SweepPs.Add(int64(ps))
-}
-
 // insertLocked caches in under its own window of tr and evicts from the
 // LRU tail until the byte budget holds. The inserted entry itself is
 // exempt from its own eviction pass (an over-budget single Input still

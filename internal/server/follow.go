@@ -57,13 +57,6 @@ const followOpenWait = 5 * time.Second
 // latency; a backlog simply drains over consecutive ticks.
 const followMaxBatch = 1 << 18
 
-// followOptions is the follow half of a load request, normalized.
-type followOptions struct {
-	poll       time.Duration
-	liveSlices int
-	sliceWidth float64
-}
-
 // followState is the published follow view carried by each immutable
 // Trace snapshot (handlers read it without locking; the follower
 // publishes a fresh one per tick).
@@ -84,7 +77,7 @@ func (fs *followState) liveWindow() timeslice.Slicer { return fs.anchor.Shift(fs
 type follower struct {
 	id     string
 	tail   *traceio.TailReader
-	opts   followOptions
+	poll   time.Duration
 	cancel context.CancelFunc
 	ctx    context.Context
 	done   chan struct{}
@@ -125,134 +118,133 @@ func (s *Server) FollowTrace(ctx context.Context, id, path string) (*Trace, erro
 }
 
 // startFollow loads a trace in follow mode: it waits (briefly) for the
-// file's header, ingests whatever events are already flushed, registers
-// the snapshot, seeds the live window, and starts the follower loop.
+// file's header, ingests whatever events are already flushed, and boots
+// the follower over the same tail.
 func (s *Server) startFollow(ctx context.Context, req loadRequest) (*Trace, error) {
-	opts := followOptions{
-		poll:       followDefaultPoll,
-		liveSlices: microscopic.DefaultSlices,
-		sliceWidth: req.SliceWidth,
-	}
+	poll := followDefaultPoll
 	if req.PollMs > 0 {
-		opts.poll = time.Duration(req.PollMs) * time.Millisecond
+		poll = time.Duration(req.PollMs) * time.Millisecond
 	}
+	liveSlices := microscopic.DefaultSlices
 	if req.LiveSlices > 0 {
-		opts.liveSlices = req.LiveSlices
+		liveSlices = req.LiveSlices
 	}
 	if req.SliceWidth < 0 || math.IsNaN(req.SliceWidth) || math.IsInf(req.SliceWidth, 0) {
 		return nil, fmt.Errorf("server: bad slice_width %v", req.SliceWidth)
 	}
 	if _, exists := s.reg.Get(req.ID); exists {
-		return nil, fmt.Errorf("server: trace %q already loaded", req.ID)
+		return nil, fmt.Errorf("server: trace %q %w", req.ID, ErrAlreadyLoaded)
 	}
 
-	tail, err := s.openTailWait(ctx, req.Path, opts.poll)
+	tail, err := s.openTailWait(ctx, req.Path, poll)
 	if err != nil {
 		return nil, err
 	}
-
-	// Ingest the flushed prefix and find the initial horizon.
-	hdrStart, hdrEnd := tail.Window()
-	horizon := hdrStart
-	var events []trace.Event
-	var ev trace.Event
-	for {
-		err := tail.Next(&ev)
-		if err != nil {
-			if traceio.IsIncomplete(err) {
-				break
-			}
-			tail.Close()
-			return nil, err
-		}
-		if ev.Start > horizon {
-			horizon = ev.Start
-		}
-		events = append(events, ev)
+	prefix, err := readPrefix(tail, math.MaxInt64)
+	if err != nil {
+		tail.Close()
+		return nil, err
 	}
-
-	if opts.sliceWidth == 0 {
+	width := req.SliceWidth
+	if width == 0 {
 		// Default grid: the header's declared window split into liveSlices
 		// — the live view converges to the batch view at completion.
-		if hdrEnd > hdrStart {
-			opts.sliceWidth = (hdrEnd - hdrStart) / float64(opts.liveSlices)
-		} else {
-			opts.sliceWidth = 1
+		width = 1
+		if _, hdrEnd := tail.Window(); hdrEnd > prefix.start {
+			width = (hdrEnd - prefix.start) / float64(liveSlices)
 		}
 	}
-	anchor, err := timeslice.New(hdrStart, hdrStart+float64(opts.liveSlices)*opts.sliceWidth, opts.liveSlices)
+	anchor, err := timeslice.New(prefix.start, prefix.start+float64(liveSlices)*width, liveSlices)
 	if err != nil {
 		tail.Close()
 		return nil, fmt.Errorf("server: follow grid: %w", err)
 	}
+	tr, err := s.bootFollower(req.ID, req.Path, 0, followState{anchor: anchor, poll: poll}, prefix, tail)
+	if err != nil {
+		return nil, err
+	}
+	s.log.Info("follow started", "trace", req.ID, "path", req.Path,
+		"events", tr.Events, "horizon", prefix.end, "poll", poll,
+		"live_slices", liveSlices, "slice_width", width)
+	return tr, nil
+}
 
-	resl, err := microscopic.NewReslicerIndexed(
-		&followSource{resources: tail.Resources(), states: tail.States(), start: hdrStart, end: horizon, events: events},
-		s.reg.indexOpts)
+// readPrefix ingests tail's records until its committed offset reaches
+// limit or the flushed data runs out (an incomplete record is the end of
+// the flushed prefix, not an error). The returned source's window ends at
+// the horizon: the maximum event start read.
+func readPrefix(tail *traceio.TailReader, limit int64) (*followSource, error) {
+	start, _ := tail.Window()
+	p := &followSource{resources: tail.Resources(), states: tail.States(), start: start, end: start}
+	var ev trace.Event
+	for tail.Offset() < limit {
+		if err := tail.Next(&ev); err != nil {
+			if traceio.IsIncomplete(err) {
+				break
+			}
+			return nil, err
+		}
+		if ev.Start > p.end {
+			p.end = ev.Start
+		}
+		p.events = append(p.events, ev)
+	}
+	return p, nil
+}
+
+// bootFollower is the follower bootstrap shared by a fresh follow and a
+// recovery resume, which differ only in fs's anchor, poll and ticks, the
+// gen (0: a fresh lineage) and where prefix and tail come from. It
+// indexes the prefix and completes fs with the prefix horizon, the live
+// window sealed at it and the tail's offset. The follower is tracked
+// before the trace is visible, so a DELETE racing the load always finds
+// the loop to stop; the snapshot is registered, the live window seeded so
+// the first live=1 query is a hit, and the ingestion loop started.
+// bootFollower owns tail: on error it is released with the index.
+func (s *Server) bootFollower(id, path string, gen uint64, fs followState, prefix *followSource, tail *traceio.TailReader) (*Trace, error) {
+	resl, err := microscopic.NewReslicerIndexed(prefix, s.reg.indexOpts)
 	if err != nil {
 		tail.Close()
 		return nil, err
 	}
+	fs.horizon = prefix.end
+	fs.pan = sealedPan(fs.anchor, fs.horizon)
+	fs.offset = tail.Offset()
+	ctx, cancel := context.WithCancel(context.Background())
+	f := &follower{id: id, tail: tail, poll: fs.poll, ctx: ctx, cancel: cancel, done: make(chan struct{})}
+	tr := &Trace{ID: id, Path: path, resl: resl, gen: gen, follow: &fs}
 
-	fctx, cancel := context.WithCancel(context.Background())
-	f := &follower{
-		id:     req.ID,
-		tail:   tail,
-		opts:   opts,
-		ctx:    fctx,
-		cancel: cancel,
-		done:   make(chan struct{}),
+	s.followMu.Lock()
+	_, dup := s.followers[id]
+	if !dup {
+		s.followers[id] = f
 	}
-	tr := &Trace{ID: req.ID, Path: req.Path, resl: resl, follow: &followState{
-		anchor:  anchor,
-		pan:     sealedPan(anchor, horizon),
-		horizon: horizon,
-		offset:  tail.Offset(),
-		poll:    opts.poll,
-	}}
-
-	tr, err = s.launchFollower(f, tr)
+	s.followMu.Unlock()
+	if dup {
+		err = fmt.Errorf("server: trace %q %w", id, ErrAlreadyLoaded)
+	} else if tr, err = s.reg.register(tr); err != nil {
+		s.followMu.Lock()
+		if s.followers[id] == f {
+			delete(s.followers, id)
+		}
+		s.followMu.Unlock()
+	}
 	if err != nil {
+		// The loop never started: close done for a DELETE that found f
+		// in the meantime and waits on it.
 		cancel()
+		close(f.done)
 		tail.Close()
 		resl.Close()
 		return nil, err
 	}
-	s.log.Info("follow started", "trace", req.ID, "path", req.Path,
-		"events", tr.Events, "horizon", horizon, "poll", opts.poll,
-		"live_slices", opts.liveSlices, "slice_width", opts.sliceWidth)
-	return tr, nil
-}
 
-// launchFollower publishes a prepared follower: it is tracked before the
-// trace is visible (so a DELETE racing the load always finds the loop to
-// stop), the snapshot registered, the live window seeded so the first
-// live=1 query is a hit, and the ingestion loop started. Shared by
-// startFollow and the recovery resume; on error the caller releases the
-// tail and index it prepared.
-func (s *Server) launchFollower(f *follower, tr *Trace) (*Trace, error) {
-	s.followMu.Lock()
-	if _, dup := s.followers[f.id]; dup {
-		s.followMu.Unlock()
-		return nil, fmt.Errorf("server: trace %q already loading in follow mode", f.id)
-	}
-	s.followers[f.id] = f
-	s.followMu.Unlock()
-
-	if _, err := s.reg.register(tr); err != nil {
-		s.followMu.Lock()
-		delete(s.followers, f.id)
-		s.followMu.Unlock()
-		return nil, err
-	}
-
-	if in, err := s.buildLive(f.ctx, tr); err == nil {
+	if in, err := s.buildLive(ctx, tr); err == nil {
 		f.live = in
 		s.cache.Seed(tr, in)
 	} else if !isCancellation(err) {
-		s.log.Warn("follow: initial live build failed", "trace", f.id, "error", err)
+		s.log.Warn("follow: initial live build failed", "trace", id, "error", err)
 	}
-
 	go s.runFollower(f)
 	return tr, nil
 }
@@ -346,7 +338,7 @@ func (s *Server) buildLive(ctx context.Context, tr *Trace) (*core.Input, error) 
 func (s *Server) runFollower(f *follower) {
 	defer close(f.done)
 	defer f.tail.Close()
-	ticker := time.NewTicker(f.opts.poll)
+	ticker := time.NewTicker(f.poll)
 	defer ticker.Stop()
 	failures := 0
 	for {

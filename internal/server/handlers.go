@@ -41,7 +41,7 @@ func (s *Server) abortIfCancelled(w http.ResponseWriter, err error) bool {
 	if err == nil || !isCancellation(err) {
 		return false
 	}
-	s.cache.noteAborted()
+	s.cache.stats.Aborted.Add(1)
 	httpError(w, StatusClientClosedRequest, err)
 	return true
 }
@@ -54,7 +54,7 @@ func (s *Server) shedIfOverloaded(w http.ResponseWriter, err error) bool {
 	if !errors.As(err, &oe) {
 		return false
 	}
-	s.cache.noteShed()
+	s.cache.stats.Shed.Add(1)
 	secs := int(math.Ceil(oe.RetryAfter.Seconds()))
 	if secs < 1 {
 		secs = 1
@@ -108,7 +108,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		status := http.StatusBadRequest
-		if strings.Contains(err.Error(), "already load") {
+		if errors.Is(err, ErrAlreadyLoaded) {
 			status = http.StatusConflict
 		}
 		httpError(w, status, err)
@@ -241,7 +241,12 @@ func windowFromQuery(tr *Trace, q url.Values, maxSlices int) (timeslice.Slicer, 
 		return timeslice.Slicer{}, err
 	}
 	if pan != 0 {
+		// A far pan can overflow the grid offset or round the window's
+		// floats to infinity or to an empty interval.
 		sl = sl.Shift(pan)
+		if math.IsInf(sl.Start, 0) || math.IsInf(sl.End, 0) || !(sl.End > sl.Start) {
+			return timeslice.Slicer{}, fmt.Errorf("bad pan=%d: the shifted window is not representable", pan)
+		}
 	}
 	if tr.follow != nil && sl.End > tr.follow.horizon {
 		return timeslice.Slicer{}, fmt.Errorf("window end %v is past the ingestion horizon %v: not yet ingested", sl.End, tr.follow.horizon)
@@ -420,7 +425,7 @@ func (s *Server) getInputProgressive(w http.ResponseWriter, r *http.Request, tr 
 		s.writeGetError(w, res.err)
 		return nil, false, false
 	}
-	s.cache.noteDegraded()
+	s.cache.stats.Degraded.Add(1)
 	w.Header().Set(degradedHeader, reason)
 	return pv, true, true
 }
@@ -609,7 +614,8 @@ func (s *Server) handleSignificant(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	s.cache.noteSweep(len(points))
+	s.cache.stats.SweepQueries.Add(1)
+	s.cache.stats.SweepPs.Add(int64(len(points)))
 	writeJSON(w, http.StatusOK, struct {
 		Trace  string        `json:"trace"`
 		Eps    float64       `json:"eps"`
@@ -635,7 +641,8 @@ func (s *Server) handleQuality(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	s.cache.noteSweep(len(points))
+	s.cache.stats.SweepQueries.Add(1)
+	s.cache.stats.SweepPs.Add(int64(len(points)))
 	writeJSON(w, http.StatusOK, struct {
 		Trace  string        `json:"trace"`
 		Window windowJSON    `json:"window"`

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -118,6 +119,10 @@ func NewRegistry() *Registry {
 // (daemon startup, before any trace is loaded).
 func (r *Registry) SetIndexOptions(opt microscopic.IndexOptions) { r.indexOpts = opt }
 
+// ErrAlreadyLoaded marks a load refused because its id is taken (unload
+// first); POST /traces answers it with 409.
+var ErrAlreadyLoaded = errors.New("already loaded")
+
 // Load streams the trace file at path into a Reslicer and registers it
 // under id. Loading an id that already exists is an error (unload first);
 // concurrent loads of distinct ids proceed independently.
@@ -125,18 +130,10 @@ func (r *Registry) Load(id, path string) (*Trace, error) {
 	if id == "" {
 		return nil, fmt.Errorf("server: trace id must not be empty")
 	}
-	r.mu.RLock()
-	_, exists := r.traces[id]
-	r.mu.RUnlock()
-	if exists {
-		return nil, fmt.Errorf("server: trace %q already loaded", id)
+	if _, exists := r.Get(id); exists {
+		return nil, fmt.Errorf("server: trace %q %w", id, ErrAlreadyLoaded)
 	}
-	src, err := traceio.OpenFile(path)
-	if err != nil {
-		return nil, err
-	}
-	defer src.Close()
-	resl, err := microscopic.NewReslicerIndexed(src, r.indexOpts)
+	resl, err := r.indexFile(path)
 	if err != nil {
 		return nil, err
 	}
@@ -146,6 +143,17 @@ func (r *Registry) Load(id, path string) (*Trace, error) {
 		return nil, err
 	}
 	return t, nil
+}
+
+// indexFile streams the trace file at path into a fresh event index: the
+// batch load, the recovery rebuild and the scrub rebuild.
+func (r *Registry) indexFile(path string) (*microscopic.Reslicer, error) {
+	src, err := traceio.OpenFile(path)
+	if err != nil {
+		return nil, err
+	}
+	defer src.Close()
+	return microscopic.NewReslicerIndexed(src, r.indexOpts)
 }
 
 // LoadTrace registers an in-memory trace (tests and embedders).
@@ -171,7 +179,7 @@ func (r *Registry) register(t *Trace) (*Trace, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, exists := r.traces[t.ID]; exists {
-		return nil, fmt.Errorf("server: trace %q already loaded", t.ID)
+		return nil, fmt.Errorf("server: trace %q %w", t.ID, ErrAlreadyLoaded)
 	}
 	r.traces[t.ID] = t
 	return t, nil

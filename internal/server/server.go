@@ -20,7 +20,8 @@
 // serves a sliding live window (live=1 on any query endpoint) whose
 // responses stay byte-identical to a scratch build over the events
 // ingested so far. See follow.go for the horizon rule that keeps the
-// cache exact across ticks.
+// cache exact across ticks; a fresh follow and a recovery resume share
+// one bootstrap (bootFollower).
 //
 // Endpoints:
 //
@@ -36,6 +37,10 @@
 //	GET    /debug/scrub                 verify stores + manifest (state.go)
 //	GET    /metrics                     the same counters, Prometheus format
 //	GET    /healthz                     liveness
+//
+// Both counter endpoints are rendered from one table (stats.go): each
+// counter or gauge is a single struct field tagged with its JSON key,
+// Prometheus name and help text.
 //
 // Window selection is shared by every query endpoint: lo/hi (absolute
 // times, default: the whole trace), slices (|T|, default 30) and pan (a
@@ -334,7 +339,7 @@ func (s *Server) recoverPanics(next http.Handler) http.Handler {
 			if rec == http.ErrAbortHandler {
 				panic(rec)
 			}
-			s.cache.notePanic()
+			s.cache.stats.Panics.Add(1)
 			s.log.Error("handler panic", "path", r.URL.Path, "panic", fmt.Sprint(rec), "stack", string(debug.Stack()))
 			// Best effort: if the handler already wrote, this is a no-op.
 			httpErrorf(w, http.StatusInternalServerError, "internal panic: %v", rec)

@@ -116,6 +116,39 @@ func TestLoadListInfoUnload(t *testing.T) {
 	}
 }
 
+// TestLoadConflictStatus pins the load status mapping to the error's
+// identity, not its text: a duplicate id answers 409 for batch and follow
+// loads alike, while a missing file answers 400 even when its path
+// happens to read like the conflict message.
+func TestLoadConflictStatus(t *testing.T) {
+	_, ts := newTestServer(t, quietConfig())
+	dir := t.TempDir()
+	path := filepath.Join(dir, "art.bin")
+	if err := traceio.WriteFile(path, mpisim.Artificial()); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		req  loadRequest
+		want int
+	}{
+		{"batch duplicate", loadRequest{ID: "art", Path: path}, http.StatusConflict},
+		{"follow duplicate", loadRequest{ID: "art", Path: path, Follow: true}, http.StatusConflict},
+		{"missing file", loadRequest{ID: "b", Path: filepath.Join(dir, "already loaded", "x.bin")}, http.StatusBadRequest},
+	} {
+		body, _ := json.Marshal(c.req)
+		resp, err := http.Post(ts.URL+"/traces", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("%s: status %d, want %d: %s", c.name, resp.StatusCode, c.want, msg)
+		}
+	}
+}
+
 // TestPanServedIncrementally is the acceptance scenario: load → aggregate
 // → pan. The panned window must be served via Input.Update from the
 // cached anchor (a derived build, not scratch), and its response body must

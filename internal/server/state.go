@@ -16,7 +16,6 @@ import (
 	"ocelotl/internal/manifest"
 	"ocelotl/internal/microscopic"
 	"ocelotl/internal/timeslice"
-	"ocelotl/internal/trace"
 	"ocelotl/internal/traceio"
 )
 
@@ -220,39 +219,33 @@ func (s *Server) recoverTrace(ctx context.Context, ts manifest.TraceState, repor
 		report.Restarted++
 		return nil
 	}
-	if ts.Store != "" && injected == nil {
-		resl, err := microscopic.OpenReslicerStore(ts.Store, s.reg.indexOpts)
-		if err == nil {
-			if _, rerr := s.reg.register(&Trace{ID: ts.ID, Path: ts.Path, resl: resl, gen: ts.Gen}); rerr != nil {
-				resl.Close()
-				return rerr
-			}
-			report.Reopened++
-			return nil
-		}
-		if eventstore.IsCorrupt(err) {
+	var resl *microscopic.Reslicer
+	var err error
+	if injected != nil {
+		s.log.Warn("recover/open failpoint: rebuilding from trace", "trace", ts.ID, "error", injected)
+	} else if ts.Store != "" {
+		if resl, err = microscopic.OpenReslicerStore(ts.Store, s.reg.indexOpts); eventstore.IsCorrupt(err) {
 			s.log.Error("journaled store corrupt; rebuilding from trace", "trace", ts.ID, "store", ts.Store, "error", err)
 			s.quarantineStore(ts.Store)
-		} else {
+		} else if err != nil {
 			s.log.Warn("journaled store unreadable; rebuilding from trace", "trace", ts.ID, "store", ts.Store, "error", err)
 		}
-	} else if injected != nil {
-		s.log.Warn("recover/open failpoint: rebuilding from trace", "trace", ts.ID, "error", injected)
 	}
-	src, err := traceio.OpenFile(ts.Path)
-	if err != nil {
-		return err
-	}
-	resl, err := microscopic.NewReslicerIndexed(src, s.reg.indexOpts)
-	src.Close()
-	if err != nil {
-		return err
+	rebuilt := resl == nil
+	if rebuilt {
+		if resl, err = s.reg.indexFile(ts.Path); err != nil {
+			return err
+		}
 	}
 	if _, err := s.reg.register(&Trace{ID: ts.ID, Path: ts.Path, resl: resl, gen: ts.Gen}); err != nil {
 		resl.Close()
 		return err
 	}
-	report.Rebuilt++
+	if rebuilt {
+		report.Rebuilt++
+	} else {
+		report.Reopened++
+	}
 	return nil
 }
 
@@ -278,74 +271,30 @@ func (s *Server) resumeFollow(ts manifest.TraceState) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	hdrStart, _ := pre.Window()
-	horizon := hdrStart
-	var events []trace.Event
-	var ev trace.Event
-	for pre.Offset() < fs.Offset {
-		if err := pre.Next(&ev); err != nil {
-			off := pre.Offset()
-			pre.Close()
-			if traceio.IsIncomplete(err) {
-				return nil, fmt.Errorf("file ends at offset %d, journal committed %d (truncated since the crash?)", off, fs.Offset)
-			}
-			return nil, err
-		}
-		if ev.Start > horizon {
-			horizon = ev.Start
-		}
-		events = append(events, ev)
-	}
-	if off := pre.Offset(); off != fs.Offset {
-		pre.Close()
-		return nil, fmt.Errorf("prefix replay landed at offset %d, journal committed %d (not a record boundary)", off, fs.Offset)
-	}
-	if horizon != fs.Horizon {
-		pre.Close()
-		return nil, fmt.Errorf("prefix replays to horizon %g, journal says %g (file rewritten?)", horizon, fs.Horizon)
-	}
-	resources, states := pre.Resources(), pre.States()
+	prefix, err := readPrefix(pre, fs.Offset)
+	off := pre.Offset()
 	pre.Close()
-
-	resl, err := microscopic.NewReslicerIndexed(
-		&followSource{resources: resources, states: states, start: hdrStart, end: horizon, events: events},
-		s.reg.indexOpts)
-	if err != nil {
+	switch {
+	case err != nil:
 		return nil, err
+	case off < fs.Offset:
+		return nil, fmt.Errorf("file ends at offset %d, journal committed %d (truncated since the crash?)", off, fs.Offset)
+	case off != fs.Offset:
+		return nil, fmt.Errorf("prefix replay landed at offset %d, journal committed %d (not a record boundary)", off, fs.Offset)
+	case prefix.end != fs.Horizon:
+		return nil, fmt.Errorf("prefix replays to horizon %g, journal says %g (file rewritten?)", prefix.end, fs.Horizon)
 	}
 	tail, err := traceio.OpenTailAt(ts.Path, fs.Offset)
 	if err != nil {
-		resl.Close()
 		return nil, err
 	}
-
-	fctx, cancel := context.WithCancel(context.Background())
-	f := &follower{
-		id:     ts.ID,
-		tail:   tail,
-		opts:   followOptions{poll: poll, liveSlices: anchor.N, sliceWidth: anchor.Width()},
-		ctx:    fctx,
-		cancel: cancel,
-		done:   make(chan struct{}),
-	}
-	tr := &Trace{ID: ts.ID, Path: ts.Path, resl: resl, gen: ts.Gen, follow: &followState{
-		anchor:  anchor,
-		pan:     sealedPan(anchor, horizon),
-		horizon: horizon,
-		ticks:   fs.Ticks,
-		offset:  tail.Offset(),
-		poll:    poll,
-	}}
-	out, err := s.launchFollower(f, tr)
+	tr, err := s.bootFollower(ts.ID, ts.Path, ts.Gen, followState{anchor: anchor, ticks: fs.Ticks, poll: poll}, prefix, tail)
 	if err != nil {
-		cancel()
-		tail.Close()
-		resl.Close()
 		return nil, err
 	}
 	s.log.Info("follow resumed", "trace", ts.ID, "path", ts.Path,
-		"offset", fs.Offset, "events", out.Events, "horizon", horizon)
-	return out, nil
+		"offset", fs.Offset, "events", tr.Events, "horizon", prefix.end)
+	return tr, nil
 }
 
 // sweepOrphans removes files in the store directory that no journaled
@@ -542,13 +491,7 @@ func (s *Server) Scrub() *ScrubReport {
 // quarantined. Reports whether the swap happened (a concurrent unload or
 // reload wins the race and makes the rebuild moot).
 func (s *Server) rebuildTrace(old *Trace) bool {
-	src, err := traceio.OpenFile(old.Path)
-	if err != nil {
-		s.log.Error("scrub rebuild: trace file", "trace", old.ID, "error", err)
-		return false
-	}
-	resl, err := microscopic.NewReslicerIndexed(src, s.reg.indexOpts)
-	src.Close()
+	resl, err := s.reg.indexFile(old.Path)
 	if err != nil {
 		s.log.Error("scrub rebuild failed", "trace", old.ID, "error", err)
 		return false
