@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -336,53 +337,103 @@ func BenchmarkAblation_TemporalOnly(b *testing.B) {
 }
 
 // BenchmarkAblation_SignificantPs measures the dichotomic slider-stop
-// search (the interactive exploration cost).
+// search (the interactive exploration cost) on a cold memo.
 func BenchmarkAblation_SignificantPs(b *testing.B) {
 	m := scalingModel(b, 48, 30)
-	in := benchInput(b, m, core.Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		in := coldMemoInput(b, m, core.Options{})
 		if _, err := in.SignificantPsContext(context.Background(), 1e-3); err != nil {
 			b.Fatal(err)
 		}
+		requireNoMemoHits(b, in)
+	}
+}
+
+// coldMemoInput builds, off the clock, a fresh Input over m with an empty
+// memo and a warm solver pool: a sweep at ps (i+1)/97 creates every pooled
+// solver and faults in its full MaxLanes lane strip. No benchmarked p list
+// or dichotomy samples a multiple of 1/97 (dyadic midpoints and the
+// i/(n+1) grids never reduce to one), so the kernel benchmarks time the
+// pooled steady state of a solve — the latency a served slider sees on a
+// first query — rather than memo hits or first-use page faults.
+func coldMemoInput(b *testing.B, m *microscopic.Model, opt core.Options) *core.Input {
+	b.Helper()
+	b.StopTimer()
+	defer b.StartTimer()
+	runtime.GC() // collect the previous iteration's Input off the clock
+	in := benchInput(b, m, opt)
+	ps := make([]float64, 96)
+	for i := range ps {
+		ps[i] = float64(i+1) / 97
+	}
+	if _, err := in.SweepQualityContext(context.Background(), ps); err != nil {
+		b.Fatal(err)
+	}
+	return in
+}
+
+// requireNoMemoHits fails a kernel benchmark whose timed work on a
+// coldMemoInput was answered, even in part, from the memo.
+func requireNoMemoHits(b *testing.B, in *core.Input) {
+	b.Helper()
+	if st := in.MemoStats(); st.Hits != 0 {
+		b.Fatalf("timed iteration hit the memo %d times; the benchmark must time solves", st.Hits)
 	}
 }
 
 // BenchmarkSignificantPs tracks the sweep-level cost of the full
 // significant-p exploration — the end-to-end latency an analyst waits for
 // slider stops — with the batched fused frontier at default workers and
-// the Workers=1 reference. Since the batched rewrite, each dichotomy
-// round solves all of its midpoints in one fused RunManyContext call, so
-// the default-workers number improves over the committed pre-fusion
-// baseline even on a single core; _Batched pins the same path under its
-// post-rewrite name for the benchdiff trajectory.
+// the Workers=1 reference, each on a cold memo. Since the batched rewrite,
+// each dichotomy round solves all of its midpoints in one fused
+// RunManyContext call, so the default-workers number improves over the
+// committed pre-fusion baseline even on a single core; _Batched pins the
+// same path under its post-rewrite name for the benchdiff trajectory.
+// _Repeat is the warm path: the same ladder again on one Input, every
+// point answered by the memo.
 func BenchmarkSignificantPs(b *testing.B)            { benchSignificantPs(b, 0) }
 func BenchmarkSignificantPs_Batched(b *testing.B)    { benchSignificantPs(b, 0) }
 func BenchmarkSignificantPs_Sequential(b *testing.B) { benchSignificantPs(b, 1) }
 
 func benchSignificantPs(b *testing.B, workers int) {
 	m := scalingModel(b, 96, 40)
-	in := benchInput(b, m, core.Options{Workers: workers})
-	// One warm-up exploration so the timed iterations measure the pooled
-	// steady state (solver pool populated, lane arenas faulted in) — the
-	// latency a served slider sees — rather than first-use page faults.
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		in := coldMemoInput(b, m, core.Options{Workers: workers})
+		if _, err := in.SignificantPsContext(context.Background(), 1e-3); err != nil {
+			b.Fatal(err)
+		}
+		requireNoMemoHits(b, in)
+	}
+}
+
+func BenchmarkSignificantPs_Repeat(b *testing.B) {
+	m := scalingModel(b, 96, 40)
+	in := benchInput(b, m, core.Options{})
 	if _, err := in.SignificantPsContext(context.Background(), 1e-3); err != nil {
 		b.Fatal(err)
 	}
+	misses := in.MemoStats().Misses
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := in.SignificantPsContext(context.Background(), 1e-3); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	if st := in.MemoStats(); st.Misses != misses {
+		b.Fatalf("repeat ladders missed the memo %d times", st.Misses-misses)
+	}
 }
 
 // The fused-sweep family measures the tentpole economics directly: one
-// lane-blocked SweepQualityContext call over n evenly spaced ps versus the
-// unfused reference of n pooled single-p runs (BenchmarkSweepSingle_K16 —
-// what every caller paid before the fusion, and still the right baseline
-// because the per-p kernels are unchanged). The acceptance bar is ≥ 1.5×
-// throughput for the 16-p sweep; report ns/p to compare across n.
+// lane-blocked SweepQualityContext call over n evenly spaced ps on a cold
+// memo versus the unfused reference of n pooled single-p runs
+// (BenchmarkSweepSingle_K16 — what every caller paid before the fusion,
+// and still the right baseline because the per-p kernels are unchanged).
+// The acceptance bar is ≥ 1.5× throughput for the 16-p sweep; report ns/p
+// to compare across n.
 func BenchmarkSweepFused_K4(b *testing.B)  { benchSweepFused(b, 4) }
 func BenchmarkSweepFused_K16(b *testing.B) { benchSweepFused(b, 16) }
 
@@ -396,16 +447,14 @@ func benchSweepPs(n int) []float64 {
 
 func benchSweepFused(b *testing.B, n int) {
 	m := scalingModel(b, 96, 40)
-	in := benchInput(b, m, core.Options{})
 	ps := benchSweepPs(n)
-	if _, err := in.SweepQualityContext(context.Background(), ps); err != nil { // steady-state warm-up
-		b.Fatal(err)
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		in := coldMemoInput(b, m, core.Options{})
 		if _, err := in.SweepQualityContext(context.Background(), ps); err != nil {
 			b.Fatal(err)
 		}
+		requireNoMemoHits(b, in)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/p")

@@ -15,7 +15,9 @@
 // SweepQualityContext split their p list into lane blocks over the
 // worker pool; SignificantPsContext is a batched dichotomy solving each
 // frontier generation in one fused call), bit-identical per lane to
-// independent single-p solves. Window changes are incremental —
+// independent single-p solves. Each Input memoizes its solved answers by
+// the exact bits of p, so a repeated p or a repeated ladder over a
+// window skips the solve. Window changes are incremental —
 // microscopic.Reslicer keeps a per-resource event index and
 // core.Input.UpdateContext rebuilds only what the new slices touch, so a
 // pan costs O(changed slices), not a fresh input pass; resolution

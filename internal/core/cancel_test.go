@@ -158,18 +158,20 @@ func TestSweepCancelMidRun(t *testing.T) {
 
 // TestSignificantPsCancelMidRun is the same contract for the dichotomy
 // frontier: cancel partway, expect ctx.Err(), no goroutine parked on the
-// frontier cond, every solver back in the pool.
+// frontier cond, every solver back in the pool. The probe and the
+// cancelled run each get a fresh Input, so the cancelled dichotomy makes
+// the probe's checks rather than reading the probe's answers back from
+// the memo.
 func TestSignificantPsCancelMidRun(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
-	in := cancelTestInput(t, Options{Workers: 4})
-
 	probe := newCancelAfterChecks(1 << 40)
-	want, err := in.SignificantPsContext(probe, 1e-3)
+	want, err := cancelTestInput(t, Options{Workers: 4}).SignificantPsContext(probe, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	probe.cancel()
 
+	in := cancelTestInput(t, Options{Workers: 4})
 	ctx := newCancelAfterChecks(probe.Checks() / 2)
 	defer ctx.cancel()
 	points, err := in.SignificantPsContext(ctx, 1e-3)
@@ -193,6 +195,53 @@ func TestSignificantPsCancelMidRun(t *testing.T) {
 		if again[i] != want[i] {
 			t.Fatalf("ladder point %d changed after a cancelled run: %+v vs %+v", i, again[i], want[i])
 		}
+	}
+}
+
+// TestCancelledAllHit: with every answer memoized, an already-cancelled
+// ctx still fails each memo-consulting entry point with ctx.Err() and no
+// result, while an uncancelled repeat is answered without a solve.
+func TestCancelledAllHit(t *testing.T) {
+	in := cancelTestInput(t, Options{Workers: 4})
+	ps := sweepPs(4)
+	bg := context.Background()
+	if _, err := in.SolveContext(bg, ps[1]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := in.SweepQualityContext(bg, ps); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := in.SignificantPsContext(bg, 0.1); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(bg)
+	cancel()
+	if pt, err := in.SolveContext(ctx, ps[1]); !errors.Is(err, context.Canceled) || pt != nil {
+		t.Fatalf("SolveContext(cancelled, memoized p) = (%v, %v), want (nil, context.Canceled)", pt, err)
+	}
+	if pts, err := in.SweepRunContext(ctx, ps[1:2]); !errors.Is(err, context.Canceled) || pts != nil {
+		t.Fatalf("SweepRunContext(cancelled, memoized p) = (%v, %v), want (nil, context.Canceled)", pts, err)
+	}
+	if qs, err := in.SweepQualityContext(ctx, ps); !errors.Is(err, context.Canceled) || qs != nil {
+		t.Fatalf("SweepQualityContext(cancelled, memoized ps) = (%v, %v), want (nil, context.Canceled)", qs, err)
+	}
+	if pts, err := in.SignificantPsContext(ctx, 0.1); !errors.Is(err, context.Canceled) || pts != nil {
+		t.Fatalf("SignificantPsContext(cancelled, memoized ladder) = (%v, %v), want (nil, context.Canceled)", pts, err)
+	}
+
+	before := in.MemoStats()
+	if _, err := in.SolveContext(bg, ps[1]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := in.SweepQualityContext(bg, ps); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := in.SignificantPsContext(bg, 0.1); err != nil {
+		t.Fatal(err)
+	}
+	if after := in.MemoStats(); after.Misses != before.Misses {
+		t.Fatalf("repeat queries missed the memo %d times", after.Misses-before.Misses)
 	}
 }
 
@@ -271,8 +320,11 @@ func TestCancelInjectionNeverPartial(t *testing.T) {
 	}
 	sweepChecks := probe.Checks()
 	probe.cancel()
+	// Each dichotomy below runs on a fresh Input: on the warm one every
+	// point would come from the memo, and the cancels would land only on
+	// the lookups' checks.
 	probe = newCancelAfterChecks(1 << 40)
-	if _, err := in.SignificantPsContext(probe, 5e-3); err != nil {
+	if _, err := cancelTestInput(t, Options{Workers: 4}).SignificantPsContext(probe, 5e-3); err != nil {
 		t.Fatal(err)
 	}
 	sigChecks := probe.Checks()
@@ -313,7 +365,8 @@ func TestCancelInjectionNeverPartial(t *testing.T) {
 
 		n = 1 + rng.Int63n(sigChecks+2)
 		sctx := newCancelAfterChecks(n)
-		points, err := in.SignificantPsContext(sctx, 5e-3)
+		sigIn := cancelTestInput(t, Options{Workers: 4})
+		points, err := sigIn.SignificantPsContext(sctx, 5e-3)
 		switch {
 		case err != nil:
 			if !errors.Is(err, context.Canceled) {
@@ -334,5 +387,6 @@ func TestCancelInjectionNeverPartial(t *testing.T) {
 		}
 		sctx.cancel()
 		assertPoolReleased(t, in)
+		assertPoolReleased(t, sigIn)
 	}
 }

@@ -10,7 +10,13 @@
 //     as flat arena-backed triangular matrices (one T(T+1)/2-cell triangle
 //     per hierarchy node, addressed through a per-node offset table).
 //     Building it costs O(|X|·|S|·|T| + |X|·|H(S)|·|T|²) time and
-//     O(|H(S)|·|T|²) space; once built it is never written again.
+//     O(|H(S)|·|T|²) space; once built its matrices are never written
+//     again. Next to its bounded solver pool it keeps a memo of solved
+//     answers (memo.go), keyed by the exact bits of p: internal,
+//     concurrency-safe state like the pool, bounded at a fixed share of
+//     the Input's resident bytes and counted in MemoryBytes. The solve is
+//     deterministic and bit-identical across every path, so a memo hit
+//     returns exactly what a solve would.
 //
 //   - Solver (solver.go) owns the pIC/cut scratch of one Algorithm 1
 //     query, costing O(|S|·|T|³) time per RunContext. Any number of
@@ -19,11 +25,14 @@
 //     through a single triangular iteration per node — each cell reads
 //     its gain/loss and child offsets once and updates every lane in the
 //     inner add-compare loop — bit-identically per lane to separate
-//     single-p solves. The sweep layer (sweep.go: SweepRunContext,
-//     SweepQualityContext, SignificantPsContext) builds on it: sweeps
-//     partition their ps into lane blocks over the worker pool, and the
-//     significant-p dichotomy solves each frontier generation as one
-//     fused batch per round.
+//     single-p solves. Solver entry points are memo-free kernels. The
+//     Input-level entry points consult the memo first: SolveContext (one
+//     p, memoizing the partition) and the sweep layer (sweep.go:
+//     SweepRunContext, SweepQualityContext, SignificantPsContext), which
+//     fuses only the ps it misses into lane blocks over the worker pool
+//     and memoizes their summaries. The significant-p dichotomy answers
+//     each frontier generation as one batch per round, so a repeat ladder
+//     solves only midpoints it has not seen.
 //
 // Window changes are incremental (update.go): Input.UpdateContext — and
 // the Pan/Zoom conveniences over a microscopic.Reslicer-built model —
@@ -46,8 +55,8 @@
 //
 // Every entry point that does real work takes a context (NewInputContext,
 // UpdateContext, AdvanceContext, CoarsenContext, AcquireSolverContext,
-// RunContext, QualityContext, RunManyContext, SweepRunContext,
-// SweepQualityContext, SignificantPsContext), because callers' work can
+// RunContext, QualityContext, RunManyContext, SolveContext,
+// SweepRunContext, SweepQualityContext, SignificantPsContext), because callers' work can
 // become worthless mid-flight — a serving layer whose request timed out,
 // a CLI hit by SIGINT. Cancellation is cooperative at hierarchy-node
 // granularity: a cancelled call stops launching work, aborts in-flight
@@ -57,7 +66,8 @@
 // holes). The input pass checks its ctx once per node inside the matrix
 // fill, so an abandoned large-|T| build dies mid-fill. Callers with
 // nothing to cancel pass context.Background() and pay a nil-check per
-// node.
+// node. A memo-consulting entry point called with an already-cancelled
+// ctx returns ctx.Err() even when every p would hit.
 package core
 
 import "ocelotl/internal/measures"

@@ -30,9 +30,10 @@ type nodeMeta struct {
 // Input is the immutable result of the input pass (Eqs. 1–3): every
 // candidate area's gain and loss, plus the per-node slice rows and prefix
 // sums they were computed from. Building it costs
-// O(|X|·|S|·|T| + |X|·|H(S)|·|T|²); once built it is never mutated, so any
-// number of Solvers (and the read-only query methods below) may share one
-// Input concurrently. This split is what makes the paper's "instantaneous
+// O(|X|·|S|·|T| + |X|·|H(S)|·|T|²); once built its aggregation results
+// are never mutated (only the internal solver pool and memo change), so
+// any number of Solvers (and the query methods below) may share one Input
+// concurrently. This split is what makes the paper's "instantaneous
 // interaction" scale across cores: one input pass serves every p the
 // analyst explores.
 //
@@ -97,6 +98,11 @@ type Input struct {
 	// pIC/cut strips) grown by pooled solvers, which the pool likewise
 	// retains.
 	laneBytes atomic.Int64
+	// memo holds solved answers keyed by the exact bits of p (memo.go).
+	// Like the pool it is internal state, not a mutation of the
+	// aggregation results; its bytes, bounded at 1/memoShare of the
+	// arenas and pooled scratch, count toward MemoryBytes.
+	memo memo
 }
 
 // Options tunes the input pass and the solvers derived from it.
@@ -198,9 +204,11 @@ func (in *Input) allocArenas(n int) {
 	in.durPref = make([]float64, T+1)
 }
 
-// initPool arms the bounded solver pool; called by every Input
-// constructor. A zero bound defaults to the worker count.
+// initPool arms the bounded solver pool and the memo of solved answers;
+// called by every Input constructor once the arenas are allocated. A
+// zero bound defaults to the worker count.
 func (in *Input) initPool() {
+	in.memo.init(func() int { return in.residentBytes() / memoShare })
 	if in.poolBound <= 0 {
 		in.poolBound = in.workers
 	}
@@ -562,12 +570,19 @@ func (in *Input) SolverPoolBound() int { return in.poolBound }
 
 // MemoryBytes returns the approximate resident size of the Input in
 // bytes — the cache-cost accessor serving-layer caches budget their
-// entries with: the arenas (matrices, slice rows, prefix sums) plus the
+// entries with: the arenas (matrices, slice rows, prefix sums), the
 // scratch of every pooled solver created so far (the bounded pool
-// retains them for the Input's lifetime, so they are resident cost; the
-// pool warms as queries run, so callers budgeting by this value should
-// re-read it rather than assume the at-construction figure).
+// retains them for the Input's lifetime, so they are resident cost) and
+// the memo of solved answers. The pool and the memo grow as queries run,
+// so callers budgeting by this value should re-read it rather than
+// assume the at-construction figure.
 func (in *Input) MemoryBytes() int {
+	return in.residentBytes() + in.memo.size()
+}
+
+// residentBytes is MemoryBytes without the memo: the flat arenas plus
+// every pooled solver's retained scratch.
+func (in *Input) residentBytes() int {
 	floats := len(in.gain) + len(in.loss) +
 		len(in.slcD) + len(in.slcRho) + len(in.slcRL) +
 		len(in.prefD) + len(in.prefRho) + len(in.prefRL) +

@@ -44,27 +44,98 @@ func laneWidth(n, w int) int {
 	return k
 }
 
-// SweepRunContext solves one query per entry of ps — fused into lane
-// blocks on pooled Solvers against this shared Input — and returns the
-// partitions in input order. Blocks run concurrently over the worker pool
-// with per-run subtree parallelism disabled (cross-block parallelism
-// already saturates it); within a block one triangular iteration per node
-// answers every lane. Results are bit-identical to solving each p with
-// its own RunContext.
+// SweepRunContext answers one query per entry of ps and returns the
+// partitions in input order. A p whose partition the Input's memo holds
+// is answered from it; the remaining ps are solved fused into lane
+// blocks on pooled Solvers (solveLanes) and their summaries memoized.
+// Results are bit-identical to solving each p with its own RunContext.
+// Returned partitions may be shared with other callers and must not be
+// mutated.
 //
-// Once ctx is cancelled no further lane block starts, every in-flight
-// block aborts at its next node-level check, every worker goroutine is
-// drained, every pooled solver is released, and the call returns
-// ctx.Err() with no partial result slice — callers never see a sweep that
-// is half partitions, half holes.
+// An already-cancelled ctx returns ctx.Err() even when every p hits. Once
+// ctx is cancelled mid-solve no further lane block starts, every
+// in-flight block aborts at its next node-level check, every worker
+// goroutine is drained, every pooled solver is released, and the call
+// returns ctx.Err() with no partial result slice — callers never see a
+// sweep that is half partitions, half holes.
 func (in *Input) SweepRunContext(ctx context.Context, ps []float64) ([]*partition.Partition, error) {
+	es, err := in.answer(ctx, ps, true)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*partition.Partition, len(es))
+	for i, e := range es {
+		out[i] = e.pt
+	}
+	return out, nil
+}
+
+// SweepQualityContext is SweepRunContext reduced to quality-curve
+// samples; any memoized answer, summary or partition, is a hit.
+func (in *Input) SweepQualityContext(ctx context.Context, ps []float64) ([]QualityPoint, error) {
+	es, err := in.answer(ctx, ps, false)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]QualityPoint, len(es))
+	for i, e := range es {
+		out[i] = e.q
+	}
+	return out, nil
+}
+
+// answer returns one memo entry per entry of ps: the memoized one where
+// the memo can answer (it must hold the partition when wantPt is set),
+// otherwise a fresh solve carrying both summary and partition. The
+// misses are solved in one solveLanes sweep and only their summaries are
+// memoized, so a later SolveContext at such a p still runs the single-p
+// kernel.
+func (in *Input) answer(ctx context.Context, ps []float64, wantPt bool) ([]memoEntry, error) {
 	if err := validatePs(ps); err != nil {
 		return nil, err
 	}
-	out := make([]*partition.Partition, len(ps))
-	if len(ps) == 0 {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	out := make([]memoEntry, len(ps))
+	var miss []float64
+	var missAt []int // index into ps of each miss
+	for i, p := range ps {
+		if e, ok := in.memo.get(p, wantPt); ok {
+			if e.q.Signature == "" { // a SolveContext partition, not yet summarized
+				e.q = qualityOf(p, e.pt)
+				in.memo.put(p, e)
+			}
+			out[i] = e
+			continue
+		}
+		miss = append(miss, p)
+		missAt = append(missAt, i)
+	}
+	if len(miss) == 0 {
 		return out, nil
 	}
+	pts, err := in.solveLanes(ctx, miss)
+	if err != nil {
+		return nil, err
+	}
+	for m, pt := range pts {
+		e := memoEntry{q: qualityOf(miss[m], pt), pt: pt}
+		in.memo.put(miss[m], memoEntry{q: e.q})
+		out[missAt[m]] = e
+	}
+	return out, nil
+}
+
+// solveLanes solves one query per entry of ps (validated, non-empty),
+// fused into lane blocks on pooled Solvers against this shared Input, and
+// returns the partitions in input order. Blocks run concurrently over the
+// worker pool with per-run subtree parallelism disabled (cross-block
+// parallelism already saturates it); within a block one triangular
+// iteration per node answers every lane. It bypasses the memo; a
+// cancelled ctx yields ctx.Err() and no partitions.
+func (in *Input) solveLanes(ctx context.Context, ps []float64) ([]*partition.Partition, error) {
+	out := make([]*partition.Partition, len(ps))
 	lanes := laneWidth(len(ps), in.workers)
 	blocks := (len(ps) + lanes - 1) / lanes
 	workers := in.workers
@@ -132,19 +203,6 @@ func (in *Input) SweepRunContext(ctx context.Context, ps []float64) ([]*partitio
 	return out, nil
 }
 
-// SweepQualityContext is SweepRunContext reduced to quality-curve samples.
-func (in *Input) SweepQualityContext(ctx context.Context, ps []float64) ([]QualityPoint, error) {
-	pts, err := in.SweepRunContext(ctx, ps)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]QualityPoint, len(pts))
-	for i, pt := range pts {
-		out[i] = qualityOf(ps[i], pt)
-	}
-	return out, nil
-}
-
 // gap is one unexplored [l, h] stretch of the dichotomy whose endpoints
 // disagree; the batched frontier bisects every current gap per round.
 type gap struct {
@@ -159,9 +217,11 @@ type gap struct {
 // to the eps resolution).
 //
 // The exploration is round-based: every gap of the current frontier
-// generation contributes its midpoint, the whole batch is solved in one
-// fused SweepRunContext call, and the next generation is built from the
-// results. A frontier generation is exactly one level of the sequential
+// generation contributes its midpoint, the whole batch is answered by
+// one SweepQualityContext call, and the next generation is built from
+// the results. The midpoints are dyadic points fixed by eps's sampling
+// depth, so a repeat dichotomy on the same Input finds them memoized and
+// each round solves only the midpoints it has not seen. A frontier generation is exactly one level of the sequential
 // recursion tree, and whether a gap subdivides depends only on its
 // endpoints' signatures — never on exploration order — so the sampled p
 // set, and therefore the returned point set, is identical to the plain
@@ -171,7 +231,9 @@ type gap struct {
 //
 // A cancelled ctx aborts the current round's fused sweep at its next
 // node-level check, launches no further round, releases every pooled
-// solver and returns ctx.Err() — never a partially explored ladder.
+// solver and returns ctx.Err() — never a partially explored ladder, and
+// never a memoized one either: an already-cancelled ctx fails even when
+// every point would hit.
 func (in *Input) SignificantPsContext(ctx context.Context, eps float64) ([]QualityPoint, error) {
 	if eps <= 0 {
 		eps = 1e-4

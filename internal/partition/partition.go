@@ -6,7 +6,7 @@ package partition
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"ocelotl/internal/hierarchy"
 )
@@ -54,31 +54,49 @@ func (pt *Partition) NumAreas() int { return len(pt.Areas) }
 // then by decreasing node size (ancestors first). Algorithms may emit areas
 // in recursion order; sorting makes signatures and golden output stable.
 func (pt *Partition) Sort() {
-	sort.Slice(pt.Areas, func(a, b int) bool {
-		x, y := pt.Areas[a], pt.Areas[b]
-		if x.Node.Lo != y.Node.Lo {
-			return x.Node.Lo < y.Node.Lo
-		}
-		if x.I != y.I {
-			return x.I < y.I
-		}
-		if x.Node.Hi != y.Node.Hi {
-			return x.Node.Hi > y.Node.Hi
-		}
-		return x.J < y.J
-	})
+	sort.Slice(pt.Areas, func(a, b int) bool { return areaLess(pt.Areas[a], pt.Areas[b]) })
+}
+
+// areaLess is the canonical area order of Sort.
+func areaLess(x, y Area) bool {
+	if x.Node.Lo != y.Node.Lo {
+		return x.Node.Lo < y.Node.Lo
+	}
+	if x.I != y.I {
+		return x.I < y.I
+	}
+	if x.Node.Hi != y.Node.Hi {
+		return x.Node.Hi > y.Node.Hi
+	}
+	return x.J < y.J
 }
 
 // Signature returns a canonical string identifying the partition's shape
-// (used to detect partition changes while sweeping p).
+// (used to detect partition changes while sweeping p): "lo-hi:i-j;" per
+// area in canonical order. It never mutates pt — an unsorted partition is
+// signed through a sorted copy — so shared read-only partitions may be
+// signed concurrently.
 func (pt *Partition) Signature() string {
-	cp := &Partition{Areas: append([]Area(nil), pt.Areas...)}
-	cp.Sort()
-	var b strings.Builder
-	for _, a := range cp.Areas {
-		fmt.Fprintf(&b, "%d-%d:%d-%d;", a.Node.Lo, a.Node.Hi, a.I, a.J)
+	areas := pt.Areas
+	for i := 1; i < len(areas); i++ {
+		if areaLess(areas[i], areas[i-1]) {
+			areas = append([]Area(nil), areas...)
+			sort.Slice(areas, func(a, b int) bool { return areaLess(areas[a], areas[b]) })
+			break
+		}
 	}
-	return b.String()
+	buf := make([]byte, 0, 16*len(areas))
+	for _, a := range areas {
+		buf = strconv.AppendInt(buf, int64(a.Node.Lo), 10)
+		buf = append(buf, '-')
+		buf = strconv.AppendInt(buf, int64(a.Node.Hi), 10)
+		buf = append(buf, ':')
+		buf = strconv.AppendInt(buf, int64(a.I), 10)
+		buf = append(buf, '-')
+		buf = strconv.AppendInt(buf, int64(a.J), 10)
+		buf = append(buf, ';')
+	}
+	return string(buf)
 }
 
 // Validate checks that the areas form a partition of S×T for the given

@@ -1,6 +1,9 @@
 package partition
 
 import (
+	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"ocelotl/internal/hierarchy"
@@ -182,5 +185,45 @@ func TestNumAreas(t *testing.T) {
 	pt := &Partition{Areas: []Area{{Node: h.Root, I: 0, J: 0}}}
 	if pt.NumAreas() != 1 {
 		t.Errorf("NumAreas = %d", pt.NumAreas())
+	}
+}
+
+// fmtSignature is the reference formulation Signature is pinned to: a
+// sorted copy, one fmt.Fprintf per area.
+func fmtSignature(pt *Partition) string {
+	cp := &Partition{Areas: append([]Area(nil), pt.Areas...)}
+	cp.Sort()
+	var b strings.Builder
+	for _, a := range cp.Areas {
+		fmt.Fprintf(&b, "%d-%d:%d-%d;", a.Node.Lo, a.Node.Hi, a.I, a.J)
+	}
+	return b.String()
+}
+
+// TestSignatureMatchesFmt pins Signature byte for byte to the fmt
+// formulation on random area lists, sorted and shuffled, and checks that
+// signing never reorders the partition's own areas.
+func TestSignatureMatchesFmt(t *testing.T) {
+	h := h4(t)
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 500; trial++ {
+		n := rng.Intn(40)
+		pt := &Partition{Areas: make([]Area, n)}
+		for k := range pt.Areas {
+			i := rng.Intn(1200)
+			pt.Areas[k] = Area{Node: h.Nodes[rng.Intn(len(h.Nodes))], I: i, J: i + rng.Intn(1200)}
+		}
+		if trial%2 == 0 {
+			pt.Sort()
+		}
+		before := append([]Area(nil), pt.Areas...)
+		if got, want := pt.Signature(), fmtSignature(pt); got != want {
+			t.Fatalf("trial %d: Signature() = %q, want %q", trial, got, want)
+		}
+		for k := range before {
+			if pt.Areas[k] != before[k] {
+				t.Fatalf("trial %d: Signature reordered area %d", trial, k)
+			}
+		}
 	}
 }

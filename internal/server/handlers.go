@@ -15,7 +15,6 @@ import (
 
 	"ocelotl/internal/core"
 	"ocelotl/internal/microscopic"
-	"ocelotl/internal/partition"
 	"ocelotl/internal/render"
 	"ocelotl/internal/timeslice"
 )
@@ -530,7 +529,7 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	pt, err := s.solve(r.Context(), in, p)
+	pt, err := in.SolveContext(r.Context(), p)
 	if err != nil {
 		if !s.abortIfCancelled(w, err) {
 			httpError(w, http.StatusBadRequest, err)
@@ -566,19 +565,6 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		resp.Areas = append(resp.Areas, aj)
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// solve runs one Algorithm 1 query on a pooled (capacity-bounded) Solver.
-// The request context rides into both the (possibly blocking) pool
-// acquisition and the solve itself, so a dead request neither queues for
-// scratch nor finishes an O(|S|·|T|³) run nobody will read.
-func (s *Server) solve(ctx context.Context, in *core.Input, p float64) (*partition.Partition, error) {
-	solver, err := in.AcquireSolverContext(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer in.ReleaseSolver(solver)
-	return solver.RunContext(ctx, p)
 }
 
 // qualityJSON is one quality-curve sample.
@@ -717,7 +703,7 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	pt, err := s.solve(r.Context(), in, p)
+	pt, err := in.SolveContext(r.Context(), p)
 	if err != nil {
 		if !s.abortIfCancelled(w, err) {
 			httpError(w, http.StatusBadRequest, err)

@@ -63,8 +63,8 @@
 // marked "preview") while the fine build proceeds in the background.
 //
 // Every request's context is plumbed through the cache fill and into the
-// engine's ctx-aware entry points (core.RunContext, SweepQualityContext,
-// SignificantPsContext, AcquireSolverContext), so a request whose client
+// engine's ctx-aware entry points (core.Input's SolveContext,
+// SweepQualityContext and SignificantPsContext), so a request whose client
 // disconnected or whose deadline expired stops consuming solver scratch
 // and CPU within one hierarchy-node check instead of running to
 // completion. Abandoned requests answer 499 and increment the "aborted"
