@@ -41,6 +41,10 @@ type nodeMeta struct {
 // holding one T(T+1)/2-cell upper triangle per hierarchy node, indexed by
 // the per-node offset table offs.
 //
+// Each evaluated (cell, state) costs one division and one logarithm
+// (measures.GainLoss), with the Eq. 1 normalizer |S_k|·Σd(t) computed
+// once per cell.
+//
 // Every cell (i, j) is computed as a running sum over the slice-local rows
 // slc* restricted to [i, j], never as a difference of global prefix sums.
 // That makes each cell's float value depend only on the slices it covers —
@@ -343,38 +347,35 @@ func (in *Input) newRowSums() *rowSums {
 // evaluated or written — the incremental path has already copied them.
 func (in *Input) fillRow(id, i, from int, sc *rowSums) {
 	T, X := in.T, in.X
-	size := in.meta[id].size
-	for x := 0; x < X; x++ {
-		sc.d[x], sc.rho[x], sc.rl[x] = 0, 0, 0
+	size := float64(in.meta[id].size)
+	d, rho, rl := sc.d[:X], sc.rho[:X], sc.rl[:X]
+	for x := range d {
+		d[x], rho[x], rl[x] = 0, 0, 0
 	}
 	dur := 0.0
 	sb0 := in.slcBase(id, 0)
 	rowBase := in.offs[id] + in.triIndex(i, i)
 	for j := i; j < T; j++ {
 		dur += in.Model.SliceDur[j]
-		eval := j >= from
+		for x := range d {
+			sb := sb0 + x*T + j
+			d[x] += in.slcD[sb]
+			rho[x] += in.slcRho[sb]
+			rl[x] += in.slcRL[sb]
+		}
+		if j < from {
+			continue
+		}
+		// The Eq. 1 normalizer is per cell, not per state.
+		den := size * dur
 		var gain, loss float64
-		for x := 0; x < X; x++ {
-			sb := sb0 + x*T
-			sc.d[x] += in.slcD[sb+j]
-			sc.rho[x] += in.slcRho[sb+j]
-			sc.rl[x] += in.slcRL[sb+j]
-			if eval {
-				sums := measures.AreaSums{
-					SumD:         sc.d[x],
-					SumRho:       sc.rho[x],
-					SumRhoLogRho: sc.rl[x],
-					Size:         size,
-					Duration:     dur,
-				}
-				gain += sums.Gain()
-				loss += sums.Loss()
-			}
+		for x := range d {
+			g, l := measures.GainLoss(d[x], rho[x], rl[x], den)
+			gain += g
+			loss += l
 		}
-		if eval {
-			idx := rowBase + (j - i)
-			in.gain[idx], in.loss[idx] = gain, loss
-		}
+		idx := rowBase + (j - i)
+		in.gain[idx], in.loss[idx] = gain, loss
 	}
 }
 

@@ -28,13 +28,12 @@ import (
 // chunks overlapping a window without touching their payloads, and to
 // fail loud on a flipped byte when one is read.
 const (
-	storeMagic       = "OCES"
-	footerMagic      = "OCEF"
-	storeVersion     = 1
-	headerSize       = 8  // magic + version
-	footerSize       = 32 // dirOff + dirBytes + metaBytes + crc + magic
-	chunkRefSize     = 44 // series + count + off + len + minStart + maxEnd + crc
-	maxReasonableLen = 1 << 40
+	storeMagic   = "OCES"
+	footerMagic  = "OCEF"
+	storeVersion = 1
+	headerSize   = 8  // magic + version
+	footerSize   = 32 // dirOff + dirBytes + metaBytes + crc + magic
+	chunkRefSize = 44 // series + count + off + len + minStart + maxEnd + crc
 )
 
 // chunkRef is one directory entry: where a chunk sits in the file and
@@ -136,8 +135,8 @@ func parseStrings(b []byte, what string) ([]string, []byte, error) {
 	}
 	n := binary.LittleEndian.Uint32(b)
 	b = b[4:]
-	if n > 100_000_000 {
-		return nil, nil, fmt.Errorf("implausible %s count %d", what, n)
+	if uint64(n) > uint64(len(b)/2) { // each entry takes at least its 2-byte length
+		return nil, nil, fmt.Errorf("implausible %s count %d for %d bytes", what, n, len(b))
 	}
 	out := make([]string, n)
 	for i := range out {
@@ -165,9 +164,14 @@ func appendEvent(b []byte, state int32, startBits, prevStartBits, endBits uint64
 }
 
 // decodeChunk expands a chunk payload into struct-of-arrays form. count
-// is trusted from the (checksummed) directory; payload short-reads are
-// decode errors.
-func decodeChunk(payload []byte, count int) (starts, ends []float64, states []int32, err error) {
+// comes from the (checksummed) directory but is still checked against the
+// payload — each event takes at least three bytes — before anything is
+// allocated; payload short-reads and states outside the numStates-entry
+// table are decode errors.
+func decodeChunk(payload []byte, count, numStates int) (starts, ends []float64, states []int32, err error) {
+	if count < 0 || count > len(payload)/3 {
+		return nil, nil, nil, fmt.Errorf("%d events cannot fit in %d payload bytes", count, len(payload))
+	}
 	starts = make([]float64, count)
 	ends = make([]float64, count)
 	states = make([]int32, count)
@@ -176,6 +180,9 @@ func decodeChunk(payload []byte, count int) (starts, ends []float64, states []in
 		st, n := binary.Uvarint(payload)
 		if n <= 0 {
 			return nil, nil, nil, fmt.Errorf("event %d: bad state varint", i)
+		}
+		if st >= uint64(numStates) {
+			return nil, nil, nil, fmt.Errorf("event %d: state %d outside the %d-state table", i, st, numStates)
 		}
 		payload = payload[n:]
 		ds, n := binary.Uvarint(payload)

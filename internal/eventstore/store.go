@@ -162,7 +162,9 @@ func openFile(path string, f *os.File, opt Options) (*Store, error) {
 	dirBytes := binary.LittleEndian.Uint64(ftr[8:])
 	metaBytes := binary.LittleEndian.Uint64(ftr[16:])
 	wantCRC := binary.LittleEndian.Uint32(ftr[24:])
-	if dirBytes > maxReasonableLen || metaBytes > maxReasonableLen ||
+	// Bounding each field by the file size first keeps the tiling sum
+	// from wrapping, so no allocation below exceeds the file.
+	if dirOff < headerSize || dirOff > uint64(size) || dirBytes > uint64(size) || metaBytes > uint64(size) ||
 		dirOff+dirBytes+metaBytes+footerSize != uint64(size) {
 		return nil, corrupt(size-footerSize, "footer geometry off=%d dir=%d meta=%d does not tile the %d-byte file",
 			dirOff, dirBytes, metaBytes, size)
@@ -180,7 +182,7 @@ func openFile(path string, f *os.File, opt Options) (*Store, error) {
 	dir := make([]chunkRef, dirBytes/chunkRefSize)
 	for i := range dir {
 		dir[i] = unmarshalChunkRef(tail[i*chunkRefSize:])
-		if dir[i].off+dir[i].length > dirOff {
+		if c := dir[i]; c.off < headerSize || c.off > dirOff || c.length > dirOff-c.off {
 			return nil, corrupt(int64(dirOff)+int64(i*chunkRefSize), "chunk %d extends past the directory", i)
 		}
 	}
@@ -371,7 +373,7 @@ func (s *Store) readChunk(ci int) (*decodedChunk, error) {
 		return nil, &CorruptError{Path: s.path, Offset: int64(ref.off),
 			Err: fmt.Errorf("chunk %d checksum mismatch: directory says %08x, payload hashes to %08x", ci, ref.crc, got)}
 	}
-	starts, ends, states, err := decodeChunk(payload, int(ref.count))
+	starts, ends, states, err := decodeChunk(payload, int(ref.count), len(s.meta.States))
 	if err != nil {
 		return nil, &CorruptError{Path: s.path, Offset: int64(ref.off), Err: fmt.Errorf("chunk %d: %w", ci, err)}
 	}

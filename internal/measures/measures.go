@@ -41,10 +41,43 @@ type AreaSums struct {
 // the per-resource time-weighted ratios averaged over the resources. With
 // regular slices this equals the plain mean of the microscopic ρ values.
 func (a AreaSums) AggRho() float64 {
+	if den := a.den(); den > 0 {
+		return a.SumD / den
+	}
+	return 0
+}
+
+// den returns the Eq. 1 normalizer |S_k|·Σd(t), or 0 for an empty area.
+func (a AreaSums) den() float64 {
 	if a.Size == 0 || a.Duration <= 0 {
 		return 0
 	}
-	return a.SumD / (float64(a.Size) * a.Duration)
+	return float64(a.Size) * a.Duration
+}
+
+// GainLoss evaluates Eqs. 1–3 for one state over one area from its sums
+// (see AreaSums) and the normalizer den = |S_k|·Σd(t), which is 0 for an
+// empty area. It is the one declaration of the formula: the aggregated
+// proportion agg = sumD/den costs one division and its logarithm is taken
+// once, for
+//
+//	gain = agg·log₂agg − Σρ·log₂ρ                 (Eq. 3)
+//	loss = Σρ·log₂ρ − Σρ·log₂agg                  (Eq. 2)
+//
+// With agg ≤ 0 every microscopic value is 0 too: the gain is 0 − sumRL and
+// the loss 0, matching 0·log₂0 = 0 down to the sign of a zero. The input
+// pass calls it for every (cell, state); it takes scalars so the call
+// passes everything in registers.
+func GainLoss(sumD, sumRho, sumRL, den float64) (gain, loss float64) {
+	var agg float64
+	if den > 0 {
+		agg = sumD / den
+	}
+	if agg <= 0 {
+		return 0 - sumRL, 0
+	}
+	l := math.Log2(agg)
+	return agg*l - sumRL, sumRL - sumRho*l
 }
 
 // Loss returns the Kullback-Leibler information loss of Eq. 2 for this
@@ -55,18 +88,16 @@ func (a AreaSums) AggRho() float64 {
 // Terms with ρ_x(s,t) = 0 vanish; if the aggregated proportion is 0 every
 // microscopic value is 0 too and the loss is 0.
 func (a AreaSums) Loss() float64 {
-	agg := a.AggRho()
-	if agg <= 0 {
-		return 0
-	}
-	return a.SumRhoLogRho - a.SumRho*math.Log2(agg)
+	_, loss := GainLoss(a.SumD, a.SumRho, a.SumRhoLogRho, a.den())
+	return loss
 }
 
 // Gain returns the Shannon-entropy data reduction of Eq. 3:
 //
 //	gain_x = ρ_x(S_k,T_(i,j))·log₂ρ_x(S_k,T_(i,j)) − Σ_(s,t) ρ_x·log₂ρ_x
 func (a AreaSums) Gain() float64 {
-	return PLogP(a.AggRho()) - a.SumRhoLogRho
+	gain, _ := GainLoss(a.SumD, a.SumRho, a.SumRhoLogRho, a.den())
+	return gain
 }
 
 // PIC returns the parametrized Information Criterion of Eq. 4 for the given
@@ -74,22 +105,13 @@ func (a AreaSums) Gain() float64 {
 //
 //	pIC_x = p·gain_x − (1−p)·loss_x
 func (a AreaSums) PIC(p float64) float64 {
-	return p*a.Gain() - (1-p)*a.Loss()
+	gain, loss := GainLoss(a.SumD, a.SumRho, a.SumRhoLogRho, a.den())
+	return PIC(p, gain, loss)
 }
 
 // PIC combines a gain and a loss with ratio p (Eq. 4). The criterion is
 // additive over the parts of a partition and over the states.
 func PIC(p, gain, loss float64) float64 { return p*gain - (1-p)*loss }
-
-// GainLoss accumulates the (gain, loss) pair of one area over all states:
-// given per-state AreaSums it returns Σ_x gain_x and Σ_x loss_x.
-func GainLoss(perState []AreaSums) (gain, loss float64) {
-	for _, a := range perState {
-		gain += a.Gain()
-		loss += a.Loss()
-	}
-	return gain, loss
-}
 
 // ImproveEps is the relative tolerance used by every aggregation algorithm
 // when comparing partition alternatives. The paper's Algorithm 1 requires a

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"ocelotl/internal/testutil"
 )
 
 func TestPLogP(t *testing.T) {
@@ -139,9 +141,81 @@ func TestPICEndpoints(t *testing.T) {
 func TestGainLossAccumulates(t *testing.T) {
 	a := area([]float64{0.1, 0.9}, 1)
 	b := area([]float64{0.5, 0.5}, 1)
-	g, l := GainLoss([]AreaSums{a, b})
+	var g, l float64
+	for _, s := range []AreaSums{a, b} {
+		gs, ls := GainLoss(s.SumD, s.SumRho, s.SumRhoLogRho, float64(s.Size)*s.Duration)
+		g += gs
+		l += ls
+	}
 	if math.Abs(g-(a.Gain()+b.Gain())) > 1e-12 || math.Abs(l-(a.Loss()+b.Loss())) > 1e-12 {
 		t.Errorf("GainLoss = (%g,%g)", g, l)
+	}
+}
+
+// TestGainLossBitIdentical checks GainLoss and the AreaSums wrappers bit
+// for bit against the two-log reference (testutil.RefGainLoss) on edge
+// values: idle states (SumD = 0), zero durations, empty and size-1 areas,
+// signed zeros, subnormals, and an aggregated proportion that underflows
+// to 0.
+func TestGainLossBitIdentical(t *testing.T) {
+	tiny := math.SmallestNonzeroFloat64
+	vals := []float64{0, math.Copysign(0, -1), tiny, 3 * tiny, 0x1p-1030, 1e-300,
+		0.125, 0.3, 0.5, 1, 1.7, 7, 1e300}
+	signed := append([]float64{}, vals...)
+	for _, v := range vals {
+		if v != 0 {
+			signed = append(signed, -v)
+		}
+	}
+	sizes := []int{0, 1, 2, 3, 1000}
+	durs := []float64{0, tiny, 1e-3, 0.5, 1, 3, 1e6}
+	rng := rand.New(rand.NewSource(1))
+	pick := func(vs []float64) float64 { return vs[rng.Intn(len(vs))] }
+	check := func(a AreaSums) {
+		t.Helper()
+		bits := math.Float64bits
+		den := 0.0
+		if a.Size != 0 && a.Duration > 0 {
+			den = float64(a.Size) * a.Duration
+		}
+		g, l := GainLoss(a.SumD, a.SumRho, a.SumRhoLogRho, den)
+		wg, wl := testutil.RefGainLoss(a.SumD, a.SumRho, a.SumRhoLogRho, a.Size, a.Duration)
+		if bits(g) != bits(wg) || bits(l) != bits(wl) {
+			t.Fatalf("%+v: GainLoss = (%v, %v), reference (%v, %v)", a, g, l, wg, wl)
+		}
+		if bits(a.Gain()) != bits(wg) || bits(a.Loss()) != bits(wl) {
+			t.Fatalf("%+v: wrappers = (%v, %v), reference (%v, %v)", a, a.Gain(), a.Loss(), wg, wl)
+		}
+		wantAgg := 0.0
+		if den > 0 {
+			wantAgg = a.SumD / den
+		}
+		if bits(a.AggRho()) != bits(wantAgg) {
+			t.Fatalf("%+v: AggRho = %v, want %v", a, a.AggRho(), wantAgg)
+		}
+		for _, p := range []float64{0, 0.3, 1} {
+			if want := p*wg - (1-p)*wl; bits(a.PIC(p)) != bits(want) {
+				t.Fatalf("%+v: PIC(%v) = %v, reference %v", a, p, a.PIC(p), want)
+			}
+		}
+	}
+	for _, size := range sizes {
+		for _, dur := range durs {
+			for _, d := range vals {
+				for _, rl := range signed {
+					check(AreaSums{SumD: d, SumRho: pick(vals), SumRhoLogRho: rl, Size: size, Duration: dur})
+				}
+			}
+		}
+	}
+	for n := 0; n < 20000; n++ {
+		check(AreaSums{
+			SumD:         pick(vals) * rng.Float64(),
+			SumRho:       pick(vals) * rng.Float64(),
+			SumRhoLogRho: pick(signed) * rng.Float64(),
+			Size:         1 + rng.Intn(64),
+			Duration:     pick(durs) * rng.Float64(),
+		})
 	}
 }
 

@@ -80,16 +80,11 @@ func (a *Aggregator) build(n *hierarchy.Node) {
 			}
 		}
 	}
+	den := float64(n.Size()) * a.dur
 	for x := 0; x < a.X; x++ {
-		sums := measures.AreaSums{
-			SumD:         a.sumD[id][x],
-			SumRho:       a.sumRho[id][x],
-			SumRhoLogRho: a.sumRL[id][x],
-			Size:         n.Size(),
-			Duration:     a.dur,
-		}
-		a.gain[id] += sums.Gain()
-		a.loss[id] += sums.Loss()
+		g, l := measures.GainLoss(a.sumD[id][x], a.sumRho[id][x], a.sumRL[id][x], den)
+		a.gain[id] += g
+		a.loss[id] += l
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"ocelotl/internal/hierarchy"
 	"ocelotl/internal/measures"
 	"ocelotl/internal/microscopic"
+	"ocelotl/internal/testutil"
 	"ocelotl/internal/timeslice"
 )
 
@@ -167,6 +168,33 @@ func TestNodeGainLossMatchesExhaustive(t *testing.T) {
 		}
 		if math.Abs(g1-g2) > 1e-9 || math.Abs(l1-l2) > 1e-9 {
 			t.Errorf("node %q: (g=%g,l=%g) vs first-principles (g=%g,l=%g)", n.Path, g1, l1, g2, l2)
+		}
+	}
+}
+
+// TestNodeGainLossBitIdentical checks every node's gain and loss bit for
+// bit against the two-log reference (testutil.RefGainLoss) summed over
+// the states in order, on random models and on one with an idle state.
+func TestNodeGainLossBitIdentical(t *testing.T) {
+	idle := randomModel(t, 5, paths, 3)
+	clear(idle.StateRow(1))
+	models := []*microscopic.Model{idle}
+	for seed := int64(0); seed < 4; seed++ {
+		models = append(models, randomModel(t, seed, paths, 1+int(seed)))
+	}
+	for mi, m := range models {
+		a := New(m)
+		for _, n := range m.H.Nodes {
+			var wg, wl float64
+			for x := 0; x < a.X; x++ {
+				g, l := testutil.RefGainLoss(a.sumD[n.ID][x], a.sumRho[n.ID][x], a.sumRL[n.ID][x], n.Size(), a.dur)
+				wg += g
+				wl += l
+			}
+			g, l := a.NodeGainLoss(n)
+			if math.Float64bits(g) != math.Float64bits(wg) || math.Float64bits(l) != math.Float64bits(wl) {
+				t.Errorf("model %d node %q: (%v, %v), reference (%v, %v)", mi, n.Path, g, l, wg, wl)
+			}
 		}
 	}
 }

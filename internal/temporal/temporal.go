@@ -68,21 +68,18 @@ func New(m *microscopic.Model) *Aggregator {
 // of the spatially-averaged trace (the microscopic individuals being the
 // single slices).
 func (a *Aggregator) IntervalGainLoss(i, j int) (gain, loss float64) {
-	dur := a.durPref[j+1] - a.durPref[i]
-	n := a.Model.NumResources()
+	// The spatially-averaged trace has one "resource" (the whole set S);
+	// the d sums still count all |S| resources' seconds, so the effective
+	// size in the Eq. 1 normalizer is |S|.
+	den := float64(a.Model.NumResources()) * (a.durPref[j+1] - a.durPref[i])
 	for x := 0; x < a.X; x++ {
-		sums := measures.AreaSums{
-			SumD:         a.prefD[x][j+1] - a.prefD[x][i],
-			SumRho:       a.prefRho[x][j+1] - a.prefRho[x][i],
-			SumRhoLogRho: a.prefRL[x][j+1] - a.prefRL[x][i],
-			// The spatially-averaged trace has one "resource" (the
-			// whole set S); SumD still counts all |S| resources'
-			// seconds, so the effective size is |S|.
-			Size:     n,
-			Duration: dur,
-		}
-		gain += sums.Gain()
-		loss += sums.Loss()
+		g, l := measures.GainLoss(
+			a.prefD[x][j+1]-a.prefD[x][i],
+			a.prefRho[x][j+1]-a.prefRho[x][i],
+			a.prefRL[x][j+1]-a.prefRL[x][i],
+			den)
+		gain += g
+		loss += l
 	}
 	return gain, loss
 }

@@ -9,6 +9,7 @@ import (
 	"ocelotl/internal/hierarchy"
 	"ocelotl/internal/measures"
 	"ocelotl/internal/microscopic"
+	"ocelotl/internal/testutil"
 	"ocelotl/internal/timeslice"
 )
 
@@ -163,5 +164,39 @@ func TestBestPIC(t *testing.T) {
 	pt, _ := agg.Run(0.6)
 	if got := agg.BestPIC(0.6); math.Abs(got-pt.PIC) > 1e-12 {
 		t.Errorf("BestPIC = %g, Run PIC = %g", got, pt.PIC)
+	}
+}
+
+// TestIntervalGainLossBitIdentical checks every interval's gain and loss
+// bit for bit against the two-log reference (testutil.RefGainLoss) summed
+// over the states in order, on random models and on one with an idle
+// state.
+func TestIntervalGainLossBitIdentical(t *testing.T) {
+	idle := randomModel(t, 5, 3, 6)
+	clear(idle.StateRow(1))
+	models := []*microscopic.Model{idle}
+	for seed := int64(0); seed < 4; seed++ {
+		models = append(models, randomModel(t, seed, 1+int(seed), 3+2*int(seed)))
+	}
+	for mi, m := range models {
+		a := New(m)
+		for i := 0; i < a.T; i++ {
+			for j := i; j < a.T; j++ {
+				var wg, wl float64
+				for x := 0; x < a.X; x++ {
+					g, l := testutil.RefGainLoss(
+						a.prefD[x][j+1]-a.prefD[x][i],
+						a.prefRho[x][j+1]-a.prefRho[x][i],
+						a.prefRL[x][j+1]-a.prefRL[x][i],
+						m.NumResources(), a.durPref[j+1]-a.durPref[i])
+					wg += g
+					wl += l
+				}
+				g, l := a.IntervalGainLoss(i, j)
+				if math.Float64bits(g) != math.Float64bits(wg) || math.Float64bits(l) != math.Float64bits(wl) {
+					t.Errorf("model %d [%d,%d]: (%v, %v), reference (%v, %v)", mi, i, j, g, l, wg, wl)
+				}
+			}
+		}
 	}
 }

@@ -3,7 +3,8 @@
 # fail on regressions of the named hot-path benchmarks, so a PR cannot
 # silently give back the engine's headline wins (the fused p-sweep, the
 # batched significant-p frontier, the incremental pan, the pyramid zoom,
-# the serving hit path, the Table II solve).
+# the serving hit path, the Table II input pass and solve, the scratch
+# build).
 #
 #   scripts/benchdiff.sh                    # gated benches only, 5 iters, +25%
 #   REGRESS_PCT=40 scripts/benchdiff.sh     # looser gate
@@ -47,6 +48,8 @@ BenchmarkWindowZoom_Incremental
 BenchmarkWindowZoomOut_Incremental
 BenchmarkServerPan_Hit
 BenchmarkServerZoom_Pyramid
+BenchmarkServerPan_Scratch
+BenchmarkTable2_AggregationInput_C
 BenchmarkTable2_AggregationRun_C
 BenchmarkFollowTick
 "
