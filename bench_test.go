@@ -387,7 +387,7 @@ func requireNoMemoHits(b *testing.B, in *core.Input) {
 // slider stops — with the batched fused frontier at default workers and
 // the Workers=1 reference, each on a cold memo. Since the batched rewrite,
 // each dichotomy round solves all of its midpoints in one fused
-// RunManyContext call, so the default-workers number improves over the
+// SweepQualityContext call, so the default-workers number improves over the
 // committed pre-fusion baseline even on a single core; _Batched pins the
 // same path under its post-rewrite name for the benchdiff trajectory.
 // _Repeat is the warm path: the same ladder again on one Input, every

@@ -10,8 +10,9 @@
 // The engine serves interactive exploration in both of its dimensions:
 // one immutable core.Input answers any number of concurrent p-queries
 // from a capacity-bounded solver pool, and many-p exploration is fused —
-// Solver.RunManyContext carries up to core.MaxLanes p-lanes through a
-// single triangular iteration per hierarchy node (SweepRunContext and
+// the solver's one Algorithm 1 kernel carries up to core.MaxLanes p-lanes
+// through a single triangular iteration per hierarchy node, a single-p
+// RunContext being a one-lane block (SweepRunContext and
 // SweepQualityContext split their p list into lane blocks over the
 // worker pool; SignificantPsContext is a batched dichotomy solving each
 // frontier generation in one fused call), bit-identical per lane to

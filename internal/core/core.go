@@ -18,21 +18,21 @@
 //     deterministic and bit-identical across every path, so a memo hit
 //     returns exactly what a solve would.
 //
-//   - Solver (solver.go) owns the pIC/cut scratch of one Algorithm 1
-//     query, costing O(|S|·|T|³) time per RunContext. Any number of
-//     Solvers share one Input concurrently, and one Solver can fuse many
-//     queries: RunManyContext (fused.go) carries up to MaxLanes p-lanes
-//     through a single triangular iteration per node — each cell reads
-//     its gain/loss and child offsets once and updates every lane in the
-//     inner add-compare loop — bit-identically per lane to separate
-//     single-p solves. Solver entry points are memo-free kernels. The
-//     Input-level entry points consult the memo first: SolveContext (one
-//     p, memoizing the partition) and the sweep layer (sweep.go:
-//     SweepRunContext, SweepQualityContext, SignificantPsContext), which
-//     fuses only the ps it misses into lane blocks over the worker pool
-//     and memoizes their summaries. The significant-p dichotomy answers
-//     each frontier generation as one batch per round, so a repeat ladder
-//     solves only midpoints it has not seen.
+//   - Solver (solver.go) owns the pIC/cut scratch of Algorithm 1,
+//     costing O(|S|·|T|³) time per query. Any number of Solvers share one
+//     Input concurrently. The solver has one kernel (fused.go): runLanes
+//     carries up to MaxLanes p-lanes through a single triangular
+//     iteration per node — each cell reads its gain/loss and child
+//     offsets once and updates every lane in the inner add-compare loop —
+//     and a single-p RunContext is a one-lane block of it. Solver entry
+//     points are memo-free. The Input-level entry points consult the memo
+//     first: SolveContext (one p, memoizing the partition) and the sweep
+//     layer (sweep.go: SweepRunContext, SweepQualityContext,
+//     SignificantPsContext), which fuses only the ps it misses into lane
+//     blocks over the worker pool and memoizes their summaries. The
+//     significant-p dichotomy answers each frontier generation as one
+//     batch per round, so a repeat ladder solves only midpoints it has
+//     not seen.
 //
 // Window changes are incremental (update.go): Input.UpdateContext — and
 // the Pan/Zoom conveniences over a microscopic.Reslicer-built model —
@@ -55,8 +55,8 @@
 //
 // Every entry point that does real work takes a context (NewInputContext,
 // UpdateContext, AdvanceContext, CoarsenContext, AcquireSolverContext,
-// RunContext, QualityContext, RunManyContext, SolveContext,
-// SweepRunContext, SweepQualityContext, SignificantPsContext), because callers' work can
+// RunContext, QualityContext, SolveContext, SweepRunContext,
+// SweepQualityContext, SignificantPsContext), because callers' work can
 // become worthless mid-flight — a serving layer whose request timed out,
 // a CLI hit by SIGINT. Cancellation is cooperative at hierarchy-node
 // granularity: a cancelled call stops launching work, aborts in-flight
@@ -70,12 +70,6 @@
 // ctx returns ctx.Err() even when every p would hit.
 package core
 
-import "ocelotl/internal/measures"
-
 // CutSpatial is the cut-matrix marker for a spatial cut (the area is
 // partitioned into its node's children over the same interval).
 const CutSpatial = int32(-1)
-
-// improves is measures.Improves: a strict comparison with a relative
-// rounding-noise tolerance, so ties keep the aggregate as in Algorithm 1.
-func improves(candidate, best float64) bool { return measures.Improves(candidate, best) }

@@ -10,8 +10,10 @@ import (
 	"time"
 
 	"ocelotl/internal/hierarchy"
+	"ocelotl/internal/measures"
 	"ocelotl/internal/microscopic"
 	"ocelotl/internal/mpisim"
+	"ocelotl/internal/partition"
 	"ocelotl/internal/testutil"
 	"ocelotl/internal/timeslice"
 )
@@ -64,10 +66,25 @@ func randomPs(rng *rand.Rand) []float64 {
 	return ps
 }
 
+// runBlocks solves ps on s in lane blocks of up to MaxLanes through the
+// kernel (runLanes), as solveLanes does on one worker.
+func runBlocks(ctx context.Context, s *Solver, ps []float64) ([]*partition.Partition, error) {
+	out := make([]*partition.Partition, len(ps))
+	for lo := 0; lo < len(ps); lo += MaxLanes {
+		hi := min(lo+MaxLanes, len(ps))
+		if err := s.runLanes(ctx, ps[lo:hi], out[lo:hi]); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
 // TestRunManyBitIdenticalToRun is the fused-path property test: across
 // random hierarchies, dimensions, data, normalization and p lists, every
-// lane of RunManyContext must equal its own single-p RunContext — same
-// partition signature, same gain/loss/pIC floats — for any lane count.
+// lane of a multi-lane runLanes block must equal its own single-p
+// RunContext — same partition signature, same gain/loss/pIC floats — for
+// any lane count. The two sides run distinct inner loops (the K-lane
+// strip compare against the one-lane scalar branch).
 func TestRunManyBitIdenticalToRun(t *testing.T) {
 	trials := 25
 	if testing.Short() {
@@ -80,12 +97,12 @@ func TestRunManyBitIdenticalToRun(t *testing.T) {
 		ps := randomPs(rng)
 
 		s := in.NewSolver()
-		got, err := s.RunManyContext(context.Background(), ps)
+		got, err := runBlocks(context.Background(), s, ps)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(got) != len(ps) {
-			t.Fatalf("trial %d: RunManyContext returned %d partitions for %d ps", trial, len(got), len(ps))
+			t.Fatalf("trial %d: runBlocks returned %d partitions for %d ps", trial, len(got), len(ps))
 		}
 		ref := in.NewSolver()
 		for i, p := range ps {
@@ -104,28 +121,32 @@ func TestRunManyBitIdenticalToRun(t *testing.T) {
 		}
 		// The same solver must reproduce the sweep after its lanes have
 		// been overwritten (scratch reuse, like single-p solvers).
-		again, err := s.RunManyContext(context.Background(), ps)
+		again, err := runBlocks(context.Background(), s, ps)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range again {
 			if again[i].Signature() != got[i].Signature() {
-				t.Fatalf("trial %d: repeated RunManyContext changed lane %d", trial, i)
+				t.Fatalf("trial %d: repeated runBlocks changed lane %d", trial, i)
 			}
 		}
 	}
 }
 
 // TestRunManyRejectsBadP: one out-of-range entry fails the whole call
-// before any lane is solved, exactly like Run — including through the
-// sweep layer at every worker count (the fused lane blocks must not
-// bypass the validation the per-p path performed).
+// before any lane is solved, exactly like RunContext — through the sweep
+// layer at every worker count (the fused lane blocks must not bypass the
+// validation the per-p path performs).
 func TestRunManyRejectsBadP(t *testing.T) {
 	m := randomFusedModel(rand.New(rand.NewSource(7)))
 	in := testInput(t, m, Options{})
 	for _, ps := range [][]float64{{0.5, 2}, {-0.1}, {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 1.5}} {
-		if out, err := in.NewSolver().RunManyContext(context.Background(), ps); err == nil || out != nil {
-			t.Fatalf("RunManyContext(%v) = (%v, %v), want rejection", ps, out, err)
+		if out, err := in.SweepRunContext(context.Background(), ps); err == nil || out != nil {
+			t.Fatalf("SweepRunContext(%v) = (%v, %v), want rejection", ps, out, err)
+		}
+		bad := ps[len(ps)-1]
+		if out, err := in.NewSolver().RunContext(context.Background(), bad); err == nil || out != nil {
+			t.Fatalf("RunContext(%v) = (%v, %v), want rejection", bad, out, err)
 		}
 	}
 	for _, workers := range []int{1, 4} {
@@ -135,6 +156,70 @@ func TestRunManyRejectsBadP(t *testing.T) {
 		}
 		if out, err := wIn.SweepQualityContext(context.Background(), []float64{0.3, math.NaN()}); err == nil || out != nil {
 			t.Fatalf("workers=%d: SweepQualityContext with NaN = (%v, %v), want rejection", workers, out, err)
+		}
+	}
+}
+
+// TestImproveThrMatchesImproves pins the kernel's one compare rule:
+// candidate > improveThr(best) is measures.Improves(candidate, best) for
+// every finite best, at the threshold itself (no improvement: ties keep
+// the aggregate) and one ulp above it (an improvement).
+func TestImproveThrMatchesImproves(t *testing.T) {
+	subnormal := math.Float64frombits(0x000fffffffffffff) // largest subnormal
+	for _, best := range []float64{
+		0, math.Copysign(0, -1), 1, -1, 1e300, -1e300,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, subnormal, -subnormal,
+	} {
+		thr := improveThr(best)
+		above := math.Nextafter(thr, math.Inf(1))
+		for _, c := range []float64{best, math.Nextafter(thr, math.Inf(-1)), thr, above} {
+			if got, want := c > thr, measures.Improves(c, best); got != want {
+				t.Errorf("best %v, candidate %v: c > improveThr = %v, Improves = %v", best, c, got, want)
+			}
+		}
+		if measures.Improves(thr, best) || !measures.Improves(above, best) {
+			t.Errorf("best %v: threshold %v must not improve, %v one ulp above must", best, thr, above)
+		}
+	}
+}
+
+// TestEnsureLanesWidening pins the arena growth rule on a pooled solver:
+// blocks of 1, 4, 8 and 1 lanes grow MemoryBytes by exactly (4−1) lanes
+// (first widening of the one-lane arena: exact width), then by (16−4)
+// lanes (a multi-lane arena widens to MaxLanes), then not at all — and
+// every partition stays bit-identical to a fresh solver's on the same
+// block, so retained wider scratch never leaks into a narrower run.
+func TestEnsureLanesWidening(t *testing.T) {
+	in := cancelTestInput(t, Options{Workers: 1, SolverPoolBound: 1})
+	s, err := in.AcquireSolverContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.ReleaseSolver(s)
+	lane := len(in.gain) * (8 + 4)
+	for step, c := range []struct{ K, growLanes int }{{1, 0}, {4, 3}, {8, 12}, {1, 0}} {
+		ps := make([]float64, c.K)
+		for k := range ps {
+			ps[k] = (float64(k) + 0.5 + float64(step)/7) / float64(c.K+1)
+		}
+		before := in.MemoryBytes()
+		got := make([]*partition.Partition, c.K)
+		if err := s.runLanes(context.Background(), ps, got); err != nil {
+			t.Fatal(err)
+		}
+		if grew := in.MemoryBytes() - before; grew != c.growLanes*lane {
+			t.Fatalf("step %d (K=%d): MemoryBytes grew %d, want %d", step, c.K, grew, c.growLanes*lane)
+		}
+		want := make([]*partition.Partition, c.K)
+		if err := in.NewSolver().runLanes(context.Background(), ps, want); err != nil {
+			t.Fatal(err)
+		}
+		for k := range ps {
+			g, w := got[k], want[k]
+			if g.Signature() != w.Signature() || math.Float64bits(g.Gain) != math.Float64bits(w.Gain) ||
+				math.Float64bits(g.Loss) != math.Float64bits(w.Loss) || math.Float64bits(g.PIC) != math.Float64bits(w.PIC) {
+				t.Fatalf("step %d (K=%d) lane %d: pooled solver diverges from a fresh one", step, c.K, k)
+			}
 		}
 	}
 }
@@ -224,21 +309,22 @@ func TestSignificantPsMatchesRecursiveDichotomy(t *testing.T) {
 }
 
 // TestRunManyCancellation injects cancels at every reachable engine check
-// of a fused multi-block solve: the result is always either complete and
+// of a fused multi-block sweep: the result is always either complete and
 // bit-identical or (nil, context.Canceled) — never lanes next to holes —
-// and the solver stays usable.
+// and the pooled solver stays usable.
 func TestRunManyCancellation(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	in := cancelTestInput(t, Options{Workers: 1})
 	ps := sweepPs(2*MaxLanes + 3) // three blocks
-	s := in.NewSolver()
-	want, err := s.RunManyContext(context.Background(), ps)
+	want, err := in.SweepRunContext(context.Background(), ps)
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	// The memo keeps only sweep summaries, so every SweepRunContext below
+	// solves its blocks again.
 	probe := newCancelAfterChecks(1 << 40)
-	if _, err := s.RunManyContext(probe, ps); err != nil {
+	if _, err := in.SweepRunContext(probe, ps); err != nil {
 		t.Fatal(err)
 	}
 	checks := probe.Checks()
@@ -252,7 +338,7 @@ func TestRunManyCancellation(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		n := 1 + rng.Int63n(checks+2)
 		ctx := newCancelAfterChecks(n)
-		out, err := s.RunManyContext(ctx, ps)
+		out, err := in.SweepRunContext(ctx, ps)
 		switch {
 		case err != nil:
 			if !errors.Is(err, context.Canceled) {
@@ -273,6 +359,10 @@ func TestRunManyCancellation(t *testing.T) {
 		}
 		ctx.cancel()
 	}
+	if st := in.MemoStats(); st.Hits != 0 {
+		t.Fatalf("memo answered %d sweep lookups; every sweep must solve", st.Hits)
+	}
+	assertPoolReleased(t, in)
 }
 
 // TestInputBuildCancellation covers the cancellable input pass: a ctx
@@ -358,7 +448,7 @@ func TestFusedScratchAccounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.RunManyContext(context.Background(), sweepPs(MaxLanes)); err != nil {
+	if err := s.runLanes(context.Background(), sweepPs(MaxLanes), make([]*partition.Partition, MaxLanes)); err != nil {
 		t.Fatal(err)
 	}
 	in.ReleaseSolver(s)

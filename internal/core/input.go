@@ -98,9 +98,9 @@ type Input struct {
 	// Input's lifetime, so their scratch is part of the Input's resident
 	// cost and MemoryBytes includes it.
 	solversLive atomic.Int64
-	// laneBytes totals the fused-lane scratch (RunManyContext's K-wide
-	// pIC/cut strips) grown by pooled solvers, which the pool likewise
-	// retains.
+	// laneBytes totals the lane scratch pooled solvers have grown beyond
+	// the one lane NewSolver allocates (ensureLanes' wider pIC/cut
+	// strips), which the pool likewise retains.
 	laneBytes atomic.Int64
 	// memo holds solved answers keyed by the exact bits of p (memo.go).
 	// Like the pool it is internal state, not a mutation of the
@@ -588,8 +588,8 @@ func (in *Input) residentBytes() int {
 		len(in.slcD) + len(in.slcRho) + len(in.slcRL) +
 		len(in.prefD) + len(in.prefRho) + len(in.prefRL) +
 		len(in.durPref)
-	// Each pooled solver holds a float64 pIC and an int32 cut arena of
-	// len(gain) cells, plus whatever fused-lane strips it has grown.
+	// Each pooled solver holds a one-lane float64 pIC and int32 cut arena
+	// of len(gain) cells, plus whatever wider lane strips it has grown.
 	solver := len(in.gain) * (8 + 4)
 	return floats*8 + int(in.solversLive.Load())*solver + int(in.laneBytes.Load())
 }

@@ -172,7 +172,8 @@ func (in *Input) MemoStats() MemoStats {
 
 // SolveContext answers one Algorithm 1 query at p through the Input's
 // memo: a memoized partition is returned as-is, otherwise a pooled
-// Solver runs RunContext and the partition is memoized. The returned
+// Solver runs RunContext (a one-lane block of the kernel) and the
+// partition is memoized. The returned
 // partition may be shared with other callers and must not be mutated.
 // An already-cancelled ctx returns ctx.Err() even when p is memoized; on
 // a miss ctx rides into the pool acquisition and the solve, so a dead

@@ -140,7 +140,7 @@ func TestMemoMatchesFreshInputs(t *testing.T) {
 
 // TestMemoAggregateSolvesSweepSummaries: a p first seen by a sweep is
 // held only as a summary, so a per-p SolveContext there misses and runs
-// the single-p kernel; afterwards the partition is memoized and both
+// a one-lane solve; afterwards the partition is memoized and both
 // kinds of query hit.
 func TestMemoAggregateSolvesSweepSummaries(t *testing.T) {
 	in := cancelTestInput(t, Options{Workers: 2})

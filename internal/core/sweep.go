@@ -88,8 +88,8 @@ func (in *Input) SweepQualityContext(ctx context.Context, ps []float64) ([]Quali
 // the memo can answer (it must hold the partition when wantPt is set),
 // otherwise a fresh solve carrying both summary and partition. The
 // misses are solved in one solveLanes sweep and only their summaries are
-// memoized, so a later SolveContext at such a p still runs the single-p
-// kernel.
+// memoized, so a later SolveContext at such a p still runs a one-lane
+// solve.
 func (in *Input) answer(ctx context.Context, ps []float64, wantPt bool) ([]memoEntry, error) {
 	if err := validatePs(ps); err != nil {
 		return nil, err

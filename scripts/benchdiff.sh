@@ -2,8 +2,8 @@
 # Compare a fresh benchmark run against the committed BENCH_core.json and
 # fail on regressions of the named hot-path benchmarks, so a PR cannot
 # silently give back the engine's headline wins (the fused p-sweep, the
-# batched significant-p frontier, the incremental pan, the pyramid zoom,
-# the serving hit path, the Table II input pass and solve, the scratch
+# batched significant-p frontier, the incremental pan, the resolution-ladder
+# zoom, the serving hit path, the Table II input pass and solve, the scratch
 # build).
 #
 #   scripts/benchdiff.sh                    # gated benches only, 5 iters, +25%
