@@ -775,19 +775,44 @@ func followBenchSetup(b *testing.B) (*microscopic.Reslicer, *core.Input, *trace.
 // incremental path ocelotld's follower takes every poll. Gated by
 // scripts/benchdiff.sh: this latency bounds how fast a trace can be
 // ingested while staying interactive.
-func BenchmarkFollowTick(b *testing.B) {
+func BenchmarkFollowTick(b *testing.B) { benchFollowTick(b, 0) }
+
+// BenchmarkFollowTick_Long is BenchmarkFollowTick after 2,000 more ticks
+// of history (4M events), ingested off the clock. Its figure does not
+// grow with -benchtime, and it matches BenchmarkFollowTick's while a tick
+// costs O(batch); a tick that copied each touched leaf's history would
+// cost over 30× more here. Gated by scripts/benchdiff.sh.
+func BenchmarkFollowTick_Long(b *testing.B) { benchFollowTick(b, 2000) }
+
+// benchFollowTick times follow ticks after history untimed ticks that
+// extend the index only; the live window's Input is then built at the
+// new end, so the timed ticks start from the same state either way.
+func benchFollowTick(b *testing.B, history int) {
 	resl, in, tr := followBenchSetup(b)
 	ctx := context.Background()
 	w := in.Model.Slicer.Width()
 	end := tr.End
-	b.ResetTimer()
 	var err error
-	for i := 0; i < b.N; i++ {
-		batch := followBenchBatch(30+i, 2000, len(tr.Resources), len(tr.States), end, w)
+	extend := func(tick int) {
+		batch := followBenchBatch(tick, 2000, len(tr.Resources), len(tr.States), end, w)
 		end += w
 		if resl, err = resl.Extend(batch, batch[len(batch)-1].Start); err != nil {
 			b.Fatal(err)
 		}
+	}
+	for i := 0; i < history; i++ {
+		extend(30 + i)
+	}
+	if history > 0 {
+		m, err := resl.BuildAt(in.Model.Slicer.Shift(history))
+		if err != nil {
+			b.Fatal(err)
+		}
+		in = benchInput(b, m, core.Options{})
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		extend(30 + history + i)
 		if in, err = in.AdvanceContext(ctx, resl, 1); err != nil {
 			b.Fatal(err)
 		}

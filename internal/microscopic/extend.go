@@ -31,10 +31,17 @@ const FailpointExtend = "microscopic/extend"
 // the invariant keys on — though callers that cache windows will want
 // time-ordered appends (see the server's horizon rule).
 //
+// Extending the newest snapshot costs O(len(events)) for time-ordered
+// appends: each leaf whose new events start at or after its last start
+// appends them in place, into spare capacity older snapshots never read.
+// Extending a stale snapshot (one already extended), or a leaf whose new
+// events start before its last start, copies that leaf's arrays instead,
+// which costs O(leaf history) — the same result, only slower.
+//
 // For disk-backed reslicers the appended events live in a RAM overlay on
-// top of the sealed store; fills stream-merge the two sides. A follow
-// tick's batch is small, so the overlay stays a fraction of the store it
-// shadows.
+// top of the sealed store; fills stream-merge the two sides. The overlay
+// grows by the same in-place rule. A follow tick's batch is small, so the
+// overlay stays a fraction of the store it shadows.
 //
 // Closing either the receiver or the extension closes the shared backing
 // store (disk backend); close at most one of them, when no snapshot is in
@@ -75,49 +82,51 @@ func (r *Reslicer) Extend(events []trace.Event, newEnd float64) (*Reslicer, erro
 	return nr, nil
 }
 
-// extend merges the new events into fresh per-leaf arrays, sharing the
+// extend merges the new events into the per-leaf arrays, sharing the
 // untouched leaves' slices with the receiver. Existing events win start
 // ties (they are earlier in the stream), which is what makes the merge a
 // stable one.
+//
+// The first extend of a snapshot appends in place: a leaf whose sorted
+// batch starts at or after its last start grows its existing backing
+// arrays, so a tick costs O(batch), not O(history). Older snapshots keep
+// their own slice headers and read only up to their own lengths, so they
+// never see the appended tail. Every other leaf, and every leaf of an
+// extend of a stale (already extended) snapshot, is merged into fresh
+// arrays. A stale extend also clips the capacity of the leaves it shares:
+// their spare capacity may already hold the first extension's events,
+// which an in-place append further down this branch would overwrite.
 func (ix *ramIndex) extend(tmp [][]indexedEvent) (eventIndex, error) {
-	nx := &ramIndex{
-		evStart:  make([][]float64, len(ix.evStart)),
-		evEnd:    make([][]float64, len(ix.evEnd)),
-		evState:  make([][]int32, len(ix.evState)),
-		evMaxEnd: make([][]float64, len(ix.evMaxEnd)),
-	}
-	for s := range ix.evStart {
+	inPlace := ix.extended.CompareAndSwap(false, true)
+	nx := &ramIndex{leaves: make([]ramLeaf, len(ix.leaves))}
+	for s, old := range ix.leaves {
 		evs := tmp[s]
 		if len(evs) == 0 {
-			nx.evStart[s], nx.evEnd[s], nx.evState[s], nx.evMaxEnd[s] =
-				ix.evStart[s], ix.evEnd[s], ix.evState[s], ix.evMaxEnd[s]
+			if !inPlace {
+				old = old.clipped()
+			}
+			nx.leaves[s] = old
 			continue
 		}
 		sort.SliceStable(evs, func(i, j int) bool { return evs[i].start < evs[j].start })
-		oldS, oldE, oldSt := ix.evStart[s], ix.evEnd[s], ix.evState[s]
-		n := len(oldS) + len(evs)
-		starts := make([]float64, n)
-		ends := make([]float64, n)
-		states := make([]int32, n)
-		maxEnd := make([]float64, n)
-		i, j := 0, 0
-		for k := 0; k < n; k++ {
-			if i < len(oldS) && (j >= len(evs) || oldS[i] <= evs[j].start) {
-				starts[k], ends[k], states[k] = oldS[i], oldE[i], oldSt[i]
+		if inPlace && (len(old.start) == 0 || evs[0].start >= old.start[len(old.start)-1]) {
+			for _, e := range evs {
+				old.push(e)
+			}
+			nx.leaves[s] = old
+			continue
+		}
+		merged := newRAMLeaf(len(old.start) + len(evs))
+		for i, j := 0, 0; i < len(old.start) || j < len(evs); {
+			if i < len(old.start) && (j >= len(evs) || old.start[i] <= evs[j].start) {
+				merged.push(indexedEvent{start: old.start[i], end: old.end[i], state: old.state[i]})
 				i++
 			} else {
-				starts[k], ends[k], states[k] = evs[j].start, evs[j].end, evs[j].state
+				merged.push(evs[j])
 				j++
 			}
 		}
-		running := 0.0
-		for k := 0; k < n; k++ {
-			if k == 0 || ends[k] > running {
-				running = ends[k]
-			}
-			maxEnd[k] = running
-		}
-		nx.evStart[s], nx.evEnd[s], nx.evState[s], nx.evMaxEnd[s] = starts, ends, states, maxEnd
+		nx.leaves[s] = merged
 	}
 	return nx, nil
 }
@@ -147,15 +156,15 @@ type overlayIndex struct {
 }
 
 func (ix *overlayIndex) fill(leaf int, winLo, winHi float64, visit func(state int32, start, end float64)) error {
-	starts, ends, states, maxEnd := ix.tail.evStart[leaf], ix.tail.evEnd[leaf], ix.tail.evState[leaf], ix.tail.evMaxEnd[leaf]
-	j1 := sort.SearchFloat64s(starts, winHi)
-	j := sort.Search(j1, func(i int) bool { return maxEnd[i] > winLo })
+	t := ix.tail.leaves[leaf]
+	j1 := sort.SearchFloat64s(t.start, winHi)
+	j := sort.Search(j1, func(i int) bool { return t.maxEnd[i] > winLo })
 	// emitTailBefore flushes tail events with start strictly below limit
 	// (strict: the base wins ties, it is earlier in the stream).
 	emitTailBefore := func(limit float64) {
-		for j < j1 && starts[j] < limit {
-			if ends[j] > winLo {
-				visit(states[j], starts[j], ends[j])
+		for j < j1 && t.start[j] < limit {
+			if t.end[j] > winLo {
+				visit(t.state[j], t.start[j], t.end[j])
 			}
 			j++
 		}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"ocelotl/internal/eventstore"
 	"ocelotl/internal/hierarchy"
@@ -44,8 +45,10 @@ type eventIndex interface {
 	// extend returns an index that additionally holds the events in tmp
 	// (per-leaf buckets in stream order), preserving the fill-order
 	// invariant as if the new events had been appended to the original
-	// stream. The receiver stays valid and unchanged — extension is
-	// copy-on-write, so concurrent fills on the old index never race.
+	// stream. The receiver stays valid and unchanged — what it reads is
+	// never written again, so concurrent fills on the old index never
+	// race (the RAM backend appends in place only past the receiver's
+	// lengths, and only on its first extend).
 	extend(tmp [][]indexedEvent) (eventIndex, error)
 }
 
@@ -117,71 +120,107 @@ type IndexOptions struct {
 
 // ramIndex is the in-RAM backend: per-leaf struct-of-arrays sorted by
 // start, with the running-max-end column for interval queries. ~28 bytes
-// per event resident.
+// per event resident, up to about twice that while extends append.
 type ramIndex struct {
-	evStart, evEnd [][]float64
-	evState        [][]int32
-	// evMaxEnd[s][i] = max(evEnd[s][0..i]) — nondecreasing, so the set
-	// of events possibly overlapping a window is one binary search on
-	// each side of the sorted-by-start array.
-	evMaxEnd [][]float64
+	leaves []ramLeaf
+	// extended is set by the first extend of this index, which alone may
+	// append into the leaves' spare capacity (see extend).
+	extended atomic.Bool
+}
+
+// ramLeaf is one leaf's events sorted by (start, stream order), as
+// parallel arrays.
+type ramLeaf struct {
+	start, end []float64
+	state      []int32
+	// maxEnd[i] = max(end[0..i]) — nondecreasing, so the set of events
+	// possibly overlapping a window is one binary search on each side
+	// of the sorted-by-start array.
+	maxEnd []float64
+}
+
+// newRAMLeaf returns an empty leaf with room for n events.
+func newRAMLeaf(n int) ramLeaf {
+	return ramLeaf{
+		start:  make([]float64, 0, n),
+		end:    make([]float64, 0, n),
+		state:  make([]int32, 0, n),
+		maxEnd: make([]float64, 0, n),
+	}
+}
+
+// push appends e, which must not start before the leaf's last event,
+// carrying the running max end forward.
+func (l *ramLeaf) push(e indexedEvent) {
+	running := e.end
+	if n := len(l.maxEnd); n > 0 && !(e.end > l.maxEnd[n-1]) {
+		running = l.maxEnd[n-1]
+	}
+	l.start = append(l.start, e.start)
+	l.end = append(l.end, e.end)
+	l.state = append(l.state, e.state)
+	l.maxEnd = append(l.maxEnd, running)
+}
+
+// clipped returns l with its capacity cut to its length, so an append to
+// the result copies instead of writing into l's spare capacity.
+func (l ramLeaf) clipped() ramLeaf {
+	return ramLeaf{
+		start:  l.start[:len(l.start):len(l.start)],
+		end:    l.end[:len(l.end):len(l.end)],
+		state:  l.state[:len(l.state):len(l.state)],
+		maxEnd: l.maxEnd[:len(l.maxEnd):len(l.maxEnd)],
+	}
 }
 
 // freezeRAM sorts each leaf's events by start and flattens them into a
 // ramIndex with the running-max-end column.
 func freezeRAM(tmp [][]indexedEvent) *ramIndex {
-	ix := &ramIndex{
-		evStart:  make([][]float64, len(tmp)),
-		evEnd:    make([][]float64, len(tmp)),
-		evState:  make([][]int32, len(tmp)),
-		evMaxEnd: make([][]float64, len(tmp)),
-	}
+	ix := &ramIndex{leaves: make([]ramLeaf, len(tmp))}
 	for s, evs := range tmp {
 		sort.SliceStable(evs, func(i, j int) bool { return evs[i].start < evs[j].start })
-		starts := make([]float64, len(evs))
-		ends := make([]float64, len(evs))
-		states := make([]int32, len(evs))
-		maxEnd := make([]float64, len(evs))
-		running := 0.0
-		for i, e := range evs {
-			starts[i], ends[i], states[i] = e.start, e.end, e.state
-			if i == 0 || e.end > running {
-				running = e.end
-			}
-			maxEnd[i] = running
+		l := newRAMLeaf(len(evs))
+		for _, e := range evs {
+			l.push(e)
 		}
-		ix.evStart[s], ix.evEnd[s], ix.evState[s], ix.evMaxEnd[s] = starts, ends, states, maxEnd
+		ix.leaves[s] = l
 	}
 	return ix
 }
 
 func (ix *ramIndex) fill(leaf int, winLo, winHi float64, visit func(state int32, start, end float64)) error {
-	starts, ends, states, maxEnd := ix.evStart[leaf], ix.evEnd[leaf], ix.evState[leaf], ix.evMaxEnd[leaf]
+	l := ix.leaves[leaf]
 	// Candidates overlapping [winLo, winHi): start < winHi (prefix of
 	// the sorted array) and end > winLo (suffix of the nondecreasing
 	// running max).
-	i1 := sort.SearchFloat64s(starts, winHi)
-	i0 := sort.Search(i1, func(i int) bool { return maxEnd[i] > winLo })
+	i1 := sort.SearchFloat64s(l.start, winHi)
+	i0 := sort.Search(i1, func(i int) bool { return l.maxEnd[i] > winLo })
 	for i := i0; i < i1; i++ {
-		if ends[i] <= winLo {
+		if l.end[i] <= winLo {
 			continue
 		}
-		visit(states[i], starts[i], ends[i])
+		visit(l.state[i], l.start[i], l.end[i])
 	}
 	return nil
 }
 
 func (ix *ramIndex) numEvents() int64 {
 	var n int64
-	for _, s := range ix.evStart {
-		n += int64(len(s))
+	for _, l := range ix.leaves {
+		n += int64(len(l.start))
 	}
 	return n
 }
 
 func (ix *ramIndex) memoryBytes() int64 {
-	// 8 (start) + 8 (end) + 4 (state) + 8 (maxEnd) per event.
-	return ix.numEvents() * 28
+	// 8 (start) + 8 (end) + 4 (state) + 8 (maxEnd) per allocated slot:
+	// capacity, not length, so the spare room in-place extends grow
+	// into is counted too.
+	var n int64
+	for _, l := range ix.leaves {
+		n += 8*int64(cap(l.start)+cap(l.end)+cap(l.maxEnd)) + 4*int64(cap(l.state))
+	}
+	return n
 }
 
 func (ix *ramIndex) openChunkBytes() int64           { return 0 }

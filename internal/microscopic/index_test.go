@@ -262,7 +262,9 @@ func TestParseIndexMode(t *testing.T) {
 }
 
 // TestRAMIndexAccountsMemory: the RAM backend reports its ~28 B/event
-// arrays and zero open-chunk bytes.
+// arrays and zero open-chunk bytes. A fresh build is exactly 28 B/event;
+// in-place extends count the spare capacity they grow into, which stays
+// below twice the length.
 func TestRAMIndexAccountsMemory(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	tr := randomTrace(rng, 3, 250, 10)
@@ -272,6 +274,25 @@ func TestRAMIndexAccountsMemory(t *testing.T) {
 	}
 	if got, want := r.IndexMemoryBytes(), int64(tr.NumEvents())*28; got != want {
 		t.Fatalf("IndexMemoryBytes = %d, want %d", got, want)
+	}
+	prev, grown := r, r
+	for tick := 0; tick < 40; tick++ {
+		prev = grown
+		evs := make([]trace.Event, 30)
+		for i := range evs {
+			s := 10 + float64(tick) + float64(i)/30
+			evs[i] = trace.Event{Resource: trace.ResourceID(i % 3), State: trace.StateID(i % 3), Start: s, End: s + 0.1}
+		}
+		if grown, err = grown.Extend(evs, 11+float64(tick)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p, _ := leafGrowth(prev, grown); p == 0 {
+		t.Fatal("the last time-ordered extend grew no leaf in place")
+	}
+	perEvent := float64(grown.IndexMemoryBytes()) / float64(grown.NumEvents())
+	if perEvent < 28 || perEvent > 56 {
+		t.Fatalf("after in-place extends IndexMemoryBytes = %.1f B/event, want 28–56", perEvent)
 	}
 	if r.OpenChunkBytes() != 0 {
 		t.Fatal("RAM index reports open-chunk bytes")

@@ -11,7 +11,8 @@
 # chunks/op + readB/op, and BenchmarkWindowPan_DiskIndex — the disk twin
 # of the incremental pan), live ingestion (BenchmarkFollowTick: one
 # Extend + live-window advance, the follower's steady-state tick, vs
-# BenchmarkFollowTick_Rebuild) and the serving layer
+# BenchmarkFollowTick_Rebuild; BenchmarkFollowTick_Long: the same tick
+# after 2,000 ticks of history) and the serving layer
 # (BenchmarkServerPan_{Hit,Derived,Scratch}: one aggregate request
 # through the HTTP handler per cache build path). A subset of
 # these are gated against regressions by scripts/benchdiff.sh.

@@ -4,7 +4,7 @@
 # silently give back the engine's headline wins (the fused p-sweep, the
 # batched significant-p frontier, the incremental pan, the resolution-ladder
 # zoom, the serving hit path, the Table II input pass and solve, the scratch
-# build).
+# build, the O(Δ) follow tick at short and long history).
 #
 #   scripts/benchdiff.sh                    # gated benches only, 5 iters, +25%
 #   REGRESS_PCT=40 scripts/benchdiff.sh     # looser gate
@@ -52,6 +52,7 @@ BenchmarkServerPan_Scratch
 BenchmarkTable2_AggregationInput_C
 BenchmarkTable2_AggregationRun_C
 BenchmarkFollowTick
+BenchmarkFollowTick_Long
 "
 # BenchmarkSweepCancel is gated on its cancel_ns_per_op metric instead of
 # ns/op (its ns/op mostly measures the deliberate let-it-start delay).
