@@ -291,13 +291,8 @@ func NewReslicerIndexed(src EventSource, opt IndexOptions) (*Reslicer, error) {
 	if opt.Threshold <= 0 {
 		opt.Threshold = DefaultDiskIndexThreshold
 	}
-	r := &Reslicer{
-		h:        h,
-		states:   append([]string(nil), states...),
-		winStart: start,
-		winEnd:   end,
-		r2leaf:   r2leaf,
-	}
+	r := emptyReslicer(h, states, start, end)
+	r.r2leaf = r2leaf
 
 	var (
 		tmp     [][]indexedEvent // RAM buffer (nil once spilled)

@@ -95,48 +95,11 @@ type Options struct {
 // 30 timeslices").
 const DefaultSlices = 30
 
-// Build constructs the microscopic model of an in-memory trace. The
-// hierarchy is derived from the trace's resource paths; event time is
-// distributed over the slices each event overlaps.
+// Build constructs the microscopic model of an in-memory trace. It is
+// BuildStream over TraceSource(tr): the same events in the same order,
+// the same range checks, a bit-identical model.
 func Build(tr *trace.Trace, opt Options) (*Model, error) {
-	h, err := hierarchy.FromPaths(tr.Resources)
-	if err != nil {
-		return nil, err
-	}
-	return BuildWithHierarchy(tr, h, opt)
-}
-
-// BuildWithHierarchy is Build with a caller-provided hierarchy (whose leaf
-// paths must cover the trace's resources).
-func BuildWithHierarchy(tr *trace.Trace, h *hierarchy.Hierarchy, opt Options) (*Model, error) {
-	if opt.Slices <= 0 {
-		opt.Slices = DefaultSlices
-	}
-	start, end := opt.Start, opt.End
-	if start == 0 && end == 0 {
-		start, end = tr.Window()
-	}
-	sl, err := timeslice.New(start, end, opt.Slices)
-	if err != nil {
-		return nil, fmt.Errorf("microscopic: %w", err)
-	}
-	m := NewEmpty(h, sl, tr.States)
-	// Map the trace's resource IDs to hierarchy leaf indices once.
-	r2leaf, err := leafMap(h, tr.Resources)
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range tr.Events {
-		if int(e.State) >= len(m.dx) {
-			return nil, fmt.Errorf("microscopic: event references state %d, table has %d", e.State, len(m.dx))
-		}
-		s := r2leaf[e.Resource]
-		x := int(e.State)
-		sl.Overlap(e.Start, e.End, func(t int, sec float64) {
-			m.dx[x][s*sl.N+t] += sec
-		})
-	}
-	return m, nil
+	return BuildStream(TraceSource(tr), opt)
 }
 
 // EventSource is a streaming supplier of events, implemented by the readers

@@ -81,18 +81,20 @@ func TestBuildWindowOverride(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsBadStates also covers out-of-range resources and
+// negative IDs: Build shares BuildStream's range checks.
 func TestBuildRejectsBadStates(t *testing.T) {
-	tr := sampleTrace()
-	tr.Events = append(tr.Events, trace.Event{Resource: 0, State: 99, Start: 0, End: 1})
-	if _, err := Build(tr, Options{Slices: 5}); err == nil {
-		t.Error("event with unknown state accepted")
-	}
-}
-
-func TestBuildWithForeignHierarchyFails(t *testing.T) {
-	h, _ := hierarchy.FromPaths([]string{"other/r"})
-	if _, err := BuildWithHierarchy(sampleTrace(), h, Options{Slices: 5}); err == nil {
-		t.Error("hierarchy not covering the trace accepted")
+	for _, bad := range []trace.Event{
+		{Resource: 0, State: 99, Start: 0, End: 1},
+		{Resource: 0, State: -1, Start: 0, End: 1},
+		{Resource: 99, State: 0, Start: 0, End: 1},
+		{Resource: -1, State: 0, Start: 0, End: 1},
+	} {
+		tr := sampleTrace()
+		tr.Events = append(tr.Events, bad)
+		if _, err := Build(tr, Options{Slices: 5}); err == nil {
+			t.Errorf("event %+v accepted", bad)
+		}
 	}
 }
 

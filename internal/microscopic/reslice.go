@@ -63,25 +63,7 @@ type indexedEvent struct {
 // index — the trace is in memory already). The hierarchy is derived from
 // the trace's resource paths, as in Build.
 func NewReslicer(tr *trace.Trace) (*Reslicer, error) {
-	h, err := hierarchy.FromPaths(tr.Resources)
-	if err != nil {
-		return nil, err
-	}
-	start, end := tr.Window()
-	r := emptyReslicer(h, tr.States, start, end)
-	r2leaf, err := leafMap(h, tr.Resources)
-	if err != nil {
-		return nil, err
-	}
-	r.r2leaf = r2leaf
-	tmp := make([][]indexedEvent, h.NumLeaves())
-	for _, e := range tr.Events {
-		if err := indexEvent(tmp, r2leaf, len(tr.States), e); err != nil {
-			return nil, err
-		}
-	}
-	r.idx = freezeRAM(tmp)
-	return r, nil
+	return NewReslicerIndexed(TraceSource(tr), IndexOptions{Mode: IndexRAM})
 }
 
 // indexEvent validates one event against the tables and appends it to its

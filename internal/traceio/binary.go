@@ -97,159 +97,90 @@ func (bw *binaryWriter) Close() error { return bw.w.Flush() }
 // reader can see them mid-stream.
 func (bw *binaryWriter) Flush() error { return bw.w.Flush() }
 
-// countReader tracks how many bytes of the stream have been consumed, so
-// decode errors can say where the corruption sits. It forwards ReadByte
-// (binary.ReadUvarint needs an io.ByteReader) without losing the count.
-type countReader struct {
-	r *bufio.Reader
-	n int64
-}
-
-func (cr *countReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.n += int64(n)
-	return n, err
-}
-
-func (cr *countReader) ReadByte() (byte, error) {
-	b, err := cr.r.ReadByte()
-	if err == nil {
-		cr.n++
-	}
-	return b, err
-}
-
-type binaryReader struct {
-	r          *countReader
-	resources  []string
-	states     []string
-	start, end float64
-}
-
-// corrupt wraps a decode failure with the reader's current byte offset.
-func (br *binaryReader) corrupt(format string, args ...any) error {
-	return &CorruptError{Format: FormatBinary, Offset: br.r.n, Line: 0, Err: fmt.Errorf(format, args...)}
-}
-
-func newBinaryReader(r *bufio.Reader) (*binaryReader, error) {
-	br := &binaryReader{r: &countReader{r: r}}
-	var magic [4]byte
-	if _, err := io.ReadFull(br.r, magic[:]); err != nil {
-		return nil, br.corrupt("%w", err)
-	}
-	if string(magic[:]) != binaryMagic {
-		return nil, br.corrupt("bad magic %q", magic)
-	}
-	version, err := br.readU32()
-	if err != nil {
-		return nil, err
-	}
-	if version != binaryVersion {
-		return nil, br.corrupt("unsupported version %d", version)
-	}
-	if br.start, err = br.readF64(); err != nil {
-		return nil, err
-	}
-	if br.end, err = br.readF64(); err != nil {
-		return nil, err
-	}
-	if br.resources, err = br.readStrings("resources"); err != nil {
-		return nil, err
-	}
-	if br.states, err = br.readStrings("states"); err != nil {
-		return nil, err
-	}
-	return br, nil
-}
-
-func (br *binaryReader) readU32() (uint32, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(br.r, b[:]); err != nil {
-		return 0, br.corrupt("header: %w", err)
-	}
-	return binary.LittleEndian.Uint32(b[:]), nil
-}
-
-func (br *binaryReader) readF64() (float64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(br.r, b[:]); err != nil {
-		return 0, br.corrupt("header: %w", err)
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b[:])), nil
-}
-
-func (br *binaryReader) readStrings(what string) ([]string, error) {
-	n, err := br.readU32()
-	if err != nil {
-		return nil, err
-	}
-	if n > 100_000_000 {
-		return nil, br.corrupt("implausible %s count %d", what, n)
-	}
-	// Grow incrementally rather than trusting n for the allocation: a
-	// corrupt count just under the plausibility cap would otherwise
-	// commit ~gigabytes before the first string read fails.
-	capHint := n
-	if capHint > 4096 {
-		capHint = 4096
-	}
-	out := make([]string, 0, capHint)
-	var lb [2]byte
-	for i := uint32(0); i < n; i++ {
-		if _, err := io.ReadFull(br.r, lb[:]); err != nil {
-			return nil, br.corrupt("%s table: %w", what, err)
+// binaryHeader decodes the OCLT header — magic, version, window and the
+// two string tables — once all of it is buffered.
+func (r *records) binaryHeader(buf []byte, atEOF bool) (int, error) {
+	pos := len(binaryMagic)
+	short := func(what string) (int, error) {
+		if atEOF {
+			return 0, corruptAt(r.off+int64(len(buf)), "%s: %w", what, io.ErrUnexpectedEOF)
 		}
-		l := binary.LittleEndian.Uint16(lb[:])
-		buf := make([]byte, l)
-		if _, err := io.ReadFull(br.r, buf); err != nil {
-			return nil, br.corrupt("%s table: %w", what, err)
-		}
-		out = append(out, string(buf))
+		return 0, errNeedMore
 	}
-	return out, nil
+	if len(buf) < pos+20 {
+		return short("header")
+	}
+	if v := binary.LittleEndian.Uint32(buf[pos:]); v != binaryVersion {
+		return 0, corruptAt(r.off+int64(pos+4), "unsupported version %d", v)
+	}
+	start := math.Float64frombits(binary.LittleEndian.Uint64(buf[pos+4:]))
+	end := math.Float64frombits(binary.LittleEndian.Uint64(buf[pos+12:]))
+	pos += 20
+	var tables [2][]string
+	for i, what := range [2]string{"resources", "states"} {
+		if len(buf) < pos+4 {
+			return short("header")
+		}
+		n := binary.LittleEndian.Uint32(buf[pos:])
+		pos += 4
+		if n > 100_000_000 {
+			return 0, corruptAt(r.off+int64(pos), "implausible %s count %d", what, n)
+		}
+		// Grow incrementally rather than trusting n for the allocation: a
+		// corrupt count just under the plausibility cap would otherwise
+		// commit gigabytes before the bytes run out.
+		names := make([]string, 0, min(n, 4096))
+		for ; n > 0; n-- {
+			if len(buf) < pos+2 {
+				return short(what + " table")
+			}
+			l := int(binary.LittleEndian.Uint16(buf[pos:]))
+			if len(buf) < pos+2+l {
+				return short(what + " table")
+			}
+			names = append(names, string(buf[pos+2:pos+2+l]))
+			pos += 2 + l
+		}
+		tables[i] = names
+	}
+	r.resources, r.states = tables[0], tables[1]
+	r.start, r.end = start, end
+	r.header = nil
+	return pos, nil
 }
 
-func (br *binaryReader) Resources() []string        { return br.resources }
-func (br *binaryReader) States() []string           { return br.states }
-func (br *binaryReader) Window() (float64, float64) { return br.start, br.end }
-func (br *binaryReader) Close() error               { return nil }
-
-func (br *binaryReader) Next(ev *trace.Event) error {
-	recStart := br.r.n
-	res, err := binary.ReadUvarint(br.r)
-	if err != nil {
-		if err == io.EOF {
-			return io.EOF
+// binaryEvent decodes one event record. Running out of bytes is the
+// torn-record case (errNeedMore, or corruption at the end of the stream),
+// while a non-terminating varint or an out-of-range ID is corruption:
+// with MaxVarintLen64 bytes buffered a varint either terminates or
+// provably overflows, so the two cannot be confused.
+func (r *records) binaryEvent(buf []byte, atEOF bool) (int, error) {
+	res, n1 := binary.Uvarint(buf)
+	st, n2 := uint64(0), 0
+	if n1 > 0 {
+		st, n2 = binary.Uvarint(buf[n1:])
+	}
+	switch {
+	case n1 < 0:
+		return 0, corruptAt(r.off, "event at byte %d: resource varint overflows 64 bits", r.off)
+	case n2 < 0:
+		return 0, corruptAt(r.off, "event at byte %d: state varint overflows 64 bits", r.off)
+	case n1 == 0 || n2 == 0 || len(buf) < n1+n2+16:
+		if atEOF && len(buf) > 0 {
+			return 0, corruptAt(r.off+int64(len(buf)), "truncated event record starting at byte %d", r.off)
 		}
-		return br.corrupt("event: %w", err)
+		return 0, errNeedMore
+	case res >= uint64(len(r.resources)):
+		return 0, corruptAt(r.off, "event at byte %d references resource %d, table has %d", r.off, res, len(r.resources))
+	case st >= uint64(len(r.states)):
+		return 0, corruptAt(r.off, "event at byte %d references state %d, table has %d", r.off, st, len(r.states))
 	}
-	st, err := binary.ReadUvarint(br.r)
-	if err != nil {
-		return br.truncErr(recStart, err)
+	b := buf[n1+n2:]
+	r.ev = trace.Event{
+		Resource: trace.ResourceID(res),
+		State:    trace.StateID(st),
+		Start:    math.Float64frombits(binary.LittleEndian.Uint64(b)),
+		End:      math.Float64frombits(binary.LittleEndian.Uint64(b[8:])),
 	}
-	var b [16]byte
-	if _, err := io.ReadFull(br.r, b[:]); err != nil {
-		return br.truncErr(recStart, err)
-	}
-	if res >= uint64(len(br.resources)) {
-		return br.corrupt("event at byte %d references resource %d, table has %d", recStart, res, len(br.resources))
-	}
-	if st >= uint64(len(br.states)) {
-		return br.corrupt("event at byte %d references state %d, table has %d", recStart, st, len(br.states))
-	}
-	ev.Resource = trace.ResourceID(res)
-	ev.State = trace.StateID(st)
-	ev.Start = math.Float64frombits(binary.LittleEndian.Uint64(b[:8]))
-	ev.End = math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
-	return nil
-}
-
-// truncErr converts an EOF mid-record into a corruption error naming the
-// record's starting offset (a clean EOF is only legal at a record
-// boundary).
-func (br *binaryReader) truncErr(recStart int64, err error) error {
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		return br.corrupt("truncated event record starting at byte %d", recStart)
-	}
-	return br.corrupt("event: %w", err)
+	return n1 + n2 + 16, nil
 }

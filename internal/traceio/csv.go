@@ -2,6 +2,7 @@ package traceio
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
@@ -66,157 +67,132 @@ func (cw *csvWriter) Flush() error { return cw.w.Flush() }
 
 func formatFloat(f float64) string { return strconv.FormatFloat(f, 'g', 17, 64) }
 
-type csvReader struct {
-	sc         *bufio.Scanner
-	resources  []string
-	states     []string
-	start, end float64
-	line       int
-	// pending holds the first event line encountered while parsing the
-	// header, so Next can emit it.
-	pending  string
-	havePend bool
-}
-
-func newCSVReader(r io.Reader) (*csvReader, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	cr := &csvReader{sc: sc}
-	if err := cr.readHeader(); err != nil {
-		return nil, err
+// csvLine returns buf's first line, trimmed, and the bytes it spans with
+// its '\n'. A line without '\n' is complete only atEOF; one of maxLine
+// bytes or more is corrupt, reported as line lineNo.
+func csvLine(buf []byte, atEOF bool, lineNo int) (string, int, error) {
+	i := bytes.IndexByte(buf, '\n')
+	n := i + 1
+	if i < 0 {
+		i, n = len(buf), len(buf)
+		if i < maxLine && (!atEOF || i == 0) {
+			return "", 0, errNeedMore
+		}
 	}
-	return cr, nil
+	if i >= maxLine {
+		return "", 0, corruptLine(lineNo, "line longer than %d bytes", maxLine)
+	}
+	return strings.TrimSpace(string(buf[:i])), n, nil
 }
 
-func (cr *csvReader) readHeader() error {
-	for cr.sc.Scan() {
-		cr.line++
-		line := strings.TrimSpace(cr.sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+// csvHeader decodes one header line. The header ends at the first event
+// line, which it leaves for csvEvent, or — only at the end of a batch
+// stream, a header-only trace — at the last line.
+func (r *records) csvHeader(buf []byte, atEOF bool) (int, error) {
+	lineNo := r.line + 1
+	line, n, err := csvLine(buf, atEOF, lineNo)
+	if err == errNeedMore && atEOF {
+		if len(r.resources) == 0 || len(r.states) == 0 {
+			return 0, corruptLine(r.line, "missing resource/state declarations")
+		}
+		r.header = nil
+		return 0, nil
+	}
+	if err != nil {
+		return 0, err
+	}
+	corrupt := func(format string, args ...any) (int, error) {
+		return 0, corruptLine(lineNo, format, args...)
+	}
+	kind, rest, _ := strings.Cut(line, ",")
+	switch {
+	case line == "" || line[0] == '#':
+	case kind == "window":
+		a, b, ok := strings.Cut(rest, ",")
+		if !ok {
+			return corrupt("malformed window line")
+		}
+		if r.start, err = strconv.ParseFloat(a, 64); err != nil {
+			return corrupt("bad window start: %v", err)
+		}
+		if r.end, err = strconv.ParseFloat(b, 64); err != nil {
+			return corrupt("bad window end: %v", err)
+		}
+	case kind == "resource" || kind == "state":
+		table := &r.resources
+		if kind == "state" {
+			table = &r.states
+		}
+		idStr, name, ok := strings.Cut(rest, ",")
+		if !ok {
+			return corrupt("malformed %s line", kind)
+		}
+		if id, err := strconv.Atoi(idStr); err != nil || id != len(*table) {
+			return corrupt("%s IDs must be dense and increasing (got %q, want %d)", kind, idStr, len(*table))
+		}
+		*table = append(*table, name)
+	case kind == "event":
+		if len(r.resources) == 0 || len(r.states) == 0 {
+			return corrupt("event line before resource/state declarations")
+		}
+		r.header = nil
+		return 0, nil
+	default:
+		return corrupt("unknown line kind %q", kind)
+	}
+	r.line = lineNo
+	return n, nil
+}
+
+// csvEvent decodes one event line. Blank and comment lines are consumed
+// together with the event line that follows them, so the committed offset
+// always lands on a line boundary.
+func (r *records) csvEvent(buf []byte, atEOF bool) (int, error) {
+	pos, lineNo := 0, r.line
+	for {
+		line, n, err := csvLine(buf[pos:], atEOF, lineNo+1)
+		if err != nil {
+			return 0, err
+		}
+		lineNo++
+		pos += n
+		if line == "" || line[0] == '#' {
 			continue
 		}
-		kind, rest, _ := strings.Cut(line, ",")
-		switch kind {
-		case "window":
-			a, b, ok := strings.Cut(rest, ",")
-			if !ok {
-				return cr.errf("malformed window line")
-			}
-			var err error
-			if cr.start, err = strconv.ParseFloat(a, 64); err != nil {
-				return cr.errf("bad window start: %v", err)
-			}
-			if cr.end, err = strconv.ParseFloat(b, 64); err != nil {
-				return cr.errf("bad window end: %v", err)
-			}
-		case "resource":
-			idStr, name, ok := strings.Cut(rest, ",")
-			if !ok {
-				return cr.errf("malformed resource line")
-			}
-			id, err := strconv.Atoi(idStr)
-			if err != nil || id != len(cr.resources) {
-				return cr.errf("resource IDs must be dense and increasing (got %q, want %d)", idStr, len(cr.resources))
-			}
-			cr.resources = append(cr.resources, name)
-		case "state":
-			idStr, name, ok := strings.Cut(rest, ",")
-			if !ok {
-				return cr.errf("malformed state line")
-			}
-			id, err := strconv.Atoi(idStr)
-			if err != nil || id != len(cr.states) {
-				return cr.errf("state IDs must be dense and increasing (got %q, want %d)", idStr, len(cr.states))
-			}
-			cr.states = append(cr.states, name)
-		case "event":
-			if len(cr.resources) == 0 || len(cr.states) == 0 {
-				return cr.errf("event line before resource/state declarations")
-			}
-			cr.pending, cr.havePend = line, true
-			return nil
-		default:
-			return cr.errf("unknown line kind %q", kind)
+		if err := parseCSVEventLine(line, len(r.resources), len(r.states), &r.ev); err != nil {
+			return 0, corruptLine(lineNo, "%w", err)
 		}
+		r.line = lineNo
+		return pos, nil
 	}
-	if err := cr.sc.Err(); err != nil {
-		return err
-	}
-	// A header-only trace (no events) is legal.
-	if len(cr.resources) == 0 || len(cr.states) == 0 {
-		return cr.errf("missing resource/state declarations")
-	}
-	return nil
 }
 
-// errf wraps a decode failure with the reader's current 1-based line
-// number as a CorruptError, so callers can recover the position with
-// errors.As.
-func (cr *csvReader) errf(format string, args ...interface{}) error {
-	return &CorruptError{Format: FormatCSV, Offset: -1, Line: cr.line, Err: fmt.Errorf(format, args...)}
-}
-
-func (cr *csvReader) Resources() []string        { return cr.resources }
-func (cr *csvReader) States() []string           { return cr.states }
-func (cr *csvReader) Window() (float64, float64) { return cr.start, cr.end }
-func (cr *csvReader) Close() error               { return nil }
-
-func (cr *csvReader) Next(ev *trace.Event) error {
-	var line string
-	if cr.havePend {
-		line, cr.havePend = cr.pending, false
-	} else {
-		for {
-			if !cr.sc.Scan() {
-				if err := cr.sc.Err(); err != nil {
-					return err
-				}
-				return io.EOF
-			}
-			cr.line++
-			line = strings.TrimSpace(cr.sc.Text())
-			if line == "" || strings.HasPrefix(line, "#") {
-				continue
-			}
-			break
-		}
-	}
-	return cr.parseEvent(line, ev)
-}
-
-func (cr *csvReader) parseEvent(line string, ev *trace.Event) error {
-	if err := parseCSVEventLine(line, len(cr.resources), len(cr.states), ev); err != nil {
-		return cr.errf("%w", err)
-	}
-	return nil
-}
-
-// parseCSVEventLine decodes one "event,res,st,start,end" line against
-// table sizes. It is shared by the batch reader (which adds the line
-// number via errf) and the tail reader (which adds it via its own
-// CorruptError).
+// parseCSVEventLine decodes one "event,res,st,start,end" line against the
+// table sizes; csvEvent adds the line number.
 func parseCSVEventLine(line string, numResources, numStates int, ev *trace.Event) error {
 	kind, rest, _ := strings.Cut(line, ",")
 	if kind != "event" {
 		return fmt.Errorf("unexpected %q line in event section", kind)
 	}
-	parts := strings.Split(rest, ",")
-	if len(parts) != 4 {
-		return fmt.Errorf("event needs 4 fields, got %d", len(parts))
+	if n := strings.Count(rest, ",") + 1; n != 4 {
+		return fmt.Errorf("event needs 4 fields, got %d", n)
 	}
-	res, err := strconv.Atoi(parts[0])
+	resStr, rest, _ := strings.Cut(rest, ",")
+	stStr, rest, _ := strings.Cut(rest, ",")
+	startStr, endStr, _ := strings.Cut(rest, ",")
+	res, err := strconv.Atoi(resStr)
 	if err != nil {
 		return fmt.Errorf("bad resource: %v", err)
 	}
-	st, err := strconv.Atoi(parts[1])
+	st, err := strconv.Atoi(stStr)
 	if err != nil {
 		return fmt.Errorf("bad state: %v", err)
 	}
-	start, err := strconv.ParseFloat(parts[2], 64)
+	start, err := strconv.ParseFloat(startStr, 64)
 	if err != nil {
 		return fmt.Errorf("bad start: %v", err)
 	}
-	end, err := strconv.ParseFloat(parts[3], 64)
+	end, err := strconv.ParseFloat(endStr, 64)
 	if err != nil {
 		return fmt.Errorf("bad end: %v", err)
 	}

@@ -1,19 +1,12 @@
 package traceio
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
-	"strconv"
-	"strings"
 
 	"ocelotl/internal/failpoint"
-	"ocelotl/internal/trace"
 )
 
 // ErrIncomplete marks trace data that ends cleanly but mid-record: the
@@ -32,21 +25,18 @@ func IsIncomplete(err error) bool { return errors.Is(err, ErrIncomplete) }
 // (chaos tests for live ingestion).
 const FailpointTail = "traceio/tail"
 
-// tailChunk is how many bytes each refill asks the file for.
-const tailChunk = 64 << 10
-
-// errNeedMore is the internal decode signal: the buffered bytes end
-// mid-record. It never escapes TailReader.
-var errNeedMore = errors.New("need more data")
-
-// TailReader follows a trace file that is still being written. Unlike the
-// batch Reader, a clean end-of-file is not final: Next returns
-// ErrIncomplete when the buffered bytes end mid-record (or exactly at a
-// record boundary), and a later call re-polls the file and picks up
-// whatever the writer has flushed since. Undecodable bytes — bad IDs, a
-// malformed line, a varint that cannot terminate — are still a
-// CorruptError carrying the byte offset (binary) or line number (CSV),
-// so callers can distinguish "wait" from "give up".
+// TailReader follows a trace file that is still being written. It is the
+// batch Reader's record reader over a different byte source: it reads
+// the file with ReadAt from the committed offset, and the end of the file
+// is never final. Next returns ErrIncomplete when the flushed bytes end
+// mid-record (or exactly at a record boundary), and a later call re-polls
+// the file and picks up whatever the writer has flushed since. So a final
+// CSV line without '\n' waits for its '\n', and a binary record cut at
+// the end of the file waits for its remaining bytes; the batch reader
+// decodes the first and rejects the second as corrupt. Everything else —
+// header and event decoding, range checks, the CSV line cap — is the same
+// code: undecodable bytes are a CorruptError carrying the byte offset
+// (binary) or line number (CSV), so callers can tell "wait" from "give up".
 //
 // Only uncompressed files can be followed: a gzip stream's trailing
 // checksum makes "more data later" unrepresentable mid-stream.
@@ -54,22 +44,11 @@ var errNeedMore = errors.New("need more data")
 // Offset reports the committed byte offset — the position after the last
 // fully decoded record — which OpenTailAt accepts to resume a follow
 // after a restart without re-reading the prefix. For CSV the offset is
-// always a line boundary.
+// always a line boundary. Window is the header's declared window: for a
+// live trace its end is the writer's plan, not what has been ingested.
 //
 // A TailReader is not safe for concurrent use.
-type TailReader struct {
-	f      *os.File
-	path   string
-	format Format
-
-	resources  []string
-	states     []string
-	start, end float64
-
-	buf  []byte // read from the file but not yet decoded; buf[0] sits at offset off
-	off  int64  // committed byte offset (position of buf[0] in the file)
-	line int    // 1-based count of consumed CSV lines (0 for binary)
-}
+type TailReader struct{ *records }
 
 // OpenTail opens path for follow-mode reading. The header must already be
 // complete on disk — for binary that means the string tables, for CSV the
@@ -98,292 +77,31 @@ func openTail(path string, offset int64) (*TailReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &TailReader{f: f, path: path}
-	if err := t.readHeader(); err != nil {
-		f.Close()
-		return nil, err
+	r, err := newRecords(func(p []byte, at int64) (int, error) {
+		if err := failpoint.Inject(FailpointTail); err != nil {
+			return 0, err
+		}
+		n, err := f.ReadAt(p, at)
+		if n == 0 && err == io.EOF {
+			err = ErrIncomplete
+		}
+		return n, err
+	}, f)
+	if err != nil {
+		switch err {
+		case ErrIncomplete:
+			return nil, fmt.Errorf("traceio: %s: header: %w", path, err)
+		case errGzip:
+			return nil, fmt.Errorf("traceio: %s: cannot follow gzip-compressed traces (the trailing checksum makes a live tail unreadable)", path)
+		}
+		return nil, fmt.Errorf("traceio: %s: %w", path, err)
 	}
 	if offset >= 0 {
-		if offset < t.off {
-			f.Close()
-			return nil, fmt.Errorf("traceio: %s: resume offset %d is inside the header (events start at byte %d)", path, offset, t.off)
+		if offset < r.off {
+			r.Close()
+			return nil, fmt.Errorf("traceio: %s: resume offset %d is inside the header (events start at byte %d)", path, offset, r.off)
 		}
-		t.buf, t.off, t.line = nil, offset, 0
+		r.lo, r.hi, r.off, r.line = 0, 0, offset, 0
 	}
-	return t, nil
-}
-
-// Resources returns the header's resource table.
-func (t *TailReader) Resources() []string { return t.resources }
-
-// States returns the header's state table.
-func (t *TailReader) States() []string { return t.states }
-
-// Window returns the header's declared window. For a live trace the
-// declared end is the writer's plan, not what has been ingested — track
-// the horizon from the events themselves.
-func (t *TailReader) Window() (start, end float64) { return t.start, t.end }
-
-// Format reports the detected encoding.
-func (t *TailReader) Format() Format { return t.format }
-
-// Offset returns the committed byte offset: the position just past the
-// last record Next decoded (or past the header if none yet). Passing it
-// to OpenTailAt resumes the follow exactly there.
-func (t *TailReader) Offset() int64 { return t.off }
-
-// Close releases the underlying file.
-func (t *TailReader) Close() error { return t.f.Close() }
-
-// Next decodes the next event. It returns ErrIncomplete when the file
-// currently ends mid-record or at a record boundary — call again later;
-// if the writer has flushed more, the read resumes where it left off.
-func (t *TailReader) Next(ev *trace.Event) error {
-	for {
-		var n int
-		var err error
-		if t.format == FormatBinary {
-			n, err = t.decodeBinary(ev)
-		} else {
-			n, err = t.decodeCSV(ev)
-		}
-		if err == nil {
-			t.buf = t.buf[n:]
-			t.off += int64(n)
-			return nil
-		}
-		if err != errNeedMore {
-			return err
-		}
-		nr, rerr := t.fill()
-		if nr == 0 {
-			if rerr != nil && rerr != io.EOF {
-				return rerr
-			}
-			return ErrIncomplete
-		}
-	}
-}
-
-// fill reads whatever the file has past the buffered bytes. It returns
-// the number of new bytes (0 at the current end of file).
-func (t *TailReader) fill() (int, error) {
-	if err := failpoint.Inject(FailpointTail); err != nil {
-		return 0, fmt.Errorf("traceio: %s: %w", t.path, err)
-	}
-	if cap(t.buf)-len(t.buf) < tailChunk {
-		nb := make([]byte, len(t.buf), len(t.buf)+tailChunk)
-		copy(nb, t.buf)
-		t.buf = nb
-	}
-	b := t.buf[len(t.buf) : len(t.buf)+tailChunk]
-	n, err := t.f.ReadAt(b, t.off+int64(len(t.buf)))
-	t.buf = t.buf[:len(t.buf)+n]
-	return n, err
-}
-
-func (t *TailReader) corruptAt(offset int64, format string, args ...any) error {
-	return &CorruptError{Format: FormatBinary, Offset: offset, Line: 0, Err: fmt.Errorf(format, args...)}
-}
-
-// decodeBinary tries to decode one OCLT event record from the head of the
-// buffer, returning the bytes consumed. Insufficient bytes is errNeedMore
-// — the torn-record case — while a non-terminating varint or an
-// out-of-range ID is corruption (with ≥ MaxVarintLen64 bytes available a
-// varint either terminates or provably overflows, so the two cannot be
-// confused).
-func (t *TailReader) decodeBinary(ev *trace.Event) (int, error) {
-	b := t.buf
-	res, n1 := binary.Uvarint(b)
-	if n1 == 0 {
-		return 0, errNeedMore
-	}
-	if n1 < 0 {
-		return 0, t.corruptAt(t.off, "event at byte %d: resource varint overflows 64 bits", t.off)
-	}
-	st, n2 := binary.Uvarint(b[n1:])
-	if n2 == 0 {
-		return 0, errNeedMore
-	}
-	if n2 < 0 {
-		return 0, t.corruptAt(t.off, "event at byte %d: state varint overflows 64 bits", t.off)
-	}
-	need := n1 + n2 + 16
-	if len(b) < need {
-		return 0, errNeedMore
-	}
-	if res >= uint64(len(t.resources)) {
-		return 0, t.corruptAt(t.off, "event at byte %d references resource %d, table has %d", t.off, res, len(t.resources))
-	}
-	if st >= uint64(len(t.states)) {
-		return 0, t.corruptAt(t.off, "event at byte %d references state %d, table has %d", t.off, st, len(t.states))
-	}
-	ev.Resource = trace.ResourceID(res)
-	ev.State = trace.StateID(st)
-	ev.Start = math.Float64frombits(binary.LittleEndian.Uint64(b[n1+n2:]))
-	ev.End = math.Float64frombits(binary.LittleEndian.Uint64(b[n1+n2+8:]))
-	return need, nil
-}
-
-// decodeCSV tries to decode one event line from the head of the buffer.
-// Only complete lines (terminated by '\n') are considered — a trailing
-// line fragment is the torn-record case. Blank and comment lines are
-// consumed together with the event line that follows them, so the
-// committed offset always lands on a line boundary.
-func (t *TailReader) decodeCSV(ev *trace.Event) (int, error) {
-	pos := 0
-	lineNo := t.line
-	for {
-		i := bytes.IndexByte(t.buf[pos:], '\n')
-		if i < 0 {
-			return 0, errNeedMore
-		}
-		lineNo++
-		line := strings.TrimSpace(string(t.buf[pos : pos+i]))
-		pos += i + 1
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if err := parseCSVEventLine(line, len(t.resources), len(t.states), ev); err != nil {
-			t.line = lineNo
-			return 0, &CorruptError{Format: FormatCSV, Offset: -1, Line: lineNo, Err: err}
-		}
-		t.line = lineNo
-		return pos, nil
-	}
-}
-
-// readHeader grows the buffer until the header parses completely, the
-// data proves corrupt, or the file runs out mid-header (ErrIncomplete).
-func (t *TailReader) readHeader() error {
-	for {
-		done, err := t.tryParseHeader()
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-		n, rerr := t.fill()
-		if n == 0 {
-			if rerr != nil && rerr != io.EOF {
-				return rerr
-			}
-			return fmt.Errorf("traceio: %s: header: %w", t.path, ErrIncomplete)
-		}
-	}
-}
-
-// tryParseHeader attempts a header parse over the buffered prefix.
-// done=false means more bytes are needed.
-func (t *TailReader) tryParseHeader() (done bool, err error) {
-	if len(t.buf) < 2 {
-		return false, nil
-	}
-	if t.buf[0] == 0x1f && t.buf[1] == 0x8b {
-		return false, fmt.Errorf("traceio: %s: cannot follow gzip-compressed traces (the trailing checksum makes a live tail unreadable)", t.path)
-	}
-	if len(t.buf) < len(binaryMagic) {
-		return false, nil
-	}
-	if string(t.buf[:len(binaryMagic)]) == binaryMagic {
-		return t.tryParseBinaryHeader()
-	}
-	return t.tryParseCSVHeader()
-}
-
-// tryParseBinaryHeader reuses the batch reader's header decoder over the
-// buffered bytes; its countReader tells exactly how many bytes the header
-// occupies. A decode failure caused by running out of bytes is "not yet",
-// anything else is corrupt.
-func (t *TailReader) tryParseBinaryHeader() (bool, error) {
-	br, err := newBinaryReader(bufio.NewReader(bytes.NewReader(t.buf)))
-	if err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return false, nil
-		}
-		return false, fmt.Errorf("traceio: %s: %w", t.path, err)
-	}
-	t.format = FormatBinary
-	t.resources, t.states = br.resources, br.states
-	t.start, t.end = br.start, br.end
-	n := br.r.n
-	t.buf = t.buf[n:]
-	t.off += n
-	return true, nil
-}
-
-// tryParseCSVHeader parses complete header lines from the buffer. The
-// header is complete at the first "event" line (the only unambiguous end
-// of the table section); everything before it is committed, the event
-// line itself is left for Next.
-func (t *TailReader) tryParseCSVHeader() (bool, error) {
-	var resources, states []string
-	var start, end float64
-	pos, lineNo := 0, 0
-	corrupt := func(format string, args ...any) error {
-		return fmt.Errorf("traceio: %s: %w", t.path,
-			&CorruptError{Format: FormatCSV, Offset: -1, Line: lineNo, Err: fmt.Errorf(format, args...)})
-	}
-	for {
-		i := bytes.IndexByte(t.buf[pos:], '\n')
-		if i < 0 {
-			return false, nil
-		}
-		lineNo++
-		line := strings.TrimSpace(string(t.buf[pos : pos+i]))
-		lineStart := pos
-		pos += i + 1
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		kind, rest, _ := strings.Cut(line, ",")
-		switch kind {
-		case "window":
-			a, b, ok := strings.Cut(rest, ",")
-			if !ok {
-				return false, corrupt("malformed window line")
-			}
-			var err error
-			if start, err = strconv.ParseFloat(a, 64); err != nil {
-				return false, corrupt("bad window start: %v", err)
-			}
-			if end, err = strconv.ParseFloat(b, 64); err != nil {
-				return false, corrupt("bad window end: %v", err)
-			}
-		case "resource":
-			idStr, name, ok := strings.Cut(rest, ",")
-			if !ok {
-				return false, corrupt("malformed resource line")
-			}
-			id, err := strconv.Atoi(idStr)
-			if err != nil || id != len(resources) {
-				return false, corrupt("resource IDs must be dense and increasing (got %q, want %d)", idStr, len(resources))
-			}
-			resources = append(resources, name)
-		case "state":
-			idStr, name, ok := strings.Cut(rest, ",")
-			if !ok {
-				return false, corrupt("malformed state line")
-			}
-			id, err := strconv.Atoi(idStr)
-			if err != nil || id != len(states) {
-				return false, corrupt("state IDs must be dense and increasing (got %q, want %d)", idStr, len(states))
-			}
-			states = append(states, name)
-		case "event":
-			if len(resources) == 0 || len(states) == 0 {
-				return false, corrupt("event line before resource/state declarations")
-			}
-			t.format = FormatCSV
-			t.resources, t.states = resources, states
-			t.start, t.end = start, end
-			t.buf = t.buf[lineStart:]
-			t.off += int64(lineStart)
-			t.line = lineNo - 1
-			return true, nil
-		default:
-			return false, corrupt("unknown line kind %q", kind)
-		}
-	}
+	return &TailReader{r}, nil
 }

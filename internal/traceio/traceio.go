@@ -220,22 +220,6 @@ func WriteFile(path string, tr *trace.Trace) error {
 	return w.Close()
 }
 
-// fileReader pairs a Reader with the underlying closers.
-type fileReader struct {
-	Reader
-	closers []io.Closer
-}
-
-func (fr *fileReader) Close() error {
-	err := fr.Reader.Close()
-	for i := len(fr.closers) - 1; i >= 0; i-- {
-		if e := fr.closers[i].Close(); err == nil {
-			err = e
-		}
-	}
-	return err
-}
-
 // FailpointOpen names the fault-injection site at the head of every
 // trace-file open (chaos tests for the load path).
 const FailpointOpen = "traceio/open"
@@ -250,49 +234,51 @@ func OpenFile(path string) (Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	br := bufio.NewReaderSize(f, 1<<20)
+	// Past the peeked bytes, buffer-sized reads bypass br.
+	br := bufio.NewReader(f)
 	closers := []io.Closer{f}
-	magic, err := br.Peek(2)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("traceio: %s: %w", path, err)
-	}
 	var src io.Reader = br
-	if magic[0] == 0x1f && magic[1] == 0x8b { // gzip
+	magic, err := br.Peek(2)
+	if err == nil && magic[0] == 0x1f && magic[1] == 0x8b { // gzip
 		gz, err := gzip.NewReader(br)
 		if err != nil {
 			f.Close()
 			return nil, fmt.Errorf("traceio: %s: %w", path, err)
 		}
 		closers = append(closers, gz)
-		src = bufio.NewReaderSize(gz, 1<<20)
+		src = gz
 	}
-	inner, err := NewReader(src)
+	r, err := newRecords(streamSource(src), closers...)
 	if err != nil {
-		for i := len(closers) - 1; i >= 0; i-- {
-			closers[i].Close()
-		}
 		return nil, fmt.Errorf("traceio: %s: %w", path, err)
 	}
-	return &fileReader{Reader: inner, closers: closers}, nil
+	return r, nil
 }
 
 // NewReader sniffs the format from the stream content and returns the
 // matching decoder. The stream must not be gzip-compressed (OpenFile
-// handles that layer).
+// handles that layer). Its end is final: a clean end of stream is io.EOF
+// at a record boundary and a CorruptError inside a record.
 func NewReader(r io.Reader) (Reader, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 1<<20)
-	}
-	magic, err := br.Peek(4)
+	rec, err := newRecords(streamSource(r))
 	if err != nil {
-		return nil, fmt.Errorf("traceio: stream too short: %w", err)
+		return nil, err
 	}
-	if string(magic) == binaryMagic {
-		return newBinaryReader(br)
+	return rec, nil
+}
+
+// streamSource reads r front to back; the offset is implied. A short read
+// is not an error: the end of the stream shows up on the next call, as
+// io.EOF or as r's own error (a cut gzip stream keeps answering
+// io.ErrUnexpectedEOF).
+func streamSource(r io.Reader) func([]byte, int64) (int, error) {
+	return func(p []byte, _ int64) (int, error) {
+		n, err := io.ReadFull(r, p)
+		if err == io.ErrUnexpectedEOF && n > 0 {
+			err = nil
+		}
+		return n, err
 	}
-	return newCSVReader(br)
 }
 
 // Events adapts a streaming source's Next loop to a single-pass range
