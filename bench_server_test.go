@@ -91,8 +91,7 @@ func BenchmarkServerPan_Scratch(b *testing.B) {
 // each request changes resolution (overview level ↔ zoomed level), panned
 // a little each time so the cache never has the exact window.
 //
-//   - Pyramid (the ladder's historical name, kept for the benchdiff
-//     baseline): both levels are warm in the ladder, so every zoom is a
+//   - Ladder: both levels are warm in the ladder, so every zoom is a
 //     miss served by same-grid derivation from its level's resident;
 //   - Scratch: caching disabled, every zoom pays the full input pass.
 func benchServerZoom(b *testing.B, cacheBytes int64) {
@@ -113,5 +112,5 @@ func benchServerZoom(b *testing.B, cacheBytes int64) {
 	}
 }
 
-func BenchmarkServerZoom_Pyramid(b *testing.B) { benchServerZoom(b, server.DefaultCacheBytes) }
+func BenchmarkServerZoom_Ladder(b *testing.B)  { benchServerZoom(b, server.DefaultCacheBytes) }
 func BenchmarkServerZoom_Scratch(b *testing.B) { benchServerZoom(b, -1) }

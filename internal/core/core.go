@@ -23,8 +23,10 @@
 //     Input concurrently. The solver has one kernel (fused.go): runLanes
 //     carries up to MaxLanes p-lanes through a single triangular
 //     iteration per node — each cell reads its gain/loss and child
-//     offsets once and updates every lane in the inner add-compare loop —
-//     and a single-p RunContext is a one-lane block of it. Solver entry
+//     offsets once, and the temporal cuts are scanned cut-major, one
+//     relaxRow call per (row, cut) updating every lane of the row's later
+//     cells (relax.go; an AVX2 body on amd64) — and a single-p
+//     RunContext is a one-lane block of it. Solver entry
 //     points are memo-free. The Input-level entry points consult the memo
 //     first: SolveContext (one p, memoizing the partition) and the sweep
 //     layer (sweep.go: SweepRunContext, SweepQualityContext,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"ocelotl/internal/measures"
 	"ocelotl/internal/partition"
@@ -13,12 +14,13 @@ import (
 // triangular iteration: the sweep layer (solveLanes) partitions its p list
 // into blocks of at most this many lanes. The width trades per-lane
 // efficiency (wider blocks amortize more of the DP control flow, index
-// arithmetic and gain/loss traffic) against the per-node working set — a
-// block holds MaxLanes·(8+4) bytes per triangle cell of pIC/cut state,
-// which at 16 lanes keeps a |T| ≈ 50 node's live rows inside L2 — and
-// against sweep granularity across workers (the sweep layer shrinks
-// blocks below this cap when splitting them over more workers is the
-// better trade).
+// arithmetic, gain/loss traffic and relaxRow calls over more lanes per
+// 4-lane vector step) against the per-node working set — a block holds
+// MaxLanes·(8+4) bytes per triangle cell of pIC/cut state, which at 16
+// lanes keeps a |T| ≈ 50 node's live rows inside L2 — and against sweep
+// granularity across workers (the sweep layer shrinks blocks below this
+// cap when splitting them over more workers is the better trade). The
+// AVX2 relaxRow body covers every width up to this cap.
 const MaxLanes = 16
 
 // improveThr returns the strict-improvement threshold Improves(·, best)
@@ -28,8 +30,11 @@ const MaxLanes = 16
 // on every add-compare; the comparison is bit-identical to
 // measures.Improves because every pIC alternative is finite (gain and
 // loss are finite sums, p ∈ [0,1]), so Improves' -Inf arm is unreachable.
+// Like Improves it rounds the product before the add: the float64
+// conversion keeps any compiler from fusing the two into an FMA, so the
+// value is the one relaxRowAVX2 computes with a separate multiply and add.
 func improveThr(best float64) float64 {
-	return best + measures.ImproveEps*(1+math.Abs(best))
+	return best + float64(measures.ImproveEps*(1+math.Abs(best)))
 }
 
 // validatePs rejects any p outside [0,1] (or NaN) before a solve starts,
@@ -106,13 +111,19 @@ func (s *Solver) ensureLanes(K int) {
 
 // iterateCellsLanes is the triangular iteration of Algorithm 1 for one
 // node and K p-lanes, assuming every child's pIC strips are already
-// computed: the lane arenas hold one K-wide strip per triangle cell
-// (row-major, like the gain/loss triangles), so every alternative becomes
-// K contiguous add-compares against per-lane cached thresholds. Per lane
-// the sequence of float operations and strict comparisons does not depend
-// on K — same no-cut initialization, same child-order spatial sum, same
-// temporal-cut order — so each lane's pIC and cut matrices are
-// bit-identical to a one-lane solve at that p.
+// computed. The lane arenas hold one K-wide strip per triangle cell
+// (row-major, like the gain/loss triangles), and the scan is cut-major:
+// per row i (last to first) it first stores every cell's no-cut and
+// spatial candidate, then for cut = i..T−2 offers pic(i,cut) +
+// pic(cut+1,j) to all cells (i, j>cut) at once with one relaxRow step
+// (relaxRowAVX2 where the CPU has AVX2), reading row cut+1 contiguously.
+// pic(i,cut) is final when cut is offered: its own cuts i..cut−1 were
+// offered before. Each cell still sees the same candidates in the same
+// order — no cut, spatial, then temporal cuts ascending — with the same
+// adds and strict compares against per-lane cached thresholds, and per
+// lane none of it depends on K, so each lane's pIC and cut matrices are
+// bit-identical to a one-lane solve at that p. The row's thresholds live
+// in a stack strip; past T·K = 1024 they take a pooled heap strip.
 func (s *Solver) iterateCellsLanes(id, K int, eff *[MaxLanes]float64) {
 	in := s.in
 	T := in.T
@@ -123,23 +134,35 @@ func (s *Solver) iterateCellsLanes(id, K int, eff *[MaxLanes]float64) {
 	cuts := s.laneCut[off*K : (off+in.cells)*K]
 	childOffs := in.meta[id].childOffs
 	p := eff[:K:K]
-	var qa, best, thr, sums [MaxLanes]float64
-	var bestCutA [MaxLanes]int32
+	var qa, sums [MaxLanes]float64
 	q := qa[:K:K]
 	for k := range p {
 		q[k] = 1 - p[k]
 	}
-	bst, th, bestCut := best[:K:K], thr[:K:K], bestCutA[:K:K]
+	avx2 := relaxAVX2
+	var thrA [1024]float64
+	thr := thrA[:]
+	if T*K > len(thrA) {
+		sp := getThrStrip(T * K)
+		defer thrStrips.Put(sp)
+		thr = *sp
+	}
 	for i := T - 1; i >= 0; i-- {
-		base := i*T - i*(i-1)/2  // triIndex(i, i)
-		nextBase := base + T - i // triIndex(i+1, i+1)
-		rowPic := pic[base*K:]
+		base := i*T - i*(i-1)/2 // triIndex(i, i)
+		n := (T - i) * K        // the row's strips, flattened
+		rowPic := pic[base*K : base*K+n]
+		rowCut := cuts[base*K : base*K+n]
+		rowThr := thr[:n]
 		for j := i; j < T; j++ {
 			idx := base + (j - i)
+			ob := (j - i) * K
+			op := rowPic[ob : ob+K : ob+K]
+			ot := rowThr[ob : ob+K : ob+K]
+			oc := rowCut[ob : ob+K : ob+K]
 			g, l := gain[idx], loss[idx]
-			for k := range bst {
+			for k := range op {
 				b := p[k]*g - q[k]*l // no cut
-				bst[k], th[k], bestCut[k] = b, improveThr(b), int32(j)
+				op[k], ot[k], oc[k] = b, improveThr(b), int32(j)
 			}
 			if len(childOffs) > 0 { // spatial cut?
 				sm := sums[:K:K]
@@ -154,49 +177,44 @@ func (s *Solver) iterateCellsLanes(id, K int, eff *[MaxLanes]float64) {
 					}
 				}
 				for k := range sm {
-					if sm[k] > th[k] {
-						bst[k], th[k], bestCut[k] = sm[k], improveThr(sm[k]), CutSpatial
+					if sm[k] > ot[k] {
+						op[k], ot[k], oc[k] = sm[k], improveThr(sm[k]), CutSpatial
 					}
 				}
-			}
-			// Temporal cuts: the left parts pic[(i, cut)] walk the row-i
-			// strips of rowPic contiguously; the right parts
-			// pic[(cut+1, j)] start at triIndex(i+1, j) and advance by
-			// T-cut-2 strips per step (triIndex is affine along a fixed j).
-			rIdx := nextBase + (j - i - 1)
-			if K == 1 {
-				// One lane: a scalar add-compare, free of the per-cut
-				// strip slicing a wider block amortizes.
-				b, t, c := bst[0], th[0], bestCut[0]
-				for cut := i; cut < j; cut++ {
-					if v := rowPic[cut-i] + pic[rIdx]; v > t {
-						b, t, c = v, improveThr(v), int32(cut)
-					}
-					rIdx += T - cut - 2
-				}
-				bst[0], th[0], bestCut[0] = b, t, c
-			} else {
-				for cut := i; cut < j; cut++ {
-					lb := (cut - i) * K
-					lp := rowPic[lb : lb+K : lb+K]
-					rb := rIdx * K
-					rp := pic[rb : rb+K : rb+K]
-					for k := range lp {
-						if v := lp[k] + rp[k]; v > th[k] {
-							bst[k], th[k], bestCut[k] = v, improveThr(v), int32(cut)
-						}
-					}
-					rIdx += T - cut - 2
-				}
-			}
-			ob := idx * K
-			op := pic[ob : ob+K : ob+K]
-			oc := cuts[ob : ob+K : ob+K]
-			for k := range op {
-				op[k], oc[k] = bst[k], bestCut[k]
 			}
 		}
+		// Temporal cuts: the right parts pic(cut+1, j>cut) are row cut+1
+		// of the triangle, which starts at triIndex(cut+1, cut+1).
+		rBase := base + T - i
+		for cut := i; cut < T-1; cut++ {
+			lb := (cut - i) * K
+			L, R := rowPic[lb:lb+K], pic[rBase*K:rBase*K+(T-cut-1)*K]
+			P, TH, C := rowPic[lb+K:], rowThr[lb+K:], rowCut[lb+K:]
+			if avx2 {
+				relaxRowAVX2(L, R, P, TH, C, int32(cut))
+			} else {
+				relaxRow(L, R, P, TH, C, int32(cut))
+			}
+			rBase += T - cut - 1
+		}
 	}
+}
+
+// thrStrips recycles the threshold strips of rows too long for the
+// kernel's stack strip (T·K > 1024), so such a model allocates one per
+// concurrent worker instead of one per node and block.
+var thrStrips sync.Pool
+
+// getThrStrip returns a pooled strip of n thresholds, allocating it when
+// the pool has none that long.
+func getThrStrip(n int) *[]float64 {
+	sp, _ := thrStrips.Get().(*[]float64)
+	if sp == nil || cap(*sp) < n {
+		strip := make([]float64, n)
+		return &strip
+	}
+	*sp = (*sp)[:n]
+	return sp
 }
 
 // recoverLane walks lane k's cut matrix (stride K strips) from

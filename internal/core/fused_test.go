@@ -163,14 +163,46 @@ func TestRunManyRejectsBadP(t *testing.T) {
 // TestImproveThrMatchesImproves pins the kernel's one compare rule:
 // candidate > improveThr(best) is measures.Improves(candidate, best) for
 // every finite best, at the threshold itself (no improvement: ties keep
-// the aggregate) and one ulp above it (an improvement).
+// the aggregate) and one ulp above it (an improvement). Both helpers must
+// compute the explicitly rounded best + float64(eps·(1+|best|)), never
+// the fused one: the bests drawn below include ones where the two differ
+// by an ulp, so a helper whose product a compiler fuses into an FMA fails
+// here.
 func TestImproveThrMatchesImproves(t *testing.T) {
+	rounded := func(b float64) float64 {
+		return b + float64(measures.ImproveEps*(1+math.Abs(b)))
+	}
+	fused := func(b float64) float64 {
+		return math.FMA(measures.ImproveEps, 1+math.Abs(b), b)
+	}
 	subnormal := math.Float64frombits(0x000fffffffffffff) // largest subnormal
-	for _, best := range []float64{
+	bests := []float64{
 		0, math.Copysign(0, -1), 1, -1, 1e300, -1e300,
 		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, subnormal, -subnormal,
-	} {
+	}
+	// Bests where fusing moves the threshold: for b in [1,2) pick the
+	// rounded product t = (2i+1)·2⁻⁵³, half an ulp of b off its grid, so
+	// b + t is a tie that the exact (fused) sum b + eps·(1+b) is not.
+	differ := 0
+	for i := 10000; differ < 16; i++ {
+		if i == 10100 {
+			t.Fatalf("found only %d bests whose fused and rounded thresholds differ", differ)
+		}
+		b := float64(2*i+1)*0x1p-53/measures.ImproveEps - 1
+		for range 8 {
+			if fused(b) != rounded(b) {
+				bests = append(bests, b, -b)
+				differ++
+				break
+			}
+			b = math.Nextafter(b, 2)
+		}
+	}
+	for _, best := range bests {
 		thr := improveThr(best)
+		if math.Float64bits(thr) != math.Float64bits(rounded(best)) {
+			t.Errorf("best %v: improveThr = %v, want the separately rounded %v (fused: %v)", best, thr, rounded(best), fused(best))
+		}
 		above := math.Nextafter(thr, math.Inf(1))
 		for _, c := range []float64{best, math.Nextafter(thr, math.Inf(-1)), thr, above} {
 			if got, want := c > thr, measures.Improves(c, best); got != want {

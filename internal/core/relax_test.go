@@ -1,0 +1,389 @@
+package core
+
+import (
+	"context"
+	"math"
+	"math/rand"
+	"slices"
+	"strconv"
+	"testing"
+
+	"ocelotl/internal/hierarchy"
+	"ocelotl/internal/microscopic"
+	"ocelotl/internal/mpisim"
+	"ocelotl/internal/partition"
+	"ocelotl/internal/timeslice"
+)
+
+// refIterateCellsLanes is a verbatim copy of the cell-major triangular
+// iteration the cut-major kernel replaced: per cell (i, j), the no-cut and
+// spatial candidates, then every temporal cut of that one cell, with the
+// right parts walked down column j by the triIndex stride and a scalar
+// branch for one lane.
+func refIterateCellsLanes(s *Solver, id, K int, eff *[MaxLanes]float64) {
+	in := s.in
+	T := in.T
+	off := in.offs[id]
+	gain := in.gain[off : off+in.cells]
+	loss := in.loss[off : off+in.cells]
+	pic := s.lanePic[off*K : (off+in.cells)*K]
+	cuts := s.laneCut[off*K : (off+in.cells)*K]
+	childOffs := in.meta[id].childOffs
+	p := eff[:K:K]
+	var qa, best, thr, sums [MaxLanes]float64
+	var bestCutA [MaxLanes]int32
+	q := qa[:K:K]
+	for k := range p {
+		q[k] = 1 - p[k]
+	}
+	bst, th, bestCut := best[:K:K], thr[:K:K], bestCutA[:K:K]
+	for i := T - 1; i >= 0; i-- {
+		base := i*T - i*(i-1)/2  // triIndex(i, i)
+		nextBase := base + T - i // triIndex(i+1, i+1)
+		rowPic := pic[base*K:]
+		for j := i; j < T; j++ {
+			idx := base + (j - i)
+			g, l := gain[idx], loss[idx]
+			for k := range bst {
+				b := p[k]*g - q[k]*l // no cut
+				bst[k], th[k], bestCut[k] = b, improveThr(b), int32(j)
+			}
+			if len(childOffs) > 0 { // spatial cut?
+				sm := sums[:K:K]
+				for k := range sm {
+					sm[k] = 0
+				}
+				for _, co := range childOffs {
+					cb := (co + idx) * K
+					cp := s.lanePic[cb : cb+K : cb+K]
+					for k := range sm {
+						sm[k] += cp[k]
+					}
+				}
+				for k := range sm {
+					if sm[k] > th[k] {
+						bst[k], th[k], bestCut[k] = sm[k], improveThr(sm[k]), CutSpatial
+					}
+				}
+			}
+			rIdx := nextBase + (j - i - 1)
+			if K == 1 {
+				b, t, c := bst[0], th[0], bestCut[0]
+				for cut := i; cut < j; cut++ {
+					if v := rowPic[cut-i] + pic[rIdx]; v > t {
+						b, t, c = v, improveThr(v), int32(cut)
+					}
+					rIdx += T - cut - 2
+				}
+				bst[0], th[0], bestCut[0] = b, t, c
+			} else {
+				for cut := i; cut < j; cut++ {
+					lb := (cut - i) * K
+					lp := rowPic[lb : lb+K : lb+K]
+					rb := rIdx * K
+					rp := pic[rb : rb+K : rb+K]
+					for k := range lp {
+						if v := lp[k] + rp[k]; v > th[k] {
+							bst[k], th[k], bestCut[k] = v, improveThr(v), int32(cut)
+						}
+					}
+					rIdx += T - cut - 2
+				}
+			}
+			ob := idx * K
+			op := pic[ob : ob+K : ob+K]
+			oc := cuts[ob : ob+K : ob+K]
+			for k := range op {
+				op[k], oc[k] = bst[k], bestCut[k]
+			}
+		}
+	}
+}
+
+// relaxBodies lists the relaxAVX2 settings this machine can run: the
+// portable relaxRow always, relaxRowAVX2 where the CPU has AVX2.
+func relaxBodies() []bool {
+	if avx2Supported() {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
+// setRelaxAVX2 selects relaxRow's body and returns a func restoring the
+// previous choice.
+func setRelaxAVX2(on bool) func() {
+	prev := relaxAVX2
+	relaxAVX2 = on
+	return func() { relaxAVX2 = prev }
+}
+
+// solveArenas runs one K-lane block's node walk on a fresh solver with
+// the given triangular iteration and returns its pIC and cut arenas.
+func solveArenas(in *Input, ps []float64, iterate func(s *Solver, id, K int, eff *[MaxLanes]float64)) ([]float64, []int32) {
+	s := in.NewSolver()
+	s.Workers = 1
+	K := len(ps)
+	s.ensureLanes(K)
+	var eff [MaxLanes]float64
+	for k, p := range ps {
+		eff[k] = in.effectiveP(p)
+	}
+	s.walk(context.Background(), in.rootID, func(id int) { iterate(s, id, K, &eff) })
+	return s.lanePic, s.laneCut
+}
+
+// homogeneousModel is a tie-heavy model: every leaf spends the same share
+// of every slice in every state, so many alternatives of a cell score the
+// same pIC up to rounding and the strict compare decides between them.
+func homogeneousModel(rng *rand.Rand) *microscopic.Model {
+	h, err := hierarchy.FromPaths(randomHierarchyPaths(rng, 2+rng.Intn(7)))
+	if err != nil {
+		panic(err)
+	}
+	T := 4 + rng.Intn(12)
+	sl, _ := timeslice.New(0, float64(T), T)
+	X := 1 + rng.Intn(3)
+	states := make([]string, X)
+	shares := make([]float64, X)
+	for x := range states {
+		states[x] = "x" + strconv.Itoa(x)
+		shares[x] = rng.Float64() / float64(X)
+	}
+	m := microscopic.NewEmpty(h, sl, states)
+	for s := 0; s < h.NumLeaves(); s++ {
+		for ti := 0; ti < T; ti++ {
+			for x, share := range shares {
+				m.AddD(x, s, ti, share)
+			}
+		}
+	}
+	return m
+}
+
+// TestCutMajorKernelBitIdentical compares the cut-major kernel with the
+// verbatim cell-major reference cell by cell — the Float64bits of every
+// pIC lane and every cut — on random and homogeneous models for every
+// block width 1..MaxLanes, and on a 70-slice model whose widest blocks
+// take the pooled heap strip, once with each relaxRow body.
+func TestCutMajorKernelBitIdentical(t *testing.T) {
+	for _, avx2 := range relaxBodies() {
+		t.Run("avx2="+strconv.FormatBool(avx2), func(t *testing.T) {
+			defer setRelaxAVX2(avx2)()
+			rng := rand.New(rand.NewSource(41))
+			for trial := 0; trial < 12; trial++ {
+				var m *microscopic.Model
+				if trial%2 == 0 {
+					m = randomFusedModel(rng)
+				} else {
+					m = homogeneousModel(rng)
+				}
+				in := testInput(t, m, Options{Workers: 1, Normalize: trial%4 == 1})
+				checkKernelBitIdentical(t, in, rng, "trial "+strconv.Itoa(trial), 1)
+			}
+			// T·K > 1024 from K = 15: the rows' thresholds take a pooled
+			// heap strip instead of the kernel's stack strip.
+			in := testInput(t, scalingModel(t, 6, 70), Options{Workers: 1})
+			checkKernelBitIdentical(t, in, rng, "6x70", 13)
+		})
+	}
+}
+
+// checkKernelBitIdentical solves in with random p blocks of every width
+// minK..MaxLanes through both the cut-major kernel and the cell-major
+// reference and fails on the first lane cell whose pIC bits or cut differ.
+func checkKernelBitIdentical(t *testing.T, in *Input, rng *rand.Rand, model string, minK int) {
+	t.Helper()
+	for K := minK; K <= MaxLanes; K++ {
+		ps := make([]float64, K)
+		for k := range ps {
+			ps[k] = rng.Float64()
+			if rng.Intn(5) == 0 { // an endpoint
+				ps[k] = float64(rng.Intn(2))
+			}
+		}
+		label := model + " K=" + strconv.Itoa(K)
+		gotPic, gotCut := solveArenas(in, ps, (*Solver).iterateCellsLanes)
+		wantPic, wantCut := solveArenas(in, ps, refIterateCellsLanes)
+		for c := range wantPic {
+			if math.Float64bits(gotPic[c]) != math.Float64bits(wantPic[c]) || gotCut[c] != wantCut[c] {
+				t.Fatalf("%s: lane cell %d: pIC %v cut %d, reference pIC %v cut %d",
+					label, c, gotPic[c], gotCut[c], wantPic[c], wantCut[c])
+			}
+		}
+	}
+}
+
+// TestRunLanesAllocs pins runLanes' allocations on a warm solver to
+// what the cell-major kernel made: the partitions it returns and nothing
+// per node. The cut-major kernel's threshold strip must stay on its stack
+// frame up to T·K = 1024 (the 24×40 model; relaxRowAVX2 is go:noescape
+// for it) and come from the strip pool past that (the 6×70 model at
+// K = 15 and 16; not pinned under -race, see raceEnabled), with either
+// relaxRow body.
+func TestRunLanesAllocs(t *testing.T) {
+	for _, c := range []struct {
+		S, T   int
+		allocs map[int]float64 // by K
+	}{
+		{24, 40, map[int]float64{1: 12, 8: 81, 16: 159}},
+		{6, 70, map[int]float64{1: 11, 8: 71, 15: 129, 16: 138}},
+	} {
+		in := testInput(t, scalingModel(t, c.S, c.T), Options{Workers: 1})
+		s := in.NewSolver()
+		for _, avx2 := range relaxBodies() {
+			t.Run(strconv.Itoa(c.S)+"x"+strconv.Itoa(c.T)+"/avx2="+strconv.FormatBool(avx2), func(t *testing.T) {
+				defer setRelaxAVX2(avx2)()
+				for K, want := range c.allocs {
+					if raceEnabled && c.T*K > 1024 {
+						continue // the pooled strip
+					}
+					ps := make([]float64, K)
+					for k := range ps {
+						ps[k] = float64(k+1) / float64(K+1)
+					}
+					out := make([]*partition.Partition, K)
+					got := testing.AllocsPerRun(5, func() {
+						if err := s.runLanes(context.Background(), ps, out); err != nil {
+							t.Fatal(err)
+						}
+					})
+					if got != want {
+						t.Errorf("K=%d: runLanes allocates %v times per run, want %v", K, got, want)
+					}
+				}
+			})
+		}
+	}
+}
+
+// fuzzBytes reads fuzz input one value at a time, zeros past its end.
+type fuzzBytes []byte
+
+func (r *fuzzBytes) next() byte {
+	if len(*r) == 0 {
+		return 0
+	}
+	b := (*r)[0]
+	*r = (*r)[1:]
+	return b
+}
+
+// float decodes one value: a selector byte picks NaN, ±Inf, ±0, a small
+// integer or, otherwise, the next eight bytes as raw bits.
+func (r *fuzzBytes) float() float64 {
+	switch r.next() % 8 {
+	case 0:
+		return math.NaN()
+	case 1:
+		return math.Inf(1)
+	case 2:
+		return math.Inf(-1)
+	case 3:
+		return math.Copysign(0, -1)
+	case 4:
+		return 0
+	case 5:
+		return float64(int8(r.next()))
+	default:
+		var bits uint64
+		for i := 0; i < 8; i++ {
+			bits = bits<<8 | uint64(r.next())
+		}
+		return math.Float64frombits(bits)
+	}
+}
+
+// FuzzRelaxRow compares relaxRowAVX2 with the portable relaxRow bit
+// for bit — every P, TH and C lane — for K = 1..MaxLanes and rows from
+// zero strips up, rows shorter than one 4-lane vector included. The
+// thresholds are drawn against the candidates: a candidate can equal its
+// threshold exactly, sit one ulp below or above it, or meet a NaN, ±Inf
+// or −0 on either side.
+func FuzzRelaxRow(f *testing.F) {
+	if !avx2Supported() {
+		f.Skip("no relaxRowAVX2 on this CPU")
+	}
+	f.Add(uint8(0), uint8(3), int32(7), []byte{4, 5, 1, 5, 2, 0, 1, 6, 0x3f, 0xf0, 0, 0, 0, 0, 0, 0})
+	f.Add(uint8(7), uint8(5), int32(-1), []byte{3, 3, 1, 2, 6, 0x40, 1, 2, 3, 4, 5, 6, 7})
+	f.Add(uint8(15), uint8(1), int32(0), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
+	f.Fuzz(func(t *testing.T, k, n uint8, cut int32, data []byte) {
+		K := 1 + int(k)%MaxLanes
+		M := K * (int(n) % 24)
+		r := fuzzBytes(data)
+		L := make([]float64, K)
+		for i := range L {
+			L[i] = r.float()
+		}
+		R := make([]float64, M)
+		P := make([]float64, M)
+		TH := make([]float64, M)
+		C := make([]int32, M)
+		for m := range R {
+			R[m] = r.float()
+			P[m] = r.float()
+			C[m] = int32(m) - 3
+			v := L[m%K] + R[m]
+			switch r.next() % 5 {
+			case 0:
+				TH[m] = v
+			case 1:
+				TH[m] = math.Nextafter(v, math.Inf(-1))
+			case 2:
+				TH[m] = math.Nextafter(v, math.Inf(1))
+			case 3:
+				TH[m] = improveThr(v)
+			default:
+				TH[m] = r.float()
+			}
+		}
+		goP, goTH, goC := slices.Clone(P), slices.Clone(TH), slices.Clone(C)
+		relaxRow(L, R, goP, goTH, goC, cut)
+		relaxRowAVX2(L, R, P, TH, C, cut)
+		for m := range P {
+			if math.Float64bits(P[m]) != math.Float64bits(goP[m]) ||
+				math.Float64bits(TH[m]) != math.Float64bits(goTH[m]) || C[m] != goC[m] {
+				t.Fatalf("K=%d lane %d of %d: AVX2 (P %v, TH %v, C %d), Go (P %v, TH %v, C %d)",
+					K, m, M, P[m], TH[m], C[m], goP[m], goTH[m], goC[m])
+			}
+		}
+	})
+}
+
+// scalingModel is the root benchmarks' artificial |S|×|T| model.
+func scalingModel(tb testing.TB, S, T int) *microscopic.Model {
+	tb.Helper()
+	m, err := microscopic.Build(mpisim.ArtificialSized(S, T), microscopic.Options{Slices: T})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
+
+// BenchmarkSolveLanes_K* time the Algorithm 1 kernel alone: one K-lane
+// runLanes block on a warm solver over a prebuilt 96×40 Input, with no
+// input pass, memo or pool in the timed loop. ns/p is the cost per
+// answered p; K=8 is the sweep's lane width on two cores.
+func BenchmarkSolveLanes_K1(b *testing.B)  { benchSolveLanes(b, 1) }
+func BenchmarkSolveLanes_K8(b *testing.B)  { benchSolveLanes(b, 8) }
+func BenchmarkSolveLanes_K16(b *testing.B) { benchSolveLanes(b, 16) }
+
+func benchSolveLanes(b *testing.B, K int) {
+	in := testInput(b, scalingModel(b, 96, 40), Options{Workers: 1})
+	s := in.NewSolver()
+	ps := make([]float64, K)
+	for k := range ps {
+		ps[k] = float64(k+1) / float64(K+1)
+	}
+	out := make([]*partition.Partition, K)
+	ctx := context.Background()
+	if err := s.runLanes(ctx, ps, out); err != nil { // size the lane arenas
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.runLanes(ctx, ps, out); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*K), "ns/p")
+}

@@ -124,12 +124,14 @@ const ImproveEps = 1e-12
 
 // Improves reports whether candidate strictly beats best beyond rounding
 // noise. An infinite best (the DP initialization) is beaten by anything
-// finite.
+// finite. The threshold rounds the product before the add (the explicit
+// float64 conversion forbids fusing it into one FMA), so it is the same
+// float on every architecture and matches the vector kernel's.
 func Improves(candidate, best float64) bool {
 	if math.IsInf(best, -1) {
 		return !math.IsInf(candidate, -1)
 	}
-	return candidate > best+ImproveEps*(1+math.Abs(best))
+	return candidate > best+float64(ImproveEps*(1+math.Abs(best)))
 }
 
 // Entropy returns the Shannon entropy −Σ p_i log₂ p_i of a distribution.

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Run the root benchmark suite and emit BENCH_core.json (benchmark name →
+# Run the root benchmark suite and the Algorithm 1 kernel benchmarks of
+# internal/core, and emit BENCH_core.json (benchmark name →
 # ns/op, allocs/op, bytes/op, plus any custom metric like
 # BenchmarkSweepCancel's cancel_ns_per_op: time-to-return after cancelling
 # a mid-flight sweep) so successive PRs leave a comparable perf trajectory
 # in the repo. The suite covers the engine (input pass, Run, the fused
 # multi-p sweeps BenchmarkSweepFused_{K4,K16} vs BenchmarkSweepSingle_K16,
+# the kernel alone on a prebuilt Input BenchmarkSolveLanes_{K1,K8,K16},
 # the batched dichotomy BenchmarkSignificantPs{,_Batched}, cooperative
 # cancellation), the windowing families (BenchmarkWindowPan/Zoom), the
 # out-of-core store (BenchmarkStoreBuild, BenchmarkStoreWindowRead with
@@ -34,7 +36,12 @@ out="${OUT:-BENCH_core.json}"
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
+# internal/core contributes only its kernel benchmarks unless BENCH asks
+# for more; its input-pass and Run benchmarks stay out of the baseline.
+core_pattern="${BENCH:-^BenchmarkSolveLanes_}"
+
 go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -benchmem . | tee "$tmp"
+go test -run '^$' -bench "$core_pattern" -benchtime "$benchtime" -benchmem ./internal/core | tee -a "$tmp"
 
 awk '
 BEGIN { printf "{\n" }

@@ -48,7 +48,7 @@ BenchmarkWindowPan_DiskIndex
 BenchmarkWindowZoom_Incremental
 BenchmarkWindowZoomOut_Incremental
 BenchmarkServerPan_Hit
-BenchmarkServerZoom_Pyramid
+BenchmarkServerZoom_Ladder
 BenchmarkServerPan_Scratch
 BenchmarkTable2_Read_C
 BenchmarkTable2_AggregationInput_C
