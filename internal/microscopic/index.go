@@ -436,8 +436,9 @@ func OpenReslicerStore(path string, opt IndexOptions) (*Reslicer, error) {
 	return r, nil
 }
 
-// checkEvent validates an event against the tables — the same acceptance
-// rules indexEvent applies on the buffered path — and returns its leaf.
+// checkEvent validates an event against the tables and returns its leaf:
+// the one copy of the acceptance rules, shared by BuildStream, the
+// buffered index path (indexEvent) and the direct-to-store path.
 func checkEvent(r2leaf []int, numStates int, e trace.Event) (int, error) {
 	if int(e.State) >= numStates || e.State < 0 {
 		return 0, fmt.Errorf("microscopic: event references state %d, table has %d", e.State, numStates)

@@ -22,7 +22,7 @@ func diskReslicer(t *testing.T, tr *trace.Trace, spill bool) *Reslicer {
 	if spill {
 		opt.Store.SortBufferEvents = 61
 	}
-	r, err := NewReslicerIndexed(&traceSource{tr: tr}, opt)
+	r, err := NewReslicerIndexed(TraceSource(tr), opt)
 	if err != nil {
 		t.Fatalf("NewReslicerIndexed(disk): %v", err)
 	}
@@ -108,7 +108,7 @@ func TestDiskIndexBitIdenticalToRAM(t *testing.T) {
 func TestAutoModeSelectsBackendBySize(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tr := randomTrace(rng, 5, 500, 15)
-	small, err := NewReslicerIndexed(&traceSource{tr: tr},
+	small, err := NewReslicerIndexed(TraceSource(tr),
 		IndexOptions{Mode: IndexAuto, Threshold: 1000, Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestAutoModeSelectsBackendBySize(t *testing.T) {
 	if small.IndexKind() != "ram" {
 		t.Fatalf("below threshold: kind %q, want ram", small.IndexKind())
 	}
-	big, err := NewReslicerIndexed(&traceSource{tr: tr},
+	big, err := NewReslicerIndexed(TraceSource(tr),
 		IndexOptions{Mode: IndexAuto, Threshold: 100, Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)

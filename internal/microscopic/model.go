@@ -2,12 +2,16 @@
 // the raw timestamped events are preliminarily aggregated within
 // microscopic spatiotemporal areas (s, t) — one resource × one regular time
 // slice — producing the tridimensional dataset d_x(s,t) that every
-// aggregation algorithm consumes.
+// aggregation algorithm consumes. One kernel, spread, gives an event to
+// the slices it overlaps in proportion to the overlap; the streaming
+// build (BuildStream) and the event-index fills of Reslicer both call it,
+// so the two cannot disagree on the rule.
 package microscopic
 
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"ocelotl/internal/hierarchy"
 	"ocelotl/internal/timeslice"
@@ -118,28 +122,23 @@ type EventSource interface {
 
 // BuildStream constructs the model from a streaming source without
 // materializing the events, so Table II-scale traces (hundreds of millions
-// of events) fit in O(|X|·|S|·|T|) memory.
+// of events) fit in O(|X|·|S|·|T|) memory. Each cell sums its events in
+// stream order.
 func BuildStream(src EventSource, opt Options) (*Model, error) {
 	h, err := hierarchy.FromPaths(src.Resources())
 	if err != nil {
 		return nil, err
 	}
-	if opt.Slices <= 0 {
-		opt.Slices = DefaultSlices
-	}
-	start, end := opt.Start, opt.End
-	if start == 0 && end == 0 {
-		start, end = src.Window()
-	}
-	sl, err := timeslice.New(start, end, opt.Slices)
+	sl, err := opt.slicer(src.Window())
 	if err != nil {
-		return nil, fmt.Errorf("microscopic: %w", err)
+		return nil, err
 	}
 	m := NewEmpty(h, sl, src.States())
 	r2leaf, err := leafMap(h, src.Resources())
 	if err != nil {
 		return nil, err
 	}
+	edges, w := boundaries(sl, 0, sl.N-1), sl.Width()
 	var ev trace.Event
 	for {
 		if err := src.Next(&ev); err != nil {
@@ -148,19 +147,74 @@ func BuildStream(src EventSource, opt Options) (*Model, error) {
 			}
 			return nil, fmt.Errorf("microscopic: reading events: %w", err)
 		}
-		if int(ev.State) >= len(m.dx) || ev.State < 0 {
-			return nil, fmt.Errorf("microscopic: event references state %d, table has %d", ev.State, len(m.dx))
+		s, err := checkEvent(r2leaf, len(m.dx), ev)
+		if err != nil {
+			return nil, err
 		}
-		if int(ev.Resource) >= len(r2leaf) || ev.Resource < 0 {
-			return nil, fmt.Errorf("microscopic: event references resource %d, table has %d", ev.Resource, len(r2leaf))
-		}
-		s := r2leaf[ev.Resource]
-		x := int(ev.State)
-		sl.Overlap(ev.Start, ev.End, func(t int, sec float64) {
-			m.dx[x][s*sl.N+t] += sec
-		})
+		spread(m.dx[ev.State][s*sl.N:], edges, w, sl.Start, sl.End, ev.Start, ev.End)
 	}
 	return m, nil
+}
+
+// slicer resolves build options to the slicer a build fills: Slices
+// defaults to DefaultSlices, and a zero Start/End means the source's
+// observation window [winStart, winEnd).
+func (opt Options) slicer(winStart, winEnd float64) (timeslice.Slicer, error) {
+	n := opt.Slices
+	if n <= 0 {
+		n = DefaultSlices
+	}
+	start, end := opt.Start, opt.End
+	if start == 0 && end == 0 {
+		start, end = winStart, winEnd
+	}
+	sl, err := timeslice.New(start, end, n)
+	if err != nil {
+		return timeslice.Slicer{}, fmt.Errorf("microscopic: %w", err)
+	}
+	return sl, nil
+}
+
+// boundaries returns the n+1 boundary floats of slices lo..hi of sl,
+// taken from Bounds so that edges[i+1] is bit-for-bit the end of slice
+// lo+i and the start of slice lo+i+1.
+func boundaries(sl timeslice.Slicer, lo, hi int) []float64 {
+	edges := make([]float64, hi-lo+2)
+	for i := range edges {
+		edges[i], _ = sl.Bounds(lo + i)
+	}
+	return edges
+}
+
+// spread is the event→cell kernel of §III.A(2): it clips the event
+// [start, end) to [clipLo, clipHi) and adds to row[i] the time the event
+// spends in slice i, the slice bounded by edges[i] and edges[i+1], for
+// every slice it overlaps. w is the slice width; it only guesses the first
+// slice, which the table comparisons then make exact. An event that is
+// empty after clipping, inverted or NaN adds nothing.
+func spread(row, edges []float64, w, clipLo, clipHi, start, end float64) {
+	start, end = math.Max(start, clipLo), math.Min(end, clipHi)
+	if !(end > start) {
+		return
+	}
+	n := len(edges) - 1
+	i := 0
+	if g := (start - edges[0]) / w; g >= float64(n) {
+		i = n - 1
+	} else if g > 0 {
+		i = int(g)
+	}
+	for i > 0 && edges[i] > start {
+		i--
+	}
+	for i < n-1 && edges[i+1] <= start {
+		i++
+	}
+	for ; i < n && edges[i] < end; i++ {
+		if a, b := math.Max(start, edges[i]), math.Min(end, edges[i+1]); b > a {
+			row[i] += b - a
+		}
+	}
 }
 
 // Validate performs sanity checks: no negative durations, and (unless

@@ -19,7 +19,7 @@ func keptDiskReslicer(t *testing.T, rng *rand.Rand) (*Reslicer, string) {
 		KeepStore: true,
 		Store:     eventstore.Options{TargetChunkEvents: 32},
 	}
-	r, err := NewReslicerIndexed(&traceSource{tr: tr}, opt)
+	r, err := NewReslicerIndexed(TraceSource(tr), opt)
 	if err != nil {
 		t.Fatalf("NewReslicerIndexed(disk, keep): %v", err)
 	}

@@ -2,6 +2,7 @@ package microscopic
 
 import (
 	"fmt"
+	"math"
 
 	"ocelotl/internal/eventstore"
 	"ocelotl/internal/hierarchy"
@@ -29,10 +30,10 @@ func (ov SliceOverlap) Shared() bool { return ov.W > 0 }
 // The index has two backends behind one contract (see eventIndex): the
 // in-RAM struct-of-arrays (~28 B/event — the small-trace fast path) and
 // the chunked on-disk event store (O(window) bytes per fill — the
-// out-of-core path for traces past RAM). NewReslicer/NewReslicerStream
-// build the RAM index; NewReslicerIndexed selects by IndexOptions. Both
-// backends visit identical events in identical order, so the models they
-// produce are bit-identical.
+// out-of-core path for traces past RAM). NewReslicer builds the RAM index
+// of an in-memory trace; NewReslicerIndexed indexes any EventSource and
+// selects the backend by IndexOptions. Both backends visit identical
+// events in identical order, so the models they produce are bit-identical.
 //
 // A Reslicer is immutable after construction and safe for concurrent use;
 // the Models it produces carry a back-pointer to it (Model.Reslicer), which
@@ -76,14 +77,6 @@ func indexEvent(tmp [][]indexedEvent, r2leaf []int, numStates int, e trace.Event
 	}
 	tmp[s] = append(tmp[s], indexedEvent{e.Start, e.End, int32(e.State)})
 	return nil
-}
-
-// NewReslicerStream indexes a streaming source for incremental windowing
-// with the RAM backend: ~28 bytes per event, the memory the incremental
-// path trades for O(Δ) window updates. For traces past RAM, use
-// NewReslicerIndexed with IndexAuto or IndexDisk.
-func NewReslicerStream(src EventSource) (*Reslicer, error) {
-	return NewReslicerIndexed(src, IndexOptions{Mode: IndexRAM})
 }
 
 // leafMap maps trace resource IDs to hierarchy leaf indices.
@@ -160,16 +153,9 @@ func (r *Reslicer) Close() error { return r.idx.close() }
 // from the index, producing a Model bound to this reslicer. The zero
 // Options window means the full trace window.
 func (r *Reslicer) Build(opt Options) (*Model, error) {
-	if opt.Slices <= 0 {
-		opt.Slices = DefaultSlices
-	}
-	start, end := opt.Start, opt.End
-	if start == 0 && end == 0 {
-		start, end = r.winStart, r.winEnd
-	}
-	sl, err := timeslice.New(start, end, opt.Slices)
+	sl, err := opt.slicer(r.winStart, r.winEnd)
 	if err != nil {
-		return nil, fmt.Errorf("microscopic: %w", err)
+		return nil, err
 	}
 	return r.BuildAt(sl)
 }
@@ -304,32 +290,26 @@ func (r *Reslicer) Window(m *Model, start, end float64) (*Model, SliceOverlap, e
 }
 
 // fillRange accumulates d_x(s,t) for slices lo..hi of m from the event
-// index. Both the full build and every incremental fill funnel through
-// here so that any given cell always sums the same events in the same
-// order — the bit-identity the incremental engine path relies on,
-// whichever index backend serves the events.
+// index: spread clips each event to those slices' span (and to the
+// window) and adds its overlap to their cells, never touching the cells
+// outside lo..hi. The full build and every incremental fill funnel
+// through here, and the index visits a leaf's events in (start, stream)
+// order, so any given cell always sums the same events in the same order
+// — the bit-identity the incremental engine path relies on, whichever
+// index backend serves the events.
 func (r *Reslicer) fillRange(m *Model, lo, hi int) error {
-	T := m.Slicer.N
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > T-1 {
-		hi = T - 1
-	}
+	sl := m.Slicer
+	lo, hi = max(lo, 0), min(hi, sl.N-1)
 	if hi < lo {
 		return nil
 	}
-	winLo, _ := m.Slicer.Bounds(lo)
-	_, winHi := m.Slicer.Bounds(hi)
+	edges, w := boundaries(sl, lo, hi), sl.Width()
+	winLo, winHi := edges[0], edges[len(edges)-1]
+	clipLo, clipHi := math.Max(winLo, sl.Start), math.Min(winHi, sl.End)
 	for s := 0; s < r.h.NumLeaves(); s++ {
-		base := s * T
+		base := s*sl.N + lo
 		err := r.idx.fill(s, winLo, winHi, func(state int32, start, end float64) {
-			row := m.dx[state]
-			m.Slicer.Overlap(start, end, func(t int, sec float64) {
-				if t >= lo && t <= hi {
-					row[base+t] += sec
-				}
-			})
+			spread(m.dx[state][base:], edges, w, clipLo, clipHi, start, end)
 		})
 		if err != nil {
 			return err

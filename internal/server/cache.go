@@ -367,11 +367,10 @@ func (c *InputCache) nearestLocked(tr *Trace, target timeslice.Slicer) (*entry, 
 // is target as base's grid sees it. Anything short of bit-exact equality
 // is rejected — close-but-different windows must rebuild, never reuse.
 func reanchor(base, target timeslice.Slicer) (timeslice.Slicer, bool) {
-	w := base.Width()
-	if w <= 0 || base.N != target.N {
+	if base.N != target.N {
 		return timeslice.Slicer{}, false
 	}
-	k := int(math.Round((target.Start - base.Start) / w))
+	k := int(math.Round((target.Start - base.Start) / base.Width()))
 	cand := base.Shift(k)
 	if cand.Start != target.Start || cand.End != target.End {
 		return timeslice.Slicer{}, false

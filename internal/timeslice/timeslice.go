@@ -1,13 +1,13 @@
 // Package timeslice implements the temporal dimension of the trace model
 // (paper §III.A(2)): the continuous raw-trace time is divided into |T|
 // regular time periods ("slices"); events are associated with the slices
-// where they are active, proportionally to their overlap.
+// where they are active, proportionally to their overlap (the event→slice
+// kernel that applies that rule lives with the model it fills, in package
+// microscopic). Slicers come only from New, Shift and CoarsenGrid; the
+// zero Slicer is not usable.
 package timeslice
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Slicer divides the window [Start, End) into N equal slices.
 //
@@ -15,14 +15,14 @@ import (
 // origin plus an explicit slice width, so that Bounds(i) of a shifted
 // slicer returns the exact same floats as the original's Bounds(i+k).
 // This is what lets the incremental windowing path treat "the same slice
-// seen through two windows" as bit-identical. A zero-valued Slicer (or one
-// assembled by hand from Start/End/N) falls back to deriving the width
-// from the window, which matches the historical behavior.
+// seen through two windows" as bit-identical. Only New, Shift and
+// CoarsenGrid make slicers; the zero value (and any Slicer assembled by
+// hand) carries no grid and is not usable.
 type Slicer struct {
 	Start, End float64
 	N          int
 
-	// Grid anchoring: Bounds(i) = base + (off+i)·w when w > 0.
+	// Grid anchoring: Bounds(i) = base + (off+i)·w.
 	base float64
 	off  int
 	w    float64
@@ -44,26 +44,21 @@ func New(start, end float64, n int) (Slicer, error) {
 // floats are identical, not merely close. The window may extend past the
 // original trace extent; slices there simply hold no events.
 func (s Slicer) Shift(k int) Slicer {
-	w := s.Width()
-	base, off := s.base, s.off
-	if s.w <= 0 { // hand-assembled slicer: anchor it now
-		base, off = s.Start, 0
-	}
-	off += k
+	off := s.off + k
 	return Slicer{
-		Start: base + float64(off)*w,
-		End:   base + float64(off+s.N)*w,
+		Start: s.base + float64(off)*s.w,
+		End:   s.base + float64(off+s.N)*s.w,
 		N:     s.N,
-		base:  base,
+		base:  s.base,
 		off:   off,
-		w:     w,
+		w:     s.w,
 	}
 }
 
 // OnGrid reports whether o shares s's grid (same origin and width), and if
 // so the slice offset k such that o.Bounds(i) == s.Bounds(i+k) exactly.
 func (s Slicer) OnGrid(o Slicer) (k int, ok bool) {
-	if s.w <= 0 || o.w <= 0 || s.base != o.base || s.w != o.w {
+	if s.base != o.base || s.w != o.w {
 		return 0, false
 	}
 	return o.off - s.off, true
@@ -72,13 +67,9 @@ func (s Slicer) OnGrid(o Slicer) (k int, ok bool) {
 // Grid exposes the slicer's grid anchoring (origin, slice width, offset of
 // slice 0 on that grid). Two slicers with equal base and width address the
 // same grid at possibly different offsets — the identity the multi-
-// resolution ladder keys its levels by. A hand-assembled slicer (w ≤ 0)
-// reports its window-derived width anchored at its own start.
+// resolution ladder keys its levels by.
 func (s Slicer) Grid() (base, width float64, off int) {
-	if s.w > 0 {
-		return s.base, s.w, s.off
-	}
-	return s.Start, s.Width(), 0
+	return s.base, s.w, s.off
 }
 
 // CoarsenGrid returns the slicer covering the same window with n/factor
@@ -95,37 +86,27 @@ func (s Slicer) CoarsenGrid(factor int) (Slicer, error) {
 	if s.N%factor != 0 {
 		return Slicer{}, fmt.Errorf("timeslice: %d slices not divisible by factor %d", s.N, factor)
 	}
-	base, w, off := s.Grid()
-	if off%factor != 0 {
-		return Slicer{}, fmt.Errorf("timeslice: grid offset %d not aligned to factor %d", off, factor)
+	if s.off%factor != 0 {
+		return Slicer{}, fmt.Errorf("timeslice: grid offset %d not aligned to factor %d", s.off, factor)
 	}
 	return Slicer{
 		Start: s.Start,
 		End:   s.End,
 		N:     s.N / factor,
-		base:  base,
-		off:   off / factor,
-		w:     w * float64(factor),
+		base:  s.base,
+		off:   s.off / factor,
+		w:     s.w * float64(factor),
 	}, nil
 }
 
 // Width returns the duration d(t) of one slice (slices are regular).
-func (s Slicer) Width() float64 {
-	if s.w > 0 {
-		return s.w
-	}
-	return (s.End - s.Start) / float64(s.N)
-}
+func (s Slicer) Width() float64 { return s.w }
 
 // Bounds returns the half-open time interval covered by slice i. The index
 // may lie outside [0, N): the grid extrapolates, which the zoom-out path
 // uses to address slices beyond the current window.
 func (s Slicer) Bounds(i int) (float64, float64) {
-	w := s.Width()
-	if s.w > 0 {
-		return s.base + float64(s.off+i)*w, s.base + float64(s.off+i+1)*w
-	}
-	return s.Start + float64(i)*w, s.Start + float64(i+1)*w
+	return s.base + float64(s.off+i)*s.w, s.base + float64(s.off+i+1)*s.w
 }
 
 // IntervalBounds returns the time range covered by slices [i, j].
@@ -152,53 +133,6 @@ func (s Slicer) SliceOf(t float64) int {
 		i = 0
 	}
 	return i
-}
-
-// Overlap visits every slice that intersects [start, end) and reports the
-// overlap duration; the visitor receives (sliceIndex, seconds). Events
-// outside the window are clipped; an event fully outside produces no calls.
-// The sum of reported seconds equals the clipped event duration (up to
-// floating-point rounding).
-func (s Slicer) Overlap(start, end float64, visit func(slice int, seconds float64)) {
-	if end <= s.Start || start >= s.End || end <= start {
-		return
-	}
-	if start < s.Start {
-		start = s.Start
-	}
-	if end > s.End {
-		end = s.End
-	}
-	first, last := s.SliceOf(start), s.SliceOf(end)
-	// SliceOf works on the (possibly re-derived) window, whose float
-	// arithmetic may land one slice off the anchored grid; widen to the
-	// true covering range — the b > a check below discards empty edges.
-	for first > 0 {
-		if lo, _ := s.Bounds(first); lo > start {
-			first--
-		} else {
-			break
-		}
-	}
-	for last < s.N-1 {
-		if _, hi := s.Bounds(last); hi < end {
-			last++
-		} else {
-			break
-		}
-	}
-	// SliceOf(end) may land one past the real last overlapped slice when
-	// end is exactly a slice boundary.
-	if lo, _ := s.Bounds(last); lo >= end {
-		last--
-	}
-	for i := first; i <= last; i++ {
-		lo, hi := s.Bounds(i)
-		a, b := math.Max(start, lo), math.Min(end, hi)
-		if b > a {
-			visit(i, b-a)
-		}
-	}
 }
 
 // Durations returns the slice-duration vector d(t) (all equal for a regular

@@ -2,9 +2,7 @@ package timeslice
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestNewRejectsBadInput(t *testing.T) {
@@ -63,108 +61,6 @@ func TestIntervalBounds(t *testing.T) {
 	}
 }
 
-func TestOverlapSimple(t *testing.T) {
-	s, _ := New(0, 10, 10)
-	var got []struct {
-		i   int
-		sec float64
-	}
-	s.Overlap(1.5, 3.25, func(i int, sec float64) {
-		got = append(got, struct {
-			i   int
-			sec float64
-		}{i, sec})
-	})
-	if len(got) != 3 {
-		t.Fatalf("got %d slices, want 3 (%v)", len(got), got)
-	}
-	if got[0].i != 1 || math.Abs(got[0].sec-0.5) > 1e-12 {
-		t.Errorf("first overlap = %+v, want slice 1, 0.5s", got[0])
-	}
-	if got[1].i != 2 || math.Abs(got[1].sec-1) > 1e-12 {
-		t.Errorf("second overlap = %+v, want slice 2, 1s", got[1])
-	}
-	if got[2].i != 3 || math.Abs(got[2].sec-0.25) > 1e-12 {
-		t.Errorf("third overlap = %+v, want slice 3, 0.25s", got[2])
-	}
-}
-
-func TestOverlapClipsToWindow(t *testing.T) {
-	s, _ := New(0, 10, 5)
-	var total float64
-	s.Overlap(-3, 4, func(i int, sec float64) { total += sec })
-	if math.Abs(total-4) > 1e-12 {
-		t.Errorf("clipped total %g, want 4", total)
-	}
-	total = 0
-	s.Overlap(8, 25, func(i int, sec float64) { total += sec })
-	if math.Abs(total-2) > 1e-12 {
-		t.Errorf("clipped total %g, want 2", total)
-	}
-}
-
-func TestOverlapOutsideWindow(t *testing.T) {
-	s, _ := New(0, 10, 5)
-	calls := 0
-	s.Overlap(-5, -1, func(int, float64) { calls++ })
-	s.Overlap(11, 15, func(int, float64) { calls++ })
-	s.Overlap(3, 3, func(int, float64) { calls++ }) // zero-length
-	s.Overlap(4, 2, func(int, float64) { calls++ }) // inverted
-	if calls != 0 {
-		t.Errorf("events outside window produced %d calls", calls)
-	}
-}
-
-func TestOverlapExactBoundary(t *testing.T) {
-	s, _ := New(0, 10, 10)
-	// An event ending exactly on a slice boundary must not touch the
-	// next slice.
-	var slices []int
-	s.Overlap(2, 3, func(i int, sec float64) { slices = append(slices, i) })
-	if len(slices) != 1 || slices[0] != 2 {
-		t.Errorf("boundary event hit slices %v, want [2]", slices)
-	}
-}
-
-// TestOverlapConservation: for any event, the sum of per-slice overlaps
-// equals the clipped event duration.
-func TestOverlapConservation(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(40)
-		s, err := New(0, 1+rng.Float64()*100, n)
-		if err != nil {
-			return false
-		}
-		for k := 0; k < 20; k++ {
-			a := rng.Float64()*s.End*1.2 - 0.1*s.End
-			b := a + rng.Float64()*s.End*0.5
-			clipA, clipB := math.Max(a, s.Start), math.Min(b, s.End)
-			want := math.Max(0, clipB-clipA)
-			var got float64
-			prev := -1
-			ok := true
-			s.Overlap(a, b, func(i int, sec float64) {
-				got += sec
-				if i <= prev { // slices visited in order, once each
-					ok = false
-				}
-				if sec <= 0 || sec > s.Width()+1e-9 {
-					ok = false
-				}
-				prev = i
-			})
-			if !ok || math.Abs(got-want) > 1e-9*(1+want) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestDurations(t *testing.T) {
 	s, _ := New(0, 30, 30)
 	d := s.Durations()
@@ -218,26 +114,5 @@ func TestOnGridRejectsForeignSlicers(t *testing.T) {
 	}
 	if k, ok := a.OnGrid(a); !ok || k != 0 {
 		t.Errorf("self: (%d, %v), want (0, true)", k, ok)
-	}
-}
-
-func TestShiftOverlapMatchesOriginal(t *testing.T) {
-	// Event mass attributed to a given absolute slice must be the same
-	// number whether seen through the original or a shifted window.
-	s, _ := New(0, 9.9, 11)
-	sh := s.Shift(3)
-	events := [][2]float64{{0.05, 4.2}, {3.3, 3.31}, {2.7, 9.9}, {5, 6}}
-	for _, e := range events {
-		orig := map[int]float64{}
-		s.Overlap(e[0], e[1], func(i int, sec float64) { orig[i] = sec })
-		sh.Overlap(e[0], e[1], func(i int, sec float64) {
-			abs := i + 3
-			if abs >= s.N { // clipped differently at the right edge
-				return
-			}
-			if want, ok := orig[abs]; ok && sec != want {
-				t.Errorf("event %v slice %d: shifted %v, original %v", e, abs, sec, want)
-			}
-		})
 	}
 }
