@@ -18,9 +18,10 @@
 // on the final window.
 //
 // -follow tails a trace that is still being written (for example by
-// tracegen -append-every) and re-aggregates a sliding window each poll
-// tick through the same incremental engine, printing one summary line per
-// tick:
+// tracegen -append-every) through the daemon's live-ingestion engine
+// (internal/live): each poll tick that carried events extends the index,
+// advances the sealed live window incrementally and re-aggregates it,
+// printing one summary line per tick:
 //
 //	ocelotl -trace growing.bin -follow -p 0.35 -follow-idle 2s
 package main
@@ -40,6 +41,7 @@ import (
 	"ocelotl/internal/analysis"
 	"ocelotl/internal/core"
 	"ocelotl/internal/grid5000"
+	"ocelotl/internal/live"
 	"ocelotl/internal/microscopic"
 	"ocelotl/internal/mpisim"
 	"ocelotl/internal/partition"
@@ -47,8 +49,6 @@ import (
 	"ocelotl/internal/render"
 	"ocelotl/internal/spatial"
 	"ocelotl/internal/temporal"
-	"ocelotl/internal/timeslice"
-	"ocelotl/internal/trace"
 	"ocelotl/internal/traceio"
 )
 
@@ -286,169 +286,69 @@ func replayWindow(ctx context.Context, log io.Writer, in *core.Input, zoomSpec, 
 	return in, nil
 }
 
-// runFollow is the CLI face of live ingestion: tail the trace file while
-// a writer appends to it, extend the event index copy-on-write each poll
-// tick (traceio.TailReader → microscopic.Reslicer.Extend), slide a
-// slices-wide window to the ingestion horizon, and re-aggregate it
-// incrementally (core.Input.AdvanceContext — O(Δ slices) per tick). One
-// summary line per tick that carried events.
+// runFollow is the CLI face of live ingestion: it waits for the trace
+// file's header, then drives the daemon's follow engine (live.Follower,
+// with a live window of slices slices on the header's grid) and prints
+// the live window's aggregation once at start and after each poll tick
+// that carried events. It returns when ctx is cancelled or, with idle > 0,
+// once no new events have arrived for idle.
 func runFollow(ctx context.Context, w io.Writer, path string, slices int, p float64, mode string, normalize bool, indexMode microscopic.IndexMode, poll, idle time.Duration) error {
-	var tail *traceio.TailReader
-	for {
-		var err error
-		tail, err = traceio.OpenTail(path)
-		if err == nil {
-			break
-		}
-		if !os.IsNotExist(err) && !traceio.IsIncomplete(err) {
-			return err
-		}
+	tail, err := traceio.OpenTail(path)
+	for err != nil && (os.IsNotExist(err) || traceio.IsIncomplete(err)) {
 		select {
 		case <-ctx.Done():
 			return nil
 		case <-time.After(poll):
 		}
+		tail, err = traceio.OpenTail(path)
 	}
-	defer tail.Close()
-
-	hdrStart, hdrEnd := tail.Window()
-	horizon := hdrStart
-	var events []trace.Event
-	readBatch := func() (int, error) {
-		n := 0
-		var ev trace.Event
-		for n < 1<<18 {
-			if err := tail.Next(&ev); err != nil {
-				if traceio.IsIncomplete(err) {
-					return n, nil
-				}
-				return n, err
-			}
-			if ev.Start > horizon {
-				horizon = ev.Start
-			}
-			events = append(events, ev)
-			n++
-		}
-		return n, nil
-	}
-	if _, err := readBatch(); err != nil {
-		return err
-	}
-
-	width := 1.0
-	if hdrEnd > hdrStart {
-		width = (hdrEnd - hdrStart) / float64(slices)
-	}
-	anchor, err := timeslice.New(hdrStart, hdrStart+float64(slices)*width, slices)
 	if err != nil {
 		return err
 	}
-	// livePan positions the window so its end is the last slice boundary
-	// at or below the horizon — every slice shown is fully ingested.
-	livePan := func(h float64) int {
-		pan := int((h-anchor.Start)/anchor.Width()) - anchor.N
-		if pan < -anchor.N {
-			pan = -anchor.N
-		}
-		for pan > -anchor.N && anchor.Shift(pan).End > h {
-			pan--
-		}
-		for anchor.Shift(pan+1).End <= h {
-			pan++
-		}
-		return pan
-	}
-
-	resl, err := microscopic.NewReslicerIndexed(
-		microscopic.TraceSource(&trace.Trace{Resources: tail.Resources(), States: tail.States(), Events: events, Start: hdrStart, End: horizon}),
-		microscopic.IndexOptions{Mode: indexMode})
+	fl, err := live.Start(ctx, tail, slices, 0, live.Options{
+		Index: microscopic.IndexOptions{Mode: indexMode},
+		Input: core.Options{Normalize: normalize},
+	})
 	if err != nil {
 		return err
 	}
-	defer func() { resl.Close() }()
-	events = nil
+	defer func() {
+		fl.Close()
+		fl.Reslicer().Close() // the newest snapshot: it shares the index of every older one
+	}()
 
-	pan := livePan(horizon)
-	m, err := resl.BuildAt(anchor.Shift(pan))
-	if err != nil {
-		return err
-	}
-	in, err := core.NewInputContext(ctx, m, core.Options{Normalize: normalize})
-	if err != nil {
-		return err
-	}
-
-	tick := 0
-	total := resl.NumEvents()
-	report := func() error {
+	ticker := time.NewTicker(poll)
+	defer ticker.Stop()
+	lastData := time.Now()
+	for tick := 0; ; tick++ {
+		in := fl.Live()
 		pt, err := runMode(ctx, in.Model, in, mode, p)
 		if err != nil {
 			return err
 		}
 		sl := in.Model.Slicer
-		_, err = fmt.Fprintf(w, "tick %4d  events %9d  horizon %12.6g  window [%.6g,%.6g)  areas %4d  gain %12.4f  loss %12.4f\n",
-			tick, total, horizon, sl.Start, sl.End, len(pt.Areas), pt.Gain, pt.Loss)
-		return err
-	}
-	if err := report(); err != nil {
-		return err
-	}
-
-	lastData := time.Now()
-	ticker := time.NewTicker(poll)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-ticker.C:
-		}
-		prevHorizon := horizon
-		n, err := readBatch()
-		if err != nil {
+		if _, err := fmt.Fprintf(w, "tick %4d  events %9d  horizon %12.6g  window [%.6g,%.6g)  areas %4d  gain %12.4f  loss %12.4f\n",
+			tick, fl.Reslicer().NumEvents(), fl.Horizon(), sl.Start, sl.End, len(pt.Areas), pt.Gain, pt.Loss); err != nil {
 			return err
 		}
-		if n == 0 {
-			if idle > 0 && time.Since(lastData) > idle {
+		// Poll until a tick carries events (or the idle timeout passes).
+		for b := (live.Batch{}); b.Events == 0; {
+			select {
+			case <-ctx.Done():
+				return nil
+			case <-ticker.C:
+			}
+			if b, err = fl.Tick(ctx); err != nil {
+				if ctx.Err() != nil {
+					return nil
+				}
+				return err
+			}
+			if b.Events == 0 && idle > 0 && time.Since(lastData) > idle {
 				return nil
 			}
-			continue
 		}
 		lastData = time.Now()
-		reorder := false
-		for _, ev := range events {
-			if ev.Start < prevHorizon {
-				reorder = true
-				break
-			}
-		}
-		next, err := resl.Extend(events, horizon)
-		if err != nil {
-			return err
-		}
-		resl = next // old snapshots stay readable; the deferred Close releases the newest (shared) index once
-		total = resl.NumEvents()
-		events = events[:0]
-		npan := livePan(horizon)
-		switch {
-		case reorder:
-			if m, err = resl.BuildAt(anchor.Shift(npan)); err != nil {
-				return err
-			}
-			if in, err = core.NewInputContext(ctx, m, core.Options{Normalize: normalize}); err != nil {
-				return err
-			}
-		case npan > pan:
-			if in, err = in.AdvanceContext(ctx, resl, npan-pan); err != nil {
-				return err
-			}
-		}
-		pan = npan
-		tick++
-		if err := report(); err != nil {
-			return err
-		}
 	}
 }
 

@@ -3,14 +3,19 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"ocelotl/internal/core"
 	"ocelotl/internal/grid5000"
 	"ocelotl/internal/microscopic"
 	"ocelotl/internal/mpisim"
+	"ocelotl/internal/timeslice"
+	"ocelotl/internal/trace"
 	"ocelotl/internal/traceio"
 )
 
@@ -228,5 +233,108 @@ func TestLoadModelDiskIndex(t *testing.T) {
 	}
 	if a.Signature() != b.Signature() {
 		t.Error("disk-indexed replay disagrees with RAM-indexed replay")
+	}
+}
+
+// TestRunFollow drives `ocelotl -follow` against a writer flushing a
+// binary trace in batches, one of them out of order. The last tick line
+// must report every event, and its window, area count, gain and loss must
+// equal a batch aggregation of the same events over the same window: the
+// last N slices of the header's grid that end at or below the maximum
+// event start.
+func TestRunFollow(t *testing.T) {
+	const slices, p = 10, 0.35
+	hdr := traceio.Header{Resources: []string{"A/a0", "A/a1", "B/b0"},
+		States: []string{"run", "wait"}, Start: 0, End: 10}
+	var all []trace.Event
+	for i := 0; i < 400; i++ {
+		s := float64(i) * 0.02
+		all = append(all, trace.Event{Resource: trace.ResourceID(i % 3), State: trace.StateID(i % 2),
+			Start: s, End: s + 0.05})
+	}
+	// The out-of-order batch: events starting well before the horizon
+	// the first 200 events reached.
+	late := []trace.Event{{Resource: 1, State: 1, Start: 1.01, End: 1.5}, {Resource: 2, State: 0, Start: 0.3, End: 0.9}}
+	all = append(all[:200], append(late, all[200:]...)...)
+	batches := [][]trace.Event{all[:80], all[80:160], all[160:200], late, all[202:300], all[300:]}
+
+	path := filepath.Join(t.TempDir(), "live.bin")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	w, err := traceio.NewWriter(f, traceio.FormatBinary, hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flush := func(evs []trace.Event) {
+		for _, e := range evs {
+			if err := w.WriteEvent(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := traceio.Flush(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flush(batches[0])
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	var out bytes.Buffer
+	done := make(chan error, 1)
+	go func() {
+		done <- runFollow(ctx, &out, path, slices, p, "st", false, microscopic.IndexAuto, 2*time.Millisecond, 300*time.Millisecond)
+	}()
+	for _, b := range batches[1:] {
+		time.Sleep(20 * time.Millisecond)
+		flush(b)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if ctx.Err() != nil {
+		t.Fatal("runFollow ran until the test deadline instead of the idle timeout")
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) < 2 {
+		t.Fatalf("want the initial line and at least one tick line, got:\n%s", out.String())
+	}
+
+	horizon := 0.0
+	for _, e := range all {
+		horizon = max(horizon, e.Start)
+	}
+	anchor, err := timeslice.New(hdr.Start, hdr.End, slices)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pan := -slices
+	for anchor.Shift(pan+1).End <= horizon {
+		pan++
+	}
+	r, err := microscopic.NewReslicer(&trace.Trace{Resources: hdr.Resources, States: hdr.States,
+		Events: all, Start: hdr.Start, End: horizon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := r.BuildAt(anchor.Shift(pan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := core.NewInputContext(ctx, m, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := in.NewSolver().RunContext(ctx, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sl := m.Slicer
+	want := fmt.Sprintf("events %9d  horizon %12.6g  window [%.6g,%.6g)  areas %4d  gain %12.4f  loss %12.4f",
+		len(all), horizon, sl.Start, sl.End, len(pt.Areas), pt.Gain, pt.Loss)
+	if last := lines[len(lines)-1]; !strings.HasSuffix(last, want) {
+		t.Fatalf("last tick line\n%s\nwant it to end with\n%s", last, want)
 	}
 }

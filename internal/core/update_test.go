@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ocelotl/internal/microscopic"
+	"ocelotl/internal/timeslice"
 	"ocelotl/internal/trace"
 )
 
@@ -128,11 +129,11 @@ func TestUpdateEquivalenceRandomSequences(t *testing.T) {
 					label = "Update(Shift " + strconv.Itoa(k) + ")"
 				default: // arbitrary absolute window: no reusable slices
 					lo := rng.Float64() * 20
-					m2, ov, werr := r.Window(in.Model, lo, lo+1+rng.Float64()*15)
+					sl, werr := timeslice.New(lo, lo+1+rng.Float64()*15, in.Model.Slicer.N)
 					if werr != nil {
 						t.Fatal(werr)
 					}
-					in, err = in.UpdateContext(context.Background(), m2, ov)
+					in, err = in.UpdateContext(context.Background(), testBuildAt(t, r, sl), microscopic.SliceOverlap{})
 					label = "Update(Window)"
 				}
 				if err != nil {

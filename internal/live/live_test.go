@@ -1,0 +1,213 @@
+package live
+
+import (
+	"context"
+	"errors"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"ocelotl/internal/core"
+	"ocelotl/internal/eventstore"
+	"ocelotl/internal/failpoint"
+	"ocelotl/internal/microscopic"
+	"ocelotl/internal/timeslice"
+	"ocelotl/internal/trace"
+	"ocelotl/internal/traceio"
+)
+
+// scanPan is SealedPan's definition walked one slice at a time.
+func scanPan(anchor timeslice.Slicer, horizon float64) int {
+	pan := -anchor.N
+	for anchor.Shift(pan+1).End <= horizon {
+		pan++
+	}
+	return pan
+}
+
+// TestSealedPanMatchesScan: the binary search lands on the same pan as a
+// linear walk over the grid, for horizons before, on and between
+// boundaries.
+func TestSealedPanMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 2000; i++ {
+		start := rng.Float64()*200 - 100
+		n := 1 + rng.Intn(40)
+		anchor, err := timeslice.New(start, start+rng.Float64()*50+1e-3, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		horizon := start + (rng.Float64()*300-10)*anchor.Width()
+		if rng.Intn(4) == 0 { // exactly on a boundary
+			horizon = anchor.Shift(rng.Intn(300) - n).End
+		}
+		got, err := SealedPan(anchor, horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := scanPan(anchor, horizon); got != want {
+			t.Fatalf("anchor %+v horizon %v: pan %d, scan says %d", anchor, horizon, got, want)
+		}
+	}
+}
+
+// TestSealedPanFarHorizon: a horizon past the representable grid is an
+// ErrHorizon (and a terminal error), returned at once; one just inside it
+// still gets its exact sealed window.
+func TestSealedPanFarHorizon(t *testing.T) {
+	anchor, err := timeslice.New(0, 10, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []float64{1e19, 1e300, math.MaxFloat64, math.Inf(1)} {
+		if _, err := SealedPan(anchor, h); !errors.Is(err, ErrHorizon) || !Terminal(err) {
+			t.Errorf("horizon %v: err %v, want a terminal ErrHorizon", h, err)
+		}
+	}
+	h := 1e15 + 0.5
+	pan, err := SealedPan(anchor, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if end, next := anchor.Shift(pan).End, anchor.Shift(pan+1).End; end > h || next <= h {
+		t.Fatalf("horizon %v: window ends at %v, next boundary %v", h, end, next)
+	}
+}
+
+// events returns n time-ordered events 0.02 apart over three resources.
+func events(from, n int) []trace.Event {
+	evs := make([]trace.Event, n)
+	for i := range evs {
+		s := float64(from+i) * 0.02
+		evs[i] = trace.Event{Resource: trace.ResourceID(i % 3), State: trace.StateID(i % 2), Start: s, End: s + 0.05}
+	}
+	return evs
+}
+
+var header = traceio.Header{Resources: []string{"A/a0", "A/a1", "B/b0"},
+	States: []string{"run", "wait"}, Start: 0, End: 10}
+
+// appendFlushed writes evs to w and flushes them to the file.
+func appendFlushed(t *testing.T, w traceio.Writer, evs []trace.Event) {
+	t.Helper()
+	for _, e := range evs {
+		if err := w.WriteEvent(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := traceio.Flush(w); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// requireScratch checks f's live Input against a scratch build over all
+// of evs at the same window.
+func requireScratch(t *testing.T, f *Follower, evs []trace.Event) {
+	t.Helper()
+	r, err := microscopic.NewReslicer(&trace.Trace{Resources: header.Resources, States: header.States, Events: evs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := r.BuildAt(f.Anchor().Shift(f.Pan()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := f.Live().Model
+	for x := 0; x < m.NumStates(); x++ {
+		g, w := got.StateRow(x), m.StateRow(x)
+		for i := range w {
+			if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
+				t.Fatalf("d_%d cell %d: live %v, scratch %v", x, i, g[i], w[i])
+			}
+		}
+	}
+	want, err := core.NewInputContext(context.Background(), m, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg, err := f.Live().NewSolver().RunContext(context.Background(), 0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pw, err := want.NewSolver().RunContext(context.Background(), 0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pg.Gain != pw.Gain || pg.Loss != pw.Loss || len(pg.Areas) != len(pw.Areas) {
+		t.Fatalf("live partition (%v, %v, %d areas) differs from scratch (%v, %v, %d areas)",
+			pg.Gain, pg.Loss, len(pg.Areas), pw.Gain, pw.Loss, len(pw.Areas))
+	}
+}
+
+// TestTickCommitsOnlyOnSuccess follows a disk-indexed trace whose advance
+// fails on a store read after the tick's Extend succeeded: the Follower
+// must come out of the failed Tick unchanged, and the retry must ingest
+// the same batch and land bit-identical to a scratch build.
+func TestTickCommitsOnlyOnSuccess(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "live.bin")
+	file, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	w, err := traceio.NewWriter(file, traceio.FormatBinary, header)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := events(0, 400)
+	appendFlushed(t, w, all[:250])
+
+	tail, err := traceio.OpenTail(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := Start(context.Background(), tail, 10, 0, Options{Index: microscopic.IndexOptions{
+		Mode: microscopic.IndexDisk, Dir: dir, Store: eventstore.Options{ChunkCacheBytes: -1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		f.Close()
+		f.Reslicer().Close()
+	}()
+	requireScratch(t, f, all[:250])
+
+	// The batch moves the window end from 4 to 7: the advance fills the
+	// new slices from the store, and that read fails once.
+	appendFlushed(t, w, all[250:])
+	pan, horizon, offset, resl := f.Pan(), f.Horizon(), f.Offset(), f.Reslicer()
+	if err := failpoint.Enable(eventstore.FailpointRead, "1*error(chaos)"); err != nil {
+		t.Fatal(err)
+	}
+	defer failpoint.DisableAll()
+	if _, err := f.Tick(context.Background()); !errors.Is(err, failpoint.ErrInjected) {
+		t.Fatalf("Tick with a failing store read: err %v, want the injected error", err)
+	}
+	if f.Pan() != pan || f.Horizon() != horizon || f.Offset() != offset || f.Reslicer() != resl {
+		t.Fatalf("failed Tick committed: pan %d→%d, horizon %v→%v, offset %d→%d",
+			pan, f.Pan(), horizon, f.Horizon(), offset, f.Offset())
+	}
+
+	b, err := f.Tick(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Events != 150 || b.Reorder || b.Advanced != 3 {
+		t.Fatalf("retried Tick: %+v, want 150 events advancing 3 slices in order", b)
+	}
+	if f.Reslicer().NumEvents() != len(all) {
+		t.Fatalf("%d events indexed, want %d", f.Reslicer().NumEvents(), len(all))
+	}
+	requireScratch(t, f, all)
+
+	// An out-of-order batch rebuilds and still matches scratch.
+	late := []trace.Event{{Resource: 2, State: 1, Start: 4.5, End: 5.5}}
+	appendFlushed(t, w, late)
+	if b, err = f.Tick(context.Background()); err != nil || !b.Reorder || b.Advanced != 0 {
+		t.Fatalf("out-of-order Tick: %+v, %v", b, err)
+	}
+	requireScratch(t, f, append(all, late...))
+}

@@ -85,11 +85,9 @@ func TestDiskIndexBitIdenticalToRAM(t *testing.T) {
 			default: // arbitrary absolute window
 				lo := rng.Float64() * 20
 				hi := lo + 1 + rng.Float64()*10
-				mRAM, ovRAM, err = ram.Window(mRAM, lo, hi)
-				if err != nil {
-					t.Fatal(err)
-				}
-				mDisk, ovDisk, err = disk.Window(mDisk, lo, hi)
+				sl := mustSlicer(t, lo, hi, mRAM.Slicer.N)
+				mRAM = mustBuildAt(t, ram, sl)
+				mDisk, err = disk.BuildAt(sl)
 			}
 			if err != nil {
 				t.Fatalf("seed %d step %d: disk op: %v", seed, step, err)

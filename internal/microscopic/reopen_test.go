@@ -86,11 +86,9 @@ func TestReopenedStoreBitIdentical(t *testing.T) {
 		default:
 			lo := rng.Float64() * 20
 			hi := lo + 1 + rng.Float64()*10
-			mA, ovA, err = built.Window(mA, lo, hi)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mB, ovB, err = reopened.Window(mB, lo, hi)
+			sl := mustSlicer(t, lo, hi, mA.Slicer.N)
+			mA = mustBuildAt(t, built, sl)
+			mB, err = reopened.BuildAt(sl)
 		}
 		if err != nil {
 			t.Fatalf("step %d: reopened op: %v", step, err)

@@ -274,21 +274,6 @@ func (r *Reslicer) Zoom(m *Model, lo, hi int) (*Model, SliceOverlap, error) {
 	return nm, SliceOverlap{}, nil
 }
 
-// Window re-slices an arbitrary absolute time window at the model's
-// resolution. No slices are reused (arbitrary windows don't land on the
-// grid); the fill still comes from the index rather than a trace pass.
-func (r *Reslicer) Window(m *Model, start, end float64) (*Model, SliceOverlap, error) {
-	sl, err := timeslice.New(start, end, m.Slicer.N)
-	if err != nil {
-		return nil, SliceOverlap{}, fmt.Errorf("microscopic: %w", err)
-	}
-	nm, err := r.BuildAt(sl)
-	if err != nil {
-		return nil, SliceOverlap{}, err
-	}
-	return nm, SliceOverlap{}, nil
-}
-
 // fillRange accumulates d_x(s,t) for slices lo..hi of m from the event
 // index: spread clips each event to those slices' span (and to the
 // window) and adds its overlap to their cells, never touching the cells

@@ -187,29 +187,21 @@ func TestZoomEquivalence(t *testing.T) {
 	}
 }
 
-// TestWindowArbitrary: absolute windows come from the index too.
+// TestWindowArbitrary: an absolute window off the trace's grid fills from
+// the index exactly as a trace pass over the same window does.
 func TestWindowArbitrary(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tr := randomTrace(rng, 5, 400, 10)
+	tr.Sort()
 	r, err := NewReslicer(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := r.Build(Options{Slices: 10})
+	want, err := Build(tr, Options{Slices: 10, Start: 2.345, End: 8.901})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wm, ov, err := r.Window(m, 2.345, 8.901)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ov.Shared() {
-		t.Errorf("arbitrary window reported overlap %+v", ov)
-	}
-	modelsBitIdentical(t, wm, mustBuildAt(t, r, wm.Slicer), "window")
-	if _, _, err := r.Window(m, 5, 5); err == nil {
-		t.Error("empty window accepted")
-	}
+	modelsBitIdentical(t, mustBuildAt(t, r, mustSlicer(t, 2.345, 8.901, 10)), want, "window")
 }
 
 // TestShiftConservesMass: panning must neither invent nor lose event time

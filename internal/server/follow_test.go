@@ -2,8 +2,11 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -14,7 +17,9 @@ import (
 	"testing"
 	"time"
 
+	"ocelotl/internal/eventstore"
 	"ocelotl/internal/failpoint"
+	"ocelotl/internal/live"
 	"ocelotl/internal/microscopic"
 	"ocelotl/internal/testutil"
 	"ocelotl/internal/trace"
@@ -504,4 +509,160 @@ func TestChaosSoakFollow(t *testing.T) {
 	}
 	quiesce(t, s.cache)
 	checkByteAccounting(t, s.cache)
+}
+
+// TestChaosSoakFollowDiskIndex is TestChaosSoakFollow over a disk index
+// with its chunk cache off, so every tick's advance reads chunks from the
+// store — and half of those reads fail. A tick whose advance fails after
+// its Extend succeeded must keep its batch for the retry: once the
+// failpoint disarms, the follower converges on exactly the written
+// stream, byte-identical to a scratch build.
+func TestChaosSoakFollowDiskIndex(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "live.bin")
+	all := followEvents(600)
+	lw := newLiveWriter(t, path)
+	lw.append(all[:100])
+
+	cfg := quietConfig()
+	cfg.Index = microscopic.IndexOptions{Mode: microscopic.IndexDisk, Dir: t.TempDir(),
+		Store: eventstore.Options{ChunkCacheBytes: -1}}
+	s := New(cfg)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.StopFollowers()
+	followLoad(t, ts, "live", path, 3)
+
+	if err := failpoint.EnableSeeded(eventstore.FailpointRead, "50%error(chaos)", 44); err != nil {
+		t.Fatal(err)
+	}
+	defer failpoint.DisableAll()
+
+	// Queries may fail while store reads do (a miss builds from the
+	// store); they must never see anything but 200 or 500.
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp, body := get(t, ts.URL+"/traces/live/aggregate?p=0.4&live=1")
+				if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusInternalServerError {
+					t.Errorf("querier %d: status %d (%s)", g, resp.StatusCode, body)
+					return
+				}
+			}
+		}(g)
+	}
+	for next := 125; next <= len(all); next += 25 {
+		lw.append(all[next-25 : next])
+		time.Sleep(3 * time.Millisecond)
+	}
+
+	failpoint.DisableAll()
+	info := waitForFollow(t, ts, "live", len(all))
+	close(stop)
+	wg.Wait()
+	if info.Events != len(all) {
+		t.Fatalf("event loss under store read faults: %d ingested, want %d", info.Events, len(all))
+	}
+
+	scratchPath := filepath.Join(dir, "scratch.bin")
+	hdr := followHeader()
+	if err := traceio.WriteFile(scratchPath, &trace.Trace{
+		Resources: hdr.Resources, States: hdr.States,
+		Events: all, Start: hdr.Start, End: hdr.End}); err != nil {
+		t.Fatal(err)
+	}
+	s2 := New(quietConfig())
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	if _, err := s2.Registry().Load("live", scratchPath); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{liveQueryPath("live", info.Follow), "/traces/live/aggregate?p=0.4&lo=0&hi=10&slices=10"} {
+		rF, bFollow := get(t, ts.URL+q)
+		_, bScratch := get(t, ts2.URL+q)
+		if rF.StatusCode != http.StatusOK || !bytes.Equal(bFollow, bScratch) {
+			t.Fatalf("%s: post-chaos body (status %d) differs from scratch build:\n%s\n%s", q, rF.StatusCode, bFollow, bScratch)
+		}
+	}
+	s.StopFollowers()
+	if err := s2.Registry().CloseAll(); err != nil {
+		t.Fatal(err)
+	}
+	quiesce(t, s.cache)
+	checkByteAccounting(t, s.cache)
+	if err := s.Registry().CloseAll(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFollowFarHorizon: an event start so far past the trace start that
+// the live grid cannot place a sealed window at it (1e19 is past 2^63
+// slices of width 1) must neither hang a load nor a tick. In the flushed
+// prefix it fails the load; in a later batch it parks the follower with
+// the last good snapshot still served, and DELETE still returns.
+func TestFollowFarHorizon(t *testing.T) {
+	within := func(t *testing.T, what string, fn func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { defer close(done); fn() }()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s did not return", what)
+		}
+	}
+	for _, h := range []float64{1e19, 1e300, math.MaxFloat64} {
+		far := trace.Event{Resource: 1, State: 0, Start: h, End: h}
+		t.Run(fmtFloat(h), func(t *testing.T) {
+			dir := t.TempDir()
+			s := New(quietConfig())
+			defer s.StopFollowers()
+			defer s.Registry().CloseAll()
+
+			// In the prefix: the load fails.
+			pre := filepath.Join(dir, "prefix.bin")
+			newLiveWriter(t, pre).append(append(followEvents(50), far))
+			var loadErr error
+			within(t, "follow load", func() { _, loadErr = s.FollowTrace(context.Background(), "pre", pre) })
+			if loadErr == nil || !errors.Is(loadErr, live.ErrHorizon) {
+				t.Fatalf("follow load with a far event start: err %v, want ErrHorizon", loadErr)
+			}
+
+			// In a later batch: the follower parks.
+			path := filepath.Join(dir, "live.bin")
+			lw := newLiveWriter(t, path)
+			lw.append(followEvents(50))
+			before, err := s.startFollow(context.Background(), loadRequest{ID: "live", Path: path, PollMs: 2, LiveSlices: 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.followMu.Lock()
+			f := s.followers["live"]
+			s.followMu.Unlock()
+			lw.append([]trace.Event{far})
+			within(t, "the follower's park", func() { <-f.done })
+			after, _ := s.reg.Get("live")
+			if after.Events != before.Events || after.follow.horizon != before.follow.horizon {
+				t.Fatalf("parked follower moved: events %d→%d, horizon %v→%v",
+					before.Events, after.Events, before.follow.horizon, after.follow.horizon)
+			}
+			rec := httptest.NewRecorder()
+			within(t, "DELETE", func() {
+				s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodDelete, "/traces/live", nil))
+			})
+			if rec.Code != http.StatusNoContent {
+				t.Fatalf("DELETE: status %d (%s)", rec.Code, rec.Body)
+			}
+		})
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"net/url"
 	"testing"
 
+	"ocelotl/internal/live"
 	"ocelotl/internal/mpisim"
 	"ocelotl/internal/timeslice"
 )
@@ -52,8 +53,12 @@ func FuzzWindowQuery(f *testing.F) {
 		f.Fatal(err)
 	}
 	horizon := start + (end-start)*0.6
+	pan, err := live.SealedPan(anchor, horizon)
+	if err != nil {
+		f.Fatal(err)
+	}
 	followed := &Trace{ID: "live", resl: batch.resl, follow: &followState{
-		anchor: anchor, pan: sealedPan(anchor, horizon), horizon: horizon,
+		anchor: anchor, pan: pan, horizon: horizon,
 	}}
 	finite := func(v float64) bool { return !math.IsInf(v, 0) && !math.IsNaN(v) }
 

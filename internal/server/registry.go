@@ -32,7 +32,7 @@ type Trace struct {
 	gen uint64
 	// follow is non-nil for traces loaded in follow mode (live ingestion);
 	// like the rest of the snapshot it is immutable — each follower tick
-	// publishes a whole new Trace via replace.
+	// publishes a whole new Trace via swap.
 	follow *followState
 }
 
@@ -185,23 +185,6 @@ func (r *Registry) register(t *Trace) (*Trace, error) {
 	return t, nil
 }
 
-// replace swaps in a new snapshot for t.ID, preserving registration
-// identity — the follower's per-tick publish. It refuses (returning
-// false) when the id is no longer registered or was re-registered under
-// a different lineage (the old snapshot's gen no longer matches and the
-// new one isn't a deliberate bump of it), so a tick racing an unload can
-// never resurrect a removed trace.
-func (r *Registry) replace(t *Trace) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	cur, ok := r.traces[t.ID]
-	if !ok || cur.follow == nil {
-		return false
-	}
-	r.traces[t.ID] = t
-	return true
-}
-
 // bumpGen advances the generation counter to at least g — recovery calls
 // it with each journaled gen so post-restart loads can never reuse a
 // generation the manifest (and therefore old cache keys) already names.
@@ -227,8 +210,9 @@ func (r *Registry) snapshot() []*Trace {
 }
 
 // swap replaces old with nw iff old is still the registered snapshot —
-// the scrub rebuild's publish, analogous to replace but keyed on pointer
-// identity so it cannot clobber a concurrent reload.
+// the follower's per-tick publish and the scrub rebuild's. Keyed on
+// pointer identity, it can neither resurrect an unloaded trace nor
+// clobber a concurrent reload.
 func (r *Registry) swap(old, nw *Trace) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()

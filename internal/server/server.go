@@ -15,13 +15,14 @@
 //
 // Traces may also be loaded in follow mode ({"follow": true} on POST
 // /traces): the server tails the file while a writer is still appending
-// to it, extends the trace's index copy-on-write each poll tick
-// (traceio.TailReader → Reslicer.Extend → Input.AdvanceContext), and
+// to it, extends the trace's index copy-on-write each poll tick, and
 // serves a sliding live window (live=1 on any query endpoint) whose
 // responses stay byte-identical to a scratch build over the events
-// ingested so far. See follow.go for the horizon rule that keeps the
-// cache exact across ticks; a fresh follow and a recovery resume share
-// one bootstrap (bootFollower).
+// ingested so far. The ingestion itself is the live package's Follower —
+// the one engine `ocelotl -follow` drives too; follow.go wraps it in the
+// daemon's policies (loop and backoff, registry publish, cache seed and
+// purge) and explains the horizon rule that keeps the cache exact across
+// ticks.
 //
 // Endpoints:
 //

@@ -13,10 +13,10 @@ import (
 
 	"ocelotl/internal/eventstore"
 	"ocelotl/internal/failpoint"
+	"ocelotl/internal/live"
 	"ocelotl/internal/manifest"
 	"ocelotl/internal/microscopic"
 	"ocelotl/internal/timeslice"
-	"ocelotl/internal/traceio"
 )
 
 // Durable daemon state. With Config.StateDir set, the server journals its
@@ -26,7 +26,7 @@ import (
 // and every CheckpointTicks follow ticks. Recover replays the manifest on
 // boot: sealed stores are reopened in place instead of re-indexed,
 // followers resume their tail at the journaled byte offset
-// (traceio.OpenTailAt), and anything the manifest doesn't vouch for —
+// (live.Resume), and anything the manifest doesn't vouch for —
 // spill temps, half-built stores, stores from unloaded traces — is swept.
 // The contract is the one the follow tests pin end to end: after a kill
 // -9 and restart, responses are bit-identical to an uninterrupted run and
@@ -198,7 +198,7 @@ func (s *Server) recoverTrace(ctx context.Context, ts manifest.TraceState, repor
 	injected := failpoint.Inject(FailpointRecoverOpen)
 	if ts.Follow != nil {
 		if injected == nil {
-			if _, err := s.resumeFollow(ts); err == nil {
+			if _, err := s.resumeFollow(ctx, ts); err == nil {
 				report.Resumed++
 				return nil
 			} else {
@@ -249,14 +249,11 @@ func (s *Server) recoverTrace(ctx context.Context, ts manifest.TraceState, repor
 	return nil
 }
 
-// resumeFollow restores a journaled follower with zero loss and zero
-// re-ingestion drift: the committed prefix (everything before the
-// journaled offset, a record boundary) is replayed into a fresh index,
-// then the live tail reopens exactly at that offset — the next tick picks
-// up the first record the crashed daemon had not committed. Any mismatch
-// between the file and the journal (truncation, a horizon that replays
-// differently) is an error; the caller falls back to a fresh follow.
-func (s *Server) resumeFollow(ts manifest.TraceState) (*Trace, error) {
+// resumeFollow restores a journaled follower at its committed offset
+// with zero loss and zero re-ingestion drift (live.Resume). A file that
+// no longer matches the journal is an error; the caller falls back to a
+// fresh follow.
+func (s *Server) resumeFollow(ctx context.Context, ts manifest.TraceState) (*Trace, error) {
 	fs := ts.Follow
 	anchor, err := timeslice.New(fs.AnchorLo, fs.AnchorHi, fs.Slices)
 	if err != nil {
@@ -266,34 +263,16 @@ func (s *Server) resumeFollow(ts manifest.TraceState) (*Trace, error) {
 	if fs.PollMs > 0 {
 		poll = time.Duration(fs.PollMs) * time.Millisecond
 	}
-
-	pre, err := traceio.OpenTail(ts.Path)
+	eng, err := live.Resume(ctx, ts.Path, fs.Offset, fs.Horizon, anchor, live.Options{Index: s.reg.indexOpts, Input: s.cache.opts})
 	if err != nil {
 		return nil, err
 	}
-	prefix, err := readPrefix(pre, fs.Offset)
-	off := pre.Offset()
-	pre.Close()
-	switch {
-	case err != nil:
-		return nil, err
-	case off < fs.Offset:
-		return nil, fmt.Errorf("file ends at offset %d, journal committed %d (truncated since the crash?)", off, fs.Offset)
-	case off != fs.Offset:
-		return nil, fmt.Errorf("prefix replay landed at offset %d, journal committed %d (not a record boundary)", off, fs.Offset)
-	case prefix.end != fs.Horizon:
-		return nil, fmt.Errorf("prefix replays to horizon %g, journal says %g (file rewritten?)", prefix.end, fs.Horizon)
-	}
-	tail, err := traceio.OpenTailAt(ts.Path, fs.Offset)
-	if err != nil {
-		return nil, err
-	}
-	tr, err := s.bootFollower(ts.ID, ts.Path, ts.Gen, followState{anchor: anchor, ticks: fs.Ticks, poll: poll}, prefix, tail)
+	tr, err := s.bootFollower(ts.ID, ts.Path, ts.Gen, fs.Ticks, poll, eng)
 	if err != nil {
 		return nil, err
 	}
 	s.log.Info("follow resumed", "trace", ts.ID, "path", ts.Path,
-		"offset", fs.Offset, "events", tr.Events, "horizon", prefix.end)
+		"offset", fs.Offset, "events", tr.Events, "horizon", fs.Horizon)
 	return tr, nil
 }
 

@@ -5,7 +5,10 @@
 # ingest events as they land (events strictly grow between polls), serve
 # the live window (live=1), publish a follow block whose horizon never
 # moves backwards, count follow ticks in /metrics, stop ingestion on
-# DELETE, and report no armed failpoints.
+# DELETE, and report no armed failpoints. Alongside it, `ocelotl -follow`
+# (the same live-ingestion engine, from the CLI) tails the same file and
+# must exit 0 on its idle timeout with its last tick line reporting every
+# event the writer wrote.
 #
 #   scripts/follow_smoke.sh            # defaults: ~case A at small scale
 #   PORT=8099 scripts/follow_smoke.sh  # alternate port
@@ -17,21 +20,29 @@ PORT="${PORT:-8098}"
 tmp="$(mktemp -d)"
 daemon=""
 writer=""
+cli=""
 cleanup() {
   [ -n "$daemon" ] && kill "$daemon" 2>/dev/null || true
   [ -n "$writer" ] && kill "$writer" 2>/dev/null || true
+  [ -n "$cli" ] && kill "$cli" 2>/dev/null || true
   rm -rf "$tmp"
 }
 trap cleanup EXIT
 
 go build -o "$tmp/tracegen" ./cmd/tracegen
 go build -o "$tmp/ocelotld" ./cmd/ocelotld
+go build -o "$tmp/ocelotl" ./cmd/ocelotl
 
 # A writer that takes several seconds: flush every 2000 events, pause
 # between flushes so the daemon observes many distinct ticks.
 "$tmp/tracegen" -case A -scale 0.002 -out "$tmp/live.bin" \
   -append-every 2000 -append-interval 150ms &
 writer=$!
+
+# The CLI follower tails the same file (it waits for the header itself)
+# and exits once no new events have arrived for a second.
+"$tmp/ocelotl" -trace "$tmp/live.bin" -follow -follow-poll 50ms -follow-idle 1s > "$tmp/cli.out" &
+cli=$!
 
 "$tmp/ocelotld" -addr "127.0.0.1:$PORT" &
 daemon=$!
@@ -84,6 +95,21 @@ done
 echo "follow_smoke: converged at $(events_of) events (writer wrote ${total:-?})"
 if [ -n "$total" ] && [ "$(events_of)" -ne "$total" ]; then
   echo "follow_smoke: FAIL — daemon ingested $(events_of) of $total events" >&2
+  exit 1
+fi
+
+# The CLI follower must finish on its idle timeout, having ingested the
+# whole trace (the 4th field of a tick line is its event count).
+if ! wait "$cli"; then
+  cli=""
+  echo "follow_smoke: FAIL — ocelotl -follow exited non-zero" >&2
+  exit 1
+fi
+cli=""
+cli_events=$(tail -n 1 "$tmp/cli.out" | awk '{print $4}')
+echo "follow_smoke: ocelotl -follow printed $(wc -l < "$tmp/cli.out") lines, last at $cli_events events"
+if [ -z "$total" ] || [ "$cli_events" != "$total" ]; then
+  echo "follow_smoke: FAIL — ocelotl -follow ended at ${cli_events:-?} of ${total:-?} events" >&2
   exit 1
 fi
 
