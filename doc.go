@@ -11,9 +11,10 @@
 // one immutable core.Input answers any number of concurrent p-queries
 // from a capacity-bounded solver pool, and many-p exploration is fused —
 // the solver's one Algorithm 1 kernel carries up to core.MaxLanes p-lanes
-// through a single triangular iteration per hierarchy node, scanning the
-// temporal cuts cut-major with one vectorized row-relax step per cut
-// (AVX2 on amd64, a portable Go loop elsewhere), a single-p
+// through a single triangular iteration per hierarchy node, finishing
+// each triangle row in one call of a row kernel — no-cut, spatial and
+// every temporal cut, cut-major (AVX2 on amd64, a portable Go body
+// elsewhere) — a single-p
 // RunContext being a one-lane block (SweepRunContext and
 // SweepQualityContext split their p list into lane blocks over the
 // worker pool; SignificantPsContext is a batched dichotomy solving each

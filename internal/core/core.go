@@ -23,10 +23,10 @@
 //     Input concurrently. The solver has one kernel (fused.go): runLanes
 //     carries up to MaxLanes p-lanes through a single triangular
 //     iteration per node — each cell reads its gain/loss and child
-//     offsets once, and the temporal cuts are scanned cut-major, one
-//     relaxRow call per (row, cut) updating every lane of the row's later
-//     cells (relax.go; an AVX2 body on amd64) — and a single-p
-//     RunContext is a one-lane block of it. Solver entry
+//     offsets once, and one relaxRow call per triangle row stores the
+//     row's no-cut and spatial candidates and then scans its temporal
+//     cuts cut-major over every lane (relax.go; an AVX2 body on amd64) —
+//     and a single-p RunContext is a one-lane block of it. Solver entry
 //     points are memo-free. The Input-level entry points consult the memo
 //     first: SolveContext (one p, memoizing the partition) and the sweep
 //     layer (sweep.go: SweepRunContext, SweepQualityContext,

@@ -14,8 +14,8 @@ import (
 // triangular iteration: the sweep layer (solveLanes) partitions its p list
 // into blocks of at most this many lanes. The width trades per-lane
 // efficiency (wider blocks amortize more of the DP control flow, index
-// arithmetic, gain/loss traffic and relaxRow calls over more lanes per
-// 4-lane vector step) against the per-node working set — a block holds
+// arithmetic and gain/loss traffic over more lanes per 4-lane vector
+// step) against the per-node working set — a block holds
 // MaxLanes·(8+4) bytes per triangle cell of pIC/cut state, which at 16
 // lanes keeps a |T| ≈ 50 node's live rows inside L2 — and against sweep
 // granularity across workers (the sweep layer shrinks blocks below this
@@ -33,6 +33,8 @@ const MaxLanes = 16
 // Like Improves it rounds the product before the add: the float64
 // conversion keeps any compiler from fusing the two into an FMA, so the
 // value is the one relaxRowAVX2 computes with a separate multiply and add.
+// The no-cut candidate p·g − q·l is likewise two rounded multiplies and a
+// subtract in both bodies: the amd64 compiler never fuses them.
 func improveThr(best float64) float64 {
 	return best + float64(measures.ImproveEps*(1+math.Abs(best)))
 }
@@ -112,11 +114,11 @@ func (s *Solver) ensureLanes(K int) {
 // iterateCellsLanes is the triangular iteration of Algorithm 1 for one
 // node and K p-lanes, assuming every child's pIC strips are already
 // computed. The lane arenas hold one K-wide strip per triangle cell
-// (row-major, like the gain/loss triangles), and the scan is cut-major:
-// per row i (last to first) it first stores every cell's no-cut and
-// spatial candidate, then for cut = i..T−2 offers pic(i,cut) +
-// pic(cut+1,j) to all cells (i, j>cut) at once with one relaxRow step
-// (relaxRowAVX2 where the CPU has AVX2), reading row cut+1 contiguously.
+// (row-major, like the gain/loss triangles). Row by row, last to first,
+// one relaxRow call (relaxRowAVX2 where the CPU has AVX2) finishes the
+// whole row: it stores every cell's no-cut candidate, offers the
+// spatial cut, then for cut = i..T−2 offers pic(i,cut) + pic(cut+1,j)
+// to all cells (i, j>cut) at once, reading row cut+1 contiguously.
 // pic(i,cut) is final when cut is offered: its own cuts i..cut−1 were
 // offered before. Each cell still sees the same candidates in the same
 // order — no cut, spatial, then temporal cuts ascending — with the same
@@ -134,12 +136,11 @@ func (s *Solver) iterateCellsLanes(id, K int, eff *[MaxLanes]float64) {
 	cuts := s.laneCut[off*K : (off+in.cells)*K]
 	childOffs := in.meta[id].childOffs
 	p := eff[:K:K]
-	var qa, sums [MaxLanes]float64
+	var qa [MaxLanes]float64
 	q := qa[:K:K]
 	for k := range p {
 		q[k] = 1 - p[k]
 	}
-	avx2 := relaxAVX2
 	var thrA [1024]float64
 	thr := thrA[:]
 	if T*K > len(thrA) {
@@ -150,52 +151,13 @@ func (s *Solver) iterateCellsLanes(id, K int, eff *[MaxLanes]float64) {
 	for i := T - 1; i >= 0; i-- {
 		base := i*T - i*(i-1)/2 // triIndex(i, i)
 		n := (T - i) * K        // the row's strips, flattened
-		rowPic := pic[base*K : base*K+n]
-		rowCut := cuts[base*K : base*K+n]
-		rowThr := thr[:n]
-		for j := i; j < T; j++ {
-			idx := base + (j - i)
-			ob := (j - i) * K
-			op := rowPic[ob : ob+K : ob+K]
-			ot := rowThr[ob : ob+K : ob+K]
-			oc := rowCut[ob : ob+K : ob+K]
-			g, l := gain[idx], loss[idx]
-			for k := range op {
-				b := p[k]*g - q[k]*l // no cut
-				op[k], ot[k], oc[k] = b, improveThr(b), int32(j)
-			}
-			if len(childOffs) > 0 { // spatial cut?
-				sm := sums[:K:K]
-				for k := range sm {
-					sm[k] = 0
-				}
-				for _, co := range childOffs {
-					cb := (co + idx) * K
-					cp := s.lanePic[cb : cb+K : cb+K]
-					for k := range sm {
-						sm[k] += cp[k]
-					}
-				}
-				for k := range sm {
-					if sm[k] > ot[k] {
-						op[k], ot[k], oc[k] = sm[k], improveThr(sm[k]), CutSpatial
-					}
-				}
-			}
-		}
-		// Temporal cuts: the right parts pic(cut+1, j>cut) are row cut+1
-		// of the triangle, which starts at triIndex(cut+1, cut+1).
-		rBase := base + T - i
-		for cut := i; cut < T-1; cut++ {
-			lb := (cut - i) * K
-			L, R := rowPic[lb:lb+K], pic[rBase*K:rBase*K+(T-cut-1)*K]
-			P, TH, C := rowPic[lb+K:], rowThr[lb+K:], rowCut[lb+K:]
-			if avx2 {
-				relaxRowAVX2(L, R, P, TH, C, int32(cut))
-			} else {
-				relaxRow(L, R, P, TH, C, int32(cut))
-			}
-			rBase += T - cut - 1
+		g, l := gain[base:base+T-i], loss[base:base+T-i]
+		tri, th, c := pic[base*K:], thr[:n], cuts[base*K:base*K+n]
+		kids := s.lanePic[base*K:]
+		if relaxAVX2 {
+			relaxRowAVX2(p, q, g, l, tri, th, c, kids, childOffs, i)
+		} else {
+			relaxRow(p, q, g, l, tri, th, c, kids, childOffs, i)
 		}
 	}
 }

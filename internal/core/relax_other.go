@@ -7,6 +7,6 @@ func avx2Supported() bool { return false }
 
 // relaxRowAVX2 is never selected off amd64; it runs the portable body so
 // the kernel's dispatch compiles everywhere.
-func relaxRowAVX2(L, R, P, TH []float64, C []int32, cut int32) {
-	relaxRow(L, R, P, TH, C, cut)
+func relaxRowAVX2(p, q, g, l, tri, th []float64, c []int32, kids []float64, childOffs []int, i int) {
+	relaxRow(p, q, g, l, tri, th, c, kids, childOffs, i)
 }

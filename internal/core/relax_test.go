@@ -256,94 +256,132 @@ func TestRunLanesAllocs(t *testing.T) {
 	}
 }
 
-// fuzzBytes reads fuzz input one value at a time, zeros past its end.
-type fuzzBytes []byte
+// fuzzBytes reads fuzz input one byte at a time, cycling through it so a
+// short input still fills a long row; an empty input reads zeros.
+type fuzzBytes struct {
+	data []byte
+	pos  int
+}
 
 func (r *fuzzBytes) next() byte {
-	if len(*r) == 0 {
+	if len(r.data) == 0 {
 		return 0
 	}
-	b := (*r)[0]
-	*r = (*r)[1:]
+	b := r.data[r.pos%len(r.data)]
+	r.pos++
 	return b
 }
 
-// float decodes one value: a selector byte picks NaN, ±Inf, ±0, a small
-// integer or, otherwise, the next eight bytes as raw bits.
-func (r *fuzzBytes) float() float64 {
-	switch r.next() % 8 {
-	case 0:
-		return math.NaN()
-	case 1:
-		return math.Inf(1)
-	case 2:
-		return math.Inf(-1)
-	case 3:
-		return math.Copysign(0, -1)
-	case 4:
-		return 0
-	case 5:
-		return float64(int8(r.next()))
-	default:
-		var bits uint64
-		for i := 0; i < 8; i++ {
-			bits = bits<<8 | uint64(r.next())
-		}
-		return math.Float64frombits(bits)
+// value decodes one nine-byte value: a selector byte, then eight bytes of
+// raw bits that are always consumed. The selector picks ±0, ±Inf, a small
+// integer, tie (the caller's near-tie target), the next float above tie,
+// or the raw bits. It never returns NaN (raw NaN bits read as +0): a pIC
+// value never is one, and NaN payloads depend on operand order.
+func (r *fuzzBytes) value(tie float64) float64 {
+	sel := r.next()
+	var bits uint64
+	for i := 0; i < 8; i++ {
+		bits = bits<<8 | uint64(r.next())
 	}
+	switch sel % 8 {
+	case 0:
+		return 0
+	case 1:
+		return math.Copysign(0, -1)
+	case 2:
+		return math.Inf(1)
+	case 3:
+		return math.Inf(-1)
+	case 4:
+		return float64(int8(bits))
+	case 5:
+		return tie
+	case 6:
+		return math.Nextafter(tie, math.Inf(1))
+	}
+	if v := math.Float64frombits(bits); !math.IsNaN(v) {
+		return v
+	}
+	return 0
 }
 
-// FuzzRelaxRow compares relaxRowAVX2 with the portable relaxRow bit
-// for bit — every P, TH and C lane — for K = 1..MaxLanes and rows from
-// zero strips up, rows shorter than one 4-lane vector included. The
-// thresholds are drawn against the candidates: a candidate can equal its
-// threshold exactly, sit one ulp below or above it, or meet a NaN, ±Inf
-// or −0 on either side.
+// finite is value without the infinities, for gains and losses: with
+// them p·g − q·l could be Inf − Inf.
+func (r *fuzzBytes) finite() float64 {
+	if v := r.value(0); !math.IsInf(v, 0) {
+		return v
+	}
+	return 1
+}
+
+// FuzzRelaxRow compares relaxRowAVX2 with the portable relaxRow bit for
+// bit — every P, TH and C lane of the row — for K = 1..MaxLanes, rows of
+// 1..80 strips (past T·K = 1024 included) and 0..5 children in a fuzzed
+// order. Child strips can tie or just beat the no-cut threshold, or sum
+// to −0; the first cut's right parts can tie or just beat it too.
 func FuzzRelaxRow(f *testing.F) {
 	if !avx2Supported() {
 		f.Skip("no relaxRowAVX2 on this CPU")
 	}
-	f.Add(uint8(0), uint8(3), int32(7), []byte{4, 5, 1, 5, 2, 0, 1, 6, 0x3f, 0xf0, 0, 0, 0, 0, 0, 0})
-	f.Add(uint8(7), uint8(5), int32(-1), []byte{3, 3, 1, 2, 6, 0x40, 1, 2, 3, 4, 5, 6, 7})
-	f.Add(uint8(15), uint8(1), int32(0), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
-	f.Fuzz(func(t *testing.T, k, n uint8, cut int32, data []byte) {
+	f.Add(uint8(0), uint8(12), uint8(0), []byte{3, 200, 7, 1, 2, 3, 4, 5, 6, 7, 8, 5, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(uint8(7), uint8(6), uint8(2), []byte{1, 90, 17, 33, 6, 0x3f, 0xf0, 0, 0, 0, 0, 0, 0, 4})
+	f.Add(uint8(15), uint8(3), uint8(5), []byte{0, 255, 0, 128, 64, 7, 0x40, 1, 2, 3, 4, 5, 6, 7, 1})
+	f.Fuzz(func(t *testing.T, k, w, nk uint8, data []byte) {
 		K := 1 + int(k)%MaxLanes
-		M := K * (int(n) % 24)
-		r := fuzzBytes(data)
-		L := make([]float64, K)
-		for i := range L {
-			L[i] = r.float()
+		W := 1 + int(w)%80 // the row's strips: T − i
+		r := fuzzBytes{data: data}
+		i := int(r.next() % 8)
+		n := W * K
+		p, q := make([]float64, K), make([]float64, K)
+		for k := range p {
+			p[k] = float64(r.next()) / 255
+			q[k] = 1 - p[k]
 		}
-		R := make([]float64, M)
-		P := make([]float64, M)
-		TH := make([]float64, M)
-		C := make([]int32, M)
-		for m := range R {
-			R[m] = r.float()
-			P[m] = r.float()
-			C[m] = int32(m) - 3
-			v := L[m%K] + R[m]
-			switch r.next() % 5 {
-			case 0:
-				TH[m] = v
-			case 1:
-				TH[m] = math.Nextafter(v, math.Inf(-1))
-			case 2:
-				TH[m] = math.Nextafter(v, math.Inf(1))
-			case 3:
-				TH[m] = improveThr(v)
-			default:
-				TH[m] = r.float()
+		g, l := make([]float64, W), make([]float64, W)
+		for s := range g {
+			g[s], l[s] = r.finite(), r.finite()
+		}
+		noCut := make([]float64, n)
+		for m := range noCut {
+			noCut[m] = p[m%K]*g[m/K] - q[m%K]*l[m/K]
+		}
+		// Child c's row strip sits at strip offset c·W of kids, in
+		// ascending or descending child order.
+		childOffs := make([]int, int(nk)%6)
+		desc := r.next()%2 == 1
+		for c := range childOffs {
+			childOffs[c] = c * W
+			if desc {
+				childOffs[c] = (len(childOffs) - 1 - c) * W
 			}
 		}
-		goP, goTH, goC := slices.Clone(P), slices.Clone(TH), slices.Clone(C)
-		relaxRow(L, R, goP, goTH, goC, cut)
-		relaxRowAVX2(L, R, P, TH, C, cut)
-		for m := range P {
-			if math.Float64bits(P[m]) != math.Float64bits(goP[m]) ||
-				math.Float64bits(TH[m]) != math.Float64bits(goTH[m]) || C[m] != goC[m] {
-				t.Fatalf("K=%d lane %d of %d: AVX2 (P %v, TH %v, C %d), Go (P %v, TH %v, C %d)",
-					K, m, M, P[m], TH[m], C[m], goP[m], goTH[m], goC[m])
+		kids := make([]float64, len(childOffs)*n)
+		for m := range kids {
+			kids[m] = r.value(improveThr(noCut[m%n]))
+		}
+		// tri: the row, then rows i+1..T−1 (W−1 strips down to one).
+		tri := make([]float64, W*(W+1)/2*K)
+		for m := n; m < len(tri); m++ {
+			tie := 0.0
+			if m < 2*n-K { // row i+1: the first cut's right parts
+				j := m - n + K
+				tie = improveThr(noCut[j]) - noCut[j%K]
+			}
+			tri[m] = r.value(tie)
+		}
+		th, c := make([]float64, n), make([]int32, n)
+		goTri, goTH, goC := slices.Clone(tri), slices.Clone(th), slices.Clone(c)
+		relaxRow(p, q, g, l, goTri, goTH, goC, kids, childOffs, i)
+		relaxRowAVX2(p, q, g, l, tri, th, c, kids, childOffs, i)
+		for m := range tri {
+			if math.Float64bits(tri[m]) != math.Float64bits(goTri[m]) {
+				t.Fatalf("K=%d W=%d kids=%d: pIC %d: AVX2 %v, Go %v", K, W, len(childOffs), m, tri[m], goTri[m])
+			}
+		}
+		for m := range th {
+			if math.Float64bits(th[m]) != math.Float64bits(goTH[m]) || c[m] != goC[m] {
+				t.Fatalf("K=%d W=%d kids=%d: lane %d: AVX2 (TH %v, C %d), Go (TH %v, C %d)",
+					K, W, len(childOffs), m, th[m], c[m], goTH[m], goC[m])
 			}
 		}
 	})

@@ -211,3 +211,47 @@ func TestTickCommitsOnlyOnSuccess(t *testing.T) {
 	}
 	requireScratch(t, f, append(all, late...))
 }
+
+// TestFollowMalformedTimesIsTerminal: a followed trace that appends an
+// event trace.Event.Valid rejects ({Start: 1, End: +Inf}) fails the Tick
+// with a terminal error, and every retry fails the same way with the
+// Follower left as it was: the follow parks on its last good snapshot
+// instead of counting every later slice as busy.
+func TestFollowMalformedTimesIsTerminal(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "live.bin")
+	file, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	w, err := traceio.NewWriter(file, traceio.FormatBinary, header)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendFlushed(t, w, events(0, 100))
+	tail, err := traceio.OpenTail(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := Start(context.Background(), tail, 10, 0, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		f.Close()
+		f.Reslicer().Close()
+	}()
+	appendFlushed(t, w, []trace.Event{{Resource: 1, State: 0, Start: 1, End: math.Inf(1)}})
+	pan, horizon, offset, resl := f.Pan(), f.Horizon(), f.Offset(), f.Reslicer()
+	for retry := 0; retry < 2; retry++ {
+		if _, err := f.Tick(context.Background()); !Terminal(err) {
+			t.Fatalf("Tick %d over an End = +Inf event: err %v, want a terminal error", retry, err)
+		}
+		if f.Pan() != pan || f.Horizon() != horizon || f.Offset() != offset || f.Reslicer() != resl {
+			t.Fatalf("failed Tick %d committed: pan %d→%d, horizon %v→%v, offset %d→%d",
+				retry, pan, f.Pan(), horizon, f.Horizon(), offset, f.Offset())
+		}
+	}
+	requireScratch(t, f, events(0, 100))
+}

@@ -11,7 +11,6 @@ package microscopic
 import (
 	"fmt"
 	"io"
-	"math"
 
 	"ocelotl/internal/hierarchy"
 	"ocelotl/internal/timeslice"
@@ -192,8 +191,18 @@ func boundaries(sl timeslice.Slicer, lo, hi int) []float64 {
 // every slice it overlaps. w is the slice width; it only guesses the first
 // slice, which the table comparisons then make exact. An event that is
 // empty after clipping, inverted or NaN adds nothing.
+//
+// The clips are plain compares, not math.Max/Min calls: a NaN start or
+// end stays NaN and fails the guard, and past it no value is NaN, so the
+// compares differ from Max/Min only in the sign of a zero, which neither
+// a cell's b − a nor its b > a test can see.
 func spread(row, edges []float64, w, clipLo, clipHi, start, end float64) {
-	start, end = math.Max(start, clipLo), math.Min(end, clipHi)
+	if clipLo > start {
+		start = clipLo
+	}
+	if clipHi < end {
+		end = clipHi
+	}
 	if !(end > start) {
 		return
 	}
@@ -211,7 +220,14 @@ func spread(row, edges []float64, w, clipLo, clipHi, start, end float64) {
 		i++
 	}
 	for ; i < n && edges[i] < end; i++ {
-		if a, b := math.Max(start, edges[i]), math.Min(end, edges[i+1]); b > a {
+		a, b := start, end
+		if edges[i] > a {
+			a = edges[i]
+		}
+		if edges[i+1] < b {
+			b = edges[i+1]
+		}
+		if b > a {
 			row[i] += b - a
 		}
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -18,6 +19,7 @@ import (
 	"ocelotl/internal/mpisim"
 	"ocelotl/internal/server/client"
 	"ocelotl/internal/testutil"
+	"ocelotl/internal/trace"
 	"ocelotl/internal/traceio"
 )
 
@@ -199,5 +201,27 @@ func TestChaosSoakDiskIndex(t *testing.T) {
 	resp, body := get(t, ts.URL+"/traces/art/aggregate?slices=20&p=0.4")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-chaos build: status %d (%s)", resp.StatusCode, body)
+	}
+}
+
+// TestLoadRejectsMalformedTimes: a trace file holding an event that
+// trace.Event.Valid rejects ({Start: 1, End: +Inf}, which would count
+// every later slice as busy) fails to load as corrupt, into the RAM index
+// and into the disk index alike, and registers nothing.
+func TestLoadRejectsMalformedTimes(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "bad.bin")
+	lw := newLiveWriter(t, path)
+	lw.append(followEvents(20))
+	lw.append([]trace.Event{{Resource: 1, State: 0, Start: 1, End: math.Inf(1)}})
+	for _, mode := range []microscopic.IndexMode{microscopic.IndexRAM, microscopic.IndexDisk} {
+		reg := NewRegistry()
+		reg.SetIndexOptions(microscopic.IndexOptions{Mode: mode, Dir: dir})
+		if _, err := reg.Load("bad", path); !traceio.IsCorrupt(err) {
+			t.Errorf("index mode %v: Load err %v, want a CorruptError", mode, err)
+		}
+		if _, ok := reg.Get("bad"); ok {
+			t.Errorf("index mode %v: a corrupt trace was registered", mode)
+		}
 	}
 }

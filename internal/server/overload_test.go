@@ -137,7 +137,7 @@ func TestShedReturns503WithRetryAfter(t *testing.T) {
 	cfg.DegradeAfter = -1    // isolate shedding from degradation
 	s, ts := newTestServer(t, cfg)
 
-	entered := make(chan struct{})
+	entered := make(chan struct{}, 1) // buffered: the signal must not be lost if the build gets there first
 	release := make(chan struct{})
 	failpoint.EnableFunc(FailpointFlight, func(ctx context.Context) error {
 		select {

@@ -151,7 +151,8 @@ func (r *records) binaryHeader(buf []byte, atEOF bool) (int, error) {
 
 // binaryEvent decodes one event record. Running out of bytes is the
 // torn-record case (errNeedMore, or corruption at the end of the stream),
-// while a non-terminating varint or an out-of-range ID is corruption:
+// while a non-terminating varint, an out-of-range ID or times that
+// trace.Event.Valid rejects (NaN, ±Inf, End < Start) are corruption:
 // with MaxVarintLen64 bytes buffered a varint either terminates or
 // provably overflows, so the two cannot be confused.
 func (r *records) binaryEvent(buf []byte, atEOF bool) (int, error) {
@@ -181,6 +182,9 @@ func (r *records) binaryEvent(buf []byte, atEOF bool) (int, error) {
 		State:    trace.StateID(st),
 		Start:    math.Float64frombits(binary.LittleEndian.Uint64(b)),
 		End:      math.Float64frombits(binary.LittleEndian.Uint64(b[8:])),
+	}
+	if !r.ev.Valid() {
+		return 0, corruptAt(r.off, "event at byte %d has malformed times [%v, %v)", r.off, r.ev.Start, r.ev.End)
 	}
 	return n1 + n2 + 16, nil
 }

@@ -205,5 +205,8 @@ func parseCSVEventLine(line string, numResources, numStates int, ev *trace.Event
 	ev.Resource = trace.ResourceID(res)
 	ev.State = trace.StateID(st)
 	ev.Start, ev.End = start, end
+	if !ev.Valid() {
+		return fmt.Errorf("malformed times [%v, %v)", start, end)
+	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -203,6 +204,46 @@ func TestMutatedEventsAreRangeChecked(t *testing.T) {
 			}
 			if int(ev.Resource) >= nRes || ev.Resource < 0 || int(ev.State) >= nSt || ev.State < 0 {
 				t.Fatalf("trial %d: out-of-range event %+v escaped validation", trial, ev)
+			}
+		}
+	}
+}
+
+// TestMalformedTimesAreCorrupt: a record whose times trace.Event.Valid
+// rejects — NaN, ±Inf, End < Start — is corruption in both formats, at
+// the record's byte offset (binary) or line (CSV), not an event. An
+// End of +Inf would otherwise count every later slice as busy.
+func TestMalformedTimesAreCorrupt(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, format := range []Format{FormatBinary, FormatCSV} {
+		for _, bad := range [][2]float64{{1, inf}, {-inf, 1}, {nan, 2}, {1, nan}, {2, 1}} {
+			var buf bytes.Buffer
+			w, err := NewWriter(&buf, format, Header{Resources: []string{"c/a"}, States: []string{"x"}, Start: 0, End: 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				w.WriteEvent(trace.Event{Start: float64(i), End: float64(i) + 0.5})
+			}
+			if err := Flush(w); err != nil {
+				t.Fatal(err)
+			}
+			at := buf.Len() // the bad record's offset
+			line := strings.Count(buf.String(), "\n") + 1
+			w.WriteEvent(trace.Event{Start: bad[0], End: bad[1]})
+			w.WriteEvent(trace.Event{Start: 4, End: 5})
+			w.Close()
+
+			err = drain(buf.Bytes())
+			var ce *CorruptError
+			if !errors.As(err, &ce) {
+				t.Fatalf("%v [%v, %v): error %v, want a CorruptError", format, bad[0], bad[1], err)
+			}
+			if format == FormatBinary && ce.Offset != int64(at) {
+				t.Errorf("binary [%v, %v): CorruptError.Offset = %d, want %d", bad[0], bad[1], ce.Offset, at)
+			}
+			if format == FormatCSV && ce.Line != line {
+				t.Errorf("csv [%v, %v): CorruptError.Line = %d, want %d", bad[0], bad[1], ce.Line, line)
 			}
 		}
 	}
