@@ -154,7 +154,7 @@ func (s *Solver) iterateCellsLanes(id, K int, eff *[MaxLanes]float64) {
 		g, l := gain[base:base+T-i], loss[base:base+T-i]
 		tri, th, c := pic[base*K:], thr[:n], cuts[base*K:base*K+n]
 		kids := s.lanePic[base*K:]
-		if relaxAVX2 {
+		if useAVX2 {
 			relaxRowAVX2(p, q, g, l, tri, th, c, kids, childOffs, i)
 		} else {
 			relaxRow(p, q, g, l, tri, th, c, kids, childOffs, i)

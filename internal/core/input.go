@@ -41,9 +41,14 @@ type nodeMeta struct {
 // holding one T(T+1)/2-cell upper triangle per hierarchy node, indexed by
 // the per-node offset table offs.
 //
-// Each evaluated (cell, state) costs one division and one logarithm
-// (measures.GainLoss), with the Eq. 1 normalizer |S_k|·Σd(t) computed
-// once per cell.
+// Each triangle row is filled in two passes (fillRow): a scalar pass
+// runs every state's sums along the row and records them with each
+// cell's Eq. 1 normalizer |S_k|·Σd(t), and a batched pass (gainLossRow)
+// evaluates measures.GainLoss — one division and one logarithm per
+// (cell, state) — on four cells per step where the CPU has AVX2. Its
+// vector body transliterates math.Log2 lane by lane, so every cell is
+// bit-identical to the scalar formula (FuzzLog2x4, FuzzGainLossRow, and
+// the two-log reference of the kernel tests).
 //
 // Every cell (i, j) is computed as a running sum over the slice-local rows
 // slc* restricted to [i, j], never as a difference of global prefix sums.
@@ -326,57 +331,64 @@ func (in *Input) prefixRows(id int) {
 	}
 }
 
-// rowSums is the per-worker scratch of one triangle row's running
-// per-state sums.
+// rowSums is the per-worker scratch of one triangle row, where fillRow's
+// two passes meet: each evaluated cell's Eq. 1 normalizer and, state-major
+// with the row's cell count as stride, every state's running sums at each
+// evaluated cell. It is O(|X|·|T|).
 type rowSums struct {
-	d, rho, rl []float64
+	den, d, rho, rl []float64
 }
 
 func (in *Input) newRowSums() *rowSums {
+	n := in.X * in.T
 	return &rowSums{
-		d:   make([]float64, in.X),
-		rho: make([]float64, in.X),
-		rl:  make([]float64, in.X),
+		den: make([]float64, in.T),
+		d:   make([]float64, n),
+		rho: make([]float64, n),
+		rl:  make([]float64, n),
 	}
 }
 
 // fillRow computes the cells (i, j), from ≤ j < |T|, of node id's
-// gain/loss triangle. The per-state sums run from j = i regardless of
-// from, so every cell is a pure function of the slice rows over [i, j]
-// (shift-invariant); cells with j < from are only accumulated over, not
-// evaluated or written — the incremental path has already copied them.
+// gain/loss triangle in two passes. The scalar pass runs each state's
+// sums from j = i regardless of from, so every cell is a pure function of
+// the slice rows over [i, j] (shift-invariant); cells with j < from are
+// only accumulated over, not evaluated or written — the incremental path
+// has already copied them. It records the sums of the evaluated cells in
+// sc, and the batched pass (gainLossRow) turns them into the row's gains
+// and losses, several cells per step.
 func (in *Input) fillRow(id, i, from int, sc *rowSums) {
-	T, X := in.T, in.X
+	T, n := in.T, in.T-from
+	// The Eq. 1 normalizer is per cell, not per state.
 	size := float64(in.meta[id].size)
-	d, rho, rl := sc.d[:X], sc.rho[:X], sc.rl[:X]
-	for x := range d {
-		d[x], rho[x], rl[x] = 0, 0, 0
-	}
+	den := sc.den[:n]
 	dur := 0.0
-	sb0 := in.slcBase(id, 0)
-	rowBase := in.offs[id] + in.triIndex(i, i)
-	for j := i; j < T; j++ {
-		dur += in.Model.SliceDur[j]
-		for x := range d {
-			sb := sb0 + x*T + j
-			d[x] += in.slcD[sb]
-			rho[x] += in.slcRho[sb]
-			rl[x] += in.slcRL[sb]
+	for j, w := range in.Model.SliceDur[i:T] {
+		dur += w
+		if c := i + j - from; c >= 0 {
+			den[c] = size * dur
 		}
-		if j < from {
-			continue
-		}
-		// The Eq. 1 normalizer is per cell, not per state.
-		den := size * dur
-		var gain, loss float64
-		for x := range d {
-			g, l := measures.GainLoss(d[x], rho[x], rl[x], den)
-			gain += g
-			loss += l
-		}
-		idx := rowBase + (j - i)
-		in.gain[idx], in.loss[idx] = gain, loss
 	}
+	skip := from - i
+	for x := 0; x < in.X; x++ {
+		sb := in.slcBase(id, x) + i
+		sd, sr, sl := in.slcD[sb:sb+T-i], in.slcRho[sb:sb+T-i], in.slcRL[sb:sb+T-i]
+		bd, br, bl := sc.d[x*n:][:n], sc.rho[x*n:][:n], sc.rl[x*n:][:n]
+		var d, rho, rl float64
+		for j := 0; j < skip; j++ {
+			d += sd[j]
+			rho += sr[j]
+			rl += sl[j]
+		}
+		for c := range bd {
+			d += sd[skip+c]
+			rho += sr[skip+c]
+			rl += sl[skip+c]
+			bd[c], br[c], bl[c] = d, rho, rl
+		}
+	}
+	base, m := in.offs[id]+in.triIndex(i, from), in.X*n
+	gainLossRow(den, sc.d[:m], sc.rho[:m], sc.rl[:m], in.gain[base:base+n], in.loss[base:base+n])
 }
 
 // fillMatrices computes every node's gain/loss triangle from the slice

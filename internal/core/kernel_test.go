@@ -108,21 +108,37 @@ func edgeModel(rng *rand.Rand) *microscopic.Model {
 
 // TestKernelBitIdenticalEdgeValues: NewInputContext on models full of
 // edge values (idle states, zero-duration slices, size-1 leaves,
-// subnormals) fills every arena cell exactly as the two-log reference.
+// subnormals) fills every arena cell exactly as the two-log reference,
+// with either gainLossRow body.
 func TestKernelBitIdenticalEdgeValues(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 60; trial++ {
-		m := edgeModel(rng)
-		in := testInput(t, m, Options{Workers: 1 + trial%3})
-		requireKernelBitIdentical(t, in, "trial "+strconv.Itoa(trial))
+	for _, avx2 := range avx2Bodies() {
+		t.Run("avx2="+strconv.FormatBool(avx2), func(t *testing.T) {
+			defer setAVX2(avx2)()
+			rng := rand.New(rand.NewSource(17))
+			for trial := 0; trial < 60; trial++ {
+				m := edgeModel(rng)
+				in := testInput(t, m, Options{Workers: 1 + trial%3})
+				requireKernelBitIdentical(t, in, "trial "+strconv.Itoa(trial))
+			}
+		})
 	}
 }
 
 // TestKernelBitIdenticalDerived: the arenas of a scratch build, of
 // UpdateContext after forward and backward pans, and of CoarsenContext
 // all match the two-log reference bit for bit, on random traces with an
-// idle state and subnormal event durations at the window start.
+// idle state and subnormal event durations at the window start, with
+// either gainLossRow body.
 func TestKernelBitIdenticalDerived(t *testing.T) {
+	for _, avx2 := range avx2Bodies() {
+		t.Run("avx2="+strconv.FormatBool(avx2), func(t *testing.T) {
+			defer setAVX2(avx2)()
+			checkKernelDerived(t)
+		})
+	}
+}
+
+func checkKernelDerived(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 8; trial++ {
 		tr := windowTrace(rng, 1+rng.Intn(9), 300, 25)

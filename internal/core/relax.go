@@ -73,7 +73,8 @@ func relaxRow(p, q, g, l, tri, th []float64, c []int32, kids []float64, childOff
 	}
 }
 
-// relaxAVX2 selects relaxRowAVX2 over relaxRow. It is set once, before
-// any solve, from the CPU's features (avx2Supported); tests flip it to
-// run both bodies.
-var relaxAVX2 = avx2Supported()
+// useAVX2 selects the AVX2 bodies of the two row kernels, relaxRowAVX2
+// over relaxRow and gainLossRowAVX2 over gainLossRow's portable body. It
+// is set once, before any input pass or solve, from the CPU's features
+// (avx2Supported); tests flip it to run both bodies.
+var useAVX2 = avx2Supported()

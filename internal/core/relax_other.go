@@ -2,11 +2,25 @@
 
 package core
 
-// avx2Supported: there is no vector relaxRow body off amd64.
+import "math"
+
+// avx2Supported: there are no vector row-kernel bodies off amd64.
 func avx2Supported() bool { return false }
 
 // relaxRowAVX2 is never selected off amd64; it runs the portable body so
 // the kernel's dispatch compiles everywhere.
 func relaxRowAVX2(p, q, g, l, tri, th []float64, c []int32, kids []float64, childOffs []int, i int) {
 	relaxRow(p, q, g, l, tri, th, c, kids, childOffs, i)
+}
+
+// gainLossRowAVX2 is never selected off amd64; it runs the portable body.
+func gainLossRowAVX2(den, sd, sr, sl, gain, loss []float64) {
+	gainLossRowGo(den, sd, sr, sl, gain, loss)
+}
+
+// log2x4AVX2 is math.Log2 on each lane off amd64.
+func log2x4AVX2(x *[4]float64) {
+	for k, v := range x {
+		x[k] = math.Log2(v)
+	}
 }

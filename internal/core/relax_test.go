@@ -100,21 +100,21 @@ func refIterateCellsLanes(s *Solver, id, K int, eff *[MaxLanes]float64) {
 	}
 }
 
-// relaxBodies lists the relaxAVX2 settings this machine can run: the
-// portable relaxRow always, relaxRowAVX2 where the CPU has AVX2.
-func relaxBodies() []bool {
+// avx2Bodies lists the useAVX2 settings this machine can run: the
+// portable row kernels always, their AVX2 bodies where the CPU has AVX2.
+func avx2Bodies() []bool {
 	if avx2Supported() {
 		return []bool{false, true}
 	}
 	return []bool{false}
 }
 
-// setRelaxAVX2 selects relaxRow's body and returns a func restoring the
-// previous choice.
-func setRelaxAVX2(on bool) func() {
-	prev := relaxAVX2
-	relaxAVX2 = on
-	return func() { relaxAVX2 = prev }
+// setAVX2 selects the row kernels' bodies and returns a func restoring
+// the previous choice.
+func setAVX2(on bool) func() {
+	prev := useAVX2
+	useAVX2 = on
+	return func() { useAVX2 = prev }
 }
 
 // solveArenas runs one K-lane block's node walk on a fresh solver with
@@ -166,9 +166,9 @@ func homogeneousModel(rng *rand.Rand) *microscopic.Model {
 // block width 1..MaxLanes, and on a 70-slice model whose widest blocks
 // take the pooled heap strip, once with each relaxRow body.
 func TestCutMajorKernelBitIdentical(t *testing.T) {
-	for _, avx2 := range relaxBodies() {
+	for _, avx2 := range avx2Bodies() {
 		t.Run("avx2="+strconv.FormatBool(avx2), func(t *testing.T) {
-			defer setRelaxAVX2(avx2)()
+			defer setAVX2(avx2)()
 			rng := rand.New(rand.NewSource(41))
 			for trial := 0; trial < 12; trial++ {
 				var m *microscopic.Model
@@ -230,9 +230,9 @@ func TestRunLanesAllocs(t *testing.T) {
 	} {
 		in := testInput(t, scalingModel(t, c.S, c.T), Options{Workers: 1})
 		s := in.NewSolver()
-		for _, avx2 := range relaxBodies() {
+		for _, avx2 := range avx2Bodies() {
 			t.Run(strconv.Itoa(c.S)+"x"+strconv.Itoa(c.T)+"/avx2="+strconv.FormatBool(avx2), func(t *testing.T) {
-				defer setRelaxAVX2(avx2)()
+				defer setAVX2(avx2)()
 				for K, want := range c.allocs {
 					if raceEnabled && c.T*K > 1024 {
 						continue // the pooled strip

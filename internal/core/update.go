@@ -21,8 +21,8 @@ import (
 // surviving rows entirely; a forward pan's surviving rows still make one
 // add-only accumulation pass to reach their Δ tail cells — bit-identical
 // running sums cannot start mid-row — so its savings are the dropped
-// gain/loss evaluations — one division and one logarithm per state each —
-// not the adds, which remain a forward pan's full-row cost.) The work is
+// gain/loss evaluations of fillRow's batched pass, not its scalar pass's
+// adds, which remain a forward pan's full-row cost.) The work is
 // spread over the worker pool exactly like NewInputContext's.
 //
 // The result is a new immutable Input, bit-identical to

@@ -69,8 +69,8 @@ func (r *Reslicer) Extend(events []trace.Event, newEnd float64) (*Reslicer, erro
 		return nr, nil
 	}
 	tmp := make([][]indexedEvent, r.h.NumLeaves())
-	for _, e := range events {
-		if err := indexEvent(tmp, r.r2leaf, len(r.states), e); err != nil {
+	for k, e := range events {
+		if err := indexEvent(tmp, r.r2leaf, len(r.states), k, e); err != nil {
 			return nil, err
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -495,6 +496,53 @@ func TestExtendErrors(t *testing.T) {
 	}
 	// The receiver still works after refused extends.
 	mustBuildAt(t, r, mustSlicer(t, 0, 10, 8))
+}
+
+// TestInvalidEventsRejected: every path by which events enter the index
+// — BuildStream, the RAM and disk index builders, the auto builder past
+// its spill, and Extend — refuses an event with an infinite or NaN time or
+// End < Start, with an error naming the event's index.
+func TestInvalidEventsRejected(t *testing.T) {
+	for _, bad := range []trace.Event{
+		{Start: 1, End: math.Inf(1)},
+		{Start: math.Inf(-1), End: 2},
+		{Start: nan(), End: 2},
+		{Start: 1, End: nan()},
+		{Start: 3, End: 2},
+	} {
+		tr := trace.New([]string{"c/r0", "c/r1"}, []string{"x"})
+		tr.Start, tr.End = 0, 10
+		tr.Add(0, 0, 1, 2)
+		tr.Add(1, 0, 2, 3)
+		good := tr.Events
+		tr.Events = append(slices.Clone(good), bad)
+		check := func(path string, err error, want string) {
+			t.Helper()
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s accepted or misreported event [%v, %v): error %v, want one naming %q", path, bad.Start, bad.End, err, want)
+			}
+		}
+		_, err := Build(tr, Options{Slices: 4})
+		check("BuildStream", err, "event 2 ")
+		for _, c := range []struct {
+			path string
+			opt  IndexOptions
+		}{
+			{"RAM index", IndexOptions{Mode: IndexRAM}},
+			{"disk index", IndexOptions{Mode: IndexDisk, Dir: t.TempDir()}},
+			{"auto index past its spill", IndexOptions{Mode: IndexAuto, Threshold: 1, Dir: t.TempDir()}},
+		} {
+			_, err := NewReslicerIndexed(TraceSource(tr), c.opt)
+			check(c.path, err, "event 2 ")
+		}
+		tr.Events = good
+		r, err := NewReslicer(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = r.Extend([]trace.Event{{Start: 4, End: 5}, bad}, 12)
+		check("Extend", err, "event 1 ")
+	}
 }
 
 // TestExtendEmptyBatch grows the window without events: same index, new

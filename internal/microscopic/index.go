@@ -323,7 +323,7 @@ func NewReslicerIndexed(src EventSource, opt IndexOptions) (*Reslicer, error) {
 	}
 
 	var ev trace.Event
-	for {
+	for k := 0; ; k++ {
 		if err := src.Next(&ev); err != nil {
 			if err == io.EOF {
 				break
@@ -334,7 +334,7 @@ func NewReslicerIndexed(src EventSource, opt IndexOptions) (*Reslicer, error) {
 			return nil, fmt.Errorf("microscopic: reading events: %w", err)
 		}
 		if builder == nil {
-			if err := indexEvent(tmp, r2leaf, len(states), ev); err != nil {
+			if err := indexEvent(tmp, r2leaf, len(states), k, ev); err != nil {
 				return nil, err
 			}
 			total++
@@ -345,7 +345,7 @@ func NewReslicerIndexed(src EventSource, opt IndexOptions) (*Reslicer, error) {
 			}
 			continue
 		}
-		leaf, err := checkEvent(r2leaf, len(states), ev)
+		leaf, err := checkEvent(r2leaf, len(states), k, ev)
 		if err != nil {
 			builder.Abort()
 			return nil, err
@@ -436,15 +436,21 @@ func OpenReslicerStore(path string, opt IndexOptions) (*Reslicer, error) {
 	return r, nil
 }
 
-// checkEvent validates an event against the tables and returns its leaf:
-// the one copy of the acceptance rules, shared by BuildStream, the
-// buffered index path (indexEvent) and the direct-to-store path.
-func checkEvent(r2leaf []int, numStates int, e trace.Event) (int, error) {
-	if int(e.State) >= numStates || e.State < 0 {
-		return 0, fmt.Errorf("microscopic: event references state %d, table has %d", e.State, numStates)
+// checkEvent validates event k (its index in the stream or batch) and
+// returns its leaf: the one copy of the acceptance rules, shared by
+// BuildStream, the buffered index path (indexEvent) and the
+// direct-to-store path. The event must be trace.Event.Valid (finite
+// times, End ≥ Start, non-negative IDs) and reference the tables' states
+// and resources.
+func checkEvent(r2leaf []int, numStates, k int, e trace.Event) (int, error) {
+	if !e.Valid() {
+		return 0, fmt.Errorf("microscopic: event %d is invalid (resource %d, state %d, [%g, %g))", k, e.Resource, e.State, e.Start, e.End)
 	}
-	if int(e.Resource) >= len(r2leaf) || e.Resource < 0 {
-		return 0, fmt.Errorf("microscopic: event references resource %d, table has %d", e.Resource, len(r2leaf))
+	if int(e.State) >= numStates {
+		return 0, fmt.Errorf("microscopic: event %d references state %d, table has %d", k, e.State, numStates)
+	}
+	if int(e.Resource) >= len(r2leaf) {
+		return 0, fmt.Errorf("microscopic: event %d references resource %d, table has %d", k, e.Resource, len(r2leaf))
 	}
 	return r2leaf[e.Resource], nil
 }

@@ -139,14 +139,14 @@ func BuildStream(src EventSource, opt Options) (*Model, error) {
 	}
 	edges, w := boundaries(sl, 0, sl.N-1), sl.Width()
 	var ev trace.Event
-	for {
+	for k := 0; ; k++ {
 		if err := src.Next(&ev); err != nil {
 			if err == io.EOF {
 				break
 			}
 			return nil, fmt.Errorf("microscopic: reading events: %w", err)
 		}
-		s, err := checkEvent(r2leaf, len(m.dx), ev)
+		s, err := checkEvent(r2leaf, len(m.dx), k, ev)
 		if err != nil {
 			return nil, err
 		}

@@ -67,11 +67,11 @@ func NewReslicer(tr *trace.Trace) (*Reslicer, error) {
 	return NewReslicerIndexed(TraceSource(tr), IndexOptions{Mode: IndexRAM})
 }
 
-// indexEvent validates one event against the tables and appends it to its
+// indexEvent validates event k against the tables and appends it to its
 // leaf's bucket; the validation is checkEvent's, shared with the direct-
 // to-builder path so the acceptance rules cannot drift apart.
-func indexEvent(tmp [][]indexedEvent, r2leaf []int, numStates int, e trace.Event) error {
-	s, err := checkEvent(r2leaf, numStates, e)
+func indexEvent(tmp [][]indexedEvent, r2leaf []int, numStates, k int, e trace.Event) error {
+	s, err := checkEvent(r2leaf, numStates, k, e)
 	if err != nil {
 		return err
 	}

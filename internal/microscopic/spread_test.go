@@ -3,6 +3,8 @@ package microscopic
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -220,6 +222,12 @@ func fuzzTime(sel uint8, raw float64, sl timeslice.Slicer) float64 {
 // window with the old per-slice [lo, hi] filter. Every cell must match
 // in its Float64bits, and fillRange must leave cells outside lo..hi as it
 // found them.
+//
+// An event that is not trace.Event.Valid (a NaN or infinite time, or
+// End < Start) never reaches spread through a load: Build and NewReslicer
+// must reject it, naming its index. The same values still drive spread
+// by a direct call with each caller's arguments, so the kernel's own
+// guards stay checked against the oracle.
 func FuzzSpread(f *testing.F) {
 	f.Add(uint8(0), 0.0, 10.0, 10, 0, 0, 9, uint8(0), uint8(0), 1.5, 3.25)
 	f.Add(uint8(1), 0.1, 7.3, 13, 5, 2, 7, uint8(1<<3|1), uint8(6<<3|1), 0.0, 0.0)
@@ -238,19 +246,46 @@ func FuzzSpread(f *testing.F) {
 		lo = int(uint(lo) % uint(N))
 		hi = lo + int(uint(hi)%uint(N-lo))
 
+		// The oracles: the whole window from zero, and slices lo..hi
+		// over cells already holding time.
+		wantRow := make([]float64, N)
+		overlapOracle(sl, a, b, func(t int, sec float64) { wantRow[t] += sec })
+		held := make([]float64, N)
+		for i := range held {
+			held[i] = 0.1 * float64(i+1)
+		}
+		wantRange := slices.Clone(held)
+		overlapOracle(sl, a, b, func(t int, sec float64) {
+			if t >= lo && t <= hi {
+				wantRange[t] += sec
+			}
+		})
+
 		tr := trace.New([]string{"c/r"}, []string{"x"})
 		tr.Start, tr.End = 0, 1
 		tr.Add(0, 0, a, b)
 
+		if !tr.Events[0].Valid() {
+			if _, err := Build(tr, Options{Slices: N, Start: sl.Start, End: sl.End}); err == nil || !strings.Contains(err.Error(), "event 0 ") {
+				t.Fatalf("Build of invalid event [%v,%v): error %v, want one naming event 0", a, b, err)
+			}
+			if _, err := NewReslicer(tr); err == nil || !strings.Contains(err.Error(), "event 0 ") {
+				t.Fatalf("NewReslicer of invalid event [%v,%v): error %v, want one naming event 0", a, b, err)
+			}
+			cellsBitIdentical(t, "spread, BuildStream's call", spreadRow(sl, a, b), wantRow, a, b)
+			row := slices.Clone(held)
+			spreadRange(row, sl, lo, hi, a, b)
+			cellsBitIdentical(t, "spread, fillRange's call", row, wantRange, a, b)
+			return
+		}
+
 		// BuildStream shape: a whole New window, cells start at zero.
 		if kind%3 == 0 {
-			want := make([]float64, N)
-			overlapOracle(sl, a, b, func(t int, sec float64) { want[t] += sec })
 			m, err := Build(tr, Options{Slices: N, Start: sl.Start, End: sl.End})
 			if err != nil {
 				t.Fatal(err)
 			}
-			cellsBitIdentical(t, "BuildStream", m.StateRow(0), want, a, b)
+			cellsBitIdentical(t, "BuildStream", m.StateRow(0), wantRow, a, b)
 		}
 
 		// fillRange shape: slices lo..hi, cells already holding time.
@@ -259,21 +294,22 @@ func FuzzSpread(f *testing.F) {
 			t.Fatal(err)
 		}
 		m := NewEmpty(r.h, sl, r.states)
-		want := make([]float64, N)
-		for i := range want {
-			m.AddD(0, 0, i, 0.1*float64(i+1))
-			want[i] = 0.1 * float64(i+1)
+		for i, v := range held {
+			m.AddD(0, 0, i, v)
 		}
-		overlapOracle(sl, a, b, func(t int, sec float64) {
-			if t >= lo && t <= hi {
-				want[t] += sec
-			}
-		})
 		if err := r.fillRange(m, lo, hi); err != nil {
 			t.Fatal(err)
 		}
-		cellsBitIdentical(t, "fillRange", m.StateRow(0), want, a, b)
+		cellsBitIdentical(t, "fillRange", m.StateRow(0), wantRange, a, b)
 	})
+}
+
+// spreadRange spreads one event over slices lo..hi of row with the
+// arguments Reslicer.fillRange passes spread.
+func spreadRange(row []float64, sl timeslice.Slicer, lo, hi int, start, end float64) {
+	edges := boundaries(sl, lo, hi)
+	clipLo, clipHi := math.Max(edges[0], sl.Start), math.Min(edges[len(edges)-1], sl.End)
+	spread(row[lo:], edges, sl.Width(), clipLo, clipHi, start, end)
 }
 
 func cellsBitIdentical(t *testing.T, label string, got, want []float64, a, b float64) {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -113,6 +114,22 @@ func TestLoadListInfoUnload(t *testing.T) {
 	}
 	if r, _ := get(t, ts.URL+"/traces/a/aggregate?p=0.5"); r.StatusCode != http.StatusNotFound {
 		t.Fatalf("aggregate after unload: status %d, want 404", r.StatusCode)
+	}
+}
+
+// TestLoadTraceRejectsInvalidEvent: an in-memory trace holding an event
+// trace.Event.Valid rejects (an infinite end) does not load, the error
+// names the event, and nothing is registered.
+func TestLoadTraceRejectsInvalidEvent(t *testing.T) {
+	tr := mpisim.ArtificialSized(8, 20)
+	tr.Add(0, 0, 1, math.Inf(1))
+	reg := NewRegistry()
+	_, err := reg.LoadTrace("bad", tr)
+	if want := fmt.Sprintf("event %d ", len(tr.Events)-1); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("LoadTrace: error %v, want one naming %q", err, want)
+	}
+	if _, err := reg.LoadTrace("bad", mpisim.ArtificialSized(8, 20)); err != nil {
+		t.Fatalf("the refused id stayed registered: %v", err)
 	}
 }
 

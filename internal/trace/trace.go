@@ -33,11 +33,12 @@ type Event struct {
 func (e Event) Duration() float64 { return e.End - e.Start }
 
 // Valid reports whether the event is well-formed: non-negative IDs and a
-// non-inverted time interval.
+// non-inverted interval of finite times. End ≥ Start already fails for a
+// NaN time, and with it a finite Start and End need only the two outer
+// bounds — three compares, so the check inlines into every event loader.
 func (e Event) Valid() bool {
 	return e.Resource >= 0 && e.State >= 0 && e.End >= e.Start &&
-		!math.IsNaN(e.Start) && !math.IsNaN(e.End) &&
-		!math.IsInf(e.Start, 0) && !math.IsInf(e.End, 0)
+		e.Start >= -math.MaxFloat64 && e.End <= math.MaxFloat64
 }
 
 // Trace is an in-memory execution trace. Resources are named by

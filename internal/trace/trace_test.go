@@ -62,6 +62,19 @@ func TestEventValid(t *testing.T) {
 			t.Errorf("bad event %d accepted: %+v", i, e)
 		}
 	}
+	// Every pair of edge times agrees with the rule spelled out: no NaN,
+	// no infinity, End ≥ Start.
+	times := []float64{math.NaN(), math.Inf(-1), -math.MaxFloat64, -1, math.Copysign(0, -1),
+		0, math.SmallestNonzeroFloat64, 1, math.MaxFloat64, math.Inf(1)}
+	for _, a := range times {
+		for _, b := range times {
+			e := Event{Start: a, End: b}
+			want := !math.IsNaN(a) && !math.IsNaN(b) && !math.IsInf(a, 0) && !math.IsInf(b, 0) && b >= a
+			if e.Valid() != want {
+				t.Errorf("Event{Start: %v, End: %v}.Valid() = %v, want %v", a, b, e.Valid(), want)
+			}
+		}
+	}
 }
 
 func TestValidate(t *testing.T) {

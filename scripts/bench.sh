@@ -7,6 +7,7 @@
 # in the repo. The suite covers the engine (input pass, Run, the fused
 # multi-p sweeps BenchmarkSweepFused_{K4,K16} vs BenchmarkSweepSingle_K16,
 # the kernel alone on a prebuilt Input BenchmarkSolveLanes_{K1,K8,K16},
+# the input pass's row fill alone BenchmarkGainLossRow_{Go,AVX2},
 # the batched dichotomy BenchmarkSignificantPs{,_Batched}, cooperative
 # cancellation), the windowing families (BenchmarkWindowPan/Zoom), the
 # out-of-core store (BenchmarkStoreBuild, BenchmarkStoreWindowRead with
@@ -37,8 +38,11 @@ tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
 # internal/core contributes only its kernel benchmarks unless BENCH asks
-# for more; its input-pass and Run benchmarks stay out of the baseline.
-core_pattern="${BENCH:-^BenchmarkSolveLanes_}"
+# for more — the Algorithm 1 row kernel (BenchmarkSolveLanes_*) and the
+# input pass's row fill with each gainLossRow body
+# (BenchmarkGainLossRow_{Go,AVX2}); its input-pass and Run benchmarks stay
+# out of the baseline.
+core_pattern="${BENCH:-^Benchmark(SolveLanes|GainLossRow)_}"
 
 go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -benchmem . | tee "$tmp"
 go test -run '^$' -bench "$core_pattern" -benchtime "$benchtime" -benchmem ./internal/core | tee -a "$tmp"

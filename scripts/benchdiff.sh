@@ -3,9 +3,9 @@
 # fail on regressions of the named hot-path benchmarks, so a PR cannot
 # silently give back the engine's headline wins (the fused p-sweep, the
 # batched significant-p frontier, the incremental pan, the resolution-ladder
-# zoom, the serving hit path, the Table II trace read, microscopic build,
-# input pass and solve, the scratch build, the O(Δ) follow tick at short
-# and long history).
+# zoom, the serving hit and derived-pan paths, the Table II trace read,
+# microscopic build, input pass and solve, the scratch build, the O(Δ)
+# follow tick at short and long history).
 #
 #   scripts/benchdiff.sh                    # gated benches only, 5 iters, +25%
 #   REGRESS_PCT=40 scripts/benchdiff.sh     # looser gate
@@ -48,6 +48,7 @@ BenchmarkWindowPan_DiskIndex
 BenchmarkWindowZoom_Incremental
 BenchmarkWindowZoomOut_Incremental
 BenchmarkServerPan_Hit
+BenchmarkServerPan_Derived
 BenchmarkServerZoom_Ladder
 BenchmarkServerPan_Scratch
 BenchmarkTable2_Read_C
