@@ -43,7 +43,9 @@ func newBenchServer(b *testing.B, cacheBytes int64) *httptest.Server {
 	return ts
 }
 
-func benchGet(b *testing.B, url string) {
+// benchGet fetches url, fails the benchmark unless it answers 200, and
+// returns how the server built the answer (its X-Ocelotl-Build header).
+func benchGet(b *testing.B, url string) string {
 	b.Helper()
 	resp, err := http.Get(url)
 	if err != nil {
@@ -54,6 +56,7 @@ func benchGet(b *testing.B, url string) {
 	if resp.StatusCode != http.StatusOK {
 		b.Fatalf("%s: status %d", url, resp.StatusCode)
 	}
+	return resp.Header.Get("X-Ocelotl-Build")
 }
 
 func BenchmarkServerPan_Hit(b *testing.B) {
@@ -88,13 +91,19 @@ func BenchmarkServerPan_Scratch(b *testing.B) {
 }
 
 // The server zoom pair is the serving counterpart of BenchmarkWindowZoom:
-// each request changes resolution (overview level ↔ zoomed level), panned
-// a little each time so the cache never has the exact window.
+// each request changes resolution (overview level ↔ zoomed level), and
+// each level pans one slice further every time it is asked for, so no
+// window repeats at any -benchtime and the cache never has the exact
+// window.
 //
 //   - Ladder: both levels are warm in the ladder, so every zoom is a
-//     miss served by same-grid derivation from its level's resident;
+//     miss served by same-grid derivation from its level's previous
+//     window;
 //   - Scratch: caching disabled, every zoom pays the full input pass.
-func benchServerZoom(b *testing.B, cacheBytes int64) {
+//
+// A timed request built any other way (a cache hit, say) fails the
+// benchmark.
+func benchServerZoom(b *testing.B, cacheBytes int64, want server.BuildKind) {
 	_, _, in := windowCase(b)
 	lo, hi := in.Model.Slicer.IntervalBounds(10, 19)
 	ts := newBenchServer(b, cacheBytes)
@@ -108,9 +117,13 @@ func benchServerZoom(b *testing.B, cacheBytes int64) {
 		if i%2 == 1 {
 			u = over
 		}
-		benchGet(b, fmt.Sprintf("%s&pan=%d", u, 1+i%3))
+		if got := benchGet(b, fmt.Sprintf("%s&pan=%d", u, 1+i/2)); got != string(want) {
+			b.Fatalf("request %d built %q, want %q", i, got, want)
+		}
 	}
 }
 
-func BenchmarkServerZoom_Ladder(b *testing.B)  { benchServerZoom(b, server.DefaultCacheBytes) }
-func BenchmarkServerZoom_Scratch(b *testing.B) { benchServerZoom(b, -1) }
+func BenchmarkServerZoom_Ladder(b *testing.B) {
+	benchServerZoom(b, server.DefaultCacheBytes, server.BuildDerived)
+}
+func BenchmarkServerZoom_Scratch(b *testing.B) { benchServerZoom(b, -1, server.BuildScratch) }

@@ -1,14 +1,18 @@
 package ocelotl
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"testing"
 
 	"ocelotl/internal/core"
 	"ocelotl/internal/eventstore"
+	"ocelotl/internal/grid5000"
 	"ocelotl/internal/microscopic"
 	"ocelotl/internal/mpisim"
 	"ocelotl/internal/timeslice"
+	"ocelotl/internal/trace"
 )
 
 // The out-of-core store benchmarks: build cost (the one-time price paid at
@@ -33,6 +37,42 @@ func BenchmarkStoreBuild(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// storeBuildTimeOrderedEvents is the simulator's event budget for
+// BenchmarkStoreBuild_TimeOrdered's trace (it generates about 1.27M
+// events): more than DefaultSortBufferEvents, so the build spills and
+// merges.
+const storeBuildTimeOrderedEvents = 1_600_000
+
+// BenchmarkStoreBuild_TimeOrdered measures indexing a case-A (NAS-PB CG,
+// 64 ranks) mpisim trace sorted by start time — the order a live writer
+// appends in, so every rank's events interleave — into the on-disk
+// store. It is the load a followed trace pays before its first live
+// view; each rank already arrives in start order.
+func BenchmarkStoreBuild_TimeOrdered(b *testing.B) {
+	res, err := mpisim.GenerateCase(grid5000.CaseA, mpisim.Config{Seed: 42, EventTarget: storeBuildTimeOrderedEvents})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr := res.Trace
+	slices.SortStableFunc(tr.Events, func(x, y trace.Event) int { return cmp.Compare(x.Start, y.Start) })
+	if len(tr.Events) <= eventstore.DefaultSortBufferEvents {
+		b.Fatalf("%d events fit one sort buffer; the build would not spill", len(tr.Events))
+	}
+	dir := b.TempDir()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := microscopic.NewReslicerIndexed(microscopic.TraceSource(tr),
+			microscopic.IndexOptions{Mode: microscopic.IndexDisk, Dir: dir})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := r.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(tr.Events)), "events")
 }
 
 // BenchmarkStoreWindowRead measures a windowed read: every series, a 2%

@@ -2,6 +2,7 @@ package eventstore
 
 import (
 	"bufio"
+	"cmp"
 	"container/heap"
 	"encoding/binary"
 	"fmt"
@@ -10,16 +11,20 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 )
 
 // Builder tuning defaults. 4K events per chunk keeps a 1-slice pan to a
-// handful of chunk decodes; a 1M-event sort buffer (24 MiB) bounds build
-// RAM regardless of trace size.
+// handful of chunk decodes; a 1M-event sort buffer (24 MiB of records
+// plus a 4 MiB order table) bounds build RAM regardless of trace size.
 const (
 	DefaultTargetChunkEvents = 4096
 	DefaultSortBufferEvents  = 1 << 20
 )
+
+// maxSortBufferEvents caps Options.SortBufferEvents so a buffer position
+// fits the builder's uint32 order table.
+const maxSortBufferEvents = math.MaxInt32
 
 // record is the builder's fixed 24-byte spill format: series, state,
 // start bits, end bits, little-endian. Runs of sorted records merge back
@@ -57,17 +62,34 @@ func unmarshalRecord(b []byte) record {
 // byte-for-byte the order a global stable sort of the whole event
 // sequence would give — the invariant the bit-identity contract with the
 // in-RAM index rests on.
+//
+// A buffer is put in order in linear time when its series arrive in
+// start order, as a time-ordered trace's do: Add counts each series'
+// buffered events and notes whether its starts are still non-decreasing,
+// a spill scatters buffer positions into per-series buckets (a stable
+// counting sort by series) and stable-sorts by start only the buckets
+// that arrived out of order.
 type Builder struct {
 	path string
 	meta Meta
 	opt  Options
 
-	buf  []record
-	runs []*os.File // spilled sorted runs, in spill order
-	n    int64      // events added
-	tmp  string     // in-flight output temp, renamed to path on success
+	buf    []record
+	series []bucket   // per meta.Series entry: its share of buf
+	order  []uint32   // spill scratch: buf positions in (series, start) order
+	runs   []*os.File // spilled sorted runs, in spill order
+	n      int64      // events added
+	tmp    string     // in-flight output temp, renamed to path on success
 
 	finished bool
+}
+
+// bucket tracks one series' buffered events: how many, the last start
+// added, and whether a start ever fell below its predecessor's.
+type bucket struct {
+	n         int
+	last      float64
+	unordered bool
 }
 
 // Create starts building a store at path. The directory containing path
@@ -81,11 +103,33 @@ func Create(path string, meta Meta, opt Options) (*Builder, error) {
 	if opt.SortBufferEvents <= 0 {
 		opt.SortBufferEvents = DefaultSortBufferEvents
 	}
-	return &Builder{path: path, meta: meta, opt: opt}, nil
+	opt.SortBufferEvents = min(opt.SortBufferEvents, maxSortBufferEvents)
+	return &Builder{path: path, meta: meta, opt: opt, series: make([]bucket, len(meta.Series))}, nil
 }
 
 // Add buffers one event, spilling a sorted run if the buffer is full.
+// The event must name a series of the store's table and span a finite,
+// non-inverted interval (end ≥ start, the rule of trace.Event.Valid): a
+// store skips the chunks of a series it has no name for, and NaN has no
+// place in the start order.
 func (b *Builder) Add(series uint32, state int32, start, end float64) error {
+	if int64(series) >= int64(len(b.series)) {
+		return fmt.Errorf("eventstore: add: series %d outside the %d-series table", series, len(b.series))
+	}
+	if !(end >= start && start >= -math.MaxFloat64 && end <= math.MaxFloat64) {
+		return fmt.Errorf("eventstore: add: series %d event [%g, %g) is not a finite, non-inverted interval", series, start, end)
+	}
+	bk := &b.series[series]
+	if bk.n > 0 && start < bk.last {
+		bk.unordered = true
+	}
+	bk.n++
+	bk.last = start
+	if len(b.buf) == cap(b.buf) {
+		// Double up to the buffer bound: append's 1.25× steps would copy
+		// a filling buffer several times over.
+		b.buf = slices.Grow(b.buf, min(max(len(b.buf), 256), b.opt.SortBufferEvents-len(b.buf)))
+	}
 	b.buf = append(b.buf, record{series: series, state: state, start: start, end: end})
 	b.n++
 	if len(b.buf) >= b.opt.SortBufferEvents {
@@ -94,27 +138,50 @@ func (b *Builder) Add(series uint32, state int32, start, end float64) error {
 	return nil
 }
 
-// sortBuf stably orders the buffer by (series, start); ties keep arrival
-// order, matching the in-RAM index's sort.SliceStable on starts.
-func (b *Builder) sortBuf() {
-	sort.SliceStable(b.buf, func(i, j int) bool {
-		if b.buf[i].series != b.buf[j].series {
-			return b.buf[i].series < b.buf[j].series
+// sortBuf returns the buffer positions stably ordered by (series,
+// start): ties keep arrival order, as the in-RAM index's leaf sort
+// does. It resets the per-series buckets for the next buffer.
+func (b *Builder) sortBuf() []uint32 {
+	if cap(b.order) < len(b.buf) {
+		b.order = make([]uint32, len(b.buf))
+	}
+	order := b.order[:len(b.buf)]
+	// Scatter buffer positions into per-series buckets, each in arrival
+	// order (a stable counting sort by series): a bucket's n becomes its
+	// start offset, then advances to its end.
+	start := 0
+	for s := range b.series {
+		start, b.series[s].n = start+b.series[s].n, start
+	}
+	for i, r := range b.buf {
+		bk := &b.series[r.series]
+		order[bk.n] = uint32(i)
+		bk.n++
+	}
+	// Add admits no NaN, so cmp.Compare is the `<` order: ±0 tie.
+	lo := 0
+	for _, bk := range b.series {
+		if bk.unordered {
+			slices.SortStableFunc(order[lo:bk.n], func(x, y uint32) int {
+				return cmp.Compare(b.buf[x].start, b.buf[y].start)
+			})
 		}
-		return b.buf[i].start < b.buf[j].start
-	})
+		lo = bk.n
+	}
+	clear(b.series)
+	return order
 }
 
 func (b *Builder) spill() error {
-	b.sortBuf()
+	order := b.sortBuf()
 	f, err := os.CreateTemp(filepath.Dir(b.path), ".oces-run-*")
 	if err != nil {
 		return fmt.Errorf("eventstore: spill run: %w", err)
 	}
 	w := bufio.NewWriterSize(f, 1<<16)
 	var rec [recordSize]byte
-	for _, r := range b.buf {
-		r.marshal(rec[:])
+	for _, i := range order {
+		b.buf[i].marshal(rec[:])
 		if _, err := w.Write(rec[:]); err != nil {
 			f.Close()
 			os.Remove(f.Name())
@@ -144,6 +211,7 @@ func (b *Builder) Abort() {
 	}
 	b.runs = nil
 	b.buf = nil
+	b.order = nil
 }
 
 // Finish sorts/merges everything added, writes the store file and opens
@@ -187,14 +255,13 @@ func (b *Builder) Finish() (*Store, error) {
 
 	emit := func(r record) error { return cw.add(r) }
 	if len(b.runs) == 0 {
-		// Everything fit in the buffer: sort in place and emit directly.
-		b.sortBuf()
-		for _, r := range b.buf {
-			if err := emit(r); err != nil {
+		// Everything fit in the buffer: order it and emit directly.
+		for _, i := range b.sortBuf() {
+			if err := emit(b.buf[i]); err != nil {
 				return nil, b.fail(out, err)
 			}
 		}
-		b.buf = nil
+		b.buf, b.order = nil, nil
 	} else {
 		if len(b.buf) > 0 {
 			if err := b.spill(); err != nil {
@@ -358,6 +425,7 @@ type runHead struct {
 	r   *bufio.Reader
 	rec record
 	idx int // spill order; ties resolve to the earliest spill
+	raw [recordSize]byte
 }
 
 type runHeap []*runHead
@@ -377,14 +445,13 @@ func (h runHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *runHeap) Push(x any)   { *h = append(*h, x.(*runHead)) }
 func (h *runHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 func (h *runHead) next() (bool, error) {
-	var rec [recordSize]byte
-	if _, err := io.ReadFull(h.r, rec[:]); err != nil {
+	if _, err := io.ReadFull(h.r, h.raw[:]); err != nil {
 		if err == io.EOF {
 			return false, nil
 		}
 		return false, err
 	}
-	h.rec = unmarshalRecord(rec[:])
+	h.rec = unmarshalRecord(h.raw[:])
 	return true, nil
 }
 

@@ -10,7 +10,11 @@
 //
 //   - the builder streams events through a bounded-memory external sort
 //     (spilled sorted runs, stable k-way merge), so multi-gigabyte traces
-//     index in O(sort buffer) RAM;
+//     index in O(sort buffer) RAM. Each buffer is ordered by a stable
+//     counting sort into per-series buckets, and only a bucket whose
+//     starts arrived out of order is then stable-sorted by start, so a
+//     time-ordered trace (every series in start order, the series
+//     interleaved) orders in linear time;
 //   - events land in chunks of one series (resource) each, sorted by
 //     start time, with XOR-delta-encoded float64 timestamps (close
 //     timestamps share their high bits, so deltas varint-encode small);

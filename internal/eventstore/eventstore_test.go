@@ -1,11 +1,13 @@
 package eventstore
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -356,4 +358,50 @@ func TestFlippedChunkByteIsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustFailCorrupt(t, path, "flipped chunk byte")
+}
+
+// TestAddRejectsEventsTheStoreCannotHold checks that Add refuses, with an
+// error naming the series, an event outside the series table (Open would
+// skip its chunk, so NumEvents and the reads would disagree) and an
+// event without a finite, non-inverted interval (NaN has no place in the
+// start order).
+func TestAddRejectsEventsTheStoreCannotHold(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bad.oces")
+	b, err := Create(path, Meta{Series: []string{"r0", "r1"}, States: []string{"s0", "s1"}}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Abort()
+	inf, nan := math.Inf(1), math.NaN()
+	for _, e := range []ev{
+		{2, 0, 1, 2}, {7, 0, 1, 2}, {math.MaxUint32, 0, 1, 2},
+		{1, 0, nan, 2}, {1, 0, 1, nan}, {1, 0, nan, nan},
+		{1, 0, -inf, 2}, {1, 0, 1, inf}, {1, 0, -inf, inf}, {1, 0, inf, inf},
+		{0, 0, 2, 1}, {0, 0, 0, -math.SmallestNonzeroFloat64},
+	} {
+		err := b.Add(e.series, e.state, e.start, e.end)
+		if err == nil {
+			t.Fatalf("Add(%+v) accepted", e)
+		}
+		if want := fmt.Sprintf("series %d ", e.series); !strings.Contains(err.Error(), want) {
+			t.Fatalf("Add(%+v): error %q does not name the series", e, err)
+		}
+	}
+	// The rejected events left no trace: the valid ones alone are stored.
+	for _, e := range []ev{{1, 1, 1, 2}, {0, 0, math.Copysign(0, -1), 0}, {1, 0, 3, 3}} {
+		if err := b.Add(e.series, e.state, e.start, e.end); err != nil {
+			t.Fatalf("Add(%+v): %v", e, err)
+		}
+	}
+	s, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.NumEvents() != 3 {
+		t.Fatalf("NumEvents = %d, want 3", s.NumEvents())
+	}
+	if got := len(collect(t, s, 0, math.Inf(-1), math.Inf(1))) + len(collect(t, s, 1, math.Inf(-1), math.Inf(1))); got != 3 {
+		t.Fatalf("reads visit %d events, want 3", got)
+	}
 }

@@ -3,6 +3,7 @@ package eventstore
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
@@ -107,6 +108,81 @@ func FuzzStoreOpen(f *testing.F) {
 		})
 		if err != nil && !IsCorrupt(err) {
 			t.Fatalf("ForEachOverlapping: non-corrupt error %T: %v", err, err)
+		}
+	})
+}
+
+// FuzzBuilderOrder builds a store from a fuzzed event stream with a small
+// sort buffer, so the build spills and merges several runs, and requires
+// every series' full read to match the contract order — the stable
+// (series, start) sort of the arrival sequence (reference) — field by
+// field, bit for bit. Each event takes three bytes: its series (modulo
+// the 1–8-entry table, so series may stay empty), a start code (0x80 is
+// −0, any other byte its int8 value over 4, so starts tie often) and a
+// duration code (low 2 bits the state, the rest the duration in eighths;
+// zero duration keeps end = start, −0 included). Streams stop at 128
+// events and the buffer holds 2–64, so a 128-event stream always spills.
+//
+// Every execution writes and fsyncs a store, milliseconds where the other
+// targets take microseconds, so fuzz it with a bounded minimization
+// (CI passes -fuzzminimizetime 20x): the default 60 s minimization of
+// each new input would take the whole fuzz time.
+func FuzzBuilderOrder(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "order.oces")
+	f.Fuzz(func(t *testing.T, data []byte, numSeries, sortBuf, chunk uint8) {
+		ns := 1 + uint32(numSeries)%8
+		var events []ev
+		for i := 0; i+3 <= len(data) && len(events) < 128; i += 3 {
+			start := float64(int8(data[i+1])) / 4
+			if data[i+1] == 0x80 {
+				start = math.Copysign(0, -1)
+			}
+			end := start
+			if d := data[i+2] >> 2; d > 0 {
+				end = start + float64(d)/8
+			}
+			events = append(events, ev{series: uint32(data[i]) % ns, state: int32(data[i+2] & 3), start: start, end: end})
+		}
+		meta := Meta{States: []string{"a", "b", "c", "d"}}
+		for s := uint32(0); s < ns; s++ {
+			meta.Series = append(meta.Series, fmt.Sprintf("r%d", s))
+		}
+		b, err := Create(path, meta, Options{
+			SortBufferEvents:  2 + int(sortBuf)%63,
+			TargetChunkEvents: 1 + int(chunk)%16,
+			RemoveOnClose:     true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range events {
+			if err := b.Add(e.series, e.state, e.start, e.end); err != nil {
+				b.Abort()
+				t.Fatalf("Add(%+v): %v", e, err)
+			}
+		}
+		s, err := b.Finish()
+		if err != nil {
+			t.Fatalf("Finish: %v", err)
+		}
+		defer s.Close()
+		if s.NumEvents() != int64(len(events)) {
+			t.Fatalf("NumEvents = %d, want %d", s.NumEvents(), len(events))
+		}
+		lo, hi := math.Inf(-1), math.Inf(1)
+		for series := uint32(0); series < ns; series++ {
+			got := collect(t, s, series, lo, hi)
+			want := reference(events, series, lo, hi)
+			if len(got) != len(want) {
+				t.Fatalf("series %d: read %d events, want %d", series, len(got), len(want))
+			}
+			for i := range want {
+				g, w := got[i], want[i]
+				if g.state != w.state || math.Float64bits(g.start) != math.Float64bits(w.start) ||
+					math.Float64bits(g.end) != math.Float64bits(w.end) {
+					t.Fatalf("series %d event %d: got %+v, want %+v", series, i, g, w)
+				}
+			}
 		}
 	})
 }

@@ -36,9 +36,11 @@ type Options struct {
 	// DefaultTargetChunkEvents). Smaller chunks seek tighter windows;
 	// larger chunks amortize directory and CRC overhead.
 	TargetChunkEvents int
-	// SortBufferEvents bounds the builder's in-RAM sort buffer (default
-	// DefaultSortBufferEvents); beyond it, runs spill to disk and merge
-	// back stably.
+	// SortBufferEvents bounds the events the builder holds in RAM
+	// (default DefaultSortBufferEvents, at most math.MaxInt32): 28 bytes
+	// each, the record plus its place in the order table. Each full
+	// buffer is ordered — in one pass for series that arrived in start
+	// order — and spills to disk as a run; the runs merge back stably.
 	SortBufferEvents int
 	// ChunkCacheBytes budgets the reader's decoded-chunk cache (default
 	// DefaultChunkCacheBytes; negative disables caching).

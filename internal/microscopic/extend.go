@@ -83,9 +83,10 @@ func (r *Reslicer) Extend(events []trace.Event, newEnd float64) (*Reslicer, erro
 }
 
 // extend merges the new events into the per-leaf arrays, sharing the
-// untouched leaves' slices with the receiver. Existing events win start
-// ties (they are earlier in the stream), which is what makes the merge a
-// stable one.
+// untouched leaves' slices with the receiver. Each leaf's batch is
+// ordered by sortLeaf first — one pass for a time-ordered batch. Existing
+// events win start ties (they are earlier in the stream), which is what
+// makes the merge a stable one.
 //
 // The first extend of a snapshot appends in place: a leaf whose sorted
 // batch starts at or after its last start grows its existing backing
@@ -108,7 +109,7 @@ func (ix *ramIndex) extend(tmp [][]indexedEvent) (eventIndex, error) {
 			nx.leaves[s] = old
 			continue
 		}
-		sort.SliceStable(evs, func(i, j int) bool { return evs[i].start < evs[j].start })
+		sortLeaf(evs)
 		if inPlace && (len(old.start) == 0 || evs[0].start >= old.start[len(old.start)-1]) {
 			for _, e := range evs {
 				old.push(e)

@@ -1,9 +1,11 @@
 package microscopic
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -173,12 +175,26 @@ func (l ramLeaf) clipped() ramLeaf {
 	}
 }
 
-// freezeRAM sorts each leaf's events by start and flattens them into a
-// ramIndex with the running-max-end column.
+// sortLeaf stably orders one leaf's events by start, ties (±0 included;
+// checkEvent admits no NaN) in stream order. A leaf whose events already
+// arrived in start order — every leaf of a trace written in time order —
+// costs one pass.
+func sortLeaf(evs []indexedEvent) {
+	for i := 1; i < len(evs); i++ {
+		if evs[i].start < evs[i-1].start {
+			slices.SortStableFunc(evs, func(a, b indexedEvent) int { return cmp.Compare(a.start, b.start) })
+			return
+		}
+	}
+}
+
+// freezeRAM orders each leaf's events by start (sortLeaf) and flattens
+// them into a ramIndex with the running-max-end column. The disk
+// backend's per-tick overlay is frozen the same way.
 func freezeRAM(tmp [][]indexedEvent) *ramIndex {
 	ix := &ramIndex{leaves: make([]ramLeaf, len(tmp))}
 	for s, evs := range tmp {
-		sort.SliceStable(evs, func(i, j int) bool { return evs[i].start < evs[j].start })
+		sortLeaf(evs)
 		l := newRAMLeaf(len(evs))
 		for _, e := range evs {
 			l.push(e)

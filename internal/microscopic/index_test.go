@@ -1,7 +1,10 @@
 package microscopic
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 
@@ -303,5 +306,91 @@ func TestRAMIndexAccountsMemory(t *testing.T) {
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLeafOrderMatchesStableSort checks the RAM index's leaf order —
+// freezeRAM, an in-place extend and a merging extend of a stale
+// snapshot — against a stable sort by start of each leaf's stream, bit
+// for bit, on shuffled, in-order and tied leaves (±0 and equal starts,
+// told apart by their states and ends).
+func TestLeafOrderMatchesStableSort(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	gens := []struct {
+		name  string
+		start func(rng *rand.Rand, i int) float64
+	}{
+		{"shuffled", func(rng *rand.Rand, i int) float64 { return float64(rng.Intn(40)) / 4 }},
+		{"in-order", func(rng *rand.Rand, i int) float64 { return float64(i) / 4 }},
+		{"in-order-ties", func(rng *rand.Rand, i int) float64 { return float64(i / 3) }},
+		{"reversed", func(rng *rand.Rand, i int) float64 { return float64(-i) }},
+		{"signed-zeros", func(rng *rand.Rand, i int) float64 {
+			if rng.Intn(2) == 0 {
+				return negZero
+			}
+			return 0
+		}},
+	}
+	stable := func(evs []indexedEvent) []indexedEvent {
+		out := append([]indexedEvent(nil), evs...)
+		sort.SliceStable(out, func(i, j int) bool { return out[i].start < out[j].start })
+		return out
+	}
+	check := func(t *testing.T, what string, l ramLeaf, want []indexedEvent) {
+		t.Helper()
+		if len(l.start) != len(want) || len(l.end) != len(want) || len(l.state) != len(want) || len(l.maxEnd) != len(want) {
+			t.Fatalf("%s: leaf holds %d events, want %d", what, len(l.start), len(want))
+		}
+		running := math.Inf(-1)
+		for i, w := range want {
+			if w.end > running {
+				running = w.end
+			}
+			if math.Float64bits(l.start[i]) != math.Float64bits(w.start) ||
+				math.Float64bits(l.end[i]) != math.Float64bits(w.end) || l.state[i] != w.state {
+				t.Fatalf("%s: event %d = (%g, %g, %d), want (%g, %g, %d)", what, i,
+					l.start[i], l.end[i], l.state[i], w.start, w.end, w.state)
+			}
+			if l.maxEnd[i] != running {
+				t.Fatalf("%s: maxEnd[%d] = %g, want %g", what, i, l.maxEnd[i], running)
+			}
+		}
+	}
+	const leaves = 3
+	for _, g := range gens {
+		for _, n := range []int{0, 1, 2, 17, 300} {
+			rng := rand.New(rand.NewSource(int64(n)))
+			streams := make([][]indexedEvent, leaves)
+			for leaf := range streams {
+				for i := 0; i < n; i++ {
+					s := g.start(rng, i)
+					streams[leaf] = append(streams[leaf], indexedEvent{start: s, end: s + float64(i%4), state: int32(i % 5)})
+				}
+			}
+			copies := func(lo, hi int) [][]indexedEvent {
+				out := make([][]indexedEvent, leaves)
+				for leaf, evs := range streams {
+					out[leaf] = append([]indexedEvent(nil), evs[min(lo, len(evs)):min(hi, len(evs))]...)
+				}
+				return out
+			}
+			frozen := freezeRAM(copies(0, n))
+			cut := n / 2
+			base := freezeRAM(copies(0, cut))
+			first, err := base.extend(copies(cut, n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			stale, err := base.extend(copies(cut, n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for leaf, evs := range streams {
+				want := stable(evs)
+				check(t, fmt.Sprintf("%s n=%d leaf %d freezeRAM", g.name, n, leaf), frozen.leaves[leaf], want)
+				check(t, fmt.Sprintf("%s n=%d leaf %d extend", g.name, n, leaf), first.(*ramIndex).leaves[leaf], want)
+				check(t, fmt.Sprintf("%s n=%d leaf %d stale extend", g.name, n, leaf), stale.(*ramIndex).leaves[leaf], want)
+			}
+		}
 	}
 }

@@ -10,7 +10,8 @@
 # the input pass's row fill alone BenchmarkGainLossRow_{Go,AVX2},
 # the batched dichotomy BenchmarkSignificantPs{,_Batched}, cooperative
 # cancellation), the windowing families (BenchmarkWindowPan/Zoom), the
-# out-of-core store (BenchmarkStoreBuild, BenchmarkStoreWindowRead with
+# out-of-core store (BenchmarkStoreBuild, BenchmarkStoreBuild_TimeOrdered:
+# a 1.27M-event time-sorted trace that spills, BenchmarkStoreWindowRead with
 # chunks/op + readB/op, and BenchmarkWindowPan_DiskIndex — the disk twin
 # of the incremental pan), live ingestion (BenchmarkFollowTick: one
 # Extend + live-window advance, the follower's steady-state tick, vs

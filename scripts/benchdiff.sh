@@ -5,7 +5,8 @@
 # batched significant-p frontier, the incremental pan, the resolution-ladder
 # zoom, the serving hit and derived-pan paths, the Table II trace read,
 # microscopic build, input pass and solve, the scratch build, the O(Δ)
-# follow tick at short and long history).
+# follow tick at short and long history, the linear-time store build of a
+# time-ordered trace).
 #
 #   scripts/benchdiff.sh                    # gated benches only, 5 iters, +25%
 #   REGRESS_PCT=40 scripts/benchdiff.sh     # looser gate
@@ -57,6 +58,7 @@ BenchmarkTable2_AggregationInput_C
 BenchmarkTable2_AggregationRun_C
 BenchmarkFollowTick
 BenchmarkFollowTick_Long
+BenchmarkStoreBuild_TimeOrdered
 "
 # BenchmarkSweepCancel is gated on its cancel_ns_per_op metric instead of
 # ns/op (its ns/op mostly measures the deliberate let-it-start delay).
