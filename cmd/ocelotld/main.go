@@ -5,7 +5,7 @@
 // incrementally from the nearest cached overlapping window, so interactive
 // pan sequences cost O(changed slices) per step instead of a fresh input
 // pass; the cache additionally pins a multi-resolution ladder per hot
-// trace (one window per visited slice-width level, -ladder-levels deep),
+// trace (one window per visited slice-width level, 8 levels deep),
 // so zooming back to a familiar resolution derives incrementally too
 // instead of rebuilding from the event index.
 //
@@ -102,7 +102,6 @@ func main() {
 		poolBound = flag.Int("solver-pool", 0, "max pooled solvers per cached Input (0 = worker count)")
 		normalize = flag.Bool("normalize", false, "normalize gain/loss by their full-aggregation values")
 		maxSlices = flag.Int("max-slices", 0, "per-request cap on the slices (|T|) parameter (0 = default 512)")
-		ladder    = flag.Int("ladder-levels", 0, "pinned resolution levels per hot trace (0 = default 8)")
 		grace     = flag.Duration("grace", 10*time.Second, "shutdown grace period")
 		drainWait = flag.Duration("drain-wait", 0, "pause between flipping /readyz to draining and closing the listener, so balancers stop routing first")
 		maxBuilds = flag.Int("max-builds", 0, "concurrent window builds admitted by the overload gate (0 = GOMAXPROCS, negative disables the gate)")
@@ -189,7 +188,6 @@ func main() {
 		Core:                core.Options{Normalize: *normalize, Workers: *workers, SolverPoolBound: *poolBound},
 		RequestTimeout:      *timeout,
 		MaxSlices:           *maxSlices,
-		LadderLevels:        *ladder,
 		MaxConcurrentBuilds: *maxBuilds,
 		MaxQueuedBuilds:     *buildQ,
 		DegradeAfter:        *degrade,

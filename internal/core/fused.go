@@ -65,12 +65,11 @@ func (s *Solver) runLanes(ctx context.Context, ps []float64, out []*partition.Pa
 		eff[k] = s.in.effectiveP(p)
 	}
 	iterate := func(id int) { s.iterateCellsLanes(id, K, &eff) }
+	var sem chan struct{} // nil: the sequential walk
 	if s.Workers > 1 {
-		sem := make(chan struct{}, s.Workers)
-		s.walkParallel(ctx, s.in.rootID, sem, iterate)
-	} else {
-		s.walk(ctx, s.in.rootID, iterate)
+		sem = make(chan struct{}, s.Workers)
 	}
+	s.walkParallel(ctx, s.in.rootID, sem, iterate)
 	if err := ctx.Err(); err != nil {
 		return err
 	}

@@ -77,9 +77,9 @@ type Input struct {
 	// summed from, and the unit of reuse on a window change.
 	slcD, slcRho, slcRL []float64
 
-	// Prefix-sum arenas over the slice rows, row base prefBase(id, x),
-	// length |T|+1 each; serve the O(1) range queries of Describe.
-	prefD, prefRho, prefRL []float64
+	// Prefix sums of the slcD rows, row base prefBase(id, x), length
+	// |T|+1 each; serve the O(1) range queries of Describe.
+	prefD []float64
 
 	durPref []float64 // prefix sums of d(t), length |T|+1
 
@@ -208,8 +208,6 @@ func (in *Input) allocArenas(n int) {
 	in.slcRho = make([]float64, n*X*T)
 	in.slcRL = make([]float64, n*X*T)
 	in.prefD = make([]float64, n*X*(T+1))
-	in.prefRho = make([]float64, n*X*(T+1))
-	in.prefRL = make([]float64, n*X*(T+1))
 	in.durPref = make([]float64, T+1)
 }
 
@@ -314,19 +312,15 @@ func (in *Input) innerSliceRow(id, x, lo, hi int) {
 	}
 }
 
-// prefixRows derives node id's prefix sums from its slice rows.
+// prefixRows derives node id's prefD rows from its slcD rows.
 func (in *Input) prefixRows(id int) {
 	T := in.T
 	for x := 0; x < in.X; x++ {
 		sb := in.slcBase(id, x)
 		pb := in.prefBase(id, x)
 		pd := in.prefD[pb : pb+T+1]
-		pr := in.prefRho[pb : pb+T+1]
-		pl := in.prefRL[pb : pb+T+1]
 		for t := 0; t < T; t++ {
 			pd[t+1] = pd[t] + in.slcD[sb+t]
-			pr[t+1] = pr[t] + in.slcRho[sb+t]
-			pl[t+1] = pl[t] + in.slcRL[sb+t]
 		}
 	}
 }
@@ -593,17 +587,15 @@ func (in *Input) MemoryBytes() int {
 	return in.residentBytes() + in.memo.size()
 }
 
-// residentBytes is MemoryBytes without the memo: the flat arenas plus
+// residentBytes is MemoryBytes without the memo: the flat arenas
+// (counted by EstimateMemoryBytes, the one formula of their layout) plus
 // every pooled solver's retained scratch.
 func (in *Input) residentBytes() int {
-	floats := len(in.gain) + len(in.loss) +
-		len(in.slcD) + len(in.slcRho) + len(in.slcRL) +
-		len(in.prefD) + len(in.prefRho) + len(in.prefRL) +
-		len(in.durPref)
+	arenas := int(EstimateMemoryBytes(len(in.meta), in.X, in.T))
 	// Each pooled solver holds a one-lane float64 pIC and int32 cut arena
 	// of len(gain) cells, plus whatever wider lane strips it has grown.
 	solver := len(in.gain) * (8 + 4)
-	return floats*8 + int(in.solversLive.Load())*solver + int(in.laneBytes.Load())
+	return arenas + int(in.solversLive.Load())*solver + int(in.laneBytes.Load())
 }
 
 // FailpointCoarsen names the fault-injection site at the head of every
@@ -654,7 +646,7 @@ func EstimateMemoryBytes(numNodes, numStates, slices int) int64 {
 	cells := t * (t + 1) / 2
 	floats := 2*n*cells + // gain, loss triangles
 		3*n*x*t + // slcD, slcRho, slcRL
-		3*n*x*(t+1) + // prefD, prefRho, prefRL
+		n*x*(t+1) + // prefD
 		(t + 1) // durPref
 	return floats * 8
 }

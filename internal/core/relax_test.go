@@ -128,7 +128,7 @@ func solveArenas(in *Input, ps []float64, iterate func(s *Solver, id, K int, eff
 	for k, p := range ps {
 		eff[k] = in.effectiveP(p)
 	}
-	s.walk(context.Background(), in.rootID, func(id int) { iterate(s, id, K, &eff) })
+	s.walkParallel(context.Background(), in.rootID, nil, func(id int) { iterate(s, id, K, &eff) })
 	return s.lanePic, s.laneCut
 }
 

@@ -83,20 +83,26 @@ func (s *Solver) QualityContext(ctx context.Context, p float64) (QualityPoint, e
 	return qualityOf(p, pt), nil
 }
 
-// walkParallel runs iterate over the hierarchy with sibling subtrees
-// processed concurrently: a node's triangular iteration only reads its
-// children's completed pIC matrices, so the tree decomposes into
-// independent tasks joined bottom-up. The semaphore caps in-flight
-// goroutines; results are identical to the sequential pass. Cancellation
-// is checked per node: a cancelled ctx stops descending and skips the
-// iteration, but every spawned goroutine is still joined before
+// walkParallel is the traversal of procedure
+// node.COMPUTEOPTIMALPARTITION(p) of Algorithm 1: children first (spatial
+// recursion), then the node's triangular iteration from the last line to
+// the first, evaluating for each cell the "no cut", "spatial cut" and
+// every "temporal cut" alternative. Sibling subtrees run concurrently: a
+// node's triangular iteration only reads its children's completed pIC
+// matrices, so the tree decomposes into independent tasks joined
+// bottom-up. The semaphore caps in-flight goroutines; a nil semaphore
+// recurses into every child inline in child order — the sequential pass,
+// which the concurrent one reproduces bit for bit, allocation-free.
+// The context is checked once per node, bounding the latency of a cancel
+// to one triangular iteration: a cancelled ctx stops descending and skips
+// the iteration, but every spawned goroutine is still joined before
 // returning.
 func (s *Solver) walkParallel(ctx context.Context, id int, sem chan struct{}, iterate func(id int)) {
 	if ctx.Err() != nil {
 		return
 	}
 	children := s.in.meta[id].children
-	if len(children) > 1 {
+	if sem != nil && len(children) > 1 {
 		var wg sync.WaitGroup
 		for _, c := range children {
 			select {
@@ -117,25 +123,6 @@ func (s *Solver) walkParallel(ctx context.Context, id int, sem chan struct{}, it
 		for _, c := range children {
 			s.walkParallel(ctx, int(c), sem, iterate)
 		}
-	}
-	if ctx.Err() != nil {
-		return
-	}
-	iterate(id)
-}
-
-// walk is the sequential traversal of procedure
-// node.COMPUTEOPTIMALPARTITION(p) of Algorithm 1: children first (spatial
-// recursion), then the node's triangular iteration from the last line to
-// the first, evaluating for each cell the "no cut", "spatial cut" and
-// every "temporal cut" alternative. The context is checked once per node,
-// bounding the latency of a cancel to one triangular iteration.
-func (s *Solver) walk(ctx context.Context, id int, iterate func(id int)) {
-	if ctx.Err() != nil {
-		return
-	}
-	for _, c := range s.in.meta[id].children {
-		s.walk(ctx, int(c), iterate)
 	}
 	if ctx.Err() != nil {
 		return

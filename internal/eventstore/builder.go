@@ -108,13 +108,17 @@ func Create(path string, meta Meta, opt Options) (*Builder, error) {
 }
 
 // Add buffers one event, spilling a sorted run if the buffer is full.
-// The event must name a series of the store's table and span a finite,
-// non-inverted interval (end ≥ start, the rule of trace.Event.Valid): a
-// store skips the chunks of a series it has no name for, and NaN has no
-// place in the start order.
+// The event must name a series and a state of the store's tables and
+// span a finite, non-inverted interval (end ≥ start, the rule of
+// trace.Event.Valid): a store skips the chunks of a series it has no name
+// for, fails the reads of a chunk holding a state it has no name for, and
+// NaN has no place in the start order.
 func (b *Builder) Add(series uint32, state int32, start, end float64) error {
 	if int64(series) >= int64(len(b.series)) {
 		return fmt.Errorf("eventstore: add: series %d outside the %d-series table", series, len(b.series))
+	}
+	if state < 0 || int64(state) >= int64(len(b.meta.States)) {
+		return fmt.Errorf("eventstore: add: series %d state %d outside the %d-state table", series, state, len(b.meta.States))
 	}
 	if !(end >= start && start >= -math.MaxFloat64 && end <= math.MaxFloat64) {
 		return fmt.Errorf("eventstore: add: series %d event [%g, %g) is not a finite, non-inverted interval", series, start, end)

@@ -56,7 +56,7 @@ func TestFinishNeverPublishesUnderFinalName(t *testing.T) {
 	// all writing happens under the temp name until the closing rename.
 	dir := t.TempDir()
 	path := filepath.Join(dir, "trace.oces")
-	b, err := Create(path, Meta{Series: []string{"r"}, States: []string{"s"}}, Options{SortBufferEvents: 8})
+	b, err := Create(path, Meta{Series: []string{"r"}, States: []string{"s0", "s1", "s2"}}, Options{SortBufferEvents: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -378,6 +378,7 @@ func TestAddRejectsEventsTheStoreCannotHold(t *testing.T) {
 		{1, 0, nan, 2}, {1, 0, 1, nan}, {1, 0, nan, nan},
 		{1, 0, -inf, 2}, {1, 0, 1, inf}, {1, 0, -inf, inf}, {1, 0, inf, inf},
 		{0, 0, 2, 1}, {0, 0, 0, -math.SmallestNonzeroFloat64},
+		{0, 2, 1, 2}, {1, 5, 1, 2}, {0, -1, 1, 2}, {1, math.MaxInt32, 1, 2},
 	} {
 		err := b.Add(e.series, e.state, e.start, e.end)
 		if err == nil {
@@ -385,6 +386,9 @@ func TestAddRejectsEventsTheStoreCannotHold(t *testing.T) {
 		}
 		if want := fmt.Sprintf("series %d ", e.series); !strings.Contains(err.Error(), want) {
 			t.Fatalf("Add(%+v): error %q does not name the series", e, err)
+		}
+		if want := fmt.Sprintf("state %d ", e.state); (e.state < 0 || e.state > 1) && !strings.Contains(err.Error(), want) {
+			t.Fatalf("Add(%+v): error %q does not name the state", e, err)
 		}
 	}
 	// The rejected events left no trace: the valid ones alone are stored.

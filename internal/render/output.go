@@ -280,17 +280,3 @@ func lower(b byte) byte {
 	}
 	return b
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -80,28 +80,15 @@ type entry struct {
 	ovBytes int // guarded by the cache mu, not ovMu
 }
 
-// traceGen addresses one trace load's ladder.
+// traceGen addresses one trace load.
 type traceGen struct {
 	trace string
 	gen   uint64
 }
 
-// ladder is one trace load's multi-resolution state: per grid level, the
-// key of the level's resident (most recently used) entry — pinned against
-// eviction so a hot trace keeps one window per visited resolution warm —
-// plus the level of the trace's last window request, which classifies the
-// next request as a pan (same level) or a zoom (level change).
-type ladder struct {
-	resident map[uint64]windowKey
-	order    []uint64 // least → most recently used level
-	last     uint64
-	hasLast  bool
-}
-
-// DefaultLadderLevels bounds each trace's pinned ladder when no cap is
-// configured: 8 levels span a 128× zoom range at factor-2 steps. Levels
-// beyond the cap lose their pin oldest-first (their entries still cache
-// normally).
+// DefaultLadderLevels bounds each trace load's pinned ladder: 8 levels
+// span a 128× zoom range at factor-2 steps. Levels beyond the cap are not
+// pinned (their entries still cache normally).
 const DefaultLadderLevels = 8
 
 // flight is one in-flight build; concurrent requests for the same key
@@ -135,13 +122,14 @@ type flight struct {
 // deduplicated (singleflight): one build runs, the rest wait for its
 // result.
 //
-// On top of the LRU the cache maintains one multi-resolution ladder per
-// hot trace, lazily: the most recent entry of each visited grid level is
-// pinned against the first eviction pass (see evictToBudgetLocked), so a
-// zoom back to a resolution the analyst has touched before lands next to
-// a warm same-level window and resolves as a hit or pan-derivation: the
-// first visit to a resolution pays a scratch build, every later visit
-// pays O(Δ·|T|) per node.
+// The LRU list doubles as each hot trace's multi-resolution ladder: per
+// trace load, the first entry of each grid level on the list (the level's
+// most recently used window) is pinned against the first eviction pass,
+// for the load's ladderMax most recently used levels (see pinsLocked). A
+// zoom back to a resolution the analyst has touched before therefore
+// lands next to a warm same-level window and resolves as a hit or
+// pan-derivation: the first visit to a resolution pays a scratch build,
+// every later visit pays O(Δ·|T|) per node.
 type InputCache struct {
 	budget    int64
 	opts      core.Options
@@ -161,10 +149,9 @@ type InputCache struct {
 	// unload) are discarded instead of parking unreachable entries
 	// against the budget.
 	purged map[string]uint64
-	// ladders holds the per-trace-load multi-resolution ladders: which
-	// entry is resident (and pinned) per grid level, and the last
-	// requested level for zoom classification.
-	ladders map[traceGen]*ladder
+	// lastLevel is each trace load's last requested grid level, which
+	// classifies the next request as a pan (same level) or a zoom.
+	lastLevel map[traceGen]uint64
 
 	stats Stats
 }
@@ -186,7 +173,7 @@ func NewInputCache(budget int64, opts core.Options, ladderLevels int) *InputCach
 		entries:   make(map[windowKey]*list.Element),
 		inflight:  make(map[windowKey]*flight),
 		purged:    make(map[string]uint64),
-		ladders:   make(map[traceGen]*ladder),
+		lastLevel: make(map[traceGen]uint64),
 	}
 }
 
@@ -232,7 +219,6 @@ func (c *InputCache) getOnce(ctx context.Context, tr *Trace, sl timeslice.Slicer
 		c.lru.MoveToFront(el)
 		c.stats.Hits.Add(1)
 		e := el.Value.(*entry)
-		c.touchLadderLocked(e)
 		c.refreshLocked(el)
 		c.mu.Unlock()
 		return e.in, BuildHit, nil
@@ -378,57 +364,13 @@ func reanchor(base, target timeslice.Slicer) (timeslice.Slicer, bool) {
 	return cand, true
 }
 
-// ladderLocked returns (creating if needed) the trace load's ladder.
-func (c *InputCache) ladderLocked(tg traceGen) *ladder {
-	ld := c.ladders[tg]
-	if ld == nil {
-		ld = &ladder{resident: make(map[uint64]windowKey)}
-		c.ladders[tg] = ld
-	}
-	return ld
-}
-
 // noteLevelLocked records level as the trace load's last requested
 // resolution and reports whether this request changed level — a zoom, as
 // opposed to a pan or re-query at the current resolution.
 func (c *InputCache) noteLevelLocked(tg traceGen, level uint64) bool {
-	ld := c.ladderLocked(tg)
-	zoom := ld.hasLast && ld.last != level
-	ld.last, ld.hasLast = level, true
-	return zoom
-}
-
-// touchLadderLocked makes e the resident of its grid level and moves the
-// level to the most-recently-used end, dropping the oldest level's pin
-// beyond the cap. The resident entry per level is exempt from the first
-// eviction pass, so a hot trace's ladder survives pressure from one-off
-// windows.
-func (c *InputCache) touchLadderLocked(e *entry) {
-	ld := c.ladderLocked(traceGen{e.key.trace, e.key.gen})
-	if _, ok := ld.resident[e.level]; !ok && len(ld.resident) >= c.ladderMax {
-		oldest := ld.order[0]
-		ld.order = ld.order[1:]
-		delete(ld.resident, oldest)
-	}
-	ld.dropFromOrder(e.level)
-	ld.order = append(ld.order, e.level)
-	ld.resident[e.level] = e.key
-}
-
-// dropFromOrder drops level from the recency order.
-func (ld *ladder) dropFromOrder(level uint64) {
-	for i, l := range ld.order {
-		if l == level {
-			ld.order = append(ld.order[:i], ld.order[i+1:]...)
-			return
-		}
-	}
-}
-
-// pinnedLocked reports whether e is its level's ladder resident.
-func (c *InputCache) pinnedLocked(e *entry) bool {
-	ld := c.ladders[traceGen{e.key.trace, e.key.gen}]
-	return ld != nil && ld.resident[e.level] == e.key
+	last, ok := c.lastLevel[tg]
+	c.lastLevel[tg] = level
+	return ok && last != level
 }
 
 // Admit is the arithmetic admission guard: it rejects a window whose
@@ -629,20 +571,18 @@ func (c *InputCache) insertLocked(tr *Trace, in *core.Input) {
 	key := keyFor(tr, in.Model.Slicer)
 	if el, ok := c.entries[key]; ok { // lost a race with an equivalent build
 		c.lru.MoveToFront(el)
-		c.touchLadderLocked(el.Value.(*entry))
 		return
 	}
 	e := &entry{key: key, level: levelOf(in.Model.Slicer), in: in, bytes: in.MemoryBytes()}
 	c.entries[key] = c.lru.PushFront(e)
 	c.bytes += int64(e.bytes)
-	c.touchLadderLocked(e)
 	c.evictToBudgetLocked()
 }
 
 // Seed inserts an already-built Input under its own window key — the
 // follower's per-tick publish of the live window, so the first query
 // after a tick is a plain hit. Subject to the same admission rules as a
-// miss-path insert (budget, purge floor, ladder accounting).
+// miss-path insert (budget, purge floor, ladder pins).
 func (c *InputCache) Seed(tr *Trace, in *core.Input) {
 	if in == nil {
 		return
@@ -667,20 +607,45 @@ func (c *InputCache) refreshLocked(el *list.Element) {
 	c.evictToBudgetLocked()
 }
 
+// pinsLocked reads the ladder pins off the LRU list in one front-to-back
+// walk: per trace load, the first entry of each grid level, for the
+// load's ladderMax most recently used levels.
+func (c *InputCache) pinsLocked() map[*entry]bool {
+	pins := make(map[*entry]bool)
+	levels := make(map[traceGen]map[uint64]bool)
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*entry)
+		tg := traceGen{e.key.trace, e.key.gen}
+		seen := levels[tg]
+		if seen == nil {
+			seen = make(map[uint64]bool)
+			levels[tg] = seen
+		}
+		if !seen[e.level] && len(seen) < c.ladderMax {
+			seen[e.level] = true
+			pins[e] = true
+		}
+	}
+	return pins
+}
+
 // evictToBudgetLocked brings the cache back under budget in two passes
-// from the LRU tail: first sparing ladder residents (one window per
+// from the LRU tail: first sparing the ladder pins (one window per
 // visited resolution per hot trace stays warm under pressure from
 // one-off windows), then — if the pins alone still overflow — evicting
 // regardless, because the byte budget is the harder promise. The LRU
 // front (the entry that triggered the pass) is never its own victim.
 func (c *InputCache) evictToBudgetLocked() {
+	if c.bytes <= c.budget {
+		return
+	}
+	pins := c.pinsLocked()
 	var prev *list.Element
 	for el := c.lru.Back(); el != nil && el.Prev() != nil && c.bytes > c.budget; el = prev {
 		prev = el.Prev()
-		if c.pinnedLocked(el.Value.(*entry)) {
-			continue
+		if !pins[el.Value.(*entry)] {
+			c.evictLocked(el)
 		}
-		c.evictLocked(el)
 	}
 	for c.bytes > c.budget && c.lru.Len() > 1 {
 		c.evictLocked(c.lru.Back())
@@ -693,11 +658,6 @@ func (c *InputCache) evictLocked(el *list.Element) {
 	delete(c.entries, e.key)
 	c.bytes -= int64(e.bytes)
 	c.stats.Evictions.Add(1)
-	if c.pinnedLocked(e) {
-		ld := c.ladders[traceGen{e.key.trace, e.key.gen}]
-		delete(ld.resident, e.level)
-		ld.dropFromOrder(e.level)
-	}
 }
 
 // PurgeTrace drops every cached window of the given trace (unload path)
@@ -710,9 +670,9 @@ func (c *InputCache) PurgeTrace(traceID string, gen uint64) int {
 	if gen > c.purged[traceID] {
 		c.purged[traceID] = gen
 	}
-	for tg := range c.ladders {
+	for tg := range c.lastLevel {
 		if tg.trace == traceID {
-			delete(c.ladders, tg)
+			delete(c.lastLevel, tg)
 		}
 	}
 	n := 0

@@ -230,10 +230,12 @@ func TestLadderLevelCap(t *testing.T) {
 		}
 	}
 	c.mu.Lock()
-	ld := c.ladders[traceGen{tr.ID, tr.gen}]
-	levels := len(ld.resident)
-	_, firstPinned := ld.resident[levelOf(sl)]
+	pins := c.pinsLocked()
 	c.mu.Unlock()
+	levels, firstPinned := len(pins), false
+	for e := range pins {
+		firstPinned = firstPinned || e.level == levelOf(sl)
+	}
 	if levels != 2 {
 		t.Fatalf("ladder pins %d levels, cap is 2", levels)
 	}
@@ -245,6 +247,38 @@ func TestLadderLevelCap(t *testing.T) {
 	}
 	if _, kind, err := c.Get(ctx, tr, sl); err != nil || kind != BuildHit {
 		t.Fatalf("unpinned level get: kind %q err %v, want a plain hit", kind, err)
+	}
+}
+
+// TestLadderPinSurvivesPans: a level's most recently used window is
+// exempt from the first eviction pass. With room for three windows, a
+// visit to level A followed by one-off pans at level B leaves A's window
+// the least recently used, so plain LRU eviction would drop it; its pin
+// keeps it, and the zoom back to A is a hit.
+func TestLadderPinSurvivesPans(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	tr := ladderTrace(t, rng, 6, 400, 32)
+	a, err := timeslice.New(0, 32, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est := core.EstimateMemoryBytes(tr.resl.Hierarchy().NumNodes(), len(tr.resl.States()), a.N)
+	c := NewInputCache(7*est/2, core.Options{}, 0)
+	ctx := context.Background()
+	if _, _, err := c.Get(ctx, tr, a); err != nil {
+		t.Fatal(err)
+	}
+	b := zoomSlicer(t, a, 2, 5)
+	for k := 0; k <= 4; k++ {
+		if _, _, err := c.Get(ctx, tr, b.Shift(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := c.Snapshot(); st.Evictions == 0 {
+		t.Fatal("the pans never overflowed the budget; the case no longer exercises eviction")
+	}
+	if _, kind, err := c.Get(ctx, tr, a); err != nil || kind != BuildHit {
+		t.Fatalf("zoom back to the pinned level: kind %q err %v, want a hit", kind, err)
 	}
 }
 
@@ -345,7 +379,12 @@ func TestLadderPansKeepOneLevel(t *testing.T) {
 	}
 	tr, _ := s.Registry().Get("art")
 	s.cache.mu.Lock()
-	levels := len(s.cache.ladders[traceGen{tr.ID, tr.gen}].resident)
+	levels := 0
+	for e := range s.cache.pinsLocked() {
+		if e.key.trace == tr.ID && e.key.gen == tr.gen {
+			levels++
+		}
+	}
 	s.cache.mu.Unlock()
 	if levels != 1 {
 		t.Fatalf("pans of one grid pinned %d ladder levels, want 1", levels)

@@ -52,9 +52,9 @@
 // headers, keeping bodies byte-comparable across build paths.
 //
 // The cache behind those endpoints is multi-resolution (see InputCache):
-// entries are keyed by (trace, window), and the most recent entry per
-// visited grid level (slice width) is pinned as a per-trace ladder, so
-// zooming back to a familiar resolution resolves as a hit or an
+// entries are keyed by (trace, window), and the most recently used entry
+// of each of a trace's 8 most recently used grid levels (slice widths) is
+// pinned as a per-trace ladder, so zooming back to a familiar resolution resolves as a hit or an
 // incremental same-grid derivation instead of an event-index rebuild. Two guards
 // bound the residency this trades on: windows whose single Input would
 // exceed the cache budget are rejected up front with 413 (estimated
@@ -107,11 +107,6 @@ type Config struct {
 	// serve path forwards into the engine — so expiry does not merely
 	// report failure, it cancels the request's remaining solve/sweep work.
 	RequestTimeout time.Duration
-	// LadderLevels caps each hot trace's pinned resolution ladder: the
-	// most recent cached window of up to this many grid levels is spared
-	// by the first eviction pass, keeping zoom-backs warm (default
-	// DefaultLadderLevels).
-	LadderLevels int
 	// MaxSlices caps the slices (|T|) parameter of window requests
 	// (default DefaultMaxSlices). A single Input costs
 	// O(|H(S)|·|T|²) memory and the build is paid before the cache
@@ -226,7 +221,7 @@ func New(cfg Config) *Server {
 	if degradeAfter == 0 {
 		degradeAfter = DefaultDegradeAfter
 	}
-	cache := NewInputCache(budget, cfg.Core, cfg.LadderLevels)
+	cache := NewInputCache(budget, cfg.Core, DefaultLadderLevels)
 	if cfg.MaxConcurrentBuilds >= 0 {
 		capacity := cfg.MaxConcurrentBuilds
 		if capacity == 0 {

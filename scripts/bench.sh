@@ -26,6 +26,10 @@
 #   BENCHTIME=10x scripts/bench.sh             # more iterations per point
 #   OUT=/tmp/b.json scripts/bench.sh           # alternate output path
 #
+# The JSON also carries a "_provenance" entry (CPU model, GOMAXPROCS as
+# the benchmark names' -N suffix reports it, Go version, commit), so each
+# figure says where it was taken.
+#
 # One iteration keeps this a smoke run (CI uses it to prove every
 # benchmark still executes); for publishable numbers use BENCHTIME=10x or
 # a duration like BENCHTIME=1s.
@@ -48,10 +52,20 @@ core_pattern="${BENCH:-^Benchmark(SolveLanes|GainLossRow)_}"
 go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -benchmem . | tee "$tmp"
 go test -run '^$' -bench "$core_pattern" -benchtime "$benchtime" -benchmem ./internal/core | tee -a "$tmp"
 
-awk '
-BEGIN { printf "{\n" }
+# Provenance: strip quotes and backslashes so each value is a plain
+# JSON string.
+jstr() { tr -d '"\\' | tr -s ' \t' ' ' | sed 's/^ //; s/ $//'; }
+cpu="$(grep -m1 '^model name' /proc/cpuinfo 2>/dev/null | cut -d: -f2- | jstr || true)"
+[ -n "$cpu" ] || cpu="$(uname -m)"
+gover="$(go env GOVERSION | jstr)"
+commit="$(git describe --always --dirty 2>/dev/null || echo unknown)"
+
+awk -v cpu="$cpu" -v gover="$gover" -v commit="$commit" '
+BEGIN { printf "{\n"; procs = 1 }
 /^Benchmark/ {
-  name = $1; sub(/-[0-9]+$/, "", name)
+  name = $1
+  if (match(name, /-[0-9]+$/)) procs = substr(name, RSTART + 1)
+  sub(/-[0-9]+$/, "", name)
   ns = ""; allocs = ""; bytes = ""; cancel = ""
   for (i = 2; i <= NF; i++) {
     if ($i == "ns/op")        ns = $(i-1)
@@ -67,7 +81,11 @@ BEGIN { printf "{\n" }
     printf "}"
   }
 }
-END { printf "\n}\n" }
+END {
+  if (n++) printf ",\n"
+  printf "  \"_provenance\": {\"cpu\": \"%s\", \"gomaxprocs\": %d, \"go\": \"%s\", \"commit\": \"%s\"}\n}\n", \
+    cpu, procs, gover, commit
+}
 ' "$tmp" > "$out"
 
 echo "wrote $out"
