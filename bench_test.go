@@ -352,7 +352,8 @@ func BenchmarkAblation_SignificantPs(b *testing.B) {
 
 // coldMemoInput builds, off the clock, a fresh Input over m with an empty
 // memo and a warm solver pool: a sweep at ps (i+1)/97 creates every pooled
-// solver and faults in its full MaxLanes lane strip. No benchmarked p list
+// solver and leaves full MaxLanes lane slabs on the process-wide free
+// list, faulted in. No benchmarked p list
 // or dichotomy samples a multiple of 1/97 (dyadic midpoints and the
 // i/(n+1) grids never reduce to one), so the kernel benchmarks time the
 // pooled steady state of a solve — the latency a served slider sees on a
@@ -625,7 +626,7 @@ func BenchmarkWindowZoom_Incremental(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	budget := 5 * core.EstimateMemoryBytes(in.Model.H.NumNodes(), in.X, windowBenchT) / 2
+	budget := 5 * core.EstimateMemoryBytes(in.Model.H.NumNodes(), in.Model.NumResources(), in.X, windowBenchT) / 2
 	c := server.NewInputCache(budget, core.Options{}, 0)
 	for _, sl := range []timeslice.Slicer{over, zoom} {
 		if _, _, err := c.Get(ctx, st, sl); err != nil {

@@ -87,9 +87,17 @@ func TestCoarsenRejectsBadFactors(t *testing.T) {
 }
 
 // TestEstimateMemoryBytes: the arithmetic estimate equals MemoryBytes of
-// a freshly built Input (empty solver pool) exactly — the admission
-// guard's precondition.
+// a freshly built Input (empty memo) exactly — the admission guard's
+// precondition — and charges the window's Model rows: at a 75-node,
+// 64-resource, 6-state, 40-slice window they are d_x(s,t) and d(t),
+// (6·64·40 + 40)·8 = 123,200 bytes on top of the arenas' 1,563,928.
 func TestEstimateMemoryBytes(t *testing.T) {
+	if got, want := EstimateMemoryBytes(75, 64, 6, 40), int64(1_563_928+123_200); got != want {
+		t.Fatalf("EstimateMemoryBytes(75, 64, 6, 40) = %d, want %d", got, want)
+	}
+	if got, want := EstimateMemoryBytes(75, 65, 6, 40)-EstimateMemoryBytes(75, 64, 6, 40), int64(6*40*8); got != want {
+		t.Fatalf("one more resource adds %d bytes, want its Model row's %d", got, want)
+	}
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 4; trial++ {
 		tr := windowTrace(rng, 4+rng.Intn(8), 300, 20)
@@ -103,7 +111,7 @@ func TestEstimateMemoryBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		in := testInput(t, m, Options{})
-		est := EstimateMemoryBytes(m.H.NumNodes(), m.NumStates(), T)
+		est := EstimateMemoryBytes(m.H.NumNodes(), m.NumResources(), m.NumStates(), T)
 		if got := int64(in.MemoryBytes()); got != est {
 			t.Fatalf("trial %d: estimate %d, fresh MemoryBytes %d", trial, est, got)
 		}

@@ -13,13 +13,15 @@
 //     O(|H(S)|·|T|²) space; once built its matrices are never written
 //     again. Next to its bounded solver pool it keeps a memo of solved
 //     answers (memo.go), keyed by the exact bits of p: internal,
-//     concurrency-safe state like the pool, bounded at a fixed share of
-//     the Input's resident bytes and counted in MemoryBytes. The solve is
+//     concurrency-safe state like the pool, bounded at a fixed multiple
+//     of the Input's arena bytes and counted in MemoryBytes. The solve is
 //     deterministic and bit-identical across every path, so a memo hit
 //     returns exactly what a solve would.
 //
-//   - Solver (solver.go) owns the pIC/cut scratch of Algorithm 1,
-//     costing O(|S|·|T|³) time per query. Any number of Solvers share one
+//   - Solver (solver.go) runs Algorithm 1, costing O(|S|·|T|³) time per
+//     query. Each run borrows its pIC/cut scratch from one process-wide
+//     free list and returns it when the run ends, so no Input or Solver
+//     retains scratch between solves. Any number of Solvers share one
 //     Input concurrently. The solver has one kernel (fused.go): runLanes
 //     carries up to MaxLanes p-lanes through a single triangular
 //     iteration per node — each cell reads its gain/loss and child

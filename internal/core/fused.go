@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"ocelotl/internal/measures"
 	"ocelotl/internal/partition"
@@ -56,10 +58,13 @@ func validatePs(ps []float64) error {
 // MaxLanes) into out, one triangular iteration per hierarchy node
 // answering every lane. The ps must already be validated. ctx is checked
 // once per node (the cadence RunContext documents); a cancelled block
-// returns ctx.Err() and leaves out unwritten.
+// returns ctx.Err() and leaves out unwritten. The lane arenas are
+// borrowed from the free list for the run and returned once the walk has
+// joined its workers and every lane's cuts are read, cancelled or not.
 func (s *Solver) runLanes(ctx context.Context, ps []float64, out []*partition.Partition) error {
 	K := len(ps)
-	s.ensureLanes(K)
+	s.lanes = borrowLanes(len(s.in.gain), K)
+	defer s.returnLanes()
 	var eff [MaxLanes]float64
 	for k, p := range ps {
 		eff[k] = s.in.effectiveP(p)
@@ -83,31 +88,85 @@ func (s *Solver) runLanes(ctx context.Context, ps []float64, out []*partition.Pa
 	return nil
 }
 
-// ensureLanes sizes the lane arenas for a K-lane block. Widening the
-// one-lane arena NewSolver allocates takes exactly the requested width —
-// a many-core sweep that splits into narrow blocks (laneWidth) never pays
-// for lanes it won't use — but an arena that already holds several lanes
-// widens straight to the MaxLanes cap: a widening caller is almost always
-// the dichotomy, whose rounds keep growing, and one jump beats re-zeroing
-// the arena per round. The scratch is retained across runs; pooled
-// solvers keep it for the Input's lifetime, so MemoryBytes accounts it:
-// the first lane through solversLive, the growth through laneBytes.
-func (s *Solver) ensureLanes(K int) {
-	cells := len(s.in.gain)
+// laneSlab is one solve's pIC and cut lane arenas: one K-wide strip of
+// state per triangle cell of every hierarchy node.
+type laneSlab struct {
+	pic []float64
+	cut []int32
+}
+
+func (sl laneSlab) bytes() int64 { return int64(cap(sl.pic))*8 + int64(cap(sl.cut))*4 }
+
+// laneSlabs is the process-wide free list of idle lane slabs. A solve
+// borrows one for its duration, so no Input or Solver retains scratch
+// between solves: the idle scratch of the whole process is what this
+// list holds. Its capacity, GOMAXPROCS at start-up, keeps one idle slab
+// per core that can be solving, and its bytes stay under maxIdleLaneBytes;
+// a slab returned to a full list goes to the GC. idleLaneBytes is the
+// bytes of the slabs it holds.
+var (
+	laneSlabs     = make(chan laneSlab, runtime.GOMAXPROCS(0))
+	idleLaneBytes atomic.Int64
+)
+
+// maxIdleLaneBytes caps the bytes the free list keeps idle. A MaxLanes
+// slab of a 75-node, 40-slice window is 11.8 MB, so a few cores' worth
+// of such slabs fit; the slab of one huge window (512 slices × 75 nodes
+// is 1.9 GB at MaxLanes) never stays behind once its solve ends.
+const maxIdleLaneBytes = 64 << 20
+
+// IdleScratchBytes reports the bytes of idle solver scratch the process
+// keeps for reuse: the lane slabs on the free list.
+func IdleScratchBytes() int64 { return idleLaneBytes.Load() }
+
+// borrowLanes takes a slab from the free list and slices it to a K-lane
+// block over cells triangle cells. A slab too small for the block is
+// dropped and replaced: at exactly one lane for K = 1, and at the
+// MaxLanes width for K > 1 — a multi-lane borrower is almost always a
+// sweep or the dichotomy, whose block widths vary from call to call, and
+// one full-width slab serves them all. Stale contents need no clearing:
+// the kernel writes every cell before reading it.
+func borrowLanes(cells, K int) laneSlab {
 	need := cells * K
-	if cap(s.lanePic) < need {
+	var sl laneSlab
+	select {
+	case sl = <-laneSlabs:
+		idleLaneBytes.Add(-sl.bytes())
+	default:
+	}
+	if cap(sl.pic) < need {
 		alloc := need
-		if cap(s.lanePic) > cells {
+		if K > 1 {
 			alloc = cells * MaxLanes
 		}
-		if s.pooled {
-			s.in.laneBytes.Add(int64(alloc-cap(s.lanePic)) * (8 + 4))
-		}
-		s.lanePic = make([]float64, alloc)
-		s.laneCut = make([]int32, alloc)
+		sl = laneSlab{pic: make([]float64, alloc), cut: make([]int32, alloc)}
 	}
-	s.lanePic = s.lanePic[:need]
-	s.laneCut = s.laneCut[:need]
+	return laneSlab{pic: sl.pic[:need], cut: sl.cut[:need]}
+}
+
+// returnLanes hands the solver's slab back to the free list, unless the
+// list is full or the slab would take its idle bytes past
+// maxIdleLaneBytes, or the slab is wider than any block of this run's
+// shape (MaxLanes strips per cell): a slab left by a larger window is
+// trimmed by the first smaller run that borrows it, so idle scratch
+// follows the shapes being solved now. The gauge counts the slab before
+// the send, so it never reads below what the list holds.
+func (s *Solver) returnLanes() {
+	sl := s.lanes
+	s.lanes = laneSlab{}
+	if cap(sl.pic) > len(s.in.gain)*MaxLanes {
+		return
+	}
+	b := sl.bytes()
+	if idleLaneBytes.Add(b) > maxIdleLaneBytes {
+		idleLaneBytes.Add(-b)
+		return
+	}
+	select {
+	case laneSlabs <- sl:
+	default:
+		idleLaneBytes.Add(-b)
+	}
 }
 
 // iterateCellsLanes is the triangular iteration of Algorithm 1 for one
@@ -131,8 +190,8 @@ func (s *Solver) iterateCellsLanes(id, K int, eff *[MaxLanes]float64) {
 	off := in.offs[id]
 	gain := in.gain[off : off+in.cells]
 	loss := in.loss[off : off+in.cells]
-	pic := s.lanePic[off*K : (off+in.cells)*K]
-	cuts := s.laneCut[off*K : (off+in.cells)*K]
+	pic := s.lanes.pic[off*K : (off+in.cells)*K]
+	cuts := s.lanes.cut[off*K : (off+in.cells)*K]
 	childOffs := in.meta[id].childOffs
 	p := eff[:K:K]
 	var qa [MaxLanes]float64
@@ -152,7 +211,7 @@ func (s *Solver) iterateCellsLanes(id, K int, eff *[MaxLanes]float64) {
 		n := (T - i) * K        // the row's strips, flattened
 		g, l := gain[base:base+T-i], loss[base:base+T-i]
 		tri, th, c := pic[base*K:], thr[:n], cuts[base*K:base*K+n]
-		kids := s.lanePic[base*K:]
+		kids := s.lanes.pic[base*K:]
 		if useAVX2 {
 			relaxRowAVX2(p, q, g, l, tri, th, c, kids, childOffs, i)
 		} else {
@@ -184,7 +243,7 @@ func getThrStrip(n int) *[]float64 {
 func (s *Solver) recoverLane(id, i, j, k, K int, pt *partition.Partition) {
 	in := s.in
 	idx := in.offs[id] + in.triIndex(i, j)
-	switch c := s.laneCut[idx*K+k]; {
+	switch c := s.lanes.cut[idx*K+k]; {
 	case c == int32(j): // aggregate of the partition
 		pt.Areas = append(pt.Areas, partition.Area{Node: in.meta[id].node, I: i, J: j})
 		pt.Gain += in.gain[idx]

@@ -215,44 +215,52 @@ func TestImproveThrMatchesImproves(t *testing.T) {
 	}
 }
 
-// TestEnsureLanesWidening pins the arena growth rule on a pooled solver:
-// blocks of 1, 4, 8 and 1 lanes grow MemoryBytes by exactly (4−1) lanes
-// (first widening of the one-lane arena: exact width), then by (16−4)
-// lanes (a multi-lane arena widens to MaxLanes), then not at all — and
-// every partition stays bit-identical to a fresh solver's on the same
-// block, so retained wider scratch never leaks into a narrower run.
+// TestEnsureLanesWidening pins the lane-arena sizing rule on a pooled
+// solver, now that runs borrow their arenas from the free list: blocks
+// of 1, 4, 8 and 1 lanes, starting from an empty list, leave one idle
+// slab of exactly one lane, then (a multi-lane block replaces the
+// too-small slab) of MaxLanes lanes, which every later block reuses.
+// MemoryBytes never moves — runLanes is memo-free and a solver retains no
+// scratch — and every partition stays bit-identical to a fresh solver's
+// on the same block, so a reused wider slab never leaks into a narrower
+// run.
 func TestEnsureLanesWidening(t *testing.T) {
+	defer drainLaneSlabs()
 	in := cancelTestInput(t, Options{Workers: 1, SolverPoolBound: 1})
+	steps := []struct{ K, idleLanes int }{{1, 1}, {4, MaxLanes}, {8, MaxLanes}, {1, MaxLanes}}
+	blocks := make([][]float64, len(steps))
+	wants := make([][]*partition.Partition, len(steps))
+	for step, c := range steps {
+		blocks[step] = make([]float64, c.K)
+		for k := range blocks[step] {
+			blocks[step][k] = (float64(k) + 0.5 + float64(step)/7) / float64(c.K+1)
+		}
+		drainLaneSlabs() // a fresh slab for the reference
+		wants[step] = make([]*partition.Partition, c.K)
+		if err := in.NewSolver().runLanes(context.Background(), blocks[step], wants[step]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drainLaneSlabs()
 	s, err := in.AcquireSolverContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer in.ReleaseSolver(s)
-	lane := len(in.gain) * (8 + 4)
-	for step, c := range []struct{ K, growLanes int }{{1, 0}, {4, 3}, {8, 12}, {1, 0}} {
-		ps := make([]float64, c.K)
-		for k := range ps {
-			ps[k] = (float64(k) + 0.5 + float64(step)/7) / float64(c.K+1)
-		}
-		before := in.MemoryBytes()
+	lane := int64(len(in.gain) * (8 + 4))
+	before := in.MemoryBytes()
+	for step, c := range steps {
 		got := make([]*partition.Partition, c.K)
-		if err := s.runLanes(context.Background(), ps, got); err != nil {
+		if err := s.runLanes(context.Background(), blocks[step], got); err != nil {
 			t.Fatal(err)
 		}
-		if grew := in.MemoryBytes() - before; grew != c.growLanes*lane {
-			t.Fatalf("step %d (K=%d): MemoryBytes grew %d, want %d", step, c.K, grew, c.growLanes*lane)
+		if idle := IdleScratchBytes(); idle != int64(c.idleLanes)*lane || len(laneSlabs) != 1 {
+			t.Fatalf("step %d (K=%d): %d idle slabs of %d bytes, want one of %d lanes (%d bytes)", step, c.K, len(laneSlabs), idle, c.idleLanes, int64(c.idleLanes)*lane)
 		}
-		want := make([]*partition.Partition, c.K)
-		if err := in.NewSolver().runLanes(context.Background(), ps, want); err != nil {
-			t.Fatal(err)
+		if got := in.MemoryBytes(); got != before {
+			t.Fatalf("step %d (K=%d): MemoryBytes moved %d -> %d", step, c.K, before, got)
 		}
-		for k := range ps {
-			g, w := got[k], want[k]
-			if g.Signature() != w.Signature() || math.Float64bits(g.Gain) != math.Float64bits(w.Gain) ||
-				math.Float64bits(g.Loss) != math.Float64bits(w.Loss) || math.Float64bits(g.PIC) != math.Float64bits(w.PIC) {
-				t.Fatalf("step %d (K=%d) lane %d: pooled solver diverges from a fresh one", step, c.K, k)
-			}
-		}
+		samePartitions(t, "step "+strconv.Itoa(step)+" (K="+strconv.Itoa(c.K)+"): pooled solver", got, wants[step])
 	}
 }
 
@@ -470,10 +478,12 @@ func TestInputBuildCancellation(t *testing.T) {
 	}
 }
 
-// TestFusedScratchAccounted: a pooled solver that has fused grows the
-// Input's reported memory, and the scratch is released back with the
-// solver (the pool keeps it, the bound still holds).
+// TestFusedScratchAccounted: a pooled solver that has fused retains no
+// scratch, so the Input's reported memory does not move; the run's
+// MaxLanes-wide slab goes back to the process-wide free list, where
+// IdleScratchBytes accounts it, and the pool bound still holds.
 func TestFusedScratchAccounted(t *testing.T) {
+	drainLaneSlabs()
 	in := cancelTestInput(t, Options{Workers: 1, SolverPoolBound: 1})
 	before := in.MemoryBytes()
 	s, err := in.AcquireSolverContext(context.Background())
@@ -484,10 +494,11 @@ func TestFusedScratchAccounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	in.ReleaseSolver(s)
-	after := in.MemoryBytes()
-	wantGrowth := len(in.gain) * MaxLanes * (8 + 4)
-	if after < before+wantGrowth {
-		t.Fatalf("MemoryBytes grew %d after fused use, want ≥ %d more", after-before, wantGrowth)
+	if after := in.MemoryBytes(); after != before {
+		t.Fatalf("MemoryBytes moved %d -> %d after fused use, want no retained scratch", before, after)
+	}
+	if idle, want := IdleScratchBytes(), int64(len(in.gain)*MaxLanes*(8+4)); idle != want {
+		t.Fatalf("free list holds %d idle bytes after a %d-lane run, want its slab's %d", idle, MaxLanes, want)
 	}
 	assertPoolReleased(t, in)
 }

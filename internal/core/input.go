@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"ocelotl/internal/failpoint"
 	"ocelotl/internal/hierarchy"
@@ -88,29 +87,20 @@ type Input struct {
 	poolBound          int
 	rootGain, rootLoss float64 // full-aggregation gain/loss (normalization)
 
-	// The solver pool recycles Solver scratch (the O(|H(S)|·|T|²) pIC/cut
-	// arenas) across queries and bounds how many pooled Solvers can exist
-	// at once: solverFree holds idle solvers, and creating a new one
-	// claims a slot of solverTokens, so at most poolBound solvers are ever
-	// live and AcquireSolverContext blocks once they are all in flight.
-	// That caps the peak pooled scratch memory at poolBound·O(|H(S)|·|T|²)
-	// no matter how many queries race. The pool is internal concurrency-safe state,
-	// not a mutation of the aggregation results.
-	solverFree   chan *Solver
+	// solverTokens bounds how many of this Input's solves run at once:
+	// AcquireSolverContext claims a token and ReleaseSolver frees it, so
+	// at most poolBound pooled solves are ever in flight and an acquire
+	// blocks once they all are. Solvers hold no scratch between runs
+	// (each run borrows its pIC/cut arenas from the process-wide free
+	// list, fused.go), so the bound caps the scratch in use by this
+	// Input's solves at poolBound·O(|H(S)|·|T|²) no matter how many
+	// queries race, and retains none. It is internal concurrency-safe
+	// state, not a mutation of the aggregation results.
 	solverTokens chan struct{}
-	// solversLive counts the pooled solvers created so far (≤ poolBound).
-	// Unlike a sync.Pool, the bounded pool retains its solvers for the
-	// Input's lifetime, so their scratch is part of the Input's resident
-	// cost and MemoryBytes includes it.
-	solversLive atomic.Int64
-	// laneBytes totals the lane scratch pooled solvers have grown beyond
-	// the one lane NewSolver allocates (ensureLanes' wider pIC/cut
-	// strips), which the pool likewise retains.
-	laneBytes atomic.Int64
 	// memo holds solved answers keyed by the exact bits of p (memo.go).
 	// Like the pool it is internal state, not a mutation of the
-	// aggregation results; its bytes, bounded at 1/memoShare of the
-	// arenas and pooled scratch, count toward MemoryBytes.
+	// aggregation results; its bytes, bounded at memoShare times the
+	// arena and Model bytes, count toward MemoryBytes.
 	memo memo
 }
 
@@ -130,13 +120,13 @@ type Options struct {
 	// children's completed matrices (optimization), and sweep results are
 	// keyed by p, so no decomposition has shared mutable state.
 	Workers int
-	// SolverPoolBound caps how many pooled Solvers (each holding
-	// O(|H(S)|·|T|²) pIC/cut scratch) an Input keeps alive at once: 0
-	// defaults to the resolved worker count (i.e. GOMAXPROCS). Once the
-	// bound is reached, AcquireSolverContext blocks until a solver is
-	// released, so the sweep's peak scratch memory is capped even under
-	// unbounded query concurrency. Solvers allocated directly with NewSolver are
-	// outside the pool and uncounted.
+	// SolverPoolBound caps how many pooled Solvers run solves on an Input
+	// at once: 0 defaults to the resolved worker count (i.e. GOMAXPROCS).
+	// Once the bound is reached, AcquireSolverContext blocks until a
+	// solver is released, so the Input's concurrent solves — each
+	// borrowing O(|H(S)|·|T|²) pIC/cut scratch for its duration — stay
+	// capped even under unbounded query concurrency. Solvers allocated
+	// directly with NewSolver are outside the pool and uncounted.
 	SolverPoolBound int
 }
 
@@ -211,18 +201,17 @@ func (in *Input) allocArenas(n int) {
 	in.durPref = make([]float64, T+1)
 }
 
-// initPool arms the bounded solver pool and the memo of solved answers;
+// initPool arms the solver bound and the memo of solved answers;
 // called by every Input constructor once the arenas are allocated. A
 // zero bound defaults to the worker count.
 func (in *Input) initPool() {
-	in.memo.init(func() int { return in.residentBytes() / memoShare })
+	in.memo.init(memoShare * in.residentBytes())
 	if in.poolBound <= 0 {
 		in.poolBound = in.workers
 	}
 	if in.poolBound < 1 {
 		in.poolBound = 1
 	}
-	in.solverFree = make(chan *Solver, in.poolBound)
 	in.solverTokens = make(chan struct{}, in.poolBound)
 }
 
@@ -527,49 +516,43 @@ func (in *Input) RootGainLoss() (gain, loss float64) { return in.rootGain, in.ro
 // O(|H(S)|·|T|²) space term; exposed for the scaling ablations.
 func (in *Input) InputCells() int { return len(in.gain) }
 
-// AcquireSolverContext returns a Solver from the input's bounded pool,
-// with Workers reset to the input's default. Callers must ReleaseSolver
-// it when the query is done; the sweeps and the serving layer use this so
-// repeated queries stop reallocating the O(|H(S)|·|T|²) pIC/cut scratch.
-// At most Options.SolverPoolBound solvers (default: the worker count)
-// exist at once — when they are all in flight, AcquireSolverContext
-// blocks until one is released, capping the peak pooled scratch memory
-// under any request concurrency. A caller blocked at the bound gives up
-// when ctx is cancelled and gets ctx.Err() instead of a solver; an
-// already-cancelled ctx fails immediately, so a request whose deadline
-// expired never claims scratch it cannot use. An idle solver is taken
-// without blocking; otherwise the wait is on a release or a creation slot
-// (a background ctx's nil Done channel never fires).
+// AcquireSolverContext returns a new Solver counted against the Input's
+// bound on concurrent solves, with Workers at the input's default.
+// Callers must ReleaseSolver it when the query is done; the sweeps and
+// the serving layer use this to bound how many solves run on one Input
+// at once. At most Options.SolverPoolBound acquired solvers (default:
+// the worker count) are out at once — when they are all in flight,
+// AcquireSolverContext blocks until one is released, so the pIC/cut
+// scratch this Input's solves borrow at once stays capped under any
+// request concurrency. The bound is on concurrent solves, not on
+// retained memory: a solver holds no scratch between runs. A caller
+// blocked at the bound gives up when ctx is cancelled and gets ctx.Err()
+// instead of a solver; an already-cancelled ctx fails immediately, so a
+// request whose deadline expired never claims scratch it cannot use (a
+// background ctx's nil Done channel never fires).
 func (in *Input) AcquireSolverContext(ctx context.Context) (*Solver, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var s *Solver
 	select {
-	case s = <-in.solverFree:
-	default:
-		select {
-		case s = <-in.solverFree:
-		case in.solverTokens <- struct{}{}: // claim a creation slot
-			s = in.NewSolver()
-			s.pooled = true
-			in.solversLive.Add(1)
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+	case in.solverTokens <- struct{}{}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
 	}
-	s.Workers = in.workers
+	s := in.NewSolver()
+	s.pooled = true
 	return s, nil
 }
 
-// ReleaseSolver returns a Solver obtained from AcquireSolverContext to the
-// pool, unblocking a waiting acquire if any. Extra solvers beyond the
-// bound (e.g. created directly with NewSolver) are dropped for the GC.
+// ReleaseSolver ends a solver's claim on the bound, unblocking a waiting
+// acquire if any. Releasing a solver that holds no claim (one created
+// directly with NewSolver, or one already released) does nothing.
 func (in *Input) ReleaseSolver(s *Solver) {
-	select {
-	case in.solverFree <- s:
-	default:
+	if !s.pooled {
+		return
 	}
+	s.pooled = false
+	<-in.solverTokens
 }
 
 // SolverPoolBound reports the resolved solver-pool capacity.
@@ -578,24 +561,20 @@ func (in *Input) SolverPoolBound() int { return in.poolBound }
 // MemoryBytes returns the approximate resident size of the Input in
 // bytes — the cache-cost accessor serving-layer caches budget their
 // entries with: the arenas (matrices, slice rows, prefix sums), the
-// scratch of every pooled solver created so far (the bounded pool
-// retains them for the Input's lifetime, so they are resident cost) and
-// the memo of solved answers. The pool and the memo grow as queries run,
-// so callers budgeting by this value should re-read it rather than
-// assume the at-construction figure.
+// window's microscopic Model rows and the memo of solved answers. Solver
+// scratch is not part of it: solves borrow their pIC/cut arenas from a
+// process-wide free list (IdleScratchBytes) and retain none. The memo
+// grows as queries run, so callers budgeting by this value should re-read
+// it rather than assume the at-construction figure.
 func (in *Input) MemoryBytes() int {
 	return in.residentBytes() + in.memo.size()
 }
 
-// residentBytes is MemoryBytes without the memo: the flat arenas
-// (counted by EstimateMemoryBytes, the one formula of their layout) plus
-// every pooled solver's retained scratch.
+// residentBytes is MemoryBytes without the memo, fixed at construction:
+// the flat arenas and the Model rows, counted by EstimateMemoryBytes,
+// the one formula of their layout.
 func (in *Input) residentBytes() int {
-	arenas := int(EstimateMemoryBytes(len(in.meta), in.X, in.T))
-	// Each pooled solver holds a one-lane float64 pIC and int32 cut arena
-	// of len(gain) cells, plus whatever wider lane strips it has grown.
-	solver := len(in.gain) * (8 + 4)
-	return arenas + int(in.solversLive.Load())*solver + int(in.laneBytes.Load())
+	return int(EstimateMemoryBytes(len(in.meta), in.Model.NumResources(), in.X, in.T))
 }
 
 // FailpointCoarsen names the fault-injection site at the head of every
@@ -635,18 +614,21 @@ func (in *Input) CoarsenContext(ctx context.Context, factor int) (*Input, error)
 }
 
 // EstimateMemoryBytes predicts Input.MemoryBytes for a build over
-// numNodes hierarchy nodes, numStates states and slices time slices,
-// before any arena is allocated: the matrix triangles, slice rows, prefix
-// sums and duration prefix, exactly as MemoryBytes sums them for a fresh
-// Input (whose solver pool is still empty). Serving-layer admission
+// numNodes hierarchy nodes of which numLeaves are resources, numStates
+// states and slices time slices, before any arena is allocated: the
+// matrix triangles, slice rows, prefix sums and duration prefix, plus
+// the window's Model rows (d_x(s,t) and d(t), which each window owns: a
+// derived window's model is a copy), exactly as MemoryBytes sums them for
+// a fresh Input (whose memo is still empty). Serving-layer admission
 // guards use this to reject windows whose Input alone would blow a cache
 // budget, arithmetically, before paying the build.
-func EstimateMemoryBytes(numNodes, numStates, slices int) int64 {
-	n, x, t := int64(numNodes), int64(numStates), int64(slices)
+func EstimateMemoryBytes(numNodes, numLeaves, numStates, slices int) int64 {
+	n, s, x, t := int64(numNodes), int64(numLeaves), int64(numStates), int64(slices)
 	cells := t * (t + 1) / 2
 	floats := 2*n*cells + // gain, loss triangles
 		3*n*x*t + // slcD, slcRho, slcRL
 		n*x*(t+1) + // prefD
-		(t + 1) // durPref
+		(t + 1) + // durPref
+		x*s*t + t // Model.dx, Model.SliceDur
 	return floats * 8
 }

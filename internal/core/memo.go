@@ -9,11 +9,15 @@ import (
 	"ocelotl/internal/partition"
 )
 
-// memoShare is the memo's byte bound as a fraction of the rest of the
-// Input's resident bytes — its arenas plus the pooled solvers' retained
-// pIC/cut scratch: a memo may grow to 1/memoShare of that, so its worst
-// case stays a fixed overhead on the entry the serving layer budgets.
-const memoShare = 8
+// memoShare is the memo's byte bound as a multiple of the rest of the
+// Input's resident bytes (EstimateMemoryBytes: its arenas and Model
+// rows), fixed at construction: a memo may grow to memoShare times that,
+// so its worst case stays a fixed multiple of the entry the serving
+// layer budgets. Two keeps the dichotomy points that a stream of
+// significant-p requests on one window repeats memoized across the
+// requests; a tighter bound evicts them in between, and every eviction
+// is a re-solve.
+const memoShare = 2
 
 // Byte estimates of a memo entry beyond its signature and area bytes:
 // its map slot (key, QualityPoint, partition pointer), and a memoized
@@ -74,14 +78,12 @@ func (g *memoGen) take(k uint64) (memoEntry, bool) {
 type memo struct {
 	mu       sync.Mutex
 	cur, old *memoGen
-	// bound returns the byte bound. It grows as the Input's solver pool
-	// warms, never shrinks.
-	bound func() int
+	bound    int // the byte bound, fixed at construction
 
 	hits, misses atomic.Int64
 }
 
-func (m *memo) init(bound func() int) {
+func (m *memo) init(bound int) {
 	m.bound = bound
 	m.cur, m.old = newMemoGen(), newMemoGen()
 }
@@ -126,7 +128,7 @@ func (m *memo) put(p float64, e memoEntry) {
 // would overflow its half of the bound. An entry bigger than one
 // generation is not kept.
 func (m *memo) insertLocked(k uint64, e memoEntry) {
-	half := m.bound() / 2
+	half := m.bound / 2
 	b := e.bytes()
 	if b > half {
 		return
@@ -166,7 +168,7 @@ func (in *Input) MemoStats() MemoStats {
 		Misses:   m.misses.Load(),
 		Entries:  len(m.cur.entries) + len(m.old.entries),
 		Bytes:    m.cur.bytes + m.old.bytes,
-		CapBytes: m.bound(),
+		CapBytes: m.bound,
 	}
 }
 

@@ -265,11 +265,10 @@ func TestMemoBoundedAndCharged(t *testing.T) {
 	}
 	in := testInput(t, mdl, Options{Workers: 1, SolverPoolBound: 1})
 	ctx := context.Background()
-	if st := in.MemoStats(); st.CapBytes != in.MemoryBytes()/memoShare || st.Bytes != 0 {
-		t.Fatalf("fresh memo %+v, want empty with cap %d", st, in.MemoryBytes()/memoShare)
+	if st := in.MemoStats(); st.CapBytes != memoShare*in.MemoryBytes() || st.Bytes != 0 {
+		t.Fatalf("fresh memo %+v, want empty with cap %d", st, memoShare*in.MemoryBytes())
 	}
-	// Fix the pool's footprint first — one solver with a full lane strip —
-	// so every later change in MemoryBytes is the memo's.
+	// Every change in MemoryBytes from here on must be the memo's.
 	if _, err := in.SweepQualityContext(ctx, sweepPs(MaxLanes)); err != nil {
 		t.Fatal(err)
 	}

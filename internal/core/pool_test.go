@@ -32,8 +32,9 @@ func TestSolverPoolBoundDefaultsToWorkers(t *testing.T) {
 }
 
 // TestSolverPoolBlocksAtBound acquires the full bound, checks that one
-// more acquire blocks, and that releasing unblocks it — the memory-cap
-// contract: at most bound solvers' scratch ever exists.
+// more acquire blocks, and that releasing unblocks it — the concurrency
+// contract: at most bound pooled solves run at once. Releasing a solver
+// twice, or one made by NewSolver, frees no further slot.
 func TestSolverPoolBlocksAtBound(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	in := poolTestInput(t, Options{Workers: 1, SolverPoolBound: 2})
@@ -50,15 +51,21 @@ func TestSolverPoolBlocksAtBound(t *testing.T) {
 	case <-time.After(50 * time.Millisecond):
 	}
 	in.ReleaseSolver(s1)
+	var s3 *Solver
 	select {
-	case s3 := <-acquired:
-		if s3 != s1 {
-			t.Fatalf("unblocked acquire got a new solver, want the released one")
-		}
+	case s3 = <-acquired:
 	case <-time.After(2 * time.Second):
 		t.Fatal("acquire still blocked after release")
 	}
+	in.ReleaseSolver(s1)
+	in.ReleaseSolver(in.NewSolver())
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if s, err := in.AcquireSolverContext(ctx); err == nil {
+		t.Fatalf("acquire succeeded with s2 and s3 in flight: a second release of s1 or a NewSolver release freed a slot (%p)", s)
+	}
 	in.ReleaseSolver(s2)
+	in.ReleaseSolver(s3)
 }
 
 // TestSolverPoolBoundSurvivesUpdate checks the bound propagates through

@@ -26,8 +26,8 @@ func refIterateCellsLanes(s *Solver, id, K int, eff *[MaxLanes]float64) {
 	off := in.offs[id]
 	gain := in.gain[off : off+in.cells]
 	loss := in.loss[off : off+in.cells]
-	pic := s.lanePic[off*K : (off+in.cells)*K]
-	cuts := s.laneCut[off*K : (off+in.cells)*K]
+	pic := s.lanes.pic[off*K : (off+in.cells)*K]
+	cuts := s.lanes.cut[off*K : (off+in.cells)*K]
 	childOffs := in.meta[id].childOffs
 	p := eff[:K:K]
 	var qa, best, thr, sums [MaxLanes]float64
@@ -55,7 +55,7 @@ func refIterateCellsLanes(s *Solver, id, K int, eff *[MaxLanes]float64) {
 				}
 				for _, co := range childOffs {
 					cb := (co + idx) * K
-					cp := s.lanePic[cb : cb+K : cb+K]
+					cp := s.lanes.pic[cb : cb+K : cb+K]
 					for k := range sm {
 						sm[k] += cp[k]
 					}
@@ -117,19 +117,20 @@ func setAVX2(on bool) func() {
 	return func() { useAVX2 = prev }
 }
 
-// solveArenas runs one K-lane block's node walk on a fresh solver with
-// the given triangular iteration and returns its pIC and cut arenas.
+// solveArenas runs one K-lane block's node walk on a fresh solver and
+// fresh zeroed arenas with the given triangular iteration and returns
+// the arenas.
 func solveArenas(in *Input, ps []float64, iterate func(s *Solver, id, K int, eff *[MaxLanes]float64)) ([]float64, []int32) {
 	s := in.NewSolver()
 	s.Workers = 1
 	K := len(ps)
-	s.ensureLanes(K)
+	s.lanes = laneSlab{pic: make([]float64, len(in.gain)*K), cut: make([]int32, len(in.gain)*K)}
 	var eff [MaxLanes]float64
 	for k, p := range ps {
 		eff[k] = in.effectiveP(p)
 	}
 	s.walkParallel(context.Background(), in.rootID, nil, func(id int) { iterate(s, id, K, &eff) })
-	return s.lanePic, s.laneCut
+	return s.lanes.pic, s.lanes.cut
 }
 
 // homogeneousModel is a tie-heavy model: every leaf spends the same share
@@ -213,7 +214,7 @@ func checkKernelBitIdentical(t *testing.T, in *Input, rng *rand.Rand, model stri
 	}
 }
 
-// TestRunLanesAllocs pins runLanes' allocations on a warm solver to
+// TestRunLanesAllocs pins runLanes' allocations on a warm free list to
 // what the cell-major kernel made: the partitions it returns and nothing
 // per node. The cut-major kernel's threshold strip must stay on its stack
 // frame up to T·K = 1024 (the 24×40 model; relaxRowAVX2 is go:noescape
@@ -230,6 +231,9 @@ func TestRunLanesAllocs(t *testing.T) {
 	} {
 		in := testInput(t, scalingModel(t, c.S, c.T), Options{Workers: 1})
 		s := in.NewSolver()
+		// Slabs other tests left may be too small for this shape; from an
+		// empty free list the warm-up run leaves one that fits.
+		drainLaneSlabs()
 		for _, avx2 := range avx2Bodies() {
 			t.Run(strconv.Itoa(c.S)+"x"+strconv.Itoa(c.T)+"/avx2="+strconv.FormatBool(avx2), func(t *testing.T) {
 				defer setAVX2(avx2)()
@@ -398,7 +402,7 @@ func scalingModel(tb testing.TB, S, T int) *microscopic.Model {
 }
 
 // BenchmarkSolveLanes_K* time the Algorithm 1 kernel alone: one K-lane
-// runLanes block on a warm solver over a prebuilt 96×40 Input, with no
+// runLanes block on a warm free list over a prebuilt 96×40 Input, with no
 // input pass, memo or pool in the timed loop. ns/p is the cost per
 // answered p; K=8 is the sweep's lane width on two cores.
 func BenchmarkSolveLanes_K1(b *testing.B)  { benchSolveLanes(b, 1) }
@@ -414,7 +418,7 @@ func benchSolveLanes(b *testing.B, K int) {
 	}
 	out := make([]*partition.Partition, K)
 	ctx := context.Background()
-	if err := s.runLanes(ctx, ps, out); err != nil { // size the lane arenas
+	if err := s.runLanes(ctx, ps, out); err != nil { // leave a fitting slab on the free list
 		b.Fatal(err)
 	}
 	b.ResetTimer()

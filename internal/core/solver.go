@@ -7,27 +7,25 @@ import (
 	"ocelotl/internal/partition"
 )
 
-// Solver owns the mutable per-query state of Algorithm 1: the pIC and cut
-// triangular matrices of one optimization run, held as K-wide lane strips
-// so one run can answer up to MaxLanes ps at once (fused.go). A Solver
-// only ever reads its Input, so any number of Solvers run concurrently
-// against one shared Input — this is the paper's interactivity model
-// taken to multi-core: build the input once, answer every p in parallel.
+// Solver runs Algorithm 1 against one Input: each run borrows the pIC
+// and cut triangular matrices of its optimization from a process-wide
+// free list (laneSlabs), as K-wide lane strips so one run can answer up
+// to MaxLanes ps at once (fused.go), and returns them when it ends. A
+// Solver only ever reads its Input, so any number of Solvers run
+// concurrently against one shared Input — this is the paper's
+// interactivity model taken to multi-core: build the input once, answer
+// every p in parallel.
 //
-// A single Solver is NOT safe for concurrent use of itself (RunContext
-// reuses its scratch); create one Solver per in-flight query, or borrow
-// one per query from the Input's pool (AcquireSolverContext).
+// A single Solver is NOT safe for concurrent use of itself (a run keeps
+// its borrowed arenas on the Solver); create one Solver per in-flight
+// query, or acquire one per query under the Input's bound
+// (AcquireSolverContext).
 type Solver struct {
 	in *Input
 
-	// Lane arenas: one K-wide strip of pIC/cut state per triangle cell.
-	// NewSolver allocates one lane; ensureLanes widens them on first
-	// multi-lane use, and the solver retains them for reuse.
-	lanePic []float64
-	laneCut []int32
-	// pooled marks solvers created through the Input's bounded pool, whose
-	// retained scratch counts toward Input.MemoryBytes.
-	pooled bool
+	// lanes holds the run's pIC/cut arenas, borrowed for one runLanes
+	// call; empty between runs.
+	lanes laneSlab
 
 	// Workers caps Algorithm 1's parallelism across independent sibling
 	// subtrees within this one run (default: the Input's worker setting;
@@ -35,17 +33,16 @@ type Solver struct {
 	// value. The p-sweeps set this to 1 because cross-query parallelism
 	// already saturates the pool.
 	Workers int
+
+	// pooled marks a solver that holds one of its Input's solverTokens,
+	// from AcquireSolverContext until ReleaseSolver.
+	pooled bool
 }
 
-// NewSolver allocates a Solver (the O(|H(S)|·|T|²) one-lane pIC/cut
-// scratch) bound to this input.
+// NewSolver returns a Solver bound to this input. It holds no scratch:
+// each run borrows its arenas.
 func (in *Input) NewSolver() *Solver {
-	return &Solver{
-		in:      in,
-		lanePic: make([]float64, len(in.gain)),
-		laneCut: make([]int32, len(in.gain)),
-		Workers: in.workers,
-	}
+	return &Solver{in: in, Workers: in.workers}
 }
 
 // RunContext executes Algorithm 1 for trade-off ratio p ∈ [0,1] and
@@ -58,9 +55,8 @@ func (in *Input) NewSolver() *Solver {
 // (the O(|T|²·|T|) unit of work), so a cancelled query returns ctx.Err()
 // within one node's worth of computation — and, in the parallel path,
 // after every in-flight subtree goroutine has been joined, so no work
-// outlives the call. A cancelled run returns no partition; the solver's
-// scratch is left in an undefined state but is fully overwritten by the
-// next run, so the solver stays reusable (and poolable).
+// outlives the call. A cancelled run returns no partition and its
+// arenas to the free list, so the solver stays reusable.
 func (s *Solver) RunContext(ctx context.Context, p float64) (*partition.Partition, error) {
 	ps := []float64{p}
 	if err := validatePs(ps); err != nil {

@@ -73,11 +73,13 @@ type entry struct {
 	key   windowKey
 	level uint64 // levelOf the Input's slicer
 	in    *core.Input
-	bytes int // in + ovBytes, charged against the budget
+	bytes int // in + charged, charged against the budget
 
-	ovMu    sync.Mutex
-	ov      *core.Input
-	ovBytes int // guarded by the cache mu, not ovMu
+	ovMu sync.Mutex
+	ov   *core.Input
+	// charged is ov once the entry is charged for it; guarded by the
+	// cache mu, not ovMu, so every eviction pass can re-read its bytes.
+	charged *core.Input
 }
 
 // traceGen addresses one trace load.
@@ -130,6 +132,14 @@ type flight struct {
 // lands next to a warm same-level window and resolves as a hit or
 // pan-derivation: the first visit to a resolution pays a scratch build,
 // every later visit pays O(Δ·|T|) per node.
+//
+// Every eviction pass re-reads each entry's MemoryBytes (its overview's
+// included), so memo growth is charged whether or not the window is hit
+// again. Admit, though, checks only an Input's arenas and Model rows
+// (core.EstimateMemoryBytes), and a memo may grow to twice those after
+// admission; the entry at the LRU front is never its own victim, so one
+// window admitted near the budget can hold the cache over it by up to
+// twice its admitted size while it stays at the front.
 type InputCache struct {
 	budget    int64
 	opts      core.Options
@@ -219,7 +229,7 @@ func (c *InputCache) getOnce(ctx context.Context, tr *Trace, sl timeslice.Slicer
 		c.lru.MoveToFront(el)
 		c.stats.Hits.Add(1)
 		e := el.Value.(*entry)
-		c.refreshLocked(el)
+		c.evictToBudgetLocked()
 		c.mu.Unlock()
 		return e.in, BuildHit, nil
 	}
@@ -384,7 +394,8 @@ func (c *InputCache) Admit(tr *Trace, sl timeslice.Slicer) error {
 	if c.budget <= 0 {
 		return nil
 	}
-	est := core.EstimateMemoryBytes(tr.resl.Hierarchy().NumNodes(), len(tr.resl.States()), sl.N)
+	h := tr.resl.Hierarchy()
+	est := core.EstimateMemoryBytes(h.NumNodes(), h.NumLeaves(), len(tr.resl.States()), sl.N)
 	// Disk-backed indexes keep decoded chunks resident while serving
 	// fills; that memory shares the machine with the Input arenas, so
 	// admission charges it against the budget instead of pretending the
@@ -464,9 +475,7 @@ func (c *InputCache) overview(e *entry) *core.Input {
 		e.ov = ov
 		c.mu.Lock()
 		if el, ok := c.entries[e.key]; ok && el.Value.(*entry) == e {
-			e.ovBytes = ov.MemoryBytes()
-			e.bytes += e.ovBytes
-			c.bytes += int64(e.ovBytes)
+			e.charged = ov
 			c.evictToBudgetLocked()
 		}
 		c.mu.Unlock()
@@ -573,9 +582,8 @@ func (c *InputCache) insertLocked(tr *Trace, in *core.Input) {
 		c.lru.MoveToFront(el)
 		return
 	}
-	e := &entry{key: key, level: levelOf(in.Model.Slicer), in: in, bytes: in.MemoryBytes()}
+	e := &entry{key: key, level: levelOf(in.Model.Slicer), in: in}
 	c.entries[key] = c.lru.PushFront(e)
-	c.bytes += int64(e.bytes)
 	c.evictToBudgetLocked()
 }
 
@@ -592,19 +600,21 @@ func (c *InputCache) Seed(tr *Trace, in *core.Input) {
 	c.insertLocked(tr, in)
 }
 
-// refreshLocked re-reads an entry's byte cost (it grows as the Input's
-// bounded solver pool warms up) and reruns eviction if the total
-// overflows; the refreshed entry sits at the LRU front, so it is never
-// its own victim.
-func (c *InputCache) refreshLocked(el *list.Element) {
-	e := el.Value.(*entry)
-	now := e.in.MemoryBytes() + e.ovBytes
-	if now == e.bytes {
-		return
+// resumLocked re-reads every entry's byte cost, its overview's
+// included. An Input's memo grows during the solves that follow the
+// insert or hit that last charged it — an overview's during the preview
+// solves that never touch its entry — and a window that is never hit
+// again would otherwise keep that growth off the budget.
+func (c *InputCache) resumLocked() {
+	c.bytes = 0
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*entry)
+		e.bytes = e.in.MemoryBytes()
+		if e.charged != nil {
+			e.bytes += e.charged.MemoryBytes()
+		}
+		c.bytes += int64(e.bytes)
 	}
-	c.bytes += int64(now - e.bytes)
-	e.bytes = now
-	c.evictToBudgetLocked()
 }
 
 // pinsLocked reads the ladder pins off the LRU list in one front-to-back
@@ -629,13 +639,15 @@ func (c *InputCache) pinsLocked() map[*entry]bool {
 	return pins
 }
 
-// evictToBudgetLocked brings the cache back under budget in two passes
-// from the LRU tail: first sparing the ladder pins (one window per
-// visited resolution per hot trace stays warm under pressure from
-// one-off windows), then — if the pins alone still overflow — evicting
-// regardless, because the byte budget is the harder promise. The LRU
-// front (the entry that triggered the pass) is never its own victim.
+// evictToBudgetLocked re-reads every entry's cost (resumLocked) and
+// brings the cache back under budget in two passes from the LRU tail:
+// first sparing the ladder pins (one window per visited resolution per
+// hot trace stays warm under pressure from one-off windows), then — if
+// the pins alone still overflow — evicting regardless, because the byte
+// budget is the harder promise. The LRU front (the entry that triggered
+// the pass) is never its own victim.
 func (c *InputCache) evictToBudgetLocked() {
+	c.resumLocked()
 	if c.bytes <= c.budget {
 		return
 	}
@@ -687,14 +699,17 @@ func (c *InputCache) PurgeTrace(traceID string, gen uint64) int {
 	return n
 }
 
-// Snapshot returns the current counters plus the cache's occupancy.
+// Snapshot returns the current counters plus the cache's occupancy, its
+// bytes re-read from every entry, and the process's idle solver scratch.
 func (c *InputCache) Snapshot() StatsSnapshot {
 	c.mu.Lock()
+	c.resumLocked()
 	entries, bytes := c.lru.Len(), c.bytes
 	c.mu.Unlock()
 	s := c.stats.snapshot()
 	s.Entries = entries
 	s.Bytes = bytes
+	s.IdleScratchBytes = core.IdleScratchBytes()
 	s.BudgetBytes = c.budget
 	return s
 }

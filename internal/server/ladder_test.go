@@ -262,7 +262,7 @@ func TestLadderPinSurvivesPans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := core.EstimateMemoryBytes(tr.resl.Hierarchy().NumNodes(), len(tr.resl.States()), a.N)
+	est := core.EstimateMemoryBytes(tr.resl.Hierarchy().NumNodes(), tr.resl.Hierarchy().NumLeaves(), len(tr.resl.States()), a.N)
 	c := NewInputCache(7*est/2, core.Options{}, 0)
 	ctx := context.Background()
 	if _, _, err := c.Get(ctx, tr, a); err != nil {

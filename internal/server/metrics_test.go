@@ -4,6 +4,7 @@ import (
 	"flag"
 	"net/http"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"testing"
 )
@@ -17,8 +18,26 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden files under te
 // sweep). Both bodies must stay byte-identical across refactors of the
 // counter plumbing; regenerate with `go test -run TestMetricsGolden
 // -update` only when a counter is deliberately added or renamed.
+//
+// The idle-scratch gauge is process-wide, so the sequence runs in a fresh
+// test process, and on one worker, so its sweep solves one lane block on
+// any number of cores.
 func TestMetricsGolden(t *testing.T) {
-	_, ts := newTestServer(t, quietConfig())
+	if os.Getenv("OCELOTL_METRICS_GOLDEN") == "" {
+		args := []string{"-test.run=^TestMetricsGolden$"}
+		if *updateGolden {
+			args = append(args, "-update")
+		}
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "OCELOTL_METRICS_GOLDEN=1")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("golden run in a fresh process: %v\n%s", err, out)
+		}
+		return
+	}
+	cfg := quietConfig()
+	cfg.Core.Workers = 1
+	_, ts := newTestServer(t, cfg)
 	for _, q := range []string{
 		"/traces/art/aggregate?slices=20",
 		"/traces/art/aggregate?slices=20&pan=1",

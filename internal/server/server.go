@@ -98,8 +98,8 @@ type Config struct {
 	// negative disables caching entirely).
 	CacheBytes int64
 	// Core configures every Input built by the server: normalization,
-	// worker count, and the solver-pool bound that caps per-Input query
-	// scratch (core.Options.SolverPoolBound).
+	// worker count, and the solver-pool bound that caps each Input's
+	// concurrent solves (core.Options.SolverPoolBound).
 	Core core.Options
 	// RequestTimeout bounds each request's handling (default 30 s; ≤ 0
 	// disables the limit). The timeout arrives at the handlers as a

@@ -616,32 +616,100 @@ func TestRequestWorkCaps(t *testing.T) {
 	}
 }
 
-// TestCacheAccountsForSolverPoolWarmup: an entry's cost grows as queries
-// warm its solver pool; a hit must refresh the cache's byte accounting.
+// TestCacheAccountsForSolverPoolWarmup: warming an entry's solver pool
+// does not move its cost, because a solver retains no scratch between
+// runs; only the memo does, and the cache's byte total follows it.
 func TestCacheAccountsForSolverPoolWarmup(t *testing.T) {
 	tr := loadArtificial(t)
 	sl, err := timeslice.New(0, 10, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
 	c := NewInputCache(DefaultCacheBytes, core.Options{}, 0)
-	in, _, err := c.Get(context.Background(), tr, sl)
+	in, _, err := c.Get(ctx, tr, sl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cold := c.Snapshot().Bytes
-	s, err := in.AcquireSolverContext(context.Background()) // warms the pool: scratch is now resident
+	if cold != int64(in.MemoryBytes()) {
+		t.Fatalf("cache charges %d bytes for an entry of %d", cold, in.MemoryBytes())
+	}
+	s, err := in.AcquireSolverContext(ctx) // warms the pool
 	if err != nil {
 		t.Fatal(err)
 	}
-	in.ReleaseSolver(s)
-	if got := int64(in.MemoryBytes()); got <= cold {
-		t.Fatalf("MemoryBytes %d does not include pooled solver scratch (arenas alone: %d)", got, cold)
+	if _, err := s.RunContext(ctx, 0.5); err != nil { // memo-free
+		t.Fatal(err)
 	}
-	if _, kind, _ := c.Get(context.Background(), tr, sl); kind != BuildHit {
+	in.ReleaseSolver(s)
+	if got := int64(in.MemoryBytes()); got != cold {
+		t.Fatalf("MemoryBytes %d -> %d after a pooled solve: the pool retains scratch", cold, got)
+	}
+	if _, err := in.SolveContext(ctx, 0.5); err != nil { // memoizes
+		t.Fatal(err)
+	}
+	memo := int64(in.MemoStats().Bytes)
+	if memo == 0 || int64(in.MemoryBytes()) != cold+memo {
+		t.Fatalf("MemoryBytes %d after a memoized solve, want %d + memo %d", in.MemoryBytes(), cold, memo)
+	}
+	if _, kind, _ := c.Get(ctx, tr, sl); kind != BuildHit {
 		t.Fatal("expected a hit")
 	}
-	if warm := c.Snapshot().Bytes; warm <= cold {
-		t.Fatalf("hit did not refresh accounting: %d -> %d", cold, warm)
+	if warm := c.Snapshot().Bytes; warm != cold+memo {
+		t.Fatalf("cache charges %d bytes after the hit, want %d", warm, cold+memo)
 	}
+}
+
+// TestCacheChargesMemoWithoutHit: the memo a window grows after its
+// insert is charged even if the window is never requested again — the
+// cache's byte total is the sum of its entries' MemoryBytes — and so is
+// the memo a preview solve grows on an entry's overview.
+func TestCacheChargesMemoWithoutHit(t *testing.T) {
+	tr := loadArtificial(t)
+	ctx := context.Background()
+	c := NewInputCache(DefaultCacheBytes, core.Options{}, 0)
+	slicer := func(start, end float64, n int) timeslice.Slicer {
+		sl, err := timeslice.New(start, end, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sl
+	}
+	var ins []*core.Input
+	for _, n := range []int{16, 8, previewCoarsenMin} {
+		in, _, err := c.Get(ctx, tr, slicer(0, 10, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ins = append(ins, in)
+	}
+	charged := func(what string, extra *core.Input, before int64) int64 {
+		t.Helper()
+		var sum int64
+		for _, in := range ins {
+			sum += int64(in.MemoryBytes())
+		}
+		if extra != nil {
+			sum += int64(extra.MemoryBytes())
+		}
+		if got := c.Snapshot().Bytes; got != sum || got <= before {
+			t.Fatalf("after %s the cache charges %d bytes (before: %d), entries hold %d", what, got, before, sum)
+		}
+		return sum
+	}
+	before := c.Snapshot().Bytes
+	if _, err := ins[0].SolveContext(ctx, 0.37); err != nil {
+		t.Fatal(err)
+	}
+	before = charged("a solve", nil, before)
+	ov := c.Preview(tr, slicer(2, 5, 8))
+	if ov == nil || ov == ins[2] {
+		t.Fatalf("preview = %p, want the coarse overview of the %d-slice window", ov, previewCoarsenMin)
+	}
+	before = charged("the overview build", ov, before)
+	if _, err := ov.SolveContext(ctx, 0.41); err != nil {
+		t.Fatal(err)
+	}
+	charged("a preview solve", ov, before)
 }

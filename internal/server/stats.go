@@ -69,6 +69,9 @@ type StatsSnapshot struct {
 	Entries     int   `json:"entries" prom:"ocelotl_cache_entries,gauge" help:"Cached window Inputs resident now."`
 	Bytes       int64 `json:"bytes" prom:"ocelotl_cache_bytes,gauge" help:"Bytes of cached Input arenas resident now."`
 	BudgetBytes int64 `json:"budget_bytes" prom:"ocelotl_cache_budget_bytes,gauge" help:"Configured cache byte budget."`
+	// IdleScratchBytes is process-wide and outside the budget: the
+	// solver scratch kept for reuse between solves (core.IdleScratchBytes).
+	IdleScratchBytes int64 `json:"idle_scratch_bytes" prom:"ocelotl_idle_scratch_bytes,gauge" help:"Bytes of idle solver scratch the process keeps for reuse, outside the cache budget."`
 	// Registry aggregates, filled by Server.CacheStats; distinct from
 	// Bytes, so the cache budget and the index never double-count.
 	IndexBytes          int64 `json:"index_bytes" prom:"ocelotl_index_bytes,gauge" help:"Event indexes' fixed residency (RAM arrays or disk chunk directories), distinct from Input bytes."`
