@@ -96,18 +96,12 @@ func benchInput(b *testing.B, m *microscopic.Model, opt core.Options) *core.Inpu
 	return in
 }
 
-// runPooled answers one p on a solver borrowed from in's bounded pool —
-// the steady-state per-query cost of a long-lived Input, as the serving
-// layer pays it.
-func runPooled(b *testing.B, in *core.Input, p float64) *partition.Partition {
+// runSolve answers one p on a new solver, whose run borrows its
+// scratch from the process-wide free list — the steady-state per-query
+// cost of a long-lived Input, as the serving layer pays it.
+func runSolve(b *testing.B, in *core.Input, p float64) *partition.Partition {
 	b.Helper()
-	ctx := context.Background()
-	s, err := in.AcquireSolverContext(ctx)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer in.ReleaseSolver(s)
-	pt, err := s.RunContext(ctx, p)
+	pt, err := in.NewSolver().RunContext(context.Background(), p)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -176,7 +170,7 @@ func benchTable2AggRun(b *testing.B, c grid5000.Case) {
 	d := loadCase(b, c)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runPooled(b, d.in, 0.5)
+		runSolve(b, d.in, 0.5)
 	}
 }
 
@@ -192,7 +186,7 @@ func BenchmarkFig1_CaseA_Overview(b *testing.B) {
 	d := loadCase(b, grid5000.CaseA)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pt := runPooled(b, d.in, 0.2)
+		pt := runSolve(b, d.in, 0.2)
 		render.BuildScene(d.in, pt, render.Options{Width: 1000, Height: 512})
 	}
 }
@@ -244,7 +238,7 @@ func BenchmarkFig4_CaseC_Overview(b *testing.B) {
 	d := loadCase(b, grid5000.CaseC)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pt := runPooled(b, d.in, 0.35)
+		pt := runSolve(b, d.in, 0.35)
 		render.BuildScene(d.in, pt, render.Options{Width: 1000, Height: 700, MinHeight: 2})
 	}
 }
@@ -268,7 +262,7 @@ func benchScalingT(b *testing.B, T int) {
 	in := benchInput(b, m, core.Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runPooled(b, in, 0.5)
+		runSolve(b, in, 0.5)
 	}
 }
 
@@ -282,7 +276,7 @@ func benchScalingS(b *testing.B, S int) {
 	in := benchInput(b, m, core.Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runPooled(b, in, 0.5)
+		runSolve(b, in, 0.5)
 	}
 }
 
@@ -299,7 +293,7 @@ func BenchmarkAblation_Spatiotemporal(b *testing.B) {
 	in := benchInput(b, m, core.Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runPooled(b, in, 0.5)
+		runSolve(b, in, 0.5)
 	}
 }
 
@@ -351,12 +345,11 @@ func BenchmarkAblation_SignificantPs(b *testing.B) {
 }
 
 // coldMemoInput builds, off the clock, a fresh Input over m with an empty
-// memo and a warm solver pool: a sweep at ps (i+1)/97 creates every pooled
-// solver and leaves full MaxLanes lane slabs on the process-wide free
-// list, faulted in. No benchmarked p list
+// memo and warm scratch: a sweep at ps (i+1)/97 leaves full MaxLanes
+// lane slabs on the process-wide free list, faulted in. No benchmarked p list
 // or dichotomy samples a multiple of 1/97 (dyadic midpoints and the
 // i/(n+1) grids never reduce to one), so the kernel benchmarks time the
-// pooled steady state of a solve — the latency a served slider sees on a
+// steady state of a solve — the latency a served slider sees on a
 // first query — rather than memo hits or first-use page faults.
 func coldMemoInput(b *testing.B, m *microscopic.Model, opt core.Options) *core.Input {
 	b.Helper()
@@ -430,7 +423,7 @@ func BenchmarkSignificantPs_Repeat(b *testing.B) {
 
 // The fused-sweep family measures the tentpole economics directly: one
 // lane-blocked SweepQualityContext call over n evenly spaced ps on a cold
-// memo versus the unfused reference of n pooled single-p runs
+// memo versus the unfused reference of n single-p runs
 // (BenchmarkSweepSingle_K16 — what every caller paid before the fusion,
 // and still the right baseline because the per-p kernels are unchanged).
 // The acceptance bar is ≥ 1.5× throughput for the 16-p sweep; report ns/p
@@ -466,18 +459,13 @@ func BenchmarkSweepSingle_K16(b *testing.B) {
 	in := benchInput(b, m, core.Options{})
 	ps := benchSweepPs(16)
 	ctx := context.Background()
-	runPooled(b, in, ps[0]) // steady-state warm-up
+	runSolve(b, in, ps[0]) // steady-state warm-up
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range ps {
-			s, err := in.AcquireSolverContext(ctx)
-			if err != nil {
+			if _, err := in.NewSolver().QualityContext(ctx, p); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := s.QualityContext(ctx, p); err != nil {
-				b.Fatal(err)
-			}
-			in.ReleaseSolver(s)
 		}
 	}
 	b.StopTimer()

@@ -99,7 +99,6 @@ func main() {
 		cacheMB   = flag.Int("cache-mb", 256, "Input-cache byte budget in MiB (0 disables caching)")
 		timeout   = flag.Duration("timeout", 30*time.Second, "per-request handling timeout (0 disables)")
 		workers   = flag.Int("workers", 0, "worker count for input passes and p-sweeps (0 = GOMAXPROCS)")
-		poolBound = flag.Int("solver-pool", 0, "max pooled solvers per cached Input (0 = worker count)")
 		normalize = flag.Bool("normalize", false, "normalize gain/loss by their full-aggregation values")
 		maxSlices = flag.Int("max-slices", 0, "per-request cap on the slices (|T|) parameter (0 = default 512)")
 		grace     = flag.Duration("grace", 10*time.Second, "shutdown grace period")
@@ -185,7 +184,7 @@ func main() {
 
 	srv := server.New(server.Config{
 		CacheBytes:          cacheBytes,
-		Core:                core.Options{Normalize: *normalize, Workers: *workers, SolverPoolBound: *poolBound},
+		Core:                core.Options{Normalize: *normalize, Workers: *workers},
 		RequestTimeout:      *timeout,
 		MaxSlices:           *maxSlices,
 		MaxConcurrentBuilds: *maxBuilds,

@@ -8,8 +8,9 @@
 // workload simulation, and the §IV visualization.
 //
 // The engine serves interactive exploration in both of its dimensions:
-// one immutable core.Input answers any number of concurrent p-queries
-// from a capacity-bounded solver pool, and many-p exploration is fused —
+// one immutable core.Input answers any number of concurrent p-queries,
+// at most GOMAXPROCS solving at once in the process, and many-p
+// exploration is fused —
 // the solver's one Algorithm 1 kernel carries up to core.MaxLanes p-lanes
 // through a single triangular iteration per hierarchy node, finishing
 // each triangle row in one call of a row kernel — no-cut, spatial and
@@ -27,11 +28,13 @@
 // pan costs O(changed slices), not a fresh input pass; resolution
 // changes go through the serving layer's ladder of warm grid levels.
 // Every engine entry point that does real work takes a context
-// (NewInputContext, UpdateContext, AcquireSolverContext, RunContext,
-// SweepRunContext, SignificantPsContext, …) and cancels cooperatively at
-// hierarchy-node granularity: it drains its goroutines, releases its
-// pooled solvers, and returns ctx.Err() with no partial results, so
-// queries whose answer stops mattering stop costing.
+// (NewInputContext, UpdateContext, RunContext, SweepRunContext,
+// SignificantPsContext, …) and cancels cooperatively at hierarchy-node
+// granularity: it drains its goroutines, frees its solve slots, and
+// returns ctx.Err() with no partial results, so queries whose answer
+// stops mattering stop costing. Solves are bounded per process, not per
+// window: at most GOMAXPROCS runs are in flight over every Input, and a
+// run past that waits for a slot (or for its ctx to be cancelled).
 //
 // The serving layer turns that into a long-lived service. The packages
 // layer traceio → eventstore → microscopic → core → server: traceio

@@ -27,9 +27,9 @@ func cancelTestInput(t testing.TB, opt Options) *Input {
 
 // cancelAfterChecks is a context that cancels itself after its Err method
 // has been consulted n times. The engine consults Err at every
-// cancellation point — each solver acquisition and each hierarchy-node
-// boundary — so choosing n injects a cancel at the n-th cancellation
-// point, which is how the property test below sprays cancels across every
+// cancellation point — each run's check before it waits for a solve
+// slot and each hierarchy-node boundary — so choosing n injects a
+// cancel at the n-th cancellation point, which is how the property test below sprays cancels across every
 // reachable point of a sweep. Checks() reports how many have been
 // consumed, so a full uncancelled run measures how many points exist.
 type cancelAfterChecks struct {
@@ -55,26 +55,6 @@ func (c *cancelAfterChecks) Err() error {
 
 // Checks reports how many cancellation checks the engine consumed.
 func (c *cancelAfterChecks) Checks() int64 { return c.budget - c.left.Load() }
-
-// assertPoolReleased proves every pooled solver went back to the pool:
-// the full bound must be acquirable without blocking past a timeout.
-func assertPoolReleased(t *testing.T, in *Input) {
-	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	bound := in.SolverPoolBound()
-	solvers := make([]*Solver, 0, bound)
-	for i := 0; i < bound; i++ {
-		s, err := in.AcquireSolverContext(ctx)
-		if err != nil {
-			t.Fatalf("solver %d/%d unacquirable after cancel — not released back to the pool: %v", i+1, bound, err)
-		}
-		solvers = append(solvers, s)
-	}
-	for _, s := range solvers {
-		in.ReleaseSolver(s)
-	}
-}
 
 // sweepPs returns a p-grid big enough that a cancel lands mid-sweep.
 func sweepPs(n int) []float64 {
@@ -115,9 +95,9 @@ func TestRunContextCancelled(t *testing.T) {
 }
 
 // TestSweepCancelMidRun cancels a parallel SweepRunContext partway through and
-// checks the three-part contract of the tentpole: the call returns
-// ctx.Err() with no partial results, leaks no goroutines (the armed
-// guard), and releases every pooled solver.
+// checks the three-part contract: the call returns ctx.Err() with no
+// partial results, leaks no goroutines (the armed guard), and frees
+// every solve slot.
 func TestSweepCancelMidRun(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	in := cancelTestInput(t, Options{Workers: 4})
@@ -148,7 +128,7 @@ func TestSweepCancelMidRun(t *testing.T) {
 	if elapsed > 30*time.Second {
 		t.Fatalf("cancelled sweep took %v to return", elapsed)
 	}
-	assertPoolReleased(t, in)
+	assertSlotsReleased(t)
 
 	// The input is unharmed: the same sweep, uncancelled, still works.
 	if _, err := in.SweepRunContext(context.Background(), ps[:8]); err != nil {
@@ -158,7 +138,7 @@ func TestSweepCancelMidRun(t *testing.T) {
 
 // TestSignificantPsCancelMidRun is the same contract for the dichotomy
 // frontier: cancel partway, expect ctx.Err(), no goroutine parked on the
-// frontier cond, every solver back in the pool. The probe and the
+// frontier cond, every solve slot free. The probe and the
 // cancelled run each get a fresh Input, so the cancelled dichotomy makes
 // the probe's checks rather than reading the probe's answers back from
 // the memo.
@@ -181,7 +161,7 @@ func TestSignificantPsCancelMidRun(t *testing.T) {
 	if points != nil {
 		t.Fatalf("cancelled SignificantPsContext returned %d points, want none", len(points))
 	}
-	assertPoolReleased(t, in)
+	assertSlotsReleased(t)
 
 	// And uncancelled, the ladder is reproduced exactly.
 	again, err := in.SignificantPsContext(context.Background(), 1e-3)
@@ -245,60 +225,11 @@ func TestCancelledAllHit(t *testing.T) {
 	}
 }
 
-// TestAcquireSolverContextGivesUp holds the whole pool and checks a
-// blocked acquire abandons the wait on cancel — the SolverPoolBound
-// escape hatch — while an already-cancelled ctx fails without claiming
-// anything.
-func TestAcquireSolverContextGivesUp(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	in := cancelTestInput(t, Options{Workers: 1, SolverPoolBound: 2})
-	s1, err := in.AcquireSolverContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := in.AcquireSolverContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	got := make(chan error, 1)
-	go func() {
-		_, err := in.AcquireSolverContext(ctx)
-		got <- err
-	}()
-	select {
-	case err := <-got:
-		t.Fatalf("acquire at a full pool returned early: %v", err)
-	case <-time.After(50 * time.Millisecond):
-	}
-	cancel()
-	select {
-	case err := <-got:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("blocked acquire returned %v on cancel, want context.Canceled", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("blocked acquire did not give up on cancel")
-	}
-
-	expired, cancelExpired := context.WithCancel(context.Background())
-	cancelExpired()
-	if s, err := in.AcquireSolverContext(expired); err == nil {
-		in.ReleaseSolver(s)
-		t.Fatal("already-cancelled acquire handed out a solver")
-	}
-
-	in.ReleaseSolver(s1)
-	in.ReleaseSolver(s2)
-	assertPoolReleased(t, in)
-}
-
 // TestCancelInjectionNeverPartial is the property test of the satellite
 // list: random cancel points injected across SweepRunContext and
-// SignificantPsContext — a ctx that cancels after N engine checks (solver
-// acquisitions and node boundaries), N drawn uniformly over every
-// reachable point — must always yield either the complete, correct result with a nil error, or
+// SignificantPsContext — a ctx that cancels after N engine checks (each
+// run's check before its slot wait, and node boundaries), N drawn
+// uniformly over every reachable point — must always yield either the complete, correct result with a nil error, or
 // (nil, context.Canceled). Nothing in between, under any interleaving.
 func TestCancelInjectionNeverPartial(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
@@ -386,7 +317,6 @@ func TestCancelInjectionNeverPartial(t *testing.T) {
 			}
 		}
 		sctx.cancel()
-		assertPoolReleased(t, in)
-		assertPoolReleased(t, sigIn)
+		assertSlotsReleased(t)
 	}
 }

@@ -11,19 +11,22 @@
 //     per hierarchy node, addressed through a per-node offset table).
 //     Building it costs O(|X|·|S|·|T| + |X|·|H(S)|·|T|²) time and
 //     O(|H(S)|·|T|²) space; once built its matrices are never written
-//     again. Next to its bounded solver pool it keeps a memo of solved
-//     answers (memo.go), keyed by the exact bits of p: internal,
-//     concurrency-safe state like the pool, bounded at a fixed multiple
+//     again. It keeps a memo of solved answers (memo.go), keyed by the
+//     exact bits of p: internal, concurrency-safe state, bounded at a
+//     fixed multiple
 //     of the Input's arena bytes and counted in MemoryBytes. The solve is
 //     deterministic and bit-identical across every path, so a memo hit
 //     returns exactly what a solve would.
 //
 //   - Solver (solver.go) runs Algorithm 1, costing O(|S|·|T|³) time per
-//     query. Each run borrows its pIC/cut scratch from one process-wide
-//     free list and returns it when the run ends, so no Input or Solver
-//     retains scratch between solves. Any number of Solvers share one
-//     Input concurrently. The solver has one kernel (fused.go): runLanes
-//     carries up to MaxLanes p-lanes through a single triangular
+//     query. Each run claims one of the process's GOMAXPROCS solve slots,
+//     the one bound on concurrent solves over every Input, and borrows
+//     its pIC/cut scratch from one process-wide free list, returning
+//     both when the run ends; no Input or Solver retains scratch between
+//     solves, and scratch in use plus idle is at most one slab per slot.
+//     Any number of Solvers share one Input concurrently. The solver
+//     has one kernel (fused.go): runLanes carries up to MaxLanes
+//     p-lanes through a single triangular
 //     iteration per node — each cell reads its gain/loss and child
 //     offsets once, and one relaxRow call per triangle row stores the
 //     row's no-cut and spatial candidates and then scans its temporal
@@ -58,14 +61,14 @@
 // ladder and adds byte budgets, singleflight and progressive delivery.
 //
 // Every entry point that does real work takes a context (NewInputContext,
-// UpdateContext, AdvanceContext, CoarsenContext, AcquireSolverContext,
-// RunContext, QualityContext, SolveContext, SweepRunContext,
-// SweepQualityContext, SignificantPsContext), because callers' work can
+// UpdateContext, AdvanceContext, CoarsenContext, RunContext,
+// QualityContext, SolveContext, SweepRunContext, SweepQualityContext,
+// SignificantPsContext), because callers' work can
 // become worthless mid-flight — a serving layer whose request timed out,
 // a CLI hit by SIGINT. Cancellation is cooperative at hierarchy-node
 // granularity: a cancelled call stops launching work, aborts in-flight
 // solves at their next node boundary, joins every goroutine it spawned,
-// returns every pooled solver, and reports ctx.Err() with no partial
+// frees every solve slot, and reports ctx.Err() with no partial
 // results (a cancelled fused sweep never returns solved lanes next to
 // holes). The input pass checks its ctx once per node inside the matrix
 // fill, so an abandoned large-|T| build dies mid-fill. Callers with

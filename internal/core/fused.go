@@ -58,12 +58,18 @@ func validatePs(ps []float64) error {
 // MaxLanes) into out, one triangular iteration per hierarchy node
 // answering every lane. The ps must already be validated. ctx is checked
 // once per node (the cadence RunContext documents); a cancelled block
-// returns ctx.Err() and leaves out unwritten. The lane arenas are
-// borrowed from the free list for the run and returned once the walk has
+// returns ctx.Err() and leaves out unwritten. The run first claims one of
+// the process's solve slots (borrowLanes), waiting while they are all in
+// flight; a cancel during the wait returns ctx.Err(). The lane arenas are
+// borrowed for the run and returned, with the slot, once the walk has
 // joined its workers and every lane's cuts are read, cancelled or not.
 func (s *Solver) runLanes(ctx context.Context, ps []float64, out []*partition.Partition) error {
 	K := len(ps)
-	s.lanes = borrowLanes(len(s.in.gain), K)
+	lanes, err := borrowLanes(ctx, len(s.in.gain), K)
+	if err != nil {
+		return err
+	}
+	s.lanes = lanes
 	defer s.returnLanes()
 	var eff [MaxLanes]float64
 	for k, p := range ps {
@@ -97,15 +103,23 @@ type laneSlab struct {
 
 func (sl laneSlab) bytes() int64 { return int64(cap(sl.pic))*8 + int64(cap(sl.cut))*4 }
 
+// solveSlots is the one bound on concurrent solves in the process: a
+// run holds a slot from borrowLanes to returnLanes, so at most
+// GOMAXPROCS (at start-up) runs are in flight on all Inputs together,
+// and the pIC/cut scratch in use plus idle is at most that many slabs.
+// A sweep at the default worker count (also GOMAXPROCS) fills the slots
+// without waiting on its own runs.
+//
 // laneSlabs is the process-wide free list of idle lane slabs. A solve
 // borrows one for its duration, so no Input or Solver retains scratch
 // between solves: the idle scratch of the whole process is what this
-// list holds. Its capacity, GOMAXPROCS at start-up, keeps one idle slab
-// per core that can be solving, and its bytes stay under maxIdleLaneBytes;
-// a slab returned to a full list goes to the GC. idleLaneBytes is the
-// bytes of the slabs it holds.
+// list holds. It never holds more slabs than there are slots, and its
+// bytes stay under maxIdleLaneBytes. A run takes an idle slab whenever
+// one is there, so a serial load keeps a single slab. idleLaneBytes is
+// the bytes of the slabs it holds.
 var (
-	laneSlabs     = make(chan laneSlab, runtime.GOMAXPROCS(0))
+	solveSlots    = make(chan struct{}, runtime.GOMAXPROCS(0))
+	laneSlabs     = make(chan laneSlab, cap(solveSlots))
 	idleLaneBytes atomic.Int64
 )
 
@@ -119,14 +133,24 @@ const maxIdleLaneBytes = 64 << 20
 // keeps for reuse: the lane slabs on the free list.
 func IdleScratchBytes() int64 { return idleLaneBytes.Load() }
 
-// borrowLanes takes a slab from the free list and slices it to a K-lane
-// block over cells triangle cells. A slab too small for the block is
-// dropped and replaced: at exactly one lane for K = 1, and at the
-// MaxLanes width for K > 1 — a multi-lane borrower is almost always a
-// sweep or the dichotomy, whose block widths vary from call to call, and
-// one full-width slab serves them all. Stale contents need no clearing:
-// the kernel writes every cell before reading it.
-func borrowLanes(cells, K int) laneSlab {
+// borrowLanes claims a solve slot, blocking while every slot is in
+// flight (an already-cancelled ctx fails before it waits, and a cancel
+// during the wait returns ctx.Err()), then takes an idle slab and slices
+// it to a K-lane block over cells triangle cells. A missing slab, or one
+// too small for the block, is replaced: at exactly one lane for K = 1,
+// and at the MaxLanes width for K > 1 — a multi-lane borrower is almost
+// always a sweep or the dichotomy, whose block widths vary from call to
+// call, and one full-width slab serves them all. Stale contents need no
+// clearing: the kernel writes every cell before reading it.
+func borrowLanes(ctx context.Context, cells, K int) (laneSlab, error) {
+	if err := ctx.Err(); err != nil {
+		return laneSlab{}, err
+	}
+	select {
+	case solveSlots <- struct{}{}:
+	case <-ctx.Done():
+		return laneSlab{}, ctx.Err()
+	}
 	need := cells * K
 	var sl laneSlab
 	select {
@@ -141,32 +165,29 @@ func borrowLanes(cells, K int) laneSlab {
 		}
 		sl = laneSlab{pic: make([]float64, alloc), cut: make([]int32, alloc)}
 	}
-	return laneSlab{pic: sl.pic[:need], cut: sl.cut[:need]}
+	return laneSlab{pic: sl.pic[:need], cut: sl.cut[:need]}, nil
 }
 
-// returnLanes hands the solver's slab back to the free list, unless the
-// list is full or the slab would take its idle bytes past
-// maxIdleLaneBytes, or the slab is wider than any block of this run's
-// shape (MaxLanes strips per cell): a slab left by a larger window is
-// trimmed by the first smaller run that borrows it, so idle scratch
-// follows the shapes being solved now. The gauge counts the slab before
-// the send, so it never reads below what the list holds.
+// returnLanes hands the solver's slab back to the free list and frees
+// its solve slot. The slab goes to the GC instead when it would take the
+// idle bytes past maxIdleLaneBytes, or when it is wider than any block of
+// this run's shape (MaxLanes strips per cell): a slab left by a larger
+// window is trimmed by the first smaller run that borrows it, so idle
+// scratch follows the shapes being solved now. The list has room for the
+// slab, since every slab on it or in a run counts against a slot. The
+// gauge counts the slab before the send, so it never reads below what
+// the list holds.
 func (s *Solver) returnLanes() {
 	sl := s.lanes
 	s.lanes = laneSlab{}
-	if cap(sl.pic) > len(s.in.gain)*MaxLanes {
-		return
+	if cap(sl.pic) <= len(s.in.gain)*MaxLanes {
+		if b := sl.bytes(); idleLaneBytes.Add(b) <= maxIdleLaneBytes {
+			laneSlabs <- sl
+		} else {
+			idleLaneBytes.Add(-b)
+		}
 	}
-	b := sl.bytes()
-	if idleLaneBytes.Add(b) > maxIdleLaneBytes {
-		idleLaneBytes.Add(-b)
-		return
-	}
-	select {
-	case laneSlabs <- sl:
-	default:
-		idleLaneBytes.Add(-b)
-	}
+	<-solveSlots
 }
 
 // iterateCellsLanes is the triangular iteration of Algorithm 1 for one

@@ -215,7 +215,7 @@ func TestImproveThrMatchesImproves(t *testing.T) {
 	}
 }
 
-// TestEnsureLanesWidening pins the lane-arena sizing rule on a pooled
+// TestEnsureLanesWidening pins the lane-arena sizing rule on one
 // solver, now that runs borrow their arenas from the free list: blocks
 // of 1, 4, 8 and 1 lanes, starting from an empty list, leave one idle
 // slab of exactly one lane, then (a multi-lane block replaces the
@@ -226,7 +226,7 @@ func TestImproveThrMatchesImproves(t *testing.T) {
 // run.
 func TestEnsureLanesWidening(t *testing.T) {
 	defer drainLaneSlabs()
-	in := cancelTestInput(t, Options{Workers: 1, SolverPoolBound: 1})
+	in := cancelTestInput(t, Options{Workers: 1})
 	steps := []struct{ K, idleLanes int }{{1, 1}, {4, MaxLanes}, {8, MaxLanes}, {1, MaxLanes}}
 	blocks := make([][]float64, len(steps))
 	wants := make([][]*partition.Partition, len(steps))
@@ -242,11 +242,7 @@ func TestEnsureLanesWidening(t *testing.T) {
 		}
 	}
 	drainLaneSlabs()
-	s, err := in.AcquireSolverContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer in.ReleaseSolver(s)
+	s := in.NewSolver()
 	lane := int64(len(in.gain) * (8 + 4))
 	before := in.MemoryBytes()
 	for step, c := range steps {
@@ -260,7 +256,7 @@ func TestEnsureLanesWidening(t *testing.T) {
 		if got := in.MemoryBytes(); got != before {
 			t.Fatalf("step %d (K=%d): MemoryBytes moved %d -> %d", step, c.K, before, got)
 		}
-		samePartitions(t, "step "+strconv.Itoa(step)+" (K="+strconv.Itoa(c.K)+"): pooled solver", got, wants[step])
+		samePartitions(t, "step "+strconv.Itoa(step)+" (K="+strconv.Itoa(c.K)+"): reused solver", got, wants[step])
 	}
 }
 
@@ -351,7 +347,7 @@ func TestSignificantPsMatchesRecursiveDichotomy(t *testing.T) {
 // TestRunManyCancellation injects cancels at every reachable engine check
 // of a fused multi-block sweep: the result is always either complete and
 // bit-identical or (nil, context.Canceled) — never lanes next to holes —
-// and the pooled solver stays usable.
+// and the solver stays usable.
 func TestRunManyCancellation(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	in := cancelTestInput(t, Options{Workers: 1})
@@ -402,7 +398,7 @@ func TestRunManyCancellation(t *testing.T) {
 	if st := in.MemoStats(); st.Hits != 0 {
 		t.Fatalf("memo answered %d sweep lookups; every sweep must solve", st.Hits)
 	}
-	assertPoolReleased(t, in)
+	assertSlotsReleased(t)
 }
 
 // TestInputBuildCancellation covers the cancellable input pass: a ctx
@@ -478,27 +474,22 @@ func TestInputBuildCancellation(t *testing.T) {
 	}
 }
 
-// TestFusedScratchAccounted: a pooled solver that has fused retains no
+// TestFusedScratchAccounted: a solver that has fused retains no
 // scratch, so the Input's reported memory does not move; the run's
 // MaxLanes-wide slab goes back to the process-wide free list, where
-// IdleScratchBytes accounts it, and the pool bound still holds.
+// IdleScratchBytes accounts it, and its solve slot is free.
 func TestFusedScratchAccounted(t *testing.T) {
 	drainLaneSlabs()
-	in := cancelTestInput(t, Options{Workers: 1, SolverPoolBound: 1})
+	in := cancelTestInput(t, Options{Workers: 1})
 	before := in.MemoryBytes()
-	s, err := in.AcquireSolverContext(context.Background())
-	if err != nil {
+	if err := in.NewSolver().runLanes(context.Background(), sweepPs(MaxLanes), make([]*partition.Partition, MaxLanes)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.runLanes(context.Background(), sweepPs(MaxLanes), make([]*partition.Partition, MaxLanes)); err != nil {
-		t.Fatal(err)
-	}
-	in.ReleaseSolver(s)
 	if after := in.MemoryBytes(); after != before {
 		t.Fatalf("MemoryBytes moved %d -> %d after fused use, want no retained scratch", before, after)
 	}
 	if idle, want := IdleScratchBytes(), int64(len(in.gain)*MaxLanes*(8+4)); idle != want {
 		t.Fatalf("free list holds %d idle bytes after a %d-lane run, want its slab's %d", idle, MaxLanes, want)
 	}
-	assertPoolReleased(t, in)
+	assertSlotsReleased(t)
 }

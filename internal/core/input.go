@@ -30,8 +30,8 @@ type nodeMeta struct {
 // candidate area's gain and loss, plus the per-node slice rows and prefix
 // sums they were computed from. Building it costs
 // O(|X|·|S|·|T| + |X|·|H(S)|·|T|²); once built its aggregation results
-// are never mutated (only the internal solver pool and memo change), so
-// any number of Solvers (and the query methods below) may share one Input
+// are never mutated (only the internal memo changes), so any number of
+// Solvers (and the query methods below) may share one Input
 // concurrently. This split is what makes the paper's "instantaneous
 // interaction" scale across cores: one input pass serves every p the
 // analyst explores.
@@ -82,23 +82,14 @@ type Input struct {
 
 	durPref []float64 // prefix sums of d(t), length |T|+1
 
-	normalize          bool
-	workers            int
-	poolBound          int
+	// opt is the Input's options with Workers resolved; every Input
+	// derived from this one (UpdateContext, CoarsenContext) inherits it.
+	opt Options
+
 	rootGain, rootLoss float64 // full-aggregation gain/loss (normalization)
 
-	// solverTokens bounds how many of this Input's solves run at once:
-	// AcquireSolverContext claims a token and ReleaseSolver frees it, so
-	// at most poolBound pooled solves are ever in flight and an acquire
-	// blocks once they all are. Solvers hold no scratch between runs
-	// (each run borrows its pIC/cut arenas from the process-wide free
-	// list, fused.go), so the bound caps the scratch in use by this
-	// Input's solves at poolBound·O(|H(S)|·|T|²) no matter how many
-	// queries race, and retains none. It is internal concurrency-safe
-	// state, not a mutation of the aggregation results.
-	solverTokens chan struct{}
 	// memo holds solved answers keyed by the exact bits of p (memo.go).
-	// Like the pool it is internal state, not a mutation of the
+	// It is internal concurrency-safe state, not a mutation of the
 	// aggregation results; its bytes, bounded at memoShare times the
 	// arena and Model bytes, count toward MemoryBytes.
 	memo memo
@@ -120,22 +111,14 @@ type Options struct {
 	// children's completed matrices (optimization), and sweep results are
 	// keyed by p, so no decomposition has shared mutable state.
 	Workers int
-	// SolverPoolBound caps how many pooled Solvers run solves on an Input
-	// at once: 0 defaults to the resolved worker count (i.e. GOMAXPROCS).
-	// Once the bound is reached, AcquireSolverContext blocks until a
-	// solver is released, so the Input's concurrent solves — each
-	// borrowing O(|H(S)|·|T|²) pIC/cut scratch for its duration — stay
-	// capped even under unbounded query concurrency. Solvers allocated
-	// directly with NewSolver are outside the pool and uncounted.
-	SolverPoolBound int
 }
 
-// workers resolves the effective parallelism.
-func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
+// resolved returns o with Workers resolved to the effective parallelism.
+func (o Options) resolved() Options {
+	if o.Workers <= 0 {
+		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	return runtime.GOMAXPROCS(0)
+	return o
 }
 
 // FailpointInputFill names the fault-injection site at the head of every
@@ -162,22 +145,20 @@ func NewInputContext(ctx context.Context, m *microscopic.Model, opt Options) (*I
 	T, X := m.NumSlices(), m.NumStates()
 	n := m.H.NumNodes()
 	in := &Input{
-		Model:     m,
-		T:         T,
-		X:         X,
-		meta:      make([]nodeMeta, n),
-		rootID:    m.H.Root.ID,
-		cells:     T * (T + 1) / 2,
-		offs:      make([]int, n),
-		normalize: opt.Normalize,
-		workers:   opt.workers(),
-		poolBound: opt.SolverPoolBound,
+		Model:  m,
+		T:      T,
+		X:      X,
+		meta:   make([]nodeMeta, n),
+		rootID: m.H.Root.ID,
+		cells:  T * (T + 1) / 2,
+		offs:   make([]int, n),
+		opt:    opt.resolved(),
 	}
 	for id := range in.offs {
 		in.offs[id] = id * in.cells
 	}
 	in.allocArenas(n)
-	in.initPool()
+	in.memo.init(memoShare * in.residentBytes())
 	for t := 0; t < T; t++ {
 		in.durPref[t+1] = in.durPref[t] + m.SliceDur[t]
 	}
@@ -199,20 +180,6 @@ func (in *Input) allocArenas(n int) {
 	in.slcRL = make([]float64, n*X*T)
 	in.prefD = make([]float64, n*X*(T+1))
 	in.durPref = make([]float64, T+1)
-}
-
-// initPool arms the solver bound and the memo of solved answers;
-// called by every Input constructor once the arenas are allocated. A
-// zero bound defaults to the worker count.
-func (in *Input) initPool() {
-	in.memo.init(memoShare * in.residentBytes())
-	if in.poolBound <= 0 {
-		in.poolBound = in.workers
-	}
-	if in.poolBound < 1 {
-		in.poolBound = 1
-	}
-	in.solverTokens = make(chan struct{}, in.poolBound)
 }
 
 // readRoot records the full-aggregation gain/loss (the normalization
@@ -390,7 +357,7 @@ func (in *Input) fillMatrices(ctx context.Context, fillNode func(id int, sc *row
 		}
 	}
 	n := len(in.meta)
-	if in.workers <= 1 || n < 2 {
+	if in.opt.Workers <= 1 || n < 2 {
 		sc := in.newRowSums()
 		for id := 0; id < n; id++ {
 			if err := ctx.Err(); err != nil {
@@ -402,7 +369,7 @@ func (in *Input) fillMatrices(ctx context.Context, fillNode func(id int, sc *row
 	}
 	var wg sync.WaitGroup
 	next := make(chan int)
-	for w := 0; w < in.workers; w++ {
+	for w := 0; w < in.opt.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -441,7 +408,7 @@ func (in *Input) EffectiveP(p float64) float64 { return in.effectiveP(p) }
 // maximizing p·(gain/G) − (1−p)·(loss/L) is identical to maximizing
 // p*·gain − (1−p*)·loss with p* = pL / (pL + (1−p)G).
 func (in *Input) effectiveP(p float64) float64 {
-	if !in.normalize {
+	if !in.opt.Normalize {
 		return p
 	}
 	g, l := in.rootGain, in.rootLoss
@@ -516,47 +483,23 @@ func (in *Input) RootGainLoss() (gain, loss float64) { return in.rootGain, in.ro
 // O(|H(S)|·|T|²) space term; exposed for the scaling ablations.
 func (in *Input) InputCells() int { return len(in.gain) }
 
-// AcquireSolverContext returns a new Solver counted against the Input's
-// bound on concurrent solves, with Workers at the input's default.
-// Callers must ReleaseSolver it when the query is done; the sweeps and
-// the serving layer use this to bound how many solves run on one Input
-// at once. At most Options.SolverPoolBound acquired solvers (default:
-// the worker count) are out at once — when they are all in flight,
-// AcquireSolverContext blocks until one is released, so the pIC/cut
-// scratch this Input's solves borrow at once stays capped under any
-// request concurrency. The bound is on concurrent solves, not on
-// retained memory: a solver holds no scratch between runs. A caller
-// blocked at the bound gives up when ctx is cancelled and gets ctx.Err()
-// instead of a solver; an already-cancelled ctx fails immediately, so a
-// request whose deadline expired never claims scratch it cannot use (a
-// background ctx's nil Done channel never fires).
+// AcquireSolverContext returns NewSolver(), or ctx.Err() when ctx is
+// already cancelled. It claims nothing: the one bound on concurrent
+// solves is process-wide, and each run claims a slot of it itself
+// (runLanes), waiting while every slot is in flight and giving up with
+// ctx.Err() on a cancel. It stays exported, with ReleaseSolver, only
+// because the benchmark's shadow replay (perfbench/shadow.go) still
+// calls the pair; new code calls NewSolver.
 func (in *Input) AcquireSolverContext(ctx context.Context) (*Solver, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	select {
-	case in.solverTokens <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	s := in.NewSolver()
-	s.pooled = true
-	return s, nil
+	return in.NewSolver(), nil
 }
 
-// ReleaseSolver ends a solver's claim on the bound, unblocking a waiting
-// acquire if any. Releasing a solver that holds no claim (one created
-// directly with NewSolver, or one already released) does nothing.
-func (in *Input) ReleaseSolver(s *Solver) {
-	if !s.pooled {
-		return
-	}
-	s.pooled = false
-	<-in.solverTokens
-}
-
-// SolverPoolBound reports the resolved solver-pool capacity.
-func (in *Input) SolverPoolBound() int { return in.poolBound }
+// ReleaseSolver does nothing: a Solver holds no claim between runs (see
+// AcquireSolverContext, kept for the same caller).
+func (in *Input) ReleaseSolver(*Solver) {}
 
 // MemoryBytes returns the approximate resident size of the Input in
 // bytes — the cache-cost accessor serving-layer caches budget their
@@ -606,11 +549,7 @@ func (in *Input) CoarsenContext(ctx context.Context, factor int) (*Input, error)
 	if err != nil {
 		return nil, fmt.Errorf("core: coarsen: %w", err)
 	}
-	return NewInputContext(ctx, m, Options{
-		Normalize:       in.normalize,
-		Workers:         in.workers,
-		SolverPoolBound: in.poolBound,
-	})
+	return NewInputContext(ctx, m, in.opt)
 }
 
 // EstimateMemoryBytes predicts Input.MemoryBytes for a build over

@@ -27,6 +27,14 @@ func drainLaneSlabs() []laneSlab {
 	}
 }
 
+// putIdle stands in for a finished run of in that returns sl: it claims
+// a solve slot, as the run did before it borrowed, and hands the slab
+// back through returnLanes, which frees the slot.
+func putIdle(in *Input, sl laneSlab) {
+	solveSlots <- struct{}{}
+	(&Solver{in: in, lanes: sl}).returnLanes()
+}
+
 // samePartitions fails unless every lane of got is bit-identical to want.
 func samePartitions(t *testing.T, what string, got, want []*partition.Partition) {
 	t.Helper()
@@ -60,7 +68,7 @@ func TestPoisonedLaneSlabs(t *testing.T) {
 				sl.pic[i] = math.NaN()
 				sl.cut[i] = math.MaxInt32 - int32(i%7)
 			}
-			(&Solver{in: large, lanes: sl}).returnLanes() // as large's run would
+			putIdle(large, sl)
 		}
 	}
 	for _, avx2 := range avx2Bodies() {
@@ -87,15 +95,16 @@ func TestPoisonedLaneSlabs(t *testing.T) {
 	}
 }
 
-// TestCancelledRunLanesReturnsSlab cancels a run between nodes and
-// requires its slab back on the free list: the run returns ctx.Err(),
-// the solver keeps no arenas, and the list holds the one slab the run
-// borrowed.
+// TestCancelledRunLanesReturnsSlab cancels a run at each kind of check.
+// Cancelled at its first check, before it waits for a solve slot, the
+// run claims neither a slot nor a slab. Cancelled between nodes, it
+// returns ctx.Err(), the solver keeps no arenas, its slot is free, and
+// the list holds the one slab the run borrowed.
 func TestCancelledRunLanesReturnsSlab(t *testing.T) {
 	defer drainLaneSlabs()
 	in := cancelTestInput(t, Options{Workers: 1})
 	ps := sweepPs(4)
-	for _, n := range []int64{1, 3, 9} {
+	for _, n := range []int64{1, 2, 4, 10} {
 		drainLaneSlabs()
 		s := in.NewSolver()
 		ctx := newCancelAfterChecks(n)
@@ -107,10 +116,16 @@ func TestCancelledRunLanesReturnsSlab(t *testing.T) {
 		if s.lanes.pic != nil || s.lanes.cut != nil {
 			t.Fatalf("cancel after %d checks: the solver kept its arenas", n)
 		}
+		if len(solveSlots) != 0 {
+			t.Fatalf("cancel after %d checks: the run kept its solve slot", n)
+		}
 		want := int64(len(in.gain) * MaxLanes * (8 + 4))
-		if len(laneSlabs) != 1 || IdleScratchBytes() != want {
-			t.Fatalf("cancel after %d checks: free list holds %d slabs, %d bytes; want the run's one slab, %d bytes",
-				n, len(laneSlabs), IdleScratchBytes(), want)
+		if n == 1 {
+			want = 0 // cancelled before the borrow
+		}
+		if slabs := len(laneSlabs); slabs != int(min(want, 1)) || IdleScratchBytes() != want {
+			t.Fatalf("cancel after %d checks: free list holds %d slabs, %d bytes; want %d bytes",
+				n, slabs, IdleScratchBytes(), want)
 		}
 	}
 }
@@ -128,7 +143,7 @@ func TestFreeListTrimsIdleScratch(t *testing.T) {
 	large := testInput(t, scalingModel(t, 24, 40), Options{Workers: 1})
 	for range cap(laneSlabs) {
 		sl := laneSlab{pic: make([]float64, len(large.gain)*MaxLanes), cut: make([]int32, len(large.gain)*MaxLanes)}
-		(&Solver{in: large, lanes: sl}).returnLanes()
+		putIdle(large, sl)
 	}
 	if len(laneSlabs) != cap(laneSlabs) {
 		t.Fatalf("free list took %d of %d slabs of the large Input", len(laneSlabs), cap(laneSlabs))
@@ -231,8 +246,8 @@ func TestConcurrentSolvesShareFreeList(t *testing.T) {
 	for _, sl := range held {
 		sum += sl.bytes()
 	}
-	if len(held) > runtime.GOMAXPROCS(0) || cap(laneSlabs) != runtime.GOMAXPROCS(0) {
-		t.Fatalf("free list held %d idle slabs (capacity %d), want at most GOMAXPROCS = %d", len(held), cap(laneSlabs), runtime.GOMAXPROCS(0))
+	if len(held) > runtime.GOMAXPROCS(0) || cap(solveSlots) != runtime.GOMAXPROCS(0) {
+		t.Fatalf("free list held %d idle slabs (%d solve slots), want at most GOMAXPROCS = %d", len(held), cap(solveSlots), runtime.GOMAXPROCS(0))
 	}
 	if idle != sum {
 		t.Fatalf("IdleScratchBytes = %d, the free list's slabs hold %d", idle, sum)

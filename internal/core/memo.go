@@ -173,13 +173,14 @@ func (in *Input) MemoStats() MemoStats {
 }
 
 // SolveContext answers one Algorithm 1 query at p through the Input's
-// memo: a memoized partition is returned as-is, otherwise a pooled
-// Solver runs RunContext (a one-lane block of the kernel) and the
-// partition is memoized. The returned
+// memo: a memoized partition is returned as-is, otherwise a new Solver
+// runs RunContext (a one-lane block of the kernel) and the partition is
+// memoized. The returned
 // partition may be shared with other callers and must not be mutated.
 // An already-cancelled ctx returns ctx.Err() even when p is memoized; on
-// a miss ctx rides into the pool acquisition and the solve, so a dead
-// caller neither queues for scratch nor finishes a run nobody will read.
+// a miss ctx rides into the wait for a solve slot and the solve, so a
+// dead caller neither queues for scratch nor finishes a run nobody will
+// read.
 //
 // A p the memo holds only as a sweep summary still runs the solve, so a
 // per-p answer never reads back a fused sweep's result.
@@ -190,12 +191,7 @@ func (in *Input) SolveContext(ctx context.Context, p float64) (*partition.Partit
 	if e, ok := in.memo.get(p, true); ok {
 		return e.pt, nil
 	}
-	s, err := in.AcquireSolverContext(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer in.ReleaseSolver(s)
-	pt, err := s.RunContext(ctx, p)
+	pt, err := in.NewSolver().RunContext(ctx, p)
 	if err != nil {
 		return nil, err
 	}

@@ -263,7 +263,7 @@ func TestMemoBoundedAndCharged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := testInput(t, mdl, Options{Workers: 1, SolverPoolBound: 1})
+	in := testInput(t, mdl, Options{Workers: 1})
 	ctx := context.Background()
 	if st := in.MemoStats(); st.CapBytes != memoShare*in.MemoryBytes() || st.Bytes != 0 {
 		t.Fatalf("fresh memo %+v, want empty with cap %d", st, memoShare*in.MemoryBytes())

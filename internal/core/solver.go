@@ -18,8 +18,9 @@ import (
 //
 // A single Solver is NOT safe for concurrent use of itself (a run keeps
 // its borrowed arenas on the Solver); create one Solver per in-flight
-// query, or acquire one per query under the Input's bound
-// (AcquireSolverContext).
+// query. Each run holds one of the process's solve slots (fused.go), so
+// at most GOMAXPROCS runs are in flight across every Input and a run
+// started beyond that waits for a slot.
 type Solver struct {
 	in *Input
 
@@ -33,16 +34,12 @@ type Solver struct {
 	// value. The p-sweeps set this to 1 because cross-query parallelism
 	// already saturates the pool.
 	Workers int
-
-	// pooled marks a solver that holds one of its Input's solverTokens,
-	// from AcquireSolverContext until ReleaseSolver.
-	pooled bool
 }
 
 // NewSolver returns a Solver bound to this input. It holds no scratch:
 // each run borrows its arenas.
 func (in *Input) NewSolver() *Solver {
-	return &Solver{in: in, Workers: in.workers}
+	return &Solver{in: in, Workers: in.opt.Workers}
 }
 
 // RunContext executes Algorithm 1 for trade-off ratio p ∈ [0,1] and

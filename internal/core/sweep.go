@@ -47,7 +47,7 @@ func laneWidth(n, w int) int {
 // SweepRunContext answers one query per entry of ps and returns the
 // partitions in input order. A p whose partition the Input's memo holds
 // is answered from it; the remaining ps are solved fused into lane
-// blocks on pooled Solvers (solveLanes) and their summaries memoized.
+// blocks (solveLanes) and their summaries memoized.
 // Results are bit-identical to solving each p with its own RunContext.
 // Returned partitions may be shared with other callers and must not be
 // mutated.
@@ -55,7 +55,7 @@ func laneWidth(n, w int) int {
 // An already-cancelled ctx returns ctx.Err() even when every p hits. Once
 // ctx is cancelled mid-solve no further lane block starts, every
 // in-flight block aborts at its next node-level check, every worker
-// goroutine is drained, every pooled solver is released, and the call
+// goroutine is drained, every solve slot is freed, and the call
 // returns ctx.Err() with no partial result slice — callers never see a
 // sweep that is half partitions, half holes.
 func (in *Input) SweepRunContext(ctx context.Context, ps []float64) ([]*partition.Partition, error) {
@@ -128,7 +128,7 @@ func (in *Input) answer(ctx context.Context, ps []float64, wantPt bool) ([]memoE
 }
 
 // solveLanes solves one query per entry of ps (validated, non-empty),
-// fused into lane blocks on pooled Solvers against this shared Input, and
+// fused into lane blocks against this shared Input, and
 // returns the partitions in input order. Blocks run concurrently over the
 // worker pool with per-run subtree parallelism disabled (cross-block
 // parallelism already saturates it); within a block one triangular
@@ -136,18 +136,14 @@ func (in *Input) answer(ctx context.Context, ps []float64, wantPt bool) ([]memoE
 // cancelled ctx yields ctx.Err() and no partitions.
 func (in *Input) solveLanes(ctx context.Context, ps []float64) ([]*partition.Partition, error) {
 	out := make([]*partition.Partition, len(ps))
-	lanes := laneWidth(len(ps), in.workers)
+	lanes := laneWidth(len(ps), in.opt.Workers)
 	blocks := (len(ps) + lanes - 1) / lanes
-	workers := in.workers
+	workers := in.opt.Workers
 	if workers > blocks {
 		workers = blocks
 	}
 	if workers <= 1 {
-		s, err := in.AcquireSolverContext(ctx)
-		if err != nil {
-			return nil, err
-		}
-		defer in.ReleaseSolver(s)
+		s := in.NewSolver()
 		// With a single block in flight the solver keeps the Input's
 		// worker setting, so its subtree parallelism still applies.
 		for lo := 0; lo < len(ps); lo += lanes {
@@ -168,12 +164,7 @@ func (in *Input) solveLanes(ctx context.Context, ps []float64) ([]*partition.Par
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			s, err := in.AcquireSolverContext(ctx)
-			if err != nil {
-				errs[w] = err
-				return
-			}
-			defer in.ReleaseSolver(s)
+			s := in.NewSolver()
 			s.Workers = 1
 			for {
 				b := int(next.Add(1)) - 1
@@ -230,8 +221,8 @@ type gap struct {
 // and the blocks spread over the worker pool.
 //
 // A cancelled ctx aborts the current round's fused sweep at its next
-// node-level check, launches no further round, releases every pooled
-// solver and returns ctx.Err() — never a partially explored ladder, and
+// node-level check, launches no further round, frees every solve slot
+// and returns ctx.Err() — never a partially explored ladder, and
 // never a memoized one either: an already-cancelled ctx fails even when
 // every point would hit.
 func (in *Input) SignificantPsContext(ctx context.Context, eps float64) ([]QualityPoint, error) {

@@ -38,26 +38,24 @@ import (
 // finishing an Input nobody will read.
 func (in *Input) UpdateContext(ctx context.Context, newModel *microscopic.Model, ov microscopic.SliceOverlap) (*Input, error) {
 	if newModel.H != in.Model.H || newModel.NumSlices() != in.T || newModel.NumStates() != in.X {
-		return NewInputContext(ctx, newModel, Options{Normalize: in.normalize, Workers: in.workers, SolverPoolBound: in.poolBound})
+		return NewInputContext(ctx, newModel, in.opt)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	ov = in.verifyOverlap(newModel, ov)
 	out := &Input{
-		Model:     newModel,
-		T:         in.T,
-		X:         in.X,
-		meta:      in.meta, // hierarchy bookkeeping is window-independent
-		rootID:    in.rootID,
-		cells:     in.cells,
-		offs:      in.offs,
-		normalize: in.normalize,
-		workers:   in.workers,
-		poolBound: in.poolBound,
+		Model:  newModel,
+		T:      in.T,
+		X:      in.X,
+		meta:   in.meta, // hierarchy bookkeeping is window-independent
+		rootID: in.rootID,
+		cells:  in.cells,
+		offs:   in.offs,
+		opt:    in.opt,
 	}
 	out.allocArenas(len(in.meta))
-	out.initPool()
+	out.memo.init(memoShare * out.residentBytes())
 	for t := 0; t < out.T; t++ {
 		out.durPref[t+1] = out.durPref[t] + newModel.SliceDur[t]
 	}

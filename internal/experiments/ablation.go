@@ -107,11 +107,7 @@ func RunAblation(cfg Config) error {
 	}
 	var single []core.QualityPoint
 	singleDur, err := timed(func() error {
-		s, err := inw.AcquireSolverContext(cfg.context())
-		if err != nil {
-			return err
-		}
-		defer inw.ReleaseSolver(s)
+		s := inw.NewSolver()
 		for _, p := range sweepPs {
 			q, err := s.QualityContext(cfg.context(), p)
 			if err != nil {

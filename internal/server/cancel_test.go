@@ -409,13 +409,11 @@ func TestTimedOutRequestAborts(t *testing.T) {
 }
 
 // TestConcurrentCancelledRequests mixes cancelled and live requests under
-// -race: live ones must all succeed, and the suite-level leak guard plus
-// pool bound prove cancelled ones released what they held.
+// -race: live ones must all succeed, and the suite-level leak guard
+// proves cancelled ones released what they held.
 func TestConcurrentCancelledRequests(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
-	cfg := noTimeoutConfig()
-	cfg.Core.SolverPoolBound = 2
-	s := New(cfg)
+	s := New(noTimeoutConfig())
 	if _, err := s.Registry().LoadTrace("art", mpisim.ArtificialSized(16, 30)); err != nil {
 		t.Fatal(err)
 	}

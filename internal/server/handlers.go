@@ -265,8 +265,10 @@ func floatParam(q url.Values, name string, def float64) (float64, error) {
 	return v, nil
 }
 
-// finiteParam is floatParam restricted to finite values (window bounds —
-// ±Inf would slip past timeslice.New's emptiness check).
+// finiteParam is floatParam restricted to finite values: window bounds
+// (±Inf would slip past timeslice.New's emptiness check) and
+// /significant's eps (NaN would stop every gap from subdividing, cutting
+// the ladder to its two endpoints).
 func finiteParam(q url.Values, name string, def float64) (float64, error) {
 	v, err := floatParam(q, name, def)
 	if err != nil {
@@ -584,7 +586,7 @@ func qualityPoints(pts []core.QualityPoint) []qualityJSON {
 }
 
 func (s *Server) handleSignificant(w http.ResponseWriter, r *http.Request) {
-	eps, err := floatParam(r.URL.Query(), "eps", 1e-3)
+	eps, err := finiteParam(r.URL.Query(), "eps", 1e-3)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -696,8 +698,13 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	format := q.Get("format")
-	if format == "" {
+	switch format {
+	case "":
 		format = "png"
+	case "png", "svg":
+	default:
+		httpErrorf(w, http.StatusBadRequest, "unknown format %q (want png or svg)", format)
+		return
 	}
 	_, in, ok := s.inputFor(w, r)
 	if !ok {
@@ -711,16 +718,12 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sc := render.BuildScene(in, pt, render.Options{Width: width, Height: height, MinHeight: minH})
-	switch format {
-	case "png":
+	if format == "png" {
 		w.Header().Set("Content-Type", "image/png")
 		err = sc.PNG(w)
-	case "svg":
+	} else {
 		w.Header().Set("Content-Type", "image/svg+xml")
 		err = sc.SVG(w)
-	default:
-		httpErrorf(w, http.StatusBadRequest, "unknown format %q (want png or svg)", format)
-		return
 	}
 	if err != nil {
 		s.log.Error("render failed", "error", err)

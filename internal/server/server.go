@@ -10,8 +10,9 @@
 // slices that actually changed.
 //
 // Layering: traceio streams events → microscopic indexes them (Reslicer)
-// → core builds Inputs and answers p-queries from pooled, capacity-
-// bounded Solvers → server caches the Inputs per window and speaks JSON.
+// → core builds Inputs and answers p-queries, at most GOMAXPROCS solves
+// in flight per process → server caches the Inputs per window and
+// speaks JSON.
 //
 // Traces may also be loaded in follow mode ({"follow": true} on POST
 // /traces): the server tails the file while a writer is still appending
@@ -97,9 +98,9 @@ type Config struct {
 	// CacheBytes budgets the window-keyed Input cache (default 256 MiB;
 	// negative disables caching entirely).
 	CacheBytes int64
-	// Core configures every Input built by the server: normalization,
-	// worker count, and the solver-pool bound that caps each Input's
-	// concurrent solves (core.Options.SolverPoolBound).
+	// Core configures every Input built by the server: normalization
+	// and worker count. Concurrent solves are bounded per process by
+	// core (GOMAXPROCS), not per Input.
 	Core core.Options
 	// RequestTimeout bounds each request's handling (default 30 s; ≤ 0
 	// disables the limit). The timeout arrives at the handlers as a

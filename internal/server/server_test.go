@@ -300,7 +300,7 @@ func httptestStats(t *testing.T, ts *httptest.Server) StatsSnapshot {
 
 // TestConcurrentAggregates hammers one trace from many goroutines with
 // mixed windows and p values; run under -race this exercises the cache,
-// singleflight, bounded solver pool and handlers for data races.
+// singleflight, the bounded solve slots and handlers for data races.
 func TestConcurrentAggregates(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	s, ts := newTestServer(t, quietConfig())
@@ -513,15 +513,21 @@ func TestSignificantQualityRenderEndpoints(t *testing.T) {
 }
 
 // TestSlicesCapAndFiniteWindow: resource-limit validation — an over-cap
-// |T| or a non-finite window bound must be rejected before any build.
+// |T|, a non-finite window bound, a non-finite /significant eps or an
+// unknown /render format must be rejected before any build.
 func TestSlicesCapAndFiniteWindow(t *testing.T) {
 	_, ts := newTestServer(t, quietConfig())
 	for _, q := range []string{
-		"slices=30000", "slices=513", "lo=-Inf", "hi=%2BInf", "lo=NaN",
+		"aggregate?slices=30000", "aggregate?slices=513", "aggregate?lo=-Inf", "aggregate?hi=%2BInf", "aggregate?lo=NaN",
+		"significant?eps=NaN", "significant?eps=Inf", "significant?eps=%2BInf", "significant?eps=-Inf",
+		"render?format=gif",
 	} {
-		if r, body := get(t, ts.URL+"/traces/art/aggregate?"+q); r.StatusCode != http.StatusBadRequest {
+		if r, body := get(t, ts.URL+"/traces/art/"+q); r.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (%s)", q, r.StatusCode, body)
 		}
+	}
+	if st := httptestStats(t, ts); st.Misses != 0 || st.Scratch != 0 {
+		t.Errorf("rejected requests reached the cache: %d misses, %d scratch builds", st.Misses, st.Scratch)
 	}
 	// The cap is configurable.
 	cfg := quietConfig()
@@ -616,9 +622,9 @@ func TestRequestWorkCaps(t *testing.T) {
 	}
 }
 
-// TestCacheAccountsForSolverPoolWarmup: warming an entry's solver pool
-// does not move its cost, because a solver retains no scratch between
-// runs; only the memo does, and the cache's byte total follows it.
+// TestCacheAccountsForSolverPoolWarmup: solving on an entry does not
+// move its cost, because a solver retains no scratch between runs; only
+// the memo does, and the cache's byte total follows it.
 func TestCacheAccountsForSolverPoolWarmup(t *testing.T) {
 	tr := loadArtificial(t)
 	sl, err := timeslice.New(0, 10, 16)
@@ -635,16 +641,11 @@ func TestCacheAccountsForSolverPoolWarmup(t *testing.T) {
 	if cold != int64(in.MemoryBytes()) {
 		t.Fatalf("cache charges %d bytes for an entry of %d", cold, in.MemoryBytes())
 	}
-	s, err := in.AcquireSolverContext(ctx) // warms the pool
-	if err != nil {
+	if _, err := in.NewSolver().RunContext(ctx, 0.5); err != nil { // memo-free
 		t.Fatal(err)
 	}
-	if _, err := s.RunContext(ctx, 0.5); err != nil { // memo-free
-		t.Fatal(err)
-	}
-	in.ReleaseSolver(s)
 	if got := int64(in.MemoryBytes()); got != cold {
-		t.Fatalf("MemoryBytes %d -> %d after a pooled solve: the pool retains scratch", cold, got)
+		t.Fatalf("MemoryBytes %d -> %d after a solve: the Input retains scratch", cold, got)
 	}
 	if _, err := in.SolveContext(ctx, 0.5); err != nil { // memoizes
 		t.Fatal(err)
