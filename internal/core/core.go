@@ -21,11 +21,13 @@
 //   - Solver (solver.go) runs Algorithm 1, costing O(|S|·|T|³) time per
 //     query. Each run claims one of the process's GOMAXPROCS solve slots,
 //     the one bound on concurrent solves over every Input, and borrows
-//     its pIC/cut scratch from one process-wide free list, returning
-//     both when the run ends; no Input or Solver retains scratch between
-//     solves, and scratch in use plus idle is at most one slab per slot.
-//     Any number of Solvers share one Input concurrently. The solver
-//     has one kernel (fused.go): runLanes carries up to MaxLanes
+//     its scratch — pIC/cut lanes and the kernel's row thresholds, one
+//     slab — from one process-wide free list, returning both when the
+//     run ends; no Input or Solver retains scratch between solves, and
+//     scratch in use plus idle is at most one slab per slot. A Solver
+//     keeps no run state, so one Solver serves concurrent runs and any
+//     number of Solvers share one Input. The solver has one kernel
+//     (fused.go): runLanes carries up to MaxLanes
 //     p-lanes through a single triangular
 //     iteration per node — each cell reads its gain/loss and child
 //     offsets once, and one relaxRow call per triangle row stores the
@@ -36,7 +38,8 @@
 //     first: SolveContext (one p, memoizing the partition) and the sweep
 //     layer (sweep.go: SweepRunContext, SweepQualityContext,
 //     SignificantPsContext), which fuses only the ps it misses into lane
-//     blocks over the worker pool and memoizes their summaries. The
+//     blocks, runs them over the Input's workers (forEach, the one worker
+//     loop the input pass uses too) and memoizes their summaries. The
 //     significant-p dichotomy answers each frontier generation as one
 //     batch per round, so a repeat ladder solves only midpoints it has
 //     not seen.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"ocelotl/internal/measures"
@@ -18,8 +17,9 @@ import (
 // efficiency (wider blocks amortize more of the DP control flow, index
 // arithmetic and gain/loss traffic over more lanes per 4-lane vector
 // step) against the per-node working set — a block holds
-// MaxLanes·(8+4) bytes per triangle cell of pIC/cut state, which at 16
-// lanes keeps a |T| ≈ 50 node's live rows inside L2 — and against sweep
+// MaxLanes·(8+4) bytes per triangle cell of pIC/cut state and one
+// MaxLanes·8-byte threshold per slice of a row, which at 16 lanes keeps
+// a |T| ≈ 50 node's live rows inside L2 — and against sweep
 // granularity across workers (the sweep layer shrinks blocks below this
 // cap when splitting them over more workers is the better trade). The
 // AVX2 relaxRow body covers every width up to this cap.
@@ -60,22 +60,22 @@ func validatePs(ps []float64) error {
 // once per node (the cadence RunContext documents); a cancelled block
 // returns ctx.Err() and leaves out unwritten. The run first claims one of
 // the process's solve slots (borrowLanes), waiting while they are all in
-// flight; a cancel during the wait returns ctx.Err(). The lane arenas are
+// flight; a cancel during the wait returns ctx.Err(). The run's slab is
 // borrowed for the run and returned, with the slot, once the walk has
 // joined its workers and every lane's cuts are read, cancelled or not.
+// The slab is the run's only state, so runs of one Solver may overlap.
 func (s *Solver) runLanes(ctx context.Context, ps []float64, out []*partition.Partition) error {
 	K := len(ps)
-	lanes, err := borrowLanes(ctx, len(s.in.gain), K)
+	sl, err := s.in.borrowLanes(ctx, K)
 	if err != nil {
 		return err
 	}
-	s.lanes = lanes
-	defer s.returnLanes()
+	defer s.in.returnLanes(sl)
 	var eff [MaxLanes]float64
 	for k, p := range ps {
 		eff[k] = s.in.effectiveP(p)
 	}
-	iterate := func(id int) { s.iterateCellsLanes(id, K, &eff) }
+	iterate := func(id int) { s.iterateCellsLanes(sl, id, K, &eff) }
 	var sem chan struct{} // nil: the sequential walk
 	if s.Workers > 1 {
 		sem = make(chan struct{}, s.Workers)
@@ -86,7 +86,7 @@ func (s *Solver) runLanes(ctx context.Context, ps []float64, out []*partition.Pa
 	}
 	for k, p := range ps {
 		pt := &partition.Partition{P: p}
-		s.recoverLane(s.in.rootID, 0, s.in.T-1, k, K, pt)
+		s.recoverLane(sl, s.in.rootID, 0, s.in.T-1, k, K, pt)
 		pt.PIC = measures.PIC(eff[k], pt.Gain, pt.Loss)
 		pt.Sort()
 		out[k] = pt
@@ -94,19 +94,22 @@ func (s *Solver) runLanes(ctx context.Context, ps []float64, out []*partition.Pa
 	return nil
 }
 
-// laneSlab is one solve's pIC and cut lane arenas: one K-wide strip of
-// state per triangle cell of every hierarchy node.
+// laneSlab is one solve's scratch: a K-wide strip of pIC and cut state
+// per triangle cell of every hierarchy node, and one row's T·K
+// improvement thresholds per node (node id's at thr[id·T·K:]), so the
+// subtrees a run walks concurrently never share a strip.
 type laneSlab struct {
 	pic []float64
 	cut []int32
+	thr []float64
 }
 
-func (sl laneSlab) bytes() int64 { return int64(cap(sl.pic))*8 + int64(cap(sl.cut))*4 }
+func (sl laneSlab) bytes() int64 { return int64(cap(sl.pic)+cap(sl.thr))*8 + int64(cap(sl.cut))*4 }
 
 // solveSlots is the one bound on concurrent solves in the process: a
 // run holds a slot from borrowLanes to returnLanes, so at most
 // GOMAXPROCS (at start-up) runs are in flight on all Inputs together,
-// and the pIC/cut scratch in use plus idle is at most that many slabs.
+// and the scratch in use plus idle is at most that many slabs.
 // A sweep at the default worker count (also GOMAXPROCS) fills the slots
 // without waiting on its own runs.
 //
@@ -124,7 +127,7 @@ var (
 )
 
 // maxIdleLaneBytes caps the bytes the free list keeps idle. A MaxLanes
-// slab of a 75-node, 40-slice window is 11.8 MB, so a few cores' worth
+// slab of a 75-node, 40-slice window is 12.2 MB, so a few cores' worth
 // of such slabs fit; the slab of one huge window (512 slices × 75 nodes
 // is 1.9 GB at MaxLanes) never stays behind once its solve ends.
 const maxIdleLaneBytes = 64 << 20
@@ -136,13 +139,14 @@ func IdleScratchBytes() int64 { return idleLaneBytes.Load() }
 // borrowLanes claims a solve slot, blocking while every slot is in
 // flight (an already-cancelled ctx fails before it waits, and a cancel
 // during the wait returns ctx.Err()), then takes an idle slab and slices
-// it to a K-lane block over cells triangle cells. A missing slab, or one
-// too small for the block, is replaced: at exactly one lane for K = 1,
-// and at the MaxLanes width for K > 1 — a multi-lane borrower is almost
+// it to a K-lane block of this Input's shape. A missing slab, or one too
+// small for the block, is replaced: at exactly one lane for K = 1, and
+// at the MaxLanes width for K > 1 — a multi-lane borrower is almost
 // always a sweep or the dichotomy, whose block widths vary from call to
 // call, and one full-width slab serves them all. Stale contents need no
-// clearing: the kernel writes every cell before reading it.
-func borrowLanes(ctx context.Context, cells, K int) (laneSlab, error) {
+// clearing: the kernel writes every cell and threshold before reading
+// it.
+func (in *Input) borrowLanes(ctx context.Context, K int) (laneSlab, error) {
 	if err := ctx.Err(); err != nil {
 		return laneSlab{}, err
 	}
@@ -151,36 +155,34 @@ func borrowLanes(ctx context.Context, cells, K int) (laneSlab, error) {
 	case <-ctx.Done():
 		return laneSlab{}, ctx.Err()
 	}
-	need := cells * K
+	cells, strips := len(in.gain), len(in.meta)*in.T
 	var sl laneSlab
 	select {
 	case sl = <-laneSlabs:
 		idleLaneBytes.Add(-sl.bytes())
 	default:
 	}
-	if cap(sl.pic) < need {
-		alloc := need
+	if cap(sl.pic) < cells*K || cap(sl.thr) < strips*K {
+		w := K
 		if K > 1 {
-			alloc = cells * MaxLanes
+			w = MaxLanes
 		}
-		sl = laneSlab{pic: make([]float64, alloc), cut: make([]int32, alloc)}
+		sl = laneSlab{pic: make([]float64, cells*w), cut: make([]int32, cells*w), thr: make([]float64, strips*w)}
 	}
-	return laneSlab{pic: sl.pic[:need], cut: sl.cut[:need]}, nil
+	return laneSlab{pic: sl.pic[:cells*K], cut: sl.cut[:cells*K], thr: sl.thr[:strips*K]}, nil
 }
 
-// returnLanes hands the solver's slab back to the free list and frees
-// its solve slot. The slab goes to the GC instead when it would take the
-// idle bytes past maxIdleLaneBytes, or when it is wider than any block of
-// this run's shape (MaxLanes strips per cell): a slab left by a larger
-// window is trimmed by the first smaller run that borrows it, so idle
-// scratch follows the shapes being solved now. The list has room for the
-// slab, since every slab on it or in a run counts against a slot. The
-// gauge counts the slab before the send, so it never reads below what
-// the list holds.
-func (s *Solver) returnLanes() {
-	sl := s.lanes
-	s.lanes = laneSlab{}
-	if cap(sl.pic) <= len(s.in.gain)*MaxLanes {
+// returnLanes hands a run's slab back to the free list and frees its
+// solve slot. The slab goes to the GC instead when it would take the
+// idle bytes past maxIdleLaneBytes, or when it is wider than any block
+// of this Input's shape (MaxLanes strips per cell and per node row): a
+// slab left by a larger window is trimmed by the first smaller run that
+// borrows it, so idle scratch follows the shapes being solved now. The
+// list has room for the slab, since every slab on it or in a run counts
+// against a slot. The gauge counts the slab before the send, so it never
+// reads below what the list holds.
+func (in *Input) returnLanes(sl laneSlab) {
+	if cap(sl.pic) <= len(in.gain)*MaxLanes && cap(sl.thr) <= len(in.meta)*in.T*MaxLanes {
 		if b := sl.bytes(); idleLaneBytes.Add(b) <= maxIdleLaneBytes {
 			laneSlabs <- sl
 		} else {
@@ -191,7 +193,7 @@ func (s *Solver) returnLanes() {
 }
 
 // iterateCellsLanes is the triangular iteration of Algorithm 1 for one
-// node and K p-lanes, assuming every child's pIC strips are already
+// node and K p-lanes, assuming every child's pIC strips in sl are already
 // computed. The lane arenas hold one K-wide strip per triangle cell
 // (row-major, like the gain/loss triangles). Row by row, last to first,
 // one relaxRow call (relaxRowAVX2 where the CPU has AVX2) finishes the
@@ -204,15 +206,16 @@ func (s *Solver) returnLanes() {
 // adds and strict compares against per-lane cached thresholds, and per
 // lane none of it depends on K, so each lane's pIC and cut matrices are
 // bit-identical to a one-lane solve at that p. The row's thresholds live
-// in a stack strip; past T·K = 1024 they take a pooled heap strip.
-func (s *Solver) iterateCellsLanes(id, K int, eff *[MaxLanes]float64) {
+// in the node's strip of the slab.
+func (s *Solver) iterateCellsLanes(sl laneSlab, id, K int, eff *[MaxLanes]float64) {
 	in := s.in
 	T := in.T
 	off := in.offs[id]
 	gain := in.gain[off : off+in.cells]
 	loss := in.loss[off : off+in.cells]
-	pic := s.lanes.pic[off*K : (off+in.cells)*K]
-	cuts := s.lanes.cut[off*K : (off+in.cells)*K]
+	pic := sl.pic[off*K : (off+in.cells)*K]
+	cuts := sl.cut[off*K : (off+in.cells)*K]
+	thr := sl.thr[id*T*K : (id+1)*T*K]
 	childOffs := in.meta[id].childOffs
 	p := eff[:K:K]
 	var qa [MaxLanes]float64
@@ -220,19 +223,12 @@ func (s *Solver) iterateCellsLanes(id, K int, eff *[MaxLanes]float64) {
 	for k := range p {
 		q[k] = 1 - p[k]
 	}
-	var thrA [1024]float64
-	thr := thrA[:]
-	if T*K > len(thrA) {
-		sp := getThrStrip(T * K)
-		defer thrStrips.Put(sp)
-		thr = *sp
-	}
 	for i := T - 1; i >= 0; i-- {
 		base := i*T - i*(i-1)/2 // triIndex(i, i)
 		n := (T - i) * K        // the row's strips, flattened
 		g, l := gain[base:base+T-i], loss[base:base+T-i]
 		tri, th, c := pic[base*K:], thr[:n], cuts[base*K:base*K+n]
-		kids := s.lanes.pic[base*K:]
+		kids := sl.pic[base*K:]
 		if useAVX2 {
 			relaxRowAVX2(p, q, g, l, tri, th, c, kids, childOffs, i)
 		} else {
@@ -241,40 +237,23 @@ func (s *Solver) iterateCellsLanes(id, K int, eff *[MaxLanes]float64) {
 	}
 }
 
-// thrStrips recycles the threshold strips of rows too long for the
-// kernel's stack strip (T·K > 1024), so such a model allocates one per
-// concurrent worker instead of one per node and block.
-var thrStrips sync.Pool
-
-// getThrStrip returns a pooled strip of n thresholds, allocating it when
-// the pool has none that long.
-func getThrStrip(n int) *[]float64 {
-	sp, _ := thrStrips.Get().(*[]float64)
-	if sp == nil || cap(*sp) < n {
-		strip := make([]float64, n)
-		return &strip
-	}
-	*sp = (*sp)[:n]
-	return sp
-}
-
-// recoverLane walks lane k's cut matrix (stride K strips) from
+// recoverLane walks lane k's cut matrix in sl (stride K strips) from
 // (node, [i,j]) down to the aggregates of that lane's optimal partition,
 // accumulating gain/loss totals.
-func (s *Solver) recoverLane(id, i, j, k, K int, pt *partition.Partition) {
+func (s *Solver) recoverLane(sl laneSlab, id, i, j, k, K int, pt *partition.Partition) {
 	in := s.in
 	idx := in.offs[id] + in.triIndex(i, j)
-	switch c := s.lanes.cut[idx*K+k]; {
+	switch c := sl.cut[idx*K+k]; {
 	case c == int32(j): // aggregate of the partition
 		pt.Areas = append(pt.Areas, partition.Area{Node: in.meta[id].node, I: i, J: j})
 		pt.Gain += in.gain[idx]
 		pt.Loss += in.loss[idx]
 	case c == CutSpatial:
 		for _, child := range in.meta[id].children {
-			s.recoverLane(int(child), i, j, k, K, pt)
+			s.recoverLane(sl, int(child), i, j, k, K, pt)
 		}
 	default: // temporal cut at c
-		s.recoverLane(id, i, int(c), k, K, pt)
-		s.recoverLane(id, int(c)+1, j, k, K, pt)
+		s.recoverLane(sl, id, i, int(c), k, K, pt)
+		s.recoverLane(sl, id, int(c)+1, j, k, K, pt)
 	}
 }

@@ -243,7 +243,7 @@ func TestEnsureLanesWidening(t *testing.T) {
 	}
 	drainLaneSlabs()
 	s := in.NewSolver()
-	lane := int64(len(in.gain) * (8 + 4))
+	lane := laneBytes(in)
 	before := in.MemoryBytes()
 	for step, c := range steps {
 		got := make([]*partition.Partition, c.K)
@@ -488,7 +488,7 @@ func TestFusedScratchAccounted(t *testing.T) {
 	if after := in.MemoryBytes(); after != before {
 		t.Fatalf("MemoryBytes moved %d -> %d after fused use, want no retained scratch", before, after)
 	}
-	if idle, want := IdleScratchBytes(), int64(len(in.gain)*MaxLanes*(8+4)); idle != want {
+	if idle, want := IdleScratchBytes(), MaxLanes*laneBytes(in); idle != want {
 		t.Fatalf("free list holds %d idle bytes after a %d-lane run, want its slab's %d", idle, MaxLanes, want)
 	}
 	assertSlotsReleased(t)

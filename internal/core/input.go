@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"ocelotl/internal/failpoint"
 	"ocelotl/internal/hierarchy"
@@ -343,11 +344,12 @@ func (in *Input) fillRow(id, i, from int, sc *rowSums) {
 
 // fillMatrices computes every node's gain/loss triangle from the slice
 // rows. Nodes write disjoint arena regions, so the O(|X|·|H(S)|·|T|²) work
-// is spread over the worker pool. fillNode, when non-nil, overrides the
-// per-node work (the incremental path substitutes its copy-then-fill).
-// ctx is checked once per node on every path — a cancelled build stops
-// dispatching nodes, drains its workers, and returns ctx.Err(), leaving
-// the half-filled arenas to the garbage collector.
+// is spread over the Input's workers (forEach), each with its own row
+// sums. fillNode, when non-nil, overrides the per-node work (the
+// incremental path substitutes its copy-then-fill). ctx is checked once
+// per node — a cancelled build starts no further node, joins its workers,
+// and returns ctx.Err(), leaving the half-filled arenas to the garbage
+// collector.
 func (in *Input) fillMatrices(ctx context.Context, fillNode func(id int, sc *rowSums)) error {
 	if fillNode == nil {
 		fillNode = func(id int, sc *rowSums) {
@@ -356,39 +358,43 @@ func (in *Input) fillMatrices(ctx context.Context, fillNode func(id int, sc *row
 			}
 		}
 	}
-	n := len(in.meta)
-	if in.opt.Workers <= 1 || n < 2 {
-		sc := in.newRowSums()
-		for id := 0; id < n; id++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			fillNode(id, sc)
+	scs := make([]*rowSums, in.opt.Workers)
+	return forEach(ctx, in.opt.Workers, len(in.meta), func(w, id int) {
+		if scs[w] == nil {
+			scs[w] = in.newRowSums()
 		}
-		return nil
+		fillNode(id, scs[w])
+	})
+}
+
+// forEach runs do(w, i) exactly once for every item i in [0, n) on
+// min(workers, n) workers; w (0 ≤ w < workers) names the worker running
+// the item, so do can keep per-worker scratch. Worker 0 is the calling
+// goroutine and the others are goroutines of their own; each worker
+// claims its next item from one shared counter, so items start in order.
+// ctx is checked before each item: once it is cancelled no further item
+// starts. forEach returns ctx.Err() after joining every goroutine it
+// started; with one worker it starts none.
+func forEach(ctx context.Context, workers, n int, do func(w, i int)) error {
+	var next atomic.Int64
+	work := func(w int) {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n || ctx.Err() != nil {
+				return
+			}
+			do(w, i)
+		}
 	}
 	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < in.opt.Workers; w++ {
+	for w := 1; w < min(workers, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := in.newRowSums()
-			for id := range next {
-				if ctx.Err() != nil {
-					continue // drain without working
-				}
-				fillNode(id, sc)
-			}
+			work(w)
 		}()
 	}
-	for id := 0; id < n; id++ {
-		if ctx.Err() != nil {
-			break
-		}
-		next <- id
-	}
-	close(next)
+	work(0)
 	wg.Wait()
 	return ctx.Err()
 }

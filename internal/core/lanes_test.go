@@ -32,7 +32,20 @@ func drainLaneSlabs() []laneSlab {
 // back through returnLanes, which frees the slot.
 func putIdle(in *Input, sl laneSlab) {
 	solveSlots <- struct{}{}
-	(&Solver{in: in, lanes: sl}).returnLanes()
+	in.returnLanes(sl)
+}
+
+// wideSlab returns a fresh MaxLanes slab of in's shape.
+func wideSlab(in *Input) laneSlab {
+	cells, strips := len(in.gain)*MaxLanes, len(in.meta)*in.T*MaxLanes
+	return laneSlab{pic: make([]float64, cells), cut: make([]int32, cells), thr: make([]float64, strips)}
+}
+
+// laneBytes is the bytes of one lane of a slab of in's shape: a pIC and
+// a cut entry per triangle cell, and a threshold per slice of each
+// node's row strip.
+func laneBytes(in *Input) int64 {
+	return int64(len(in.gain))*(8+4) + int64(len(in.meta)*in.T)*8
 }
 
 // samePartitions fails unless every lane of got is bit-identical to want.
@@ -49,10 +62,11 @@ func samePartitions(t *testing.T, what string, got, want []*partition.Partition)
 }
 
 // TestPoisonedLaneSlabs fills the free list with slabs a larger Input of
-// another shape left behind, every pIC cell NaN and every cut out of
-// range, and requires each lane of a solve on them to be bit-identical to
-// the same solve on a fresh zeroed slab, with either relaxRow body: the
-// kernel must write every cell before it reads it.
+// another shape left behind, every pIC cell and threshold NaN and every
+// cut out of range, and requires each lane of a solve on them to be
+// bit-identical to the same solve on a fresh zeroed slab, with either
+// relaxRow body: the kernel must write every cell and threshold before
+// it reads it.
 func TestPoisonedLaneSlabs(t *testing.T) {
 	defer drainLaneSlabs()
 	small := cancelTestInput(t, Options{Workers: 1})
@@ -63,10 +77,13 @@ func TestPoisonedLaneSlabs(t *testing.T) {
 	poison := func() {
 		drainLaneSlabs()
 		for range cap(laneSlabs) {
-			sl := laneSlab{pic: make([]float64, len(large.gain)*MaxLanes), cut: make([]int32, len(large.gain)*MaxLanes)}
+			sl := wideSlab(large)
 			for i := range sl.pic {
 				sl.pic[i] = math.NaN()
 				sl.cut[i] = math.MaxInt32 - int32(i%7)
+			}
+			for i := range sl.thr {
+				sl.thr[i] = math.NaN()
 			}
 			putIdle(large, sl)
 		}
@@ -98,8 +115,8 @@ func TestPoisonedLaneSlabs(t *testing.T) {
 // TestCancelledRunLanesReturnsSlab cancels a run at each kind of check.
 // Cancelled at its first check, before it waits for a solve slot, the
 // run claims neither a slot nor a slab. Cancelled between nodes, it
-// returns ctx.Err(), the solver keeps no arenas, its slot is free, and
-// the list holds the one slab the run borrowed.
+// returns ctx.Err(), its slot is free, and the list holds the one slab
+// the run borrowed.
 func TestCancelledRunLanesReturnsSlab(t *testing.T) {
 	defer drainLaneSlabs()
 	in := cancelTestInput(t, Options{Workers: 1})
@@ -113,13 +130,10 @@ func TestCancelledRunLanesReturnsSlab(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancel after %d checks: err = %v, want context.Canceled", n, err)
 		}
-		if s.lanes.pic != nil || s.lanes.cut != nil {
-			t.Fatalf("cancel after %d checks: the solver kept its arenas", n)
-		}
 		if len(solveSlots) != 0 {
 			t.Fatalf("cancel after %d checks: the run kept its solve slot", n)
 		}
-		want := int64(len(in.gain) * MaxLanes * (8 + 4))
+		want := MaxLanes * laneBytes(in)
 		if n == 1 {
 			want = 0 // cancelled before the borrow
 		}
@@ -142,8 +156,7 @@ func TestFreeListTrimsIdleScratch(t *testing.T) {
 	small := cancelTestInput(t, Options{Workers: 1})
 	large := testInput(t, scalingModel(t, 24, 40), Options{Workers: 1})
 	for range cap(laneSlabs) {
-		sl := laneSlab{pic: make([]float64, len(large.gain)*MaxLanes), cut: make([]int32, len(large.gain)*MaxLanes)}
-		putIdle(large, sl)
+		putIdle(large, wideSlab(large))
 	}
 	if len(laneSlabs) != cap(laneSlabs) {
 		t.Fatalf("free list took %d of %d slabs of the large Input", len(laneSlabs), cap(laneSlabs))
@@ -153,7 +166,7 @@ func TestFreeListTrimsIdleScratch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if want := int64(len(small.gain) * (8 + 4)); len(laneSlabs) != 1 || IdleScratchBytes() != want {
+	if want := laneBytes(small); len(laneSlabs) != 1 || IdleScratchBytes() != want {
 		t.Fatalf("after the small runs the free list holds %d slabs, %d bytes; want one one-lane slab of the small Input, %d bytes",
 			len(laneSlabs), IdleScratchBytes(), want)
 	}
@@ -252,4 +265,45 @@ func TestConcurrentSolvesShareFreeList(t *testing.T) {
 	if idle != sum {
 		t.Fatalf("IdleScratchBytes = %d, the free list's slabs hold %d", idle, sum)
 	}
+}
+
+// TestSolverConcurrentRuns shares one Solver among 8 goroutines solving
+// distinct ps at once, one-lane runs and fused blocks alike (run it under
+// -race): a run's scratch is its borrowed slab, never the Solver, so
+// every answer must be bit-identical to a fresh Solver's.
+func TestSolverConcurrentRuns(t *testing.T) {
+	defer drainLaneSlabs()
+	in := testInput(t, randomFusedModel(rand.New(rand.NewSource(31))), Options{Workers: 2})
+	const goroutines, K = 8, 3
+	ps := sweepPs(goroutines * (1 + K))
+	want := make([]*partition.Partition, len(ps))
+	for i, p := range ps {
+		pt, err := in.NewSolver().RunContext(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = pt
+	}
+	s := in.NewSolver()
+	got := make([]*partition.Partition, len(ps))
+	errs := make([]error, goroutines)
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			one, block := g*(1+K), g*(1+K)+1
+			if got[one], errs[g] = s.RunContext(context.Background(), ps[one]); errs[g] != nil {
+				return
+			}
+			errs[g] = s.runLanes(context.Background(), ps[block:block+K], got[block:block+K])
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	samePartitions(t, "a run sharing its Solver", got, want)
 }

@@ -2,9 +2,13 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"ocelotl/internal/microscopic"
 	"ocelotl/internal/mpisim"
@@ -113,5 +117,81 @@ func benchRun(b *testing.B, workers int) {
 		if _, err := s.RunContext(context.Background(), 0.5); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestForEach pins the one worker loop: every item runs exactly once, on
+// a worker numbered below min(workers, n); one worker runs every item on
+// the calling goroutine and starts none; and a cancel starts no further
+// item and returns ctx.Err() only once every worker has returned.
+func TestForEach(t *testing.T) {
+	for _, workers := range []int{1, 2, 7} {
+		for _, n := range []int{0, 1, 5, 100} {
+			runs := make([]atomic.Int32, n)
+			var badWorker atomic.Bool
+			before := runtime.NumGoroutine()
+			var spawned atomic.Bool
+			err := forEach(context.Background(), workers, n, func(w, i int) {
+				runs[i].Add(1)
+				if w < 0 || w >= min(workers, n) {
+					badWorker.Store(true)
+				}
+				if runtime.NumGoroutine() > before {
+					spawned.Store(true)
+				}
+			})
+			if err != nil {
+				t.Fatalf("workers=%d n=%d: err = %v", workers, n, err)
+			}
+			for i := range runs {
+				if c := runs[i].Load(); c != 1 {
+					t.Fatalf("workers=%d n=%d: item %d ran %d times", workers, n, i, c)
+				}
+			}
+			if badWorker.Load() {
+				t.Fatalf("workers=%d n=%d: an item ran on a worker outside [0, %d)", workers, n, min(workers, n))
+			}
+			if workers == 1 && spawned.Load() {
+				t.Fatalf("n=%d: one worker started a goroutine", n)
+			}
+		}
+	}
+
+	for _, workers := range []int{1, 2, 7} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var inFlight, started, afterCancel atomic.Int32
+		err := forEach(ctx, workers, 100, func(_, i int) {
+			if ctx.Err() != nil {
+				afterCancel.Add(1)
+			}
+			inFlight.Add(1)
+			started.Add(1)
+			if i == 10 {
+				cancel()
+			}
+			time.Sleep(time.Millisecond) // keep the other workers mid-item
+			inFlight.Add(-1)
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: cancelled forEach returned %v", workers, err)
+		}
+		if n := inFlight.Load(); n != 0 {
+			t.Fatalf("workers=%d: forEach returned with %d items still running", workers, n)
+		}
+		// An item starts after the cancel only when its worker checked
+		// ctx just before the cancel: at most one per worker besides the
+		// one that cancelled. One worker runs items 0..10 and stops.
+		if n := afterCancel.Load(); int(n) > workers-1 {
+			t.Fatalf("workers=%d: %d items started after the cancel", workers, n)
+		}
+		if n := started.Load(); workers == 1 && n != 11 {
+			t.Fatalf("one worker ran %d items around a cancel at item 10, want 11", n)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ran := false
+	if err := forEach(ctx, 3, 10, func(_, _ int) { ran = true }); !errors.Is(err, context.Canceled) || ran {
+		t.Fatalf("already-cancelled forEach: err = %v, an item ran: %v", err, ran)
 	}
 }

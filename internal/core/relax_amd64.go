@@ -3,7 +3,7 @@ package core
 // relaxRowAVX2 is relaxRow's AVX2 body (relax_amd64.s): one call per
 // row, four lanes per step. It trusts its caller for relaxRow's shapes
 // and 1 ≤ len(p) ≤ MaxLanes, and must not let its slices escape: the
-// kernel's threshold strip lives on the stack.
+// kernel's q lanes live on its stack.
 //
 //go:noescape
 func relaxRowAVX2(p, q, g, l, tri, th []float64, c []int32, kids []float64, childOffs []int, i int)

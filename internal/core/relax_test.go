@@ -20,14 +20,14 @@ import (
 // spatial candidates, then every temporal cut of that one cell, with the
 // right parts walked down column j by the triIndex stride and a scalar
 // branch for one lane.
-func refIterateCellsLanes(s *Solver, id, K int, eff *[MaxLanes]float64) {
+func refIterateCellsLanes(s *Solver, sl laneSlab, id, K int, eff *[MaxLanes]float64) {
 	in := s.in
 	T := in.T
 	off := in.offs[id]
 	gain := in.gain[off : off+in.cells]
 	loss := in.loss[off : off+in.cells]
-	pic := s.lanes.pic[off*K : (off+in.cells)*K]
-	cuts := s.lanes.cut[off*K : (off+in.cells)*K]
+	pic := sl.pic[off*K : (off+in.cells)*K]
+	cuts := sl.cut[off*K : (off+in.cells)*K]
 	childOffs := in.meta[id].childOffs
 	p := eff[:K:K]
 	var qa, best, thr, sums [MaxLanes]float64
@@ -55,7 +55,7 @@ func refIterateCellsLanes(s *Solver, id, K int, eff *[MaxLanes]float64) {
 				}
 				for _, co := range childOffs {
 					cb := (co + idx) * K
-					cp := s.lanes.pic[cb : cb+K : cb+K]
+					cp := sl.pic[cb : cb+K : cb+K]
 					for k := range sm {
 						sm[k] += cp[k]
 					}
@@ -117,20 +117,19 @@ func setAVX2(on bool) func() {
 	return func() { useAVX2 = prev }
 }
 
-// solveArenas runs one K-lane block's node walk on a fresh solver and
-// fresh zeroed arenas with the given triangular iteration and returns
-// the arenas.
-func solveArenas(in *Input, ps []float64, iterate func(s *Solver, id, K int, eff *[MaxLanes]float64)) ([]float64, []int32) {
+// solveArenas runs one K-lane block's node walk on a fresh solver and a
+// fresh zeroed slab with the given triangular iteration and returns the
+// slab's pIC and cut arenas.
+func solveArenas(in *Input, ps []float64, iterate func(s *Solver, sl laneSlab, id, K int, eff *[MaxLanes]float64)) ([]float64, []int32) {
 	s := in.NewSolver()
-	s.Workers = 1
 	K := len(ps)
-	s.lanes = laneSlab{pic: make([]float64, len(in.gain)*K), cut: make([]int32, len(in.gain)*K)}
+	sl := laneSlab{pic: make([]float64, len(in.gain)*K), cut: make([]int32, len(in.gain)*K), thr: make([]float64, len(in.meta)*in.T*K)}
 	var eff [MaxLanes]float64
 	for k, p := range ps {
 		eff[k] = in.effectiveP(p)
 	}
-	s.walkParallel(context.Background(), in.rootID, nil, func(id int) { iterate(s, id, K, &eff) })
-	return s.lanes.pic, s.lanes.cut
+	s.walkParallel(context.Background(), in.rootID, nil, func(id int) { iterate(s, sl, id, K, &eff) })
+	return sl.pic, sl.cut
 }
 
 // homogeneousModel is a tie-heavy model: every leaf spends the same share
@@ -165,7 +164,7 @@ func homogeneousModel(rng *rand.Rand) *microscopic.Model {
 // verbatim cell-major reference cell by cell — the Float64bits of every
 // pIC lane and every cut — on random and homogeneous models for every
 // block width 1..MaxLanes, and on a 70-slice model whose widest blocks
-// take the pooled heap strip, once with each relaxRow body.
+// have the longest threshold rows, once with each relaxRow body.
 func TestCutMajorKernelBitIdentical(t *testing.T) {
 	for _, avx2 := range avx2Bodies() {
 		t.Run("avx2="+strconv.FormatBool(avx2), func(t *testing.T) {
@@ -181,8 +180,6 @@ func TestCutMajorKernelBitIdentical(t *testing.T) {
 				in := testInput(t, m, Options{Workers: 1, Normalize: trial%4 == 1})
 				checkKernelBitIdentical(t, in, rng, "trial "+strconv.Itoa(trial), 1)
 			}
-			// T·K > 1024 from K = 15: the rows' thresholds take a pooled
-			// heap strip instead of the kernel's stack strip.
 			in := testInput(t, scalingModel(t, 6, 70), Options{Workers: 1})
 			checkKernelBitIdentical(t, in, rng, "6x70", 13)
 		})
@@ -216,11 +213,10 @@ func checkKernelBitIdentical(t *testing.T, in *Input, rng *rand.Rand, model stri
 
 // TestRunLanesAllocs pins runLanes' allocations on a warm free list to
 // what the cell-major kernel made: the partitions it returns and nothing
-// per node. The cut-major kernel's threshold strip must stay on its stack
-// frame up to T·K = 1024 (the 24×40 model; relaxRowAVX2 is go:noescape
-// for it) and come from the strip pool past that (the 6×70 model at
-// K = 15 and 16; not pinned under -race, see raceEnabled), with either
-// relaxRow body.
+// per node — the kernel's threshold strips are part of the borrowed slab
+// (relaxRowAVX2 is go:noescape, so nothing else escapes either), for
+// short rows (the 24×40 model) and long ones (the 6×70 model at K = 15
+// and 16), with either relaxRow body.
 func TestRunLanesAllocs(t *testing.T) {
 	for _, c := range []struct {
 		S, T   int
@@ -238,9 +234,6 @@ func TestRunLanesAllocs(t *testing.T) {
 			t.Run(strconv.Itoa(c.S)+"x"+strconv.Itoa(c.T)+"/avx2="+strconv.FormatBool(avx2), func(t *testing.T) {
 				defer setAVX2(avx2)()
 				for K, want := range c.allocs {
-					if raceEnabled && c.T*K > 1024 {
-						continue // the pooled strip
-					}
 					ps := make([]float64, K)
 					for k := range ps {
 						ps[k] = float64(k+1) / float64(K+1)

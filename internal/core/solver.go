@@ -7,37 +7,32 @@ import (
 	"ocelotl/internal/partition"
 )
 
-// Solver runs Algorithm 1 against one Input: each run borrows the pIC
-// and cut triangular matrices of its optimization from a process-wide
-// free list (laneSlabs), as K-wide lane strips so one run can answer up
-// to MaxLanes ps at once (fused.go), and returns them when it ends. A
-// Solver only ever reads its Input, so any number of Solvers run
-// concurrently against one shared Input — this is the paper's
-// interactivity model taken to multi-core: build the input once, answer
-// every p in parallel.
-//
-// A single Solver is NOT safe for concurrent use of itself (a run keeps
-// its borrowed arenas on the Solver); create one Solver per in-flight
-// query. Each run holds one of the process's solve slots (fused.go), so
-// at most GOMAXPROCS runs are in flight across every Input and a run
-// started beyond that waits for a slot.
+// Solver runs Algorithm 1 against one Input: each run borrows its
+// scratch — the pIC and cut triangular matrices of its optimization, as
+// K-wide lane strips so one run can answer up to MaxLanes ps at once
+// (fused.go), and the row thresholds of the kernel — as one slab from a
+// process-wide free list (laneSlabs), and returns it when it ends. A
+// Solver keeps no run state and only ever reads its Input, so one Solver
+// serves any number of concurrent runs, and any number of Solvers share
+// one Input — this is the paper's interactivity model taken to
+// multi-core: build the input once, answer every p in parallel. Each run
+// holds one of the process's solve slots (fused.go), so at most
+// GOMAXPROCS runs are in flight across every Input and a run started
+// beyond that waits for a slot.
 type Solver struct {
 	in *Input
 
-	// lanes holds the run's pIC/cut arenas, borrowed for one runLanes
-	// call; empty between runs.
-	lanes laneSlab
-
 	// Workers caps Algorithm 1's parallelism across independent sibling
-	// subtrees within this one run (default: the Input's worker setting;
+	// subtrees within each run (default: the Input's worker setting;
 	// 1 forces the sequential path). Results are bit-identical for any
-	// value. The p-sweeps set this to 1 because cross-query parallelism
-	// already saturates the pool.
+	// value. The p-sweeps set this to 1 when they run several lane blocks
+	// at once, because cross-block parallelism already saturates the
+	// cores.
 	Workers int
 }
 
 // NewSolver returns a Solver bound to this input. It holds no scratch:
-// each run borrows its arenas.
+// each run borrows its slab.
 func (in *Input) NewSolver() *Solver {
 	return &Solver{in: in, Workers: in.opt.Workers}
 }
@@ -53,7 +48,7 @@ func (in *Input) NewSolver() *Solver {
 // within one node's worth of computation — and, in the parallel path,
 // after every in-flight subtree goroutine has been joined, so no work
 // outlives the call. A cancelled run returns no partition and its
-// arenas to the free list, so the solver stays reusable.
+// slab to the free list.
 func (s *Solver) RunContext(ctx context.Context, p float64) (*partition.Partition, error) {
 	ps := []float64{p}
 	if err := validatePs(ps); err != nil {

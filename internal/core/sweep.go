@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"ocelotl/internal/partition"
 )
@@ -128,68 +126,29 @@ func (in *Input) answer(ctx context.Context, ps []float64, wantPt bool) ([]memoE
 }
 
 // solveLanes solves one query per entry of ps (validated, non-empty),
-// fused into lane blocks against this shared Input, and
-// returns the partitions in input order. Blocks run concurrently over the
-// worker pool with per-run subtree parallelism disabled (cross-block
-// parallelism already saturates it); within a block one triangular
-// iteration per node answers every lane. It bypasses the memo; a
-// cancelled ctx yields ctx.Err() and no partitions.
+// fused into lane blocks against this shared Input, and returns the
+// partitions in input order. One Solver runs the blocks over the Input's
+// workers (forEach); with more than one block its per-run subtree
+// parallelism is off, since cross-block parallelism already saturates
+// the cores. Within a block one triangular iteration per node answers
+// every lane. It bypasses the memo; a cancelled ctx yields ctx.Err() and
+// no partitions.
 func (in *Input) solveLanes(ctx context.Context, ps []float64) ([]*partition.Partition, error) {
 	out := make([]*partition.Partition, len(ps))
 	lanes := laneWidth(len(ps), in.opt.Workers)
 	blocks := (len(ps) + lanes - 1) / lanes
-	workers := in.opt.Workers
-	if workers > blocks {
-		workers = blocks
+	s := in.NewSolver()
+	if blocks > 1 {
+		s.Workers = 1
 	}
-	if workers <= 1 {
-		s := in.NewSolver()
-		// With a single block in flight the solver keeps the Input's
-		// worker setting, so its subtree parallelism still applies.
-		for lo := 0; lo < len(ps); lo += lanes {
-			hi := lo + lanes
-			if hi > len(ps) {
-				hi = len(ps)
-			}
-			if err := s.runLanes(ctx, ps[lo:hi], out[lo:hi]); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-	errs := make([]error, workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := in.NewSolver()
-			s.Workers = 1
-			for {
-				b := int(next.Add(1)) - 1
-				if b >= blocks {
-					return
-				}
-				lo := b * lanes
-				hi := lo + lanes
-				if hi > len(ps) {
-					hi = len(ps)
-				}
-				if errs[w] = s.runLanes(ctx, ps[lo:hi], out[lo:hi]); errs[w] != nil {
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	err := forEach(ctx, in.opt.Workers, blocks, func(_, b int) {
+		lo := b * lanes
+		hi := min(lo+lanes, len(ps))
+		// runLanes fails only on a cancelled ctx, which forEach reports.
+		_ = s.runLanes(ctx, ps[lo:hi], out[lo:hi])
+	})
+	if err != nil {
 		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
 	}
 	return out, nil
 }
@@ -218,7 +177,7 @@ type gap struct {
 // set, and therefore the returned point set, is identical to the plain
 // recursive dichotomy's. Unlike a chain of dependent bisections, each
 // round is one wide data-parallel solve: the lanes fuse across the batch
-// and the blocks spread over the worker pool.
+// and the blocks spread over the Input's workers.
 //
 // A cancelled ctx aborts the current round's fused sweep at its next
 // node-level check, launches no further round, frees every solve slot

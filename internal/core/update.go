@@ -23,7 +23,7 @@ import (
 // running sums cannot start mid-row — so its savings are the dropped
 // gain/loss evaluations of fillRow's batched pass, not its scalar pass's
 // adds, which remain a forward pan's full-row cost.) The work is
-// spread over the worker pool exactly like NewInputContext's.
+// spread over the Input's workers exactly like NewInputContext's.
 //
 // The result is a new immutable Input, bit-identical to
 // NewInputContext(newModel, same options) — the property tests enforce
@@ -152,10 +152,11 @@ func (out *Input) updateSliceRows(old *Input, ov microscopic.SliceOverlap) {
 	rec(out.rootID)
 }
 
-// updateMatrices rebuilds the gain/loss arenas over the worker pool: rows
-// whose start slice survives copy their surviving segment from the old
-// arena (one contiguous copy per row — the shared sub-triangle moves) and
-// then extend with fillRow; rows starting in a new slice are filled whole.
+// updateMatrices rebuilds the gain/loss arenas over the Input's workers:
+// rows whose start slice survives copy their surviving segment from the
+// old arena (one contiguous copy per row — the shared sub-triangle moves)
+// and then extend with fillRow; rows starting in a new slice are filled
+// whole.
 func (out *Input) updateMatrices(ctx context.Context, old *Input, ov microscopic.SliceOverlap) error {
 	T := out.T
 	sharedHi := ov.NewLo + ov.W - 1 // last surviving slice, new indexing

@@ -57,11 +57,11 @@ func unmarshalRecord(b []byte) record {
 // Builder streams events into a store file in bounded memory. Events
 // arrive in any order; Add buffers up to Options.SortBufferEvents, each
 // overflow spills one stably-sorted run beside the output file, and
-// Finish merges the runs (k-way, ties broken by spill order) into
-// (series asc, start asc, arrival order) chunks. The merge order is
-// byte-for-byte the order a global stable sort of the whole event
-// sequence would give — the invariant the bit-identity contract with the
-// in-RAM index rests on.
+// Finish merges the runs and the last buffer, sorted in place as the
+// newest run (k-way, ties broken by run order), into (series asc, start
+// asc, arrival order) chunks. The merge order is byte-for-byte the order
+// a global stable sort of the whole event sequence would give — the
+// invariant the bit-identity contract with the in-RAM index rests on.
 //
 // A buffer is put in order in linear time when its series arrive in
 // start order, as a time-ordered trace's do: Add counts each series'
@@ -257,25 +257,13 @@ func (b *Builder) Finish() (*Store, error) {
 	}
 	cw.off = headerSize
 
-	emit := func(r record) error { return cw.add(r) }
-	if len(b.runs) == 0 {
-		// Everything fit in the buffer: order it and emit directly.
-		for _, i := range b.sortBuf() {
-			if err := emit(b.buf[i]); err != nil {
-				return nil, b.fail(out, err)
-			}
-		}
-		b.buf, b.order = nil, nil
-	} else {
-		if len(b.buf) > 0 {
-			if err := b.spill(); err != nil {
-				return nil, b.fail(out, err)
-			}
-		}
-		if err := mergeRuns(b.runs, emit); err != nil {
-			return nil, b.fail(out, err)
-		}
+	// The last buffer, ordered in place, merges as the newest run, so its
+	// ties resolve after every spilled run's; with nothing spilled it is
+	// the only run.
+	if err := mergeRuns(b.runs, b.buf, b.sortBuf(), cw.add); err != nil {
+		return nil, b.fail(out, err)
 	}
+	b.buf, b.order = nil, nil
 	if err := cw.flushChunk(); err != nil {
 		return nil, b.fail(out, err)
 	}
@@ -424,13 +412,25 @@ func (cw *chunkedWriter) flushChunk() error {
 	return nil
 }
 
-// runHead is one spill run's cursor in the k-way merge.
+// runHead is one sorted run's cursor in the k-way merge: a spill file
+// read through r or, when r is nil, the last buffer read in place in its
+// sort order.
 type runHead struct {
-	r   *bufio.Reader
-	rec record
-	idx int // spill order; ties resolve to the earliest spill
-	raw [recordSize]byte
+	r     *bufio.Reader
+	buf   []record
+	order []uint32 // the buffer positions still to gather
+	ahead []record // the buffer's next records, gathered in order
+	pos   int      // the next record of ahead
+	rec   record
+	idx   int // run order; ties resolve to the earliest run
+	raw   [recordSize]byte
 }
+
+// gatherRecords is how many of the last buffer's records the merge
+// gathers at a time. Their positions are scattered over the buffer, and
+// one tight gather loop overlaps the cache misses that one read per merge
+// step would take one by one.
+const gatherRecords = 4096
 
 type runHeap []*runHead
 
@@ -449,6 +449,21 @@ func (h runHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *runHeap) Push(x any)   { *h = append(*h, x.(*runHead)) }
 func (h *runHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 func (h *runHead) next() (bool, error) {
+	if h.r == nil {
+		if h.pos == len(h.ahead) {
+			if len(h.order) == 0 {
+				return false, nil
+			}
+			h.ahead = h.ahead[:min(len(h.order), cap(h.ahead))]
+			for i := range h.ahead {
+				h.ahead[i] = h.buf[h.order[i]]
+			}
+			h.order, h.pos = h.order[len(h.ahead):], 0
+		}
+		h.rec = h.ahead[h.pos]
+		h.pos++
+		return true, nil
+	}
 	if _, err := io.ReadFull(h.r, h.raw[:]); err != nil {
 		if err == io.EOF {
 			return false, nil
@@ -459,39 +474,48 @@ func (h *runHead) next() (bool, error) {
 	return true, nil
 }
 
-// mergeRuns streams the stably-merged union of the sorted runs to emit.
+// mergeRuns streams the stably-merged union of the sorted spill runs and
+// the last buffer (buf in order's sequence, the newest run) to emit.
 // Because each run is internally stable and ties across runs resolve to
-// the earliest-spilled run, the merged order equals a stable sort of the
-// original arrival sequence.
-func mergeRuns(runs []*os.File, emit func(record) error) error {
-	h := make(runHeap, 0, len(runs))
+// the earliest run, the merged order equals a stable sort of the
+// original arrival sequence. Once one run is left it is drained without
+// heap work, so a build that never spilled streams its buffer straight
+// through.
+func mergeRuns(runs []*os.File, buf []record, order []uint32, emit func(record) error) error {
+	h := make(runHeap, 0, len(runs)+1)
+	push := func(rh *runHead) error {
+		ok, err := rh.next()
+		if ok {
+			h = append(h, rh)
+		}
+		return err
+	}
 	for i, f := range runs {
 		if _, err := f.Seek(0, io.SeekStart); err != nil {
 			return err
 		}
-		rh := &runHead{r: bufio.NewReaderSize(f, 1<<16), idx: i}
-		ok, err := rh.next()
-		if err != nil {
+		if err := push(&runHead{r: bufio.NewReaderSize(f, 1<<16), idx: i}); err != nil {
 			return err
 		}
-		if ok {
-			h = append(h, rh)
-		}
+	}
+	ahead := make([]record, 0, min(len(order), gatherRecords))
+	if err := push(&runHead{buf: buf, order: order, ahead: ahead, idx: len(runs)}); err != nil {
+		return err
 	}
 	heap.Init(&h)
-	for h.Len() > 0 {
+	for len(h) > 0 {
 		rh := h[0]
 		if err := emit(rh.rec); err != nil {
 			return err
 		}
 		ok, err := rh.next()
-		if err != nil {
+		switch {
+		case err != nil:
 			return err
-		}
-		if ok {
-			heap.Fix(&h, 0)
-		} else {
+		case !ok:
 			heap.Pop(&h)
+		case len(h) > 1:
+			heap.Fix(&h, 0)
 		}
 	}
 	return nil

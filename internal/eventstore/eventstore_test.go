@@ -129,11 +129,12 @@ func TestRoundTripMatchesReference(t *testing.T) {
 }
 
 // TestSpilledBuildIdenticalToBuffered forces the external sort (tiny
-// sort buffer → many runs) and checks the merged order equals the pure
-// in-RAM stable sort, including ties.
+// sort buffer → many runs; a buffer just over gatherRecords → one spill
+// and a last buffer the merge gathers in several batches) and checks the
+// merged order equals the pure in-RAM stable sort, including ties.
 func TestSpilledBuildIdenticalToBuffered(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	events := randomEvents(rng, 3000, 3)
+	events := randomEvents(rng, 9000, 3)
 	// Inject duplicate (series, start) pairs so tie order is exercised:
 	// the duplicates carry distinct states to make swaps visible.
 	for i := 0; i < 200; i++ {
@@ -143,12 +144,14 @@ func TestSpilledBuildIdenticalToBuffered(t *testing.T) {
 		events = append(events, dup)
 	}
 	buffered := buildStore(t, events, Options{TargetChunkEvents: 128})
-	spilled := buildStore(t, events, Options{TargetChunkEvents: 128, SortBufferEvents: 97})
-	for series := uint32(0); series < 3; series++ {
-		a := collect(t, buffered, series, math.Inf(-1), math.Inf(1))
-		b := collect(t, spilled, series, math.Inf(-1), math.Inf(1))
-		if !sameEvents(a, b) {
-			t.Fatalf("series %d: spilled build order diverges from buffered (%d vs %d events)", series, len(a), len(b))
+	for _, sortBuf := range []int{97, gatherRecords + 3} {
+		spilled := buildStore(t, events, Options{TargetChunkEvents: 128, SortBufferEvents: sortBuf})
+		for series := uint32(0); series < 3; series++ {
+			a := collect(t, buffered, series, math.Inf(-1), math.Inf(1))
+			b := collect(t, spilled, series, math.Inf(-1), math.Inf(1))
+			if !sameEvents(a, b) {
+				t.Fatalf("sort buffer %d, series %d: spilled build order diverges from buffered (%d vs %d events)", sortBuf, series, len(a), len(b))
+			}
 		}
 	}
 }

@@ -524,7 +524,7 @@ func (c *InputCache) runBuild(ctx, reqCtx context.Context, tr *Trace, sl timesli
 // immutable, so the build is safe even if the entry is evicted meanwhile.
 // ctx is the flight's detached context: it is checked between the build's
 // stages (model fill, input pass) and — through NewInputContext /
-// UpdateContext — once per hierarchy node inside the matrix fill itself,
+// AdvanceContext — once per hierarchy node inside the matrix fill itself,
 // so a flight every waiter abandoned dies mid-fill rather than running
 // its most expensive step to completion for a dead Input.
 func (c *InputCache) build(ctx context.Context, tr *Trace, sl timeslice.Slicer, src *entry, aligned timeslice.Slicer) (*core.Input, BuildKind, error) {
@@ -536,14 +536,7 @@ func (c *InputCache) build(ctx context.Context, tr *Trace, sl timeslice.Slicer, 
 	}
 	if src != nil {
 		if ov := microscopic.GridOverlap(src.in.Model.Slicer, aligned); ov.Shared() {
-			m, shiftOv, err := tr.resl.Shift(src.in.Model, ov.Shift())
-			if err != nil {
-				return nil, "", err
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, "", err
-			}
-			in, err := src.in.UpdateContext(ctx, m, shiftOv)
+			in, err := src.in.AdvanceContext(ctx, tr.resl, ov.Shift())
 			if err != nil {
 				return nil, "", err
 			}
