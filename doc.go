@@ -14,8 +14,8 @@
 // the solver's one Algorithm 1 kernel carries up to core.MaxLanes p-lanes
 // through a single triangular iteration per hierarchy node, finishing
 // each triangle row in one call of a row kernel — no-cut, spatial and
-// every temporal cut, cut-major (AVX2 on amd64, a portable Go body
-// elsewhere) — a single-p
+// every temporal cut, cut-major (AVX-512 or AVX2 on amd64, picked once
+// from the CPU's features, a portable Go body elsewhere) — a single-p
 // RunContext being a one-lane block (SweepRunContext and
 // SweepQualityContext split their p list into lane blocks over the
 // worker pool; SignificantPsContext is a batched dichotomy solving each

@@ -32,7 +32,8 @@
 //     iteration per node — each cell reads its gain/loss and child
 //     offsets once, and one relaxRow call per triangle row stores the
 //     row's no-cut and spatial candidates and then scans its temporal
-//     cuts cut-major over every lane (relax.go; an AVX2 body on amd64) —
+//     cuts cut-major over every lane (relax.go; AVX-512 and AVX2 bodies
+//     on amd64) —
 //     and a single-p RunContext is a one-lane block of it. Solver entry
 //     points are memo-free. The Input-level entry points consult the memo
 //     first: SolveContext (one p, memoizing the partition) and the sweep

@@ -15,14 +15,16 @@ import (
 // triangular iteration: the sweep layer (solveLanes) partitions its p list
 // into blocks of at most this many lanes. The width trades per-lane
 // efficiency (wider blocks amortize more of the DP control flow, index
-// arithmetic and gain/loss traffic over more lanes per 4-lane vector
-// step) against the per-node working set — a block holds
+// arithmetic and gain/loss traffic over more lanes per vector step)
+// against the per-node working set — a block holds
 // MaxLanes·(8+4) bytes per triangle cell of pIC/cut state and one
 // MaxLanes·8-byte threshold per slice of a row, which at 16 lanes keeps
 // a |T| ≈ 50 node's live rows inside L2 — and against sweep
 // granularity across workers (the sweep layer shrinks blocks below this
-// cap when splitting them over more workers is the better trade). The
-// AVX2 relaxRow body covers every width up to this cap.
+// cap when splitting them over more workers is the better trade). Both
+// vector relaxRow bodies cover every width up to this cap: the AVX2 body
+// four lanes per step, the AVX-512 body eight, a 16-lane block's strip
+// in two steps.
 const MaxLanes = 16
 
 // improveThr returns the strict-improvement threshold Improves(·, best)
@@ -34,7 +36,8 @@ const MaxLanes = 16
 // loss are finite sums, p ∈ [0,1]), so Improves' -Inf arm is unreachable.
 // Like Improves it rounds the product before the add: the float64
 // conversion keeps any compiler from fusing the two into an FMA, so the
-// value is the one relaxRowAVX2 computes with a separate multiply and add.
+// value is the one the vector relaxRow bodies compute with a separate
+// multiply and add.
 // The no-cut candidate p·g − q·l is likewise two rounded multiplies and a
 // subtract in both bodies: the amd64 compiler never fuses them.
 func improveThr(best float64) float64 {
@@ -196,17 +199,19 @@ func (in *Input) returnLanes(sl laneSlab) {
 // node and K p-lanes, assuming every child's pIC strips in sl are already
 // computed. The lane arenas hold one K-wide strip per triangle cell
 // (row-major, like the gain/loss triangles). Row by row, last to first,
-// one relaxRow call (relaxRowAVX2 where the CPU has AVX2) finishes the
-// whole row: it stores every cell's no-cut candidate, offers the
-// spatial cut, then for cut = i..T−2 offers pic(i,cut) + pic(cut+1,j)
-// to all cells (i, j>cut) at once, reading row cut+1 contiguously.
+// one relaxRow call finishes the whole row: it stores every cell's
+// no-cut candidate, offers the spatial cut, then for cut = i..T−2
+// offers pic(i,cut) + pic(cut+1,j) to all cells (i, j>cut) at once,
+// reading row cut+1 contiguously.
 // pic(i,cut) is final when cut is offered: its own cuts i..cut−1 were
 // offered before. Each cell still sees the same candidates in the same
 // order — no cut, spatial, then temporal cuts ascending — with the same
 // adds and strict compares against per-lane cached thresholds, and per
 // lane none of it depends on K, so each lane's pIC and cut matrices are
 // bit-identical to a one-lane solve at that p. The row's thresholds live
-// in the node's strip of the slab.
+// in the node's strip of the slab. The kernel level picks the body:
+// relaxRowAVX512 where the CPU has AVX-512 F, DQ and VL, relaxRowAVX2
+// where it has AVX2, the portable relaxRow elsewhere.
 func (s *Solver) iterateCellsLanes(sl laneSlab, id, K int, eff *[MaxLanes]float64) {
 	in := s.in
 	T := in.T
@@ -229,9 +234,12 @@ func (s *Solver) iterateCellsLanes(sl laneSlab, id, K int, eff *[MaxLanes]float6
 		g, l := gain[base:base+T-i], loss[base:base+T-i]
 		tri, th, c := pic[base*K:], thr[:n], cuts[base*K:base*K+n]
 		kids := sl.pic[base*K:]
-		if useAVX2 {
+		switch kernel {
+		case kernelAVX512:
+			relaxRowAVX512(p, q, g, l, tri, th, c, kids, childOffs, i)
+		case kernelAVX2:
 			relaxRowAVX2(p, q, g, l, tri, th, c, kids, childOffs, i)
-		} else {
+		default:
 			relaxRow(p, q, g, l, tri, th, c, kids, childOffs, i)
 		}
 	}

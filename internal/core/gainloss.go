@@ -15,7 +15,7 @@ import "ocelotl/internal/measures"
 // order, math.Log2's included, so the choice of body never changes a bit
 // of the result (FuzzGainLossRow, FuzzLog2x4).
 func gainLossRow(den, sd, sr, sl, gain, loss []float64) {
-	if useAVX2 {
+	if kernel >= kernelAVX2 {
 		gainLossRowAVX2(den, sd, sr, sl, gain, loss)
 	} else {
 		gainLossRowGo(den, sd, sr, sl, gain, loss)

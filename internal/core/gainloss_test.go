@@ -36,7 +36,7 @@ func requireLog2x4(t *testing.T, lanes [4]uint64) {
 // √2/2 (archLog's reduction branch), zeros, negatives, ±Inf and NaN
 // payloads, signalling ones included.
 func FuzzLog2x4(f *testing.F) {
-	if !avx2Supported() {
+	if cpuKernel() < kernelAVX2 {
 		f.Skip("no AVX2 log2 on this CPU")
 	}
 	f.Add(uint64(0x3ff0000000000000), uint64(0x3fe6a09e667f3bcc), uint64(1), uint64(0x7ff0000000000000))
@@ -48,7 +48,7 @@ func FuzzLog2x4(f *testing.F) {
 // TestLog2x4Sweep runs the four-lane log2 over every binade's edges and
 // a random spread of bit patterns in each class FuzzLog2x4 seeds.
 func TestLog2x4Sweep(t *testing.T) {
-	if !avx2Supported() {
+	if cpuKernel() < kernelAVX2 {
 		t.Skip("no AVX2 log2 on this CPU")
 	}
 	var vals []uint64
@@ -110,7 +110,7 @@ func gainLossInputs(r *fuzzBytes, X, n int) (den, sd, sr, sl []float64) {
 // 1..70 cells (full four-cell steps and every tail length), and checks
 // that neither body writes past the row.
 func FuzzGainLossRow(f *testing.F) {
-	if !avx2Supported() {
+	if cpuKernel() < kernelAVX2 {
 		f.Skip("no gainLossRowAVX2 on this CPU")
 	}
 	f.Add(uint8(6), uint8(40), []byte{4, 1, 0, 0, 0, 0, 0, 0, 2, 4, 0, 0, 0, 0, 0, 0, 0, 1})
@@ -179,14 +179,14 @@ func gainLossModel(tb testing.TB, X, T int) *microscopic.Model {
 // fillRow's passes over every row of the root's triangle, |X| = 6 and
 // |T| = 40 — once with each gainLossRow body, so the vector kernel's
 // speed-up can be read apart from the end-to-end builds.
-func BenchmarkGainLossRow_Go(b *testing.B)   { benchGainLossRow(b, false) }
-func BenchmarkGainLossRow_AVX2(b *testing.B) { benchGainLossRow(b, true) }
+func BenchmarkGainLossRow_Go(b *testing.B)   { benchGainLossRow(b, kernelGo) }
+func BenchmarkGainLossRow_AVX2(b *testing.B) { benchGainLossRow(b, kernelAVX2) }
 
-func benchGainLossRow(b *testing.B, avx2 bool) {
-	if avx2 && !avx2Supported() {
+func benchGainLossRow(b *testing.B, body kernelLevel) {
+	if body > cpuKernel() {
 		b.Skip("no gainLossRowAVX2 on this CPU")
 	}
-	defer setAVX2(avx2)()
+	defer setKernel(body)()
 	in := testInput(b, gainLossModel(b, 6, 40), Options{Workers: 1})
 	sc := in.newRowSums()
 	want := slices.Clone(in.gain)

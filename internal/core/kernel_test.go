@@ -109,11 +109,11 @@ func edgeModel(rng *rand.Rand) *microscopic.Model {
 // TestKernelBitIdenticalEdgeValues: NewInputContext on models full of
 // edge values (idle states, zero-duration slices, size-1 leaves,
 // subnormals) fills every arena cell exactly as the two-log reference,
-// with either gainLossRow body.
+// at each kernel level the CPU runs.
 func TestKernelBitIdenticalEdgeValues(t *testing.T) {
-	for _, avx2 := range avx2Bodies() {
-		t.Run("avx2="+strconv.FormatBool(avx2), func(t *testing.T) {
-			defer setAVX2(avx2)()
+	for _, body := range kernelBodies() {
+		t.Run(bodyName(body), func(t *testing.T) {
+			defer setKernel(body)()
 			rng := rand.New(rand.NewSource(17))
 			for trial := 0; trial < 60; trial++ {
 				m := edgeModel(rng)
@@ -128,11 +128,11 @@ func TestKernelBitIdenticalEdgeValues(t *testing.T) {
 // UpdateContext after forward and backward pans, and of CoarsenContext
 // all match the two-log reference bit for bit, on random traces with an
 // idle state and subnormal event durations at the window start, with
-// either gainLossRow body.
+// each kernel level the CPU runs.
 func TestKernelBitIdenticalDerived(t *testing.T) {
-	for _, avx2 := range avx2Bodies() {
-		t.Run("avx2="+strconv.FormatBool(avx2), func(t *testing.T) {
-			defer setAVX2(avx2)()
+	for _, body := range kernelBodies() {
+		t.Run(bodyName(body), func(t *testing.T) {
+			defer setKernel(body)()
 			checkKernelDerived(t)
 		})
 	}

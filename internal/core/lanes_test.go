@@ -64,9 +64,9 @@ func samePartitions(t *testing.T, what string, got, want []*partition.Partition)
 // TestPoisonedLaneSlabs fills the free list with slabs a larger Input of
 // another shape left behind, every pIC cell and threshold NaN and every
 // cut out of range, and requires each lane of a solve on them to be
-// bit-identical to the same solve on a fresh zeroed slab, with either
-// relaxRow body: the kernel must write every cell and threshold before
-// it reads it.
+// bit-identical to the same solve on a fresh zeroed slab, with each
+// relaxRow body the CPU runs: the kernel must write every cell and
+// threshold before it reads it.
 func TestPoisonedLaneSlabs(t *testing.T) {
 	defer drainLaneSlabs()
 	small := cancelTestInput(t, Options{Workers: 1})
@@ -88,9 +88,9 @@ func TestPoisonedLaneSlabs(t *testing.T) {
 			putIdle(large, sl)
 		}
 	}
-	for _, avx2 := range avx2Bodies() {
-		t.Run("avx2="+strconv.FormatBool(avx2), func(t *testing.T) {
-			defer setAVX2(avx2)()
+	for _, body := range kernelBodies() {
+		t.Run(bodyName(body), func(t *testing.T) {
+			defer setKernel(body)()
 			for _, K := range []int{1, 3, MaxLanes} {
 				ps := make([]float64, K)
 				for k := range ps {

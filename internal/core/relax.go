@@ -12,9 +12,10 @@ package core
 //  3. temporal, cut = i..T−2: L = pic(i, cut) plus the row cut+1 below
 //     is offered to every cell (i, j>cut).
 //
-// This is the portable body; relaxRowAVX2 performs the same IEEE
-// operations in the same order, so the choice of body never changes a
-// bit of the result (FuzzRelaxRow).
+// This is the portable body; relaxRowAVX2 (four lanes per step) and
+// relaxRowAVX512 (eight) perform the same IEEE operations in the same
+// order, so the choice of body never changes a bit of the result
+// (FuzzRelaxRow).
 func relaxRow(p, q, g, l, tri, th []float64, c []int32, kids []float64, childOffs []int, i int) {
 	K, n := len(p), len(th)
 	P, C := tri[:n], c[:n]
@@ -73,8 +74,19 @@ func relaxRow(p, q, g, l, tri, th []float64, c []int32, kids []float64, childOff
 	}
 }
 
-// useAVX2 selects the AVX2 bodies of the two row kernels, relaxRowAVX2
-// over relaxRow and gainLossRowAVX2 over gainLossRow's portable body. It
-// is set once, before any input pass or solve, from the CPU's features
-// (avx2Supported); tests flip it to run both bodies.
-var useAVX2 = avx2Supported()
+// kernelLevel names a set of bodies of the two row kernels, relaxRow
+// and gainLossRow: the portable Go bodies, their AVX2 bodies, or
+// relaxRowAVX512 with gainLossRow's AVX2 body (gainLossRow has no
+// AVX-512 body). Every level computes the same bits.
+type kernelLevel int
+
+const (
+	kernelGo kernelLevel = iota
+	kernelAVX2
+	kernelAVX512
+)
+
+// kernel is the kernel level iterateCellsLanes and gainLossRow run. It
+// is set once, before any input pass or solve, to the widest level the
+// CPU has (cpuKernel); tests lower it to run every body the CPU has.
+var kernel = cpuKernel()

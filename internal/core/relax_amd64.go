@@ -8,6 +8,14 @@ package core
 //go:noescape
 func relaxRowAVX2(p, q, g, l, tri, th []float64, c []int32, kids []float64, childOffs []int, i int)
 
-// avx2Supported reports whether the CPU supports AVX2 and the OS saves
-// the YMM registers (CPUID leaves 1 and 7, XGETBV).
-func avx2Supported() bool
+// relaxRowAVX512 is relaxRow's AVX-512 body (relax_amd64.s): one call
+// per row, eight lanes per step and opmasks for partial strips and
+// tails. Its contract is relaxRowAVX2's.
+//
+//go:noescape
+func relaxRowAVX512(p, q, g, l, tri, th []float64, c []int32, kids []float64, childOffs []int, i int)
+
+// cpuKernel reports the widest row-kernel body the CPU runs and the OS
+// saves the registers of (CPUID leaves 1 and 7, XGETBV): kernelAVX512
+// needs AVX-512 F, DQ and VL, kernelAVX2 needs AVX2.
+func cpuKernel() kernelLevel

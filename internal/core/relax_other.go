@@ -4,12 +4,16 @@ package core
 
 import "math"
 
-// avx2Supported: there are no vector row-kernel bodies off amd64.
-func avx2Supported() bool { return false }
+// cpuKernel: there are no vector row-kernel bodies off amd64.
+func cpuKernel() kernelLevel { return kernelGo }
 
-// relaxRowAVX2 is never selected off amd64; it runs the portable body so
-// the kernel's dispatch compiles everywhere.
+// relaxRowAVX2 and relaxRowAVX512 are never selected off amd64; they
+// run the portable body so the kernel's dispatch compiles everywhere.
 func relaxRowAVX2(p, q, g, l, tri, th []float64, c []int32, kids []float64, childOffs []int, i int) {
+	relaxRow(p, q, g, l, tri, th, c, kids, childOffs, i)
+}
+
+func relaxRowAVX512(p, q, g, l, tri, th []float64, c []int32, kids []float64, childOffs []int, i int) {
 	relaxRow(p, q, g, l, tri, th, c, kids, childOffs, i)
 }
 

@@ -100,21 +100,35 @@ func refIterateCellsLanes(s *Solver, sl laneSlab, id, K int, eff *[MaxLanes]floa
 	}
 }
 
-// avx2Bodies lists the useAVX2 settings this machine can run: the
-// portable row kernels always, their AVX2 bodies where the CPU has AVX2.
-func avx2Bodies() []bool {
-	if avx2Supported() {
-		return []bool{false, true}
+// kernelBodies lists the kernel levels this CPU can run: the portable
+// bodies always, the AVX2 ones where the CPU has AVX2, relaxRowAVX512
+// where it has AVX-512.
+func kernelBodies() []kernelLevel {
+	var levels []kernelLevel
+	for k := kernelGo; k <= cpuKernel(); k++ {
+		levels = append(levels, k)
 	}
-	return []bool{false}
+	return levels
 }
 
-// setAVX2 selects the row kernels' bodies and returns a func restoring
+// bodyName is a kernel level's subtest name: avx2=false for the portable
+// bodies, avx2=true for the AVX2 ones, avx512=true for relaxRowAVX512.
+func bodyName(k kernelLevel) string {
+	switch k {
+	case kernelAVX512:
+		return "avx512=true"
+	case kernelAVX2:
+		return "avx2=true"
+	}
+	return "avx2=false"
+}
+
+// setKernel selects the row kernels' bodies and returns a func restoring
 // the previous choice.
-func setAVX2(on bool) func() {
-	prev := useAVX2
-	useAVX2 = on
-	return func() { useAVX2 = prev }
+func setKernel(k kernelLevel) func() {
+	prev := kernel
+	kernel = k
+	return func() { kernel = prev }
 }
 
 // solveArenas runs one K-lane block's node walk on a fresh solver and a
@@ -123,13 +137,18 @@ func setAVX2(on bool) func() {
 func solveArenas(in *Input, ps []float64, iterate func(s *Solver, sl laneSlab, id, K int, eff *[MaxLanes]float64)) ([]float64, []int32) {
 	s := in.NewSolver()
 	K := len(ps)
-	sl := laneSlab{pic: make([]float64, len(in.gain)*K), cut: make([]int32, len(in.gain)*K), thr: make([]float64, len(in.meta)*in.T*K)}
+	sl := freshSlab(in, K)
 	var eff [MaxLanes]float64
 	for k, p := range ps {
 		eff[k] = in.effectiveP(p)
 	}
 	s.walkParallel(context.Background(), in.rootID, nil, func(id int) { iterate(s, sl, id, K, &eff) })
 	return sl.pic, sl.cut
+}
+
+// freshSlab is a zeroed K-lane slab of in's shape.
+func freshSlab(in *Input, K int) laneSlab {
+	return laneSlab{pic: make([]float64, len(in.gain)*K), cut: make([]int32, len(in.gain)*K), thr: make([]float64, len(in.meta)*in.T*K)}
 }
 
 // homogeneousModel is a tie-heavy model: every leaf spends the same share
@@ -164,11 +183,18 @@ func homogeneousModel(rng *rand.Rand) *microscopic.Model {
 // verbatim cell-major reference cell by cell — the Float64bits of every
 // pIC lane and every cut — on random and homogeneous models for every
 // block width 1..MaxLanes, and on a 70-slice model whose widest blocks
-// have the longest threshold rows, once with each relaxRow body.
+// have the longest threshold rows, once with each relaxRow body the CPU
+// runs. It checks that the kernel level starts at the CPU's widest, and
+// logs the bodies it ran and those the CPU lacks (go test -v shows it).
 func TestCutMajorKernelBitIdentical(t *testing.T) {
-	for _, avx2 := range avx2Bodies() {
-		t.Run("avx2="+strconv.FormatBool(avx2), func(t *testing.T) {
-			defer setAVX2(avx2)()
+	if kernel != cpuKernel() {
+		t.Fatalf("kernel level %d, want the CPU's %d", kernel, cpuKernel())
+	}
+	names := [...]string{"relaxRow", "relaxRowAVX2", "relaxRowAVX512"}
+	t.Logf("relaxRow bodies run: %v; not on this CPU: %v", names[:cpuKernel()+1], names[cpuKernel()+1:])
+	for _, body := range kernelBodies() {
+		t.Run(bodyName(body), func(t *testing.T) {
+			defer setKernel(body)()
 			rng := rand.New(rand.NewSource(41))
 			for trial := 0; trial < 12; trial++ {
 				var m *microscopic.Model
@@ -214,9 +240,9 @@ func checkKernelBitIdentical(t *testing.T, in *Input, rng *rand.Rand, model stri
 // TestRunLanesAllocs pins runLanes' allocations on a warm free list to
 // what the cell-major kernel made: the partitions it returns and nothing
 // per node — the kernel's threshold strips are part of the borrowed slab
-// (relaxRowAVX2 is go:noescape, so nothing else escapes either), for
-// short rows (the 24×40 model) and long ones (the 6×70 model at K = 15
-// and 16), with either relaxRow body.
+// (both vector bodies are go:noescape, so nothing else escapes either),
+// for short rows (the 24×40 model) and long ones (the 6×70 model at
+// K = 15 and 16), with each relaxRow body the CPU runs.
 func TestRunLanesAllocs(t *testing.T) {
 	for _, c := range []struct {
 		S, T   int
@@ -230,9 +256,9 @@ func TestRunLanesAllocs(t *testing.T) {
 		// Slabs other tests left may be too small for this shape; from an
 		// empty free list the warm-up run leaves one that fits.
 		drainLaneSlabs()
-		for _, avx2 := range avx2Bodies() {
-			t.Run(strconv.Itoa(c.S)+"x"+strconv.Itoa(c.T)+"/avx2="+strconv.FormatBool(avx2), func(t *testing.T) {
-				defer setAVX2(avx2)()
+		for _, body := range kernelBodies() {
+			t.Run(strconv.Itoa(c.S)+"x"+strconv.Itoa(c.T)+"/"+bodyName(body), func(t *testing.T) {
+				defer setKernel(body)()
 				for K, want := range c.allocs {
 					ps := make([]float64, K)
 					for k := range ps {
@@ -311,14 +337,32 @@ func (r *fuzzBytes) finite() float64 {
 	return 1
 }
 
-// FuzzRelaxRow compares relaxRowAVX2 with the portable relaxRow bit for
-// bit — every P, TH and C lane of the row — for K = 1..MaxLanes, rows of
-// 1..80 strips (past T·K = 1024 included) and 0..5 children in a fuzzed
-// order. Child strips can tie or just beat the no-cut threshold, or sum
-// to −0; the first cut's right parts can tie or just beat it too.
+// vectorRelaxRows are relaxRow's vector bodies, each with the kernel
+// level a CPU needs to run it.
+var vectorRelaxRows = []struct {
+	name  string
+	level kernelLevel
+	run   func(p, q, g, l, tri, th []float64, c []int32, kids []float64, childOffs []int, i int)
+}{
+	{"relaxRowAVX2", kernelAVX2, relaxRowAVX2},
+	{"relaxRowAVX512", kernelAVX512, relaxRowAVX512},
+}
+
+// FuzzRelaxRow compares each vector body of relaxRow the CPU runs with
+// the portable body bit for bit — every P, TH and C lane of the row —
+// for K = 1..MaxLanes, rows of 1..80 strips (past T·K = 1024 included)
+// and 0..5 children in a fuzzed order. Child strips can tie or just beat
+// the no-cut threshold, or sum to −0; the first cut's right parts can tie
+// or just beat it too. It logs each body the CPU cannot run, and skips
+// when that is every one.
 func FuzzRelaxRow(f *testing.F) {
-	if !avx2Supported() {
-		f.Skip("no relaxRowAVX2 on this CPU")
+	for _, b := range vectorRelaxRows {
+		if b.level > cpuKernel() {
+			f.Logf("%s skipped: this CPU does not run it", b.name)
+		}
+	}
+	if cpuKernel() == kernelGo {
+		f.Skip("no vector relaxRow body on this CPU")
 	}
 	f.Add(uint8(0), uint8(12), uint8(0), []byte{3, 200, 7, 1, 2, 3, 4, 5, 6, 7, 8, 5, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add(uint8(7), uint8(6), uint8(2), []byte{1, 90, 17, 33, 6, 0x3f, 0xf0, 0, 0, 0, 0, 0, 0, 4})
@@ -366,19 +410,24 @@ func FuzzRelaxRow(f *testing.F) {
 			}
 			tri[m] = r.value(tie)
 		}
-		th, c := make([]float64, n), make([]int32, n)
-		goTri, goTH, goC := slices.Clone(tri), slices.Clone(th), slices.Clone(c)
+		goTri, goTH, goC := slices.Clone(tri), make([]float64, n), make([]int32, n)
 		relaxRow(p, q, g, l, goTri, goTH, goC, kids, childOffs, i)
-		relaxRowAVX2(p, q, g, l, tri, th, c, kids, childOffs, i)
-		for m := range tri {
-			if math.Float64bits(tri[m]) != math.Float64bits(goTri[m]) {
-				t.Fatalf("K=%d W=%d kids=%d: pIC %d: AVX2 %v, Go %v", K, W, len(childOffs), m, tri[m], goTri[m])
+		for _, b := range vectorRelaxRows {
+			if b.level > cpuKernel() {
+				continue
 			}
-		}
-		for m := range th {
-			if math.Float64bits(th[m]) != math.Float64bits(goTH[m]) || c[m] != goC[m] {
-				t.Fatalf("K=%d W=%d kids=%d: lane %d: AVX2 (TH %v, C %d), Go (TH %v, C %d)",
-					K, W, len(childOffs), m, th[m], c[m], goTH[m], goC[m])
+			tri, th, c := slices.Clone(tri), make([]float64, n), make([]int32, n)
+			b.run(p, q, g, l, tri, th, c, kids, childOffs, i)
+			for m := range tri {
+				if math.Float64bits(tri[m]) != math.Float64bits(goTri[m]) {
+					t.Fatalf("%s K=%d W=%d kids=%d: pIC %d: %v, Go %v", b.name, K, W, len(childOffs), m, tri[m], goTri[m])
+				}
+			}
+			for m := range th {
+				if math.Float64bits(th[m]) != math.Float64bits(goTH[m]) || c[m] != goC[m] {
+					t.Fatalf("%s K=%d W=%d kids=%d: lane %d: (TH %v, C %d), Go (TH %v, C %d)",
+						b.name, K, W, len(childOffs), m, th[m], c[m], goTH[m], goC[m])
+				}
 			}
 		}
 	})
@@ -421,4 +470,37 @@ func benchSolveLanes(b *testing.B, K int) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*K), "ns/p")
+}
+
+// BenchmarkRelaxRow_* time the Algorithm 1 row kernel alone, once with
+// each relaxRow body: every row of the root's triangle at K = 8 over the
+// prebuilt |X| = 6, |T| = 40 Input of BenchmarkGainLossRow_*, its
+// children solved once before the timer starts.
+func BenchmarkRelaxRow_Go(b *testing.B)     { benchRelaxRow(b, kernelGo) }
+func BenchmarkRelaxRow_AVX2(b *testing.B)   { benchRelaxRow(b, kernelAVX2) }
+func BenchmarkRelaxRow_AVX512(b *testing.B) { benchRelaxRow(b, kernelAVX512) }
+
+func benchRelaxRow(b *testing.B, body kernelLevel) {
+	if body > cpuKernel() {
+		b.Skip("this CPU does not run the body")
+	}
+	defer setKernel(body)()
+	in := testInput(b, gainLossModel(b, 6, 40), Options{Workers: 1})
+	s := in.NewSolver()
+	const K = 8
+	sl := freshSlab(in, K)
+	var eff [MaxLanes]float64
+	for k := range eff[:K] {
+		eff[k] = in.effectiveP(float64(k+1) / (K + 1))
+	}
+	s.walkParallel(context.Background(), in.rootID, nil, func(id int) { s.iterateCellsLanes(sl, id, K, &eff) })
+	want := slices.Clone(sl.pic)
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		s.iterateCellsLanes(sl, in.rootID, K, &eff)
+	}
+	b.StopTimer()
+	if !slices.Equal(sl.pic, want) {
+		b.Fatal("re-solving the root's rows changed its pIC")
+	}
 }

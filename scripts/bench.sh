@@ -7,7 +7,8 @@
 # in the repo. The suite covers the engine (input pass, Run, the fused
 # multi-p sweeps BenchmarkSweepFused_{K4,K16} vs BenchmarkSweepSingle_K16,
 # the kernel alone on a prebuilt Input BenchmarkSolveLanes_{K1,K8,K16},
-# the input pass's row fill alone BenchmarkGainLossRow_{Go,AVX2},
+# the input pass's row fill alone BenchmarkGainLossRow_{Go,AVX2}, one
+# node's rows through each relaxRow body BenchmarkRelaxRow_{Go,AVX2,AVX512},
 # the batched dichotomy BenchmarkSignificantPs{,_Batched}, cooperative
 # cancellation), the windowing families (BenchmarkWindowPan/Zoom), the
 # out-of-core store (BenchmarkStoreBuild, BenchmarkStoreBuild_TimeOrdered:
@@ -45,9 +46,11 @@ trap 'rm -f "$tmp"' EXIT
 # internal/core contributes only its kernel benchmarks unless BENCH asks
 # for more — the Algorithm 1 row kernel (BenchmarkSolveLanes_*) and the
 # input pass's row fill with each gainLossRow body
-# (BenchmarkGainLossRow_{Go,AVX2}); its input-pass and Run benchmarks stay
+# (BenchmarkGainLossRow_{Go,AVX2}) and one node's rows with each relaxRow
+# body (BenchmarkRelaxRow_{Go,AVX2,AVX512}; a body the CPU lacks is
+# skipped and leaves no entry); its input-pass and Run benchmarks stay
 # out of the baseline.
-core_pattern="${BENCH:-^Benchmark(SolveLanes|GainLossRow)_}"
+core_pattern="${BENCH:-^Benchmark(SolveLanes|GainLossRow|RelaxRow)_}"
 
 go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -benchmem . | tee "$tmp"
 go test -run '^$' -bench "$core_pattern" -benchtime "$benchtime" -benchmem ./internal/core | tee -a "$tmp"
