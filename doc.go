@@ -51,9 +51,9 @@
 // with singleflight deduplication, per-request build-path logging and
 // /debug/cachestats counters. Request contexts flow through the whole
 // serve path: a timed-out or disconnected request answers 499, counts
-// toward the "aborted" stat, and abandons its engine work; singleflight
-// build leaders detach from their first caller's context and die only
-// when every coalesced waiter has cancelled.
+// toward the "aborted" stat, and abandons its engine work; a singleflight
+// build runs on its flight's own goroutine and context, and dies only
+// when every request that joined it has cancelled.
 //
 // The root package holds the benchmark harness (bench_test.go) that
 // regenerates every table and figure of the paper's evaluation, plus the

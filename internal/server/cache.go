@@ -94,23 +94,35 @@ type traceGen struct {
 const DefaultLadderLevels = 8
 
 // flight is one in-flight build; concurrent requests for the same key
-// wait on done instead of building again. The build runs under the
-// flight's own context, detached from the leader's request: a singleflight
-// result is shared, so one impatient caller must not kill work other
-// callers still want. Instead every participant (leader included) holds a
-// waiter reference; a caller whose request context dies drops its
-// reference, and when the count reaches zero — every response that would
-// have carried this Input has been abandoned — cancel fires and the build
-// aborts at its next check.
+// wait on done instead of building again. The build runs on the flight's
+// own goroutine and context: its result is shared, so no one caller may
+// kill work others still want. Every caller that joins holds a stake,
+// dropped when its context ends; the last drop — every response that
+// would have carried this Input abandoned — cancels the build.
 type flight struct {
+	// done is closed, and ctx cancelled, under the cache mu when the
+	// flight lands.
 	done chan struct{}
 	in   *core.Input
 	kind BuildKind
 	err  error
 
-	ctx     context.Context // the build's detached context
-	cancel  context.CancelFunc
-	waiters int // guarded by the cache mu; leader counts as one
+	ctx    context.Context // the build's own context
+	cancel context.CancelFunc
+	// Guarded by the cache mu: the stakes held, and what they leave to
+	// release once the flight lands (drop registrations, adoption timers).
+	stakes   int
+	releases []func() bool
+}
+
+// result is a landed flight's outcome as one caller reports it: kind is
+// the caller's join (BuildCoalesced), or "" for the caller that started
+// the flight, which reports how the build ran.
+func (f *flight) result(kind BuildKind) (*core.Input, BuildKind, error) {
+	if kind == "" {
+		kind = f.kind
+	}
+	return f.in, kind, f.err
 }
 
 // InputCache is the window-keyed Input cache of the serving layer: an LRU
@@ -196,89 +208,92 @@ func keyFor(tr *Trace, sl timeslice.Slicer) windowKey {
 // after eviction; callers never hold cache locks while using it.
 //
 // ctx is the caller's request context. A cache hit is served regardless
-// (it costs one map lookup). On a miss the build runs under the flight's
-// detached context (see flight); ctx only governs this caller's stake in
-// it — an already-cancelled ctx returns ctx.Err() before any work starts,
-// and a ctx cancelled mid-wait abandons the flight (the build itself dies
-// only once every waiter has abandoned it).
-//
-// A cancellation error is therefore only ever this caller's own: a live
-// request that runs into a flight all of whose waiters already cancelled
-// does not inherit the dying build's ctx.Err() — it waits out the
-// abandoned flight's unwind and retries with a fresh build.
+// (it costs one map lookup). On a miss ctx only governs this caller's
+// stake in the flight (see join): an already-cancelled ctx returns
+// ctx.Err() before any work starts, and one cancelled mid-wait returns
+// ctx.Err() at once. A cancellation error is only ever the caller's own.
 func (c *InputCache) Get(ctx context.Context, tr *Trace, sl timeslice.Slicer) (*core.Input, BuildKind, error) {
-	for {
-		in, kind, err := c.getOnce(ctx, tr, sl)
-		if err != nil && isCancellation(err) && ctx.Err() == nil {
-			// The flight this caller coalesced onto was abandoned by its
-			// other waiters and died with their cancellation, not ours.
-			// The flight is (or is about to be) out of the inflight map;
-			// go again and build it for real.
-			continue
-		}
+	in, f, kind, err := c.join(ctx, tr, sl)
+	if f == nil {
 		return in, kind, err
+	}
+	select {
+	case <-f.done:
+		return f.result(kind)
+	case <-ctx.Done():
+		return nil, kind, ctx.Err()
 	}
 }
 
-func (c *InputCache) getOnce(ctx context.Context, tr *Trace, sl timeslice.Slicer) (*core.Input, BuildKind, error) {
+// join resolves one request for sl's window without waiting: a hit
+// returns the cached Input with kind BuildHit; a miss returns the flight
+// building it — the live one in flight (kind BuildCoalesced), or a fresh
+// one this call starts (kind "") — with a stake held for ctx until ctx
+// ends or the flight lands. A flight whose stakes were all dropped is
+// already cancelled (drop cancels under c.mu), so join replaces it rather
+// than inherit its cancellation.
+func (c *InputCache) join(ctx context.Context, tr *Trace, sl timeslice.Slicer) (*core.Input, *flight, BuildKind, error) {
 	key := keyFor(tr, sl)
 
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	zoom := c.noteLevelLocked(traceGen{tr.ID, tr.gen}, levelOf(sl))
 	if el, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(el)
 		c.stats.Hits.Add(1)
-		e := el.Value.(*entry)
 		c.evictToBudgetLocked()
-		c.mu.Unlock()
-		return e.in, BuildHit, nil
+		return el.Value.(*entry).in, nil, BuildHit, nil
 	}
 	if err := ctx.Err(); err != nil {
 		// Expired before any build work: fail fast rather than start (or
 		// pile onto) a build whose response this caller will never read.
-		c.mu.Unlock()
-		return nil, "", err
+		return nil, nil, "", err
 	}
-	if f, ok := c.inflight[key]; ok {
-		if f.ctx.Err() != nil {
-			// Every waiter already abandoned this flight; its build is
-			// unwinding toward a cancellation error. Joining it would only
-			// inherit that error — wait out the unwind instead, then let
-			// the caller's retry start a fresh flight.
-			c.mu.Unlock()
-			select {
-			case <-f.done:
-				return nil, BuildCoalesced, context.Canceled
-			case <-ctx.Done():
-				return nil, BuildCoalesced, ctx.Err()
-			}
-		}
+	kind := BuildCoalesced
+	f, ok := c.inflight[key]
+	if ok && f.ctx.Err() == nil {
 		c.stats.Coalesced.Add(1)
-		f.waiters++
-		c.mu.Unlock()
-		c.watchWaiter(f, ctx)
-		select {
-		case <-f.done:
-		case <-ctx.Done():
-			return nil, BuildCoalesced, ctx.Err()
-		}
-		if f.err != nil {
-			return nil, BuildCoalesced, f.err
-		}
-		return f.in, BuildCoalesced, nil
+	} else {
+		fctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+		f = &flight{done: make(chan struct{}), ctx: fctx, cancel: cancel}
+		c.inflight[key] = f
+		c.stats.Misses.Add(1)
+		src, aligned := c.nearestLocked(tr, sl)
+		go c.fly(f, key, ctx, tr, sl, src, aligned, zoom)
+		kind = ""
 	}
-	fctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
-	f := &flight{done: make(chan struct{}), ctx: fctx, cancel: cancel, waiters: 1}
-	c.inflight[key] = f
-	c.stats.Misses.Add(1)
-	src, aligned := c.nearestLocked(tr, sl)
-	c.mu.Unlock()
-	c.watchWaiter(f, ctx)
+	c.holdLocked(f, ctx)
+	return nil, f, kind, nil
+}
 
-	f.in, f.kind, f.err = c.runBuild(fctx, ctx, tr, sl, src, aligned)
+// holdLocked takes a stake in f for ctx, dropped when ctx ends.
+func (c *InputCache) holdLocked(f *flight, ctx context.Context) {
+	f.stakes++
+	if ctx.Done() != nil { // a context that never ends holds its stake for good
+		f.releases = append(f.releases, context.AfterFunc(ctx, func() { c.drop(f) }))
+	}
+}
+
+// drop gives up one stake in f; the last one cancels the flight's build.
+func (c *InputCache) drop(f *flight) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if f.stakes--; f.stakes == 0 {
+		f.cancel()
+	}
+}
+
+// fly is a flight's goroutine: it runs the build, lands the result —
+// insert, zoom counters, in-flight delete — and closes done. The
+// in-flight entry is deleted only while it is still this flight: a
+// cancelled flight may already have been replaced by a fresh one.
+func (c *InputCache) fly(f *flight, key windowKey, reqCtx context.Context, tr *Trace, sl timeslice.Slicer, src *entry, aligned timeslice.Slicer, zoom bool) {
+	f.in, f.kind, f.err = c.runBuild(f.ctx, reqCtx, tr, sl, src, aligned)
 
 	c.mu.Lock()
-	delete(c.inflight, key)
+	if c.inflight[key] == f {
+		delete(c.inflight, key)
+	}
 	if f.err == nil {
 		c.insertLocked(tr, f.in)
 		if zoom {
@@ -293,35 +308,33 @@ func (c *InputCache) getOnce(ctx context.Context, tr *Trace, sl timeslice.Slicer
 			}
 		}
 	}
-	c.mu.Unlock()
+	for _, release := range f.releases {
+		release()
+	}
+	f.releases = nil
 	close(f.done)
-	cancel() // release the flight context's resources
-	return f.in, f.kind, f.err
+	f.cancel()
+	c.mu.Unlock()
 }
 
-// watchWaiter ties one caller's request context to a flight: when the
-// caller's ctx dies, its waiter reference is dropped, and the last drop
-// cancels the flight's build context. The goroutine exits as soon as the
-// flight completes, so a finished flight pins nothing. Contexts that can
-// never be cancelled (ctx.Done() == nil, e.g. context.Background()) hold
-// their reference forever without spawning anything.
-func (c *InputCache) watchWaiter(f *flight, ctx context.Context) {
-	if ctx.Done() == nil {
+// adopt keeps f's build going after the request that answered with a
+// preview returns: one more stake, under a context of its own that
+// expires after timeout (≤ 0: never) and is released when f lands. It
+// adds a stake to the flight the request already joined rather than
+// joining again, so it counts as no window request. A flight already
+// landed or abandoned (its context is cancelled under c.mu) is left be.
+func (c *InputCache) adopt(f *flight, timeout time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if f.ctx.Err() != nil {
 		return
 	}
-	go func() {
-		select {
-		case <-ctx.Done():
-			c.mu.Lock()
-			f.waiters--
-			abandoned := f.waiters == 0
-			c.mu.Unlock()
-			if abandoned {
-				f.cancel()
-			}
-		case <-f.done:
-		}
-	}()
+	ctx, cancel := context.Background(), func() {}
+	if timeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+	}
+	c.holdLocked(f, ctx)
+	f.releases = append(f.releases, func() bool { cancel(); return true })
 }
 
 // nearestLocked finds the cached window of the same trace load and slice
@@ -409,16 +422,6 @@ func (c *InputCache) Admit(tr *Trace, sl timeslice.Slicer) error {
 	return nil
 }
 
-// Cached reports whether sl's exact window is resident (refine probe —
-// no stats, no LRU movement).
-func (c *InputCache) Cached(tr *Trace, sl timeslice.Slicer) bool {
-	key := keyFor(tr, sl)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.entries[key]
-	return ok
-}
-
 // Preview returns a coarse stand-in for sl's window for progressive
 // responses: the tightest cached window of the same trace load that
 // contains [sl.Start, sl.End] — any level — served through its memoized
@@ -484,19 +487,20 @@ func (c *InputCache) overview(e *entry) *core.Input {
 }
 
 // FailpointFlight names the fault-injection site at the start of every
-// singleflight build, evaluated with the flight's detached context.
-// Chaos tests inject errors, delays and panics here; deterministic tests
-// use failpoint.EnableFunc to hold a build in place and observe the
-// all-waiters-cancelled semantics.
+// singleflight build, evaluated with the flight's own context. Chaos
+// tests inject errors, delays and panics here; deterministic tests use
+// failpoint.EnableFunc to hold a build in place and observe the
+// all-stakes-dropped semantics.
 const FailpointFlight = "server/flight"
 
 // runBuild is build wrapped in the overload and fault armor every flight
 // gets: the build gate (bounded concurrency, FIFO queue, early shedding
 // — reqCtx contributes the deadline the doom check runs against) and a
 // panic barrier. A panicking build must fail its flight like any other
-// error — the normal unwind in getOnce still deletes the inflight entry
-// and closes f.done, so every coalesced waiter gets the 500 instead of
-// blocking forever on a flight that will never complete.
+// error: it runs on the flight's goroutine, where nothing else would
+// recover it, and the landing in fly still deletes the inflight entry and
+// closes f.done, so every waiter gets the 500 instead of blocking forever
+// on a flight that will never complete.
 func (c *InputCache) runBuild(ctx, reqCtx context.Context, tr *Trace, sl timeslice.Slicer, src *entry, aligned timeslice.Slicer) (in *core.Input, kind BuildKind, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -522,10 +526,10 @@ func (c *InputCache) runBuild(ctx, reqCtx context.Context, tr *Trace, sl timesli
 // build produces the Input for sl outside the cache lock: derived from
 // src when a neighbor overlaps, from scratch otherwise. src.in is
 // immutable, so the build is safe even if the entry is evicted meanwhile.
-// ctx is the flight's detached context: it is checked between the build's
+// ctx is the flight's own context: it is checked between the build's
 // stages (model fill, input pass) and — through NewInputContext /
 // AdvanceContext — once per hierarchy node inside the matrix fill itself,
-// so a flight every waiter abandoned dies mid-fill rather than running
+// so a flight every stake abandoned dies mid-fill rather than running
 // its most expensive step to completion for a dead Input.
 func (c *InputCache) build(ctx context.Context, tr *Trace, sl timeslice.Slicer, src *entry, aligned timeslice.Slicer) (*core.Input, BuildKind, error) {
 	if err := failpoint.InjectContext(ctx, FailpointFlight); err != nil {

@@ -300,7 +300,7 @@ func TestLiveRequestNotPoisonedByAbandonedFlight(t *testing.T) {
 
 // TestSingleflightSurvivesLeaderCancel is the positive half of the detach
 // semantics: the leader's request dies mid-build, the joiner stays — the
-// build must complete and serve the joiner.
+// build must complete, serve the joiner and land in the cache.
 func TestSingleflightSurvivesLeaderCancel(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	s := New(noTimeoutConfig())
@@ -354,18 +354,18 @@ func TestSingleflightSurvivesLeaderCancel(t *testing.T) {
 	}
 
 	cancelLeader()
-	time.Sleep(20 * time.Millisecond) // let the leader's watcher drop its reference
+	time.Sleep(20 * time.Millisecond) // let the leader's stake drop
 	close(releaseBuild)
 
 	jr := <-joinerDone
 	if jr.err != nil || jr.kind != BuildCoalesced {
 		t.Fatalf("joiner got (%v, %v), want a coalesced result", jr.kind, jr.err)
 	}
-	// The leader ran the build to completion on the joiner's behalf, so it
-	// reports the build's own outcome (the response write upstream is what
-	// the dead request discards).
-	if err := <-leaderDone; err != nil {
-		t.Fatalf("leader's build errored despite a surviving waiter: %v", err)
+	// The build runs on its flight, not on the leader's call: the
+	// cancelled leader gets its own cancellation back at once, while the
+	// build carries on for the joiner.
+	if err := <-leaderDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled leader got %v, want context.Canceled", err)
 	}
 	if st := s.cache.Snapshot(); st.Entries != 1 {
 		t.Fatalf("completed flight not cached: %+v", st)

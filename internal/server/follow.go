@@ -95,6 +95,10 @@ func (s *Server) startFollow(ctx context.Context, req loadRequest) (*Trace, erro
 	if req.SliceWidth < 0 || math.IsNaN(req.SliceWidth) || math.IsInf(req.SliceWidth, 0) {
 		return nil, fmt.Errorf("server: bad slice_width %v", req.SliceWidth)
 	}
+	if liveSlices > s.maxSlices {
+		// Every live=1 query would be refused at this grid, so the load is.
+		return nil, fmt.Errorf("server: live_slices=%d exceeds the server cap %d", liveSlices, s.maxSlices)
+	}
 	if _, exists := s.reg.Get(req.ID); exists {
 		return nil, fmt.Errorf("server: trace %q %w", req.ID, ErrAlreadyLoaded)
 	}

@@ -666,3 +666,43 @@ func TestFollowFarHorizon(t *testing.T) {
 		})
 	}
 }
+
+// TestFollowLiveSlicesCap: a follow load whose live grid is finer than
+// the server's slice cap is refused with 400 before anything is built —
+// every live=1 query on it would be refused anyway — while a grid at the
+// cap loads.
+func TestFollowLiveSlicesCap(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	path := filepath.Join(t.TempDir(), "live.bin")
+	newLiveWriter(t, path).append(followEvents(100))
+	cfg := quietConfig()
+	cfg.MaxSlices = 16
+	s, ts := newTestServer(t, cfg)
+	defer s.StopFollowers()
+
+	load := func(id string, slices int) (int, []byte) {
+		body, _ := json.Marshal(loadRequest{ID: id, Path: path, Follow: true, PollMs: 10, LiveSlices: slices})
+		resp, err := http.Post(ts.URL+"/traces", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, _ := readAll(resp)
+		return resp.StatusCode, raw
+	}
+	if code, raw := load("over", 64); code != http.StatusBadRequest {
+		t.Fatalf("live_slices over the cap: status %d (%s), want 400", code, raw)
+	}
+	if _, ok := s.Registry().Get("over"); ok {
+		t.Fatal("the refused follow load registered its trace")
+	}
+	if st := s.CacheStats(); st.Entries != 0 {
+		t.Fatalf("the refused follow load seeded the cache: %d entries", st.Entries)
+	}
+	if code, raw := load("at", 16); code != http.StatusCreated {
+		t.Fatalf("live_slices at the cap: status %d (%s), want 201", code, raw)
+	}
+	if resp, body := get(t, ts.URL+"/traces/at/aggregate?p=0.4&live=1"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("live=1 at the cap: status %d (%s)", resp.StatusCode, body)
+	}
+}

@@ -74,8 +74,8 @@ func (g *buildGate) expectedWaitLocked(queued int) time.Duration {
 }
 
 // Acquire claims a build slot, queueing FIFO behind the backlog.
-// waitCtx governs the wait itself (the flight's detached context — a
-// build every waiter abandoned stops queueing); reqCtx contributes only
+// waitCtx governs the wait itself (the flight's own context — a
+// build every stake abandoned stops queueing); reqCtx contributes only
 // its deadline, against which a queued request is shed as doomed before
 // it waits at all. The returned release hands the slot to the next
 // waiter.

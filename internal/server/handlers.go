@@ -87,10 +87,19 @@ type loadRequest struct {
 	SliceWidth float64 `json:"slice_width,omitempty"`
 }
 
+// maxLoadBody caps the POST /traces body: a load request is a few short
+// fields, so anything near this size is not one.
+const maxLoadBody = 64 << 10
+
 func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	var req loadRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpErrorf(w, http.StatusBadRequest, "decoding body: %v", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxLoadBody)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpErrorf(w, status, "decoding body: %v", err)
 		return
 	}
 	if req.ID == "" || req.Path == "" {
@@ -316,24 +325,6 @@ func (s *Server) resolveWindow(w http.ResponseWriter, r *http.Request) (*Trace, 
 	return tr, sl, true
 }
 
-// getInput runs the window through the cache and records the build path
-// and latency in the response headers. The request's context rides along
-// into the cache fill: a request that is already dead (expired deadline,
-// disconnected client) is aborted with 499 before any build work, and one
-// that dies mid-build abandons its stake in the flight (see
-// InputCache.Get).
-func (s *Server) getInput(w http.ResponseWriter, r *http.Request, tr *Trace, sl timeslice.Slicer) (*core.Input, bool) {
-	start := time.Now()
-	in, kind, err := s.cache.Get(r.Context(), tr, sl)
-	if err != nil {
-		s.writeGetError(w, err)
-		return nil, false
-	}
-	w.Header().Set(buildHeader, string(kind))
-	w.Header().Set(buildLatencyHeader, strconv.FormatInt(time.Since(start).Microseconds(), 10))
-	return in, true
-}
-
 // Degrade reasons reported in the X-Ocelotl-Degraded header.
 const (
 	degradeSlowBuild = "slow-build" // fine build exceeded the degrade deadline
@@ -341,9 +332,15 @@ const (
 	degradeOverload  = "overload"   // build gate shed the request but a preview was warm
 )
 
-// getInputProgressive is getInput plus the two preview answers of
-// /aggregate, which share one serve-the-covering-preview path
-// (previewFor):
+// getInput runs the window through the cache and records the build path
+// and latency in the response headers: one join, then one wait on the
+// flight, the request context and — with degrade set — the degrade
+// deadline. A dead request (expired deadline, disconnected client)
+// answers 499 without waiting; its stake in the flight drops with its
+// context (see InputCache.Get).
+//
+// /aggregate's two preview answers share one serve-the-covering-preview
+// path (previewFor):
 //
 //   - refine=1, the progressive zoom: an exact cached window is final
 //     ("ready" in X-Ocelotl-Refine); otherwise a covering cached window's
@@ -357,11 +354,14 @@ const (
 //     fine build is kept alive in the background, as for refine=1.
 //
 // The second return value reports whether the Input is a preview.
-func (s *Server) getInputProgressive(w http.ResponseWriter, r *http.Request, tr *Trace, sl timeslice.Slicer, refine bool) (*core.Input, bool, bool) {
-	if refine {
+func (s *Server) getInput(w http.ResponseWriter, r *http.Request, tr *Trace, sl timeslice.Slicer, refine, degrade bool) (*core.Input, bool, bool) {
+	start := time.Now()
+	ctx := r.Context()
+	in, f, kind, err := s.cache.join(ctx, tr, sl)
+	if refine && err == nil {
 		state := "ready"
-		if !s.cache.Cached(tr, sl) {
-			if pv := s.previewFor(w, tr, sl, time.Now(), true); pv != nil {
+		if f != nil {
+			if pv := s.previewFor(w, tr, sl, start, f); pv != nil {
 				s.cache.stats.Previews.Add(1)
 				w.Header().Set(refineHeader, "pending")
 				return pv, true, true
@@ -370,62 +370,53 @@ func (s *Server) getInputProgressive(w http.ResponseWriter, r *http.Request, tr 
 		}
 		w.Header().Set(refineHeader, state)
 	}
-	if s.degradeAfter <= 0 {
-		in, ok := s.getInput(w, r, tr, sl)
-		return in, false, ok
+	degrade = degrade && s.degradeAfter > 0
+	var slow <-chan time.Time
+	if f != nil && degrade {
+		timer := time.NewTimer(s.degradeAfter)
+		defer timer.Stop()
+		slow = timer.C
 	}
-	start := time.Now()
-	type result struct {
-		in   *core.Input
-		kind BuildKind
-		err  error
+wait:
+	for f != nil {
+		select {
+		case <-f.done:
+			in, kind, err = f.result(kind)
+			break wait
+		case <-ctx.Done():
+			err = ctx.Err()
+			break wait
+		case <-slow:
+			if pv := s.previewFor(w, tr, sl, start, f); pv != nil {
+				return s.degraded(w, pv, degradeSlowBuild)
+			}
+			// Nothing cached covers the request, so no degraded answer
+			// exists: wait the slow build out.
+			slow = nil
+		}
 	}
-	ch := make(chan result, 1)
-	go func() {
-		in, kind, err := s.cache.Get(r.Context(), tr, sl)
-		ch <- result{in, kind, err}
-	}()
-	timer := time.NewTimer(s.degradeAfter)
-	defer timer.Stop()
-
-	finish := func(res result) (*core.Input, bool, bool) {
-		if res.err != nil {
-			s.writeGetError(w, res.err)
-			return nil, false, false
+	if err != nil {
+		if degrade && !isCancellation(err) {
+			reason := degradeFault
+			var oe *OverloadError
+			if errors.As(err, &oe) {
+				reason = degradeOverload
+			}
+			if pv := s.previewFor(w, tr, sl, start, nil); pv != nil {
+				return s.degraded(w, pv, reason)
+			}
 		}
-		w.Header().Set(buildHeader, string(res.kind))
-		w.Header().Set(buildLatencyHeader, strconv.FormatInt(time.Since(start).Microseconds(), 10))
-		return res.in, false, true
-	}
-
-	var reason string
-	var res result
-	select {
-	case res = <-ch:
-		if res.err == nil || isCancellation(res.err) {
-			return finish(res)
-		}
-		reason = degradeFault
-		var oe *OverloadError
-		if errors.As(res.err, &oe) {
-			reason = degradeOverload
-		}
-	case <-timer.C:
-		reason = degradeSlowBuild
-	}
-	// The waiter spawned above abandons its stake in a slow flight when
-	// r.Context() dies at handler return, so previewFor adopts the build
-	// lest the degraded answer kill the fine build it stands in for.
-	pv := s.previewFor(w, tr, sl, start, reason == degradeSlowBuild)
-	if pv == nil {
-		// Nothing cached covers the request, so no degraded answer
-		// exists: wait a slow build out, or surface the error in hand.
-		if reason == degradeSlowBuild {
-			return finish(<-ch)
-		}
-		s.writeGetError(w, res.err)
+		s.writeGetError(w, err)
 		return nil, false, false
 	}
+	w.Header().Set(buildHeader, string(kind))
+	w.Header().Set(buildLatencyHeader, strconv.FormatInt(time.Since(start).Microseconds(), 10))
+	return in, false, true
+}
+
+// degraded answers with the covering preview pv in place of the fine
+// build, for the given reason.
+func (s *Server) degraded(w http.ResponseWriter, pv *core.Input, reason string) (*core.Input, bool, bool) {
 	s.cache.stats.Degraded.Add(1)
 	w.Header().Set(degradedHeader, reason)
 	return pv, true, true
@@ -433,41 +424,32 @@ func (s *Server) getInputProgressive(w http.ResponseWriter, r *http.Request, tr 
 
 // previewFor is the one serve-the-covering-preview path: the tightest
 // cached window covering sl, served through its memoized coarse overview
-// (InputCache.Preview) with the preview build headers. With adopt set,
-// the fine build is kept going in the background under the server's own
-// deadline, detached from the request — singleflight dedups it against
-// concurrent requests for the same window — so the client's follow-up
-// for the same URL lands on a warm entry. Nil, with no headers written
-// and nothing started, when no cached window covers the request.
-func (s *Server) previewFor(w http.ResponseWriter, tr *Trace, sl timeslice.Slicer, start time.Time, adopt bool) *core.Input {
+// (InputCache.Preview) with the preview build headers. A non-nil fine
+// flight keeps going after the request under the server's own deadline
+// (InputCache.adopt), so the client's follow-up for the same URL lands
+// on a warm entry. Nil, with no headers written and no stake taken, when
+// no cached window covers the request.
+func (s *Server) previewFor(w http.ResponseWriter, tr *Trace, sl timeslice.Slicer, start time.Time, fine *flight) *core.Input {
 	pv := s.cache.Preview(tr, sl)
 	if pv == nil {
 		return nil
 	}
-	if adopt {
-		go func() {
-			ctx := context.Background()
-			if s.timeout > 0 {
-				var cancel context.CancelFunc
-				ctx, cancel = context.WithTimeout(ctx, s.timeout)
-				defer cancel()
-			}
-			s.cache.Get(ctx, tr, sl)
-		}()
+	if fine != nil {
+		s.cache.adopt(fine, s.timeout)
 	}
 	w.Header().Set(buildHeader, string(BuildPreview))
 	w.Header().Set(buildLatencyHeader, strconv.FormatInt(time.Since(start).Microseconds(), 10))
 	return pv
 }
 
-// inputFor is resolveWindow + getInput — the shared serve path of every
-// query endpoint.
+// inputFor is resolveWindow + getInput — the shared serve path of the
+// query endpoints other than /aggregate.
 func (s *Server) inputFor(w http.ResponseWriter, r *http.Request) (*Trace, *core.Input, bool) {
 	tr, sl, ok := s.resolveWindow(w, r)
 	if !ok {
 		return nil, nil, false
 	}
-	in, ok := s.getInput(w, r, tr, sl)
+	in, _, ok := s.getInput(w, r, tr, sl, false, false)
 	if !ok {
 		return nil, nil, false
 	}
@@ -527,7 +509,7 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	}
 	// A degraded body is the same preview body refine=1 would serve —
 	// byte-identical across the two paths.
-	in, preview, ok := s.getInputProgressive(w, r, tr, sl, q.Get("refine") == "1")
+	in, preview, ok := s.getInput(w, r, tr, sl, q.Get("refine") == "1", true)
 	if !ok {
 		return
 	}

@@ -60,6 +60,82 @@ func quiesce(t *testing.T, c *InputCache) {
 	}
 }
 
+// holdFlight arms FailpointFlight to hold every build until the returned
+// release is called (or the flight is cancelled), signalling entered as
+// each build reaches it.
+func holdFlight(t *testing.T) (entered <-chan struct{}, release func()) {
+	t.Helper()
+	in := make(chan struct{}, 8)
+	held := make(chan struct{})
+	failpoint.EnableFunc(FailpointFlight, func(ctx context.Context) error {
+		in <- struct{}{}
+		select {
+		case <-held:
+		case <-ctx.Done():
+		}
+		return nil
+	})
+	t.Cleanup(func() { failpoint.Disable(FailpointFlight) })
+	var once sync.Once
+	return in, func() { once.Do(func() { close(held) }) }
+}
+
+// awaitStakes waits until the one flight in progress holds exactly n
+// stakes — after a request returns, its own stake drops asynchronously.
+func awaitStakes(t *testing.T, c *InputCache, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		c.mu.Lock()
+		got := -1
+		if len(c.inflight) == 1 {
+			for _, f := range c.inflight {
+				got = f.stakes
+			}
+		}
+		c.mu.Unlock()
+		if got == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("in-flight stakes = %d (-1: not exactly one flight), want %d", got, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// checkAdoptedBuildLands drives one request that answers with a preview
+// (header = want) while its fine build is held, then — with the handler
+// returned, its context done and no further request sent — releases the
+// build and checks the adopted build alone lands it in the cache.
+func checkAdoptedBuildLands(t *testing.T, s *Server, target, header, want string) {
+	t.Helper()
+	entered, release := holdFlight(t)
+	before := s.CacheStats()
+	ctx, cancel := context.WithCancel(context.Background())
+	rec := serveWithContext(t, s, ctx, target)
+	cancel()
+	if rec.Code != http.StatusOK {
+		t.Fatalf("preview request: status %d (%s)", rec.Code, rec.Body)
+	}
+	if got := rec.Header().Get(header); got != want {
+		t.Fatalf("%s = %q, want %q", header, got, want)
+	}
+	<-entered
+	awaitStakes(t, s.cache, 1) // only the adoption's stake is left
+	release()
+	quiesce(t, s.cache)
+	st := s.CacheStats()
+	if st.Entries != before.Entries+1 || st.Scratch+st.Derived != before.Scratch+before.Derived+1 {
+		t.Fatalf("adopted build did not land: entries %d→%d, builds %d→%d",
+			before.Entries, st.Entries, before.Scratch+before.Derived, st.Scratch+st.Derived)
+	}
+	if st.Aborted != before.Aborted {
+		t.Fatalf("aborted moved %d→%d", before.Aborted, st.Aborted)
+	}
+	checkByteAccounting(t, s.cache)
+}
+
 // TestGateFIFOAndShed drives the gate directly: capacity 1, queue 1. The
 // second acquire queues, the third is shed with a positive Retry-After,
 // and release hands the slot to the queued waiter in FIFO order.
@@ -334,6 +410,18 @@ func TestDegradeSlowBuildServesPreview(t *testing.T) {
 	}
 	quiesce(t, s.cache)
 	checkByteAccounting(t, s.cache)
+}
+
+// TestDegradeAdoptsWithoutFollowUp: a degraded slow-build answer keeps
+// its fine build alive after the request is gone, with no re-request to
+// join the flight — the build lands in the cache on its own.
+func TestDegradeAdoptsWithoutFollowUp(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	cfg := quietConfig()
+	cfg.DegradeAfter = 20 * time.Millisecond
+	s, ts := newTestServer(t, cfg)
+	full := warmFullWindow(t, ts, 40)
+	checkAdoptedBuildLands(t, s, "/traces/art/"+subWindowQuery(full), degradedHeader, degradeSlowBuild)
 }
 
 // TestDegradeFaultServesPreview: a fine build that dies on an injected

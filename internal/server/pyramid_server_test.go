@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ocelotl/internal/testutil"
 )
 
 // TestZoomLadderByteIdentity is the serving-layer acceptance check of the
@@ -150,6 +152,18 @@ func TestRefineServesPreviewThenFine(t *testing.T) {
 	if _, sbody := get(t, tsScratch.URL+"/traces/art/aggregate?slices=64&lo=3&hi=9"); string(final) != string(sbody) {
 		t.Fatalf("refined body differs from scratch:\nrefined: %s\nscratch: %s", final, sbody)
 	}
+}
+
+// TestRefineAdoptsWithoutFollowUp: a refine=1 "pending" answer keeps its
+// fine build alive after the request is gone, with no re-request to join
+// the flight — the build lands in the cache on its own.
+func TestRefineAdoptsWithoutFollowUp(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	s, ts := newTestServer(t, quietConfig())
+	if resp, body := get(t, ts.URL+"/traces/art/aggregate?slices=64"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("overview: status %d: %s", resp.StatusCode, body)
+	}
+	checkAdoptedBuildLands(t, s, "/traces/art/aggregate?slices=64&lo=3&hi=9&refine=1", refineHeader, "pending")
 }
 
 // TestRefineWithoutCoverFallsThrough: refine on a first-touch region has

@@ -71,9 +71,12 @@
 // and CPU within one hierarchy-node check instead of running to
 // completion. Abandoned requests answer 499 and increment the "aborted"
 // counter in /debug/cachestats. Singleflight builds are the one deliberate
-// exception: a flight's build detaches from its leader's context (its
-// result is shared by every coalesced waiter) and is cancelled only when
-// all of its waiters have given up.
+// exception: a flight's build runs on a goroutine of its own, under a
+// context of its own (its result is shared by every request that joined
+// it); each joined request holds a stake that its context's end drops,
+// and the build is cancelled only when every stake is dropped. A request
+// waits in one place, for its flight to land, its own context to end or
+// — on /aggregate — the degrade deadline, whichever comes first.
 package server
 
 import (

@@ -166,6 +166,33 @@ func TestLoadConflictStatus(t *testing.T) {
 	}
 }
 
+// TestLoadBodyTooLarge: a POST /traces body over maxLoadBody answers 413
+// and loads nothing, even when the request inside it names a loadable
+// file.
+func TestLoadBodyTooLarge(t *testing.T) {
+	s, ts := newTestServer(t, quietConfig())
+	path := filepath.Join(t.TempDir(), "art.bin")
+	if err := traceio.WriteFile(path, mpisim.Artificial()); err != nil {
+		t.Fatal(err)
+	}
+	body := fmt.Sprintf(`{"id":"big","path":%q,"pad":%q}`, path, strings.Repeat("x", maxLoadBody))
+	resp, err := http.Post(ts.URL+"/traces", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized load body: status %d, want 413: %s", resp.StatusCode, msg)
+	}
+	if _, ok := s.Registry().Get("big"); ok {
+		t.Fatal("an oversized load body registered its trace")
+	}
+	if n := len(s.Registry().List()); n != 1 {
+		t.Fatalf("%d traces loaded after the refused body, want only the preloaded one", n)
+	}
+}
+
 // TestPanServedIncrementally is the acceptance scenario: load → aggregate
 // → pan. The panned window must be served via Input.Update from the
 // cached anchor (a derived build, not scratch), and its response body must
