@@ -19,7 +19,8 @@
 //
 // -follow tails a trace that is still being written (for example by
 // tracegen -append-every) through the daemon's live-ingestion engine
-// (internal/live): each poll tick that carried events extends the index,
+// (internal/live): each tick that carried events — woken by a write to
+// the file, or by the -follow-poll fallback — extends the index,
 // advances the sealed live window incrementally and re-aggregates it,
 // printing one summary line per tick:
 //
@@ -76,8 +77,8 @@ func main() {
 		zoomSeq   = flag.String("zoom", "", "replay comma-separated lo:hi slice-range zooms incrementally (e.g. 10:20,2:7)")
 		indexName = flag.String("index", "auto", "event index backend: auto (RAM below threshold, disk above), ram, disk")
 
-		follow     = flag.Bool("follow", false, "live mode: tail -trace while it is being written, re-aggregating a sliding window each poll tick (stop with Ctrl-C or -follow-idle)")
-		followPoll = flag.Duration("follow-poll", 200*time.Millisecond, "follow mode: tail poll interval")
+		follow     = flag.Bool("follow", false, "live mode: tail -trace while it is being written, re-aggregating a sliding window on each write (stop with Ctrl-C or -follow-idle)")
+		followPoll = flag.Duration("follow-poll", 200*time.Millisecond, "follow mode: the longest to go without re-reading the file (a write wakes the follower at once where the file can be watched)")
 		followIdle = flag.Duration("follow-idle", 0, "follow mode: exit once no new events arrive for this long (0 = run until interrupted)")
 	)
 	flag.Parse()
@@ -96,6 +97,11 @@ func main() {
 	if *follow {
 		if *tracePath == "" {
 			fatal(fmt.Errorf("-follow needs -trace FILE"))
+		}
+		if *followPoll <= 0 {
+			fmt.Fprintf(os.Stderr, "ocelotl: -follow-poll must be positive, got %v\n", *followPoll)
+			flag.Usage()
+			os.Exit(2)
 		}
 		if err := runFollow(ctx, os.Stdout, *tracePath, *slices, *p, *mode, *normalize, indexMode, *followPoll, *followIdle); err != nil {
 			fatal(err)
@@ -289,9 +295,11 @@ func replayWindow(ctx context.Context, log io.Writer, in *core.Input, zoomSpec, 
 // runFollow is the CLI face of live ingestion: it waits for the trace
 // file's header, then drives the daemon's follow engine (live.Follower,
 // with a live window of slices slices on the header's grid) and prints
-// the live window's aggregation once at start and after each poll tick
-// that carried events. It returns when ctx is cancelled or, with idle > 0,
-// once no new events have arrived for idle.
+// the live window's aggregation once at start and after each tick that
+// carried events. A tick runs when a write to the file wakes the engine
+// (live.Follower.Changed) or poll passes without one. It returns when
+// ctx is cancelled or, with idle > 0, once no new events have arrived
+// for idle.
 func runFollow(ctx context.Context, w io.Writer, path string, slices int, p float64, mode string, normalize bool, indexMode microscopic.IndexMode, poll, idle time.Duration) error {
 	tail, err := traceio.OpenTail(path)
 	for err != nil && (os.IsNotExist(err) || traceio.IsIncomplete(err)) {
@@ -317,6 +325,9 @@ func runFollow(ctx context.Context, w io.Writer, path string, slices int, p floa
 		fl.Reslicer().Close() // the newest snapshot: it shares the index of every older one
 	}()
 
+	if fl.Changed() == nil {
+		fmt.Fprintf(os.Stderr, "ocelotl: %s is not watched, polling every %v: %v\n", path, poll, fl.WatchErr())
+	}
 	ticker := time.NewTicker(poll)
 	defer ticker.Stop()
 	lastData := time.Now()
@@ -331,13 +342,16 @@ func runFollow(ctx context.Context, w io.Writer, path string, slices int, p floa
 			tick, fl.Reslicer().NumEvents(), fl.Horizon(), sl.Start, sl.End, len(pt.Areas), pt.Gain, pt.Loss); err != nil {
 			return err
 		}
-		// Poll until a tick carries events (or the idle timeout passes).
+		// Tick on each write or poll until a tick carries events (or the
+		// idle timeout passes).
 		for b := (live.Batch{}); b.Events == 0; {
 			select {
 			case <-ctx.Done():
 				return nil
 			case <-ticker.C:
+			case <-fl.Changed():
 			}
+			ticker.Reset(poll)
 			if b, err = fl.Tick(ctx); err != nil {
 				if ctx.Err() != nil {
 					return nil

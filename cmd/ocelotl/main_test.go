@@ -3,8 +3,11 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
+	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -336,5 +339,52 @@ func TestRunFollow(t *testing.T) {
 		len(all), horizon, sl.Start, sl.End, len(pt.Areas), pt.Gain, pt.Loss)
 	if last := lines[len(lines)-1]; !strings.HasSuffix(last, want) {
 		t.Fatalf("last tick line\n%s\nwant it to end with\n%s", last, want)
+	}
+}
+
+// TestFollowPollNonPositive: -follow-poll 0 (or below) is a usage error,
+// exit status 2, before any trace is opened. The test binary re-runs
+// itself with the command line after "--", which it passes to main.
+func TestFollowPollNonPositive(t *testing.T) {
+	if args := flag.Args(); len(args) > 0 {
+		os.Args = append([]string{"ocelotl"}, args...)
+		flag.CommandLine = flag.NewFlagSet("ocelotl", flag.ExitOnError)
+		main()
+		os.Exit(0)
+	}
+	// A followable file, so that without the check the child would get
+	// as far as its poll ticker.
+	path := filepath.Join(t.TempDir(), "live.bin")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	w, err := traceio.NewWriter(f, traceio.FormatBinary, traceio.Header{Resources: []string{"A/a0"},
+		States: []string{"run"}, Start: 0, End: 10})
+	if err == nil {
+		err = w.WriteEvent(trace.Event{Start: 1, End: 2})
+	}
+	if err == nil {
+		err = traceio.Flush(w)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	for _, poll := range []string{"0", "-1s"} {
+		cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestFollowPollNonPositive$", "--",
+			"-trace", path, "-follow", "-follow-poll", poll, "-follow-idle", "1ms")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("-follow-poll %s: %v, want exit status 2 (stderr: %s)", poll, err, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), "-follow-poll must be positive") {
+			t.Fatalf("-follow-poll %s: stderr %q does not name the flag", poll, stderr.String())
+		}
 	}
 }

@@ -53,7 +53,12 @@
 // serve path: a timed-out or disconnected request answers 499, counts
 // toward the "aborted" stat, and abandons its engine work; a singleflight
 // build runs on its flight's own goroutine and context, and dies only
-// when every request that joined it has cancelled.
+// when every request that joined it has cancelled. A trace still being
+// written can be followed (internal/live, one engine behind the daemon's
+// follow mode and `ocelotl -follow`): a write to the file wakes its
+// follower, which ingests the new events and slides a live window whose
+// answers stay bit-identical to a scratch build; the poll interval is
+// only the fallback for a file that cannot be watched.
 //
 // The root package holds the benchmark harness (bench_test.go) that
 // regenerates every table and figure of the paper's evaluation, plus the

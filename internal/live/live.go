@@ -3,7 +3,9 @@
 // being written and keeps an aggregation window sliding with it. Each
 // Tick reads the newly flushed events, extends the event index
 // copy-on-write (Reslicer.Extend) and advances the live window's Input by
-// the slices it moved (Input.AdvanceContext — O(Δ slices)).
+// the slices it moved (Input.AdvanceContext — O(Δ slices)). The loop
+// that drives it ticks when a write wakes it (Changed) and, as the
+// fallback, when its poll interval passes without one.
 //
 // The horizon is the maximum event start ingested. A time-ordered writer
 // only appends events starting at or past it, so a window whose end ≤
@@ -230,6 +232,14 @@ func (f *Follower) Reslicer() *microscopic.Reslicer { return f.resl }
 
 // Live is the live window's Input.
 func (f *Follower) Live() *core.Input { return f.live }
+
+// Changed is the tail's write wake (traceio.TailReader.Changed): a loop
+// driving the Follower ticks when it fires as well as on its poll. It is
+// nil when the file is not watched; WatchErr says why.
+func (f *Follower) Changed() <-chan struct{} { return f.tail.Changed() }
+
+// WatchErr reports why the tail's file is not watched (Changed is nil).
+func (f *Follower) WatchErr() error { return f.tail.WatchErr() }
 
 // Close releases the tail. The index stays open (see Reslicer).
 func (f *Follower) Close() error { return f.tail.Close() }

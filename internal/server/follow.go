@@ -19,10 +19,12 @@ import (
 // The ingestion engine — tail, live grid, horizon, sealed pan and the
 // Extend-then-advance tick — is internal/live, the same Follower
 // `ocelotl -follow` drives. This file wraps it in the daemon's policies:
-// one goroutine per follow-loaded trace ticks it with jittered backoff on
-// retryable errors, and each tick that ingested events swaps a fresh
-// immutable Trace snapshot into the registry (queries in flight keep
-// theirs), seeds the cache with the live Input and counts the tick.
+// one goroutine per follow-loaded trace ticks it when a write to the file
+// wakes it (the tail's watch) or its poll interval passes without one,
+// with jittered backoff on retryable errors, and each tick that ingested
+// events swaps a fresh immutable Trace snapshot into the registry
+// (queries in flight keep theirs), seeds the cache with the live Input
+// and counts the tick.
 //
 // The engine's horizon rule keeps the cache exact: a window ending at or
 // below the horizon is sealed, so cached Inputs for sealed windows stay
@@ -34,9 +36,22 @@ import (
 // such that the explicit query reproduces its exact floats — which makes
 // follow responses byte-comparable against a scratch server.
 
-// followDefaultPoll is the tail poll interval when the load request
-// leaves poll_ms unset.
+// followDefaultPoll is the longest a follower goes without re-reading
+// its file when the load request leaves poll_ms unset. A watched file's
+// follower reads it on every write as well.
 const followDefaultPoll = 200 * time.Millisecond
+
+// pollInterval converts a load request's or a journal's poll_ms: 0 is the
+// default, and a value no positive Duration holds is refused.
+func pollInterval(ms int) (time.Duration, error) {
+	if ms == 0 {
+		return followDefaultPoll, nil
+	}
+	if ms < 0 || int64(ms) > math.MaxInt64/int64(time.Millisecond) {
+		return 0, fmt.Errorf("server: poll_ms=%d is not a positive duration in milliseconds", ms)
+	}
+	return time.Duration(ms) * time.Millisecond, nil
+}
 
 // followOpenWait bounds how long POST /traces waits for the file to
 // appear with a complete header before failing the load.
@@ -51,7 +66,7 @@ type followState struct {
 	horizon float64          // max event start ingested; sealed time
 	ticks   int64            // ticks that ingested at least one event
 	offset  int64            // tail reader committed byte offset (resume point)
-	poll    time.Duration    // tail poll interval (journaled for resume)
+	poll    time.Duration    // longest gap between reads of the file (journaled for resume)
 }
 
 // liveWindow returns the current live slicer.
@@ -84,9 +99,9 @@ func (s *Server) FollowTrace(ctx context.Context, id, path string) (*Trace, erro
 // file's header, then starts the engine over the tail — which ingests
 // whatever events are already flushed — and boots the follower.
 func (s *Server) startFollow(ctx context.Context, req loadRequest) (*Trace, error) {
-	poll := followDefaultPoll
-	if req.PollMs > 0 {
-		poll = time.Duration(req.PollMs) * time.Millisecond
+	poll, err := pollInterval(req.PollMs)
+	if err != nil {
+		return nil, err
 	}
 	liveSlices := microscopic.DefaultSlices
 	if req.LiveSlices > 0 {
@@ -157,6 +172,9 @@ func (s *Server) bootFollower(id, path string, gen uint64, ticks int64, poll tim
 		return nil, err
 	}
 	s.cache.Seed(tr, eng.Live())
+	if eng.Changed() == nil {
+		s.log.Warn("follow: file not watched; polling only", "trace", id, "poll", poll, "reason", eng.WatchErr())
+	}
 	go s.runFollower(f)
 	return tr, nil
 }
@@ -210,14 +228,16 @@ func (s *Server) openTailWait(ctx context.Context, path string, poll time.Durati
 	}
 }
 
-// runFollower is the per-trace ingestion loop: poll, tick, repeat until
-// cancelled (DELETE or drain). Retryable tick errors — I/O hiccups, armed
-// failpoints — are logged and retried with the engine's pending batch
-// intact, under the shared jittered backoff (counted in follow_retries,
-// reset on the first good tick) so a persistent fault doesn't spin the
-// poll; a terminal error (a corrupt trace, a horizon the live grid cannot
-// place — live.Terminal) never repairs, so the loop parks with the last
-// good snapshot still served.
+// runFollower is the per-trace ingestion loop: wait for a write to the
+// file (the engine's Changed) or, failing one, for the poll interval to
+// pass since the last tick; tick; repeat until cancelled (DELETE or
+// drain). Retryable tick errors — I/O hiccups, armed failpoints — are
+// logged and retried with the engine's pending batch intact, under the
+// shared jittered backoff (counted in follow_retries, reset on the first
+// good tick) so a persistent fault doesn't spin the loop; a terminal
+// error (a corrupt trace, a horizon the live grid cannot place —
+// live.Terminal) never repairs, so the loop parks with the last good
+// snapshot still served.
 func (s *Server) runFollower(f *follower) {
 	defer close(f.done)
 	defer f.eng.Close()
@@ -229,7 +249,9 @@ func (s *Server) runFollower(f *follower) {
 		case <-f.ctx.Done():
 			return
 		case <-ticker.C:
+		case <-f.eng.Changed():
 		}
+		ticker.Reset(f.poll)
 		err := s.followTick(f)
 		if err == nil {
 			failures = 0

@@ -706,3 +706,114 @@ func TestFollowLiveSlicesCap(t *testing.T) {
 		t.Fatalf("live=1 at the cap: status %d (%s)", resp.StatusCode, body)
 	}
 }
+
+// followerOf returns id's running follower.
+func followerOf(t *testing.T, s *Server, id string) *follower {
+	t.Helper()
+	s.followMu.Lock()
+	defer s.followMu.Unlock()
+	f := s.followers[id]
+	if f == nil {
+		t.Fatalf("no follower for %q", id)
+	}
+	return f
+}
+
+// horizonWithin waits up to d for id's published horizon to reach h.
+func horizonWithin(s *Server, id string, h float64, d time.Duration) bool {
+	deadline := time.Now().Add(d)
+	for {
+		if tr, ok := s.Registry().Get(id); ok && tr.follow != nil && tr.follow.horizon >= h {
+			return true
+		}
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestFollowWakesOnWrite: with a one-minute poll, an append is ingested
+// because the write wakes the follower, not because the poll came due.
+func TestFollowWakesOnWrite(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	path := filepath.Join(t.TempDir(), "live.bin")
+	all := followEvents(200)
+	lw := newLiveWriter(t, path)
+	lw.append(all[:100])
+
+	s := New(quietConfig())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.StopFollowers()
+	followLoad(t, ts, "live", path, 60000)
+	if f := followerOf(t, s, "live"); f.eng.Changed() == nil {
+		t.Skipf("file not watched, so only the poll runs: %v", f.eng.WatchErr())
+	}
+	lw.append(all[100:])
+	if !horizonWithin(s, "live", all[len(all)-1].Start, 2*time.Second) {
+		t.Fatal("the published horizon did not cover an append within 2s at poll_ms 60000")
+	}
+}
+
+// TestFollowUnwatchedPolls: when the file watch cannot be set up
+// (traceio.FailpointWatch), the follower still ingests, by its poll.
+func TestFollowUnwatchedPolls(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	if err := failpoint.Enable(traceio.FailpointWatch, "error(no watch)"); err != nil {
+		t.Fatal(err)
+	}
+	defer failpoint.Disable(traceio.FailpointWatch)
+	path := filepath.Join(t.TempDir(), "live.bin")
+	all := followEvents(200)
+	lw := newLiveWriter(t, path)
+	lw.append(all[:100])
+
+	s := New(quietConfig())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.StopFollowers()
+	followLoad(t, ts, "live", path, 10)
+	if f := followerOf(t, s, "live"); f.eng.Changed() != nil || !errors.Is(f.eng.WatchErr(), failpoint.ErrInjected) {
+		t.Fatalf("Changed() = %v, WatchErr() = %v; want nil and the injected error", f.eng.Changed(), f.eng.WatchErr())
+	}
+	lw.append(all[100:])
+	waitForFollow(t, ts, "live", len(all))
+}
+
+// TestFollowPollMsOverflow: a poll_ms no positive Duration holds is a 400
+// that registers and seeds nothing, and the server serves on.
+func TestFollowPollMsOverflow(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	path := filepath.Join(t.TempDir(), "live.bin")
+	newLiveWriter(t, path).append(followEvents(100))
+	s, ts := newTestServer(t, quietConfig())
+	defer s.StopFollowers()
+
+	maxMs := int(math.MaxInt64 / int64(time.Millisecond))
+	if d, err := pollInterval(maxMs); err != nil || d <= 0 {
+		t.Fatalf("pollInterval(%d) = %v, %v; want a positive Duration", maxMs, d, err)
+	}
+	for _, ms := range []int{1e13, maxMs + 1, math.MaxInt, -1} {
+		body, _ := json.Marshal(loadRequest{ID: "big", Path: path, Follow: true, PollMs: ms})
+		resp, err := http.Post(ts.URL+"/traces", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := readAll(resp)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("poll_ms=%d: status %d (%s), want 400", ms, resp.StatusCode, raw)
+		}
+		if _, ok := s.Registry().Get("big"); ok {
+			t.Fatalf("poll_ms=%d: the refused load registered its trace", ms)
+		}
+		if st := s.CacheStats(); st.Entries != 0 {
+			t.Fatalf("poll_ms=%d: the refused load seeded the cache: %d entries", ms, st.Entries)
+		}
+	}
+	followLoad(t, ts, "live", path, 10)
+	if resp, body := get(t, ts.URL+"/traces/live/aggregate?p=0.4&live=1"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("live=1 after the refused loads: status %d (%s)", resp.StatusCode, body)
+	}
+}

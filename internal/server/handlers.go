@@ -74,10 +74,11 @@ func (s *Server) writeGetError(w http.ResponseWriter, err error) {
 }
 
 // loadRequest is the POST /traces body. The follow fields select live
-// ingestion: follow tails a file still being written, poll_ms sets the
-// tail poll interval, live_slices and slice_width shape the live window's
-// grid (both optional — the defaults split the header's declared window
-// into the standard slice count).
+// ingestion: follow tails a file still being written, poll_ms is the
+// longest the follower goes without re-reading it (a write to a watched
+// file wakes it at once), live_slices and slice_width shape the live
+// window's grid (both optional — the defaults split the header's
+// declared window into the standard slice count).
 type loadRequest struct {
 	ID         string  `json:"id"`
 	Path       string  `json:"path"`

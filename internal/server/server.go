@@ -16,8 +16,9 @@
 //
 // Traces may also be loaded in follow mode ({"follow": true} on POST
 // /traces): the server tails the file while a writer is still appending
-// to it, extends the trace's index copy-on-write each poll tick, and
-// serves a sliding live window (live=1 on any query endpoint) whose
+// to it, extends the trace's index copy-on-write on each tick — woken by
+// a write to the file, or by the poll when the file is not watched or
+// stays quiet — and serves a sliding live window (live=1 on any query endpoint) whose
 // responses stay byte-identical to a scratch build over the events
 // ingested so far. The ingestion itself is the live package's Follower —
 // the one engine `ocelotl -follow` drives too; follow.go wraps it in the
@@ -156,7 +157,8 @@ type Config struct {
 	// between periodic manifest checkpoints (0 = DefaultCheckpointTicks;
 	// negative disables tick-driven checkpoints, leaving load/unload/
 	// shutdown as the only checkpoint sites). Only meaningful with
-	// StateDir set.
+	// StateDir set. On a watched file a write wakes a tick, so this
+	// counts the writer's flushes rather than polls.
 	CheckpointTicks int
 }
 

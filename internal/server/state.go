@@ -259,9 +259,9 @@ func (s *Server) resumeFollow(ctx context.Context, ts manifest.TraceState) (*Tra
 	if err != nil {
 		return nil, fmt.Errorf("journaled anchor: %w", err)
 	}
-	poll := followDefaultPoll
-	if fs.PollMs > 0 {
-		poll = time.Duration(fs.PollMs) * time.Millisecond
+	poll, err := pollInterval(fs.PollMs)
+	if err != nil {
+		return nil, err
 	}
 	eng, err := live.Resume(ctx, ts.Path, fs.Offset, fs.Horizon, anchor, live.Options{Index: s.reg.indexOpts, Input: s.cache.opts})
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"time"
 
 	"ocelotl/internal/failpoint"
 )
@@ -21,9 +22,20 @@ var ErrIncomplete = errors.New("traceio: incomplete trailing data")
 func IsIncomplete(err error) bool { return errors.Is(err, ErrIncomplete) }
 
 // FailpointTail names the fault-injection site on the tail reader's
-// refill path — one injection point per poll of the underlying file
-// (chaos tests for live ingestion).
+// refill path — one injection point per read of the underlying file,
+// whether a write woke the follower or its poll came due (chaos tests
+// for live ingestion).
 const FailpointTail = "traceio/tail"
+
+// FailpointWatch names the fault-injection site on the file watch's
+// set-up: an injected error leaves the tail without a watch (Changed is
+// nil), so its follower falls back to polling.
+const FailpointWatch = "traceio/watch"
+
+// wakeSpacing is the shortest time between two wakes a file watch
+// delivers: a writer that flushes continuously wakes its follower at most
+// once per spacing, so the follower's loop cannot turn into a busy spin.
+const wakeSpacing = time.Millisecond
 
 // TailReader follows a trace file that is still being written. It is the
 // batch Reader's record reader over a different byte source: it reads
@@ -47,8 +59,20 @@ const FailpointTail = "traceio/tail"
 // always a line boundary. Window is the header's declared window: for a
 // live trace its end is the writer's plan, not what has been ingested.
 //
-// A TailReader is not safe for concurrent use.
-type TailReader struct{ *records }
+// Changed wakes the follower when the writer appends: on Linux an
+// inotify watch on the file feeds it, opened with the tail and ended by
+// Close. It is nil where the watch could not be set up (WatchErr says
+// why), and a follower then only polls. A wake says the file changed,
+// not that a whole record arrived, and wakes coalesce: one pending wake
+// stands for any number of writes, at most one per wakeSpacing.
+//
+// A TailReader is not safe for concurrent use; the channel Changed
+// returns may be received from on any goroutine.
+type TailReader struct {
+	*records
+	watch    *watcher
+	watchErr error
+}
 
 // OpenTail opens path for follow-mode reading. The header must already be
 // complete on disk — for binary that means the string tables, for CSV the
@@ -103,5 +127,64 @@ func openTail(path string, offset int64) (*TailReader, error) {
 		}
 		r.lo, r.hi, r.off, r.line = 0, 0, offset, 0
 	}
-	return &TailReader{r}, nil
+	t := &TailReader{records: r}
+	if t.watchErr = failpoint.Inject(FailpointWatch); t.watchErr == nil {
+		t.watch, t.watchErr = watch(path)
+	}
+	if t.watch != nil {
+		r.closers = append(r.closers, t.watch)
+	}
+	return t, nil
+}
+
+// Changed returns the channel a write to the file wakes, or nil when the
+// file is not watched.
+func (t *TailReader) Changed() <-chan struct{} {
+	if t.watch == nil {
+		return nil
+	}
+	return t.watch.c
+}
+
+// WatchErr reports why the file is not watched (Changed is nil).
+func (t *TailReader) WatchErr() error { return t.watchErr }
+
+// watcher turns the events an OS file watch reports into wakes on the
+// one-slot channel c. Its goroutine blocks in a read of events, which
+// Close ends by closing the watch.
+type watcher struct {
+	c    chan struct{}
+	f    *os.File // the watch's event stream, read through the runtime poller
+	done chan struct{}
+}
+
+func newWatcher(f *os.File) *watcher {
+	w := &watcher{c: make(chan struct{}, 1), f: f, done: make(chan struct{})}
+	go w.run()
+	return w
+}
+
+// run reads batches of events until the watch is closed. What a batch
+// holds does not matter, only that it arrived: it becomes one wake (or
+// none, if one is still pending), and the next read waits wakeSpacing.
+func (w *watcher) run() {
+	defer close(w.done)
+	buf := make([]byte, 4096)
+	for {
+		if _, err := w.f.Read(buf); err != nil {
+			return
+		}
+		select {
+		case w.c <- struct{}{}:
+		default:
+		}
+		time.Sleep(wakeSpacing)
+	}
+}
+
+// Close ends the watch and waits for its goroutine.
+func (w *watcher) Close() error {
+	err := w.f.Close()
+	<-w.done
+	return err
 }

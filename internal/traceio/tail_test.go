@@ -6,7 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
+	"ocelotl/internal/failpoint"
+	"ocelotl/internal/testutil"
 	"ocelotl/internal/trace"
 )
 
@@ -402,3 +405,132 @@ func TestTailTornRecords(t *testing.T) {
 }
 
 func asCorrupt(err error, ce **CorruptError) bool { return errors.As(err, ce) }
+
+// openLiveTail writes a complete binary header to a fresh file and opens
+// a tail on it; it returns the writer too, for appends. The tail is
+// closed at cleanup.
+func openLiveTail(t *testing.T) (*TailReader, Writer) {
+	t.Helper()
+	tr := sampleTrace()
+	f, err := os.Create(filepath.Join(t.TempDir(), "t.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	w, err := NewWriter(f, FormatBinary, Header{Resources: tr.Resources, States: tr.States, Start: 0, End: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Flush(w); err != nil {
+		t.Fatal(err)
+	}
+	tail, err := OpenTail(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tail.Close() })
+	return tail, w
+}
+
+// TestTailChangedOnAppend: an append wakes Changed, a burst of flushes
+// wakes it at most once per wakeSpacing (plus the first), and Close ends
+// the watch's goroutine.
+func TestTailChangedOnAppend(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	tail, w := openLiveTail(t)
+	wake := tail.Changed()
+	if wake == nil {
+		t.Skipf("file not watched on this system: %v", tail.WatchErr())
+	}
+	select {
+	case <-wake:
+		t.Fatal("woken before any write")
+	case <-time.After(20 * time.Millisecond):
+	}
+
+	ev := trace.Event{Resource: 0, State: 1, Start: 1, End: 2}
+	appendOne := func() {
+		if err := w.WriteEvent(ev); err != nil {
+			t.Fatal(err)
+		}
+		if err := Flush(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendOne()
+	select {
+	case <-wake:
+	case <-time.After(2 * time.Second):
+		t.Fatal("an append did not wake Changed within 2s")
+	}
+	if evs, err := drainTail(tail); len(evs) != 1 || !IsIncomplete(err) {
+		t.Fatalf("after the wake: %d events, err %v; want 1 and ErrIncomplete", len(evs), err)
+	}
+
+	// A burst of flushes: count the wakes from its start until the last
+	// one it can cause has been delivered.
+	time.Sleep(10 * time.Millisecond)
+	select {
+	case <-wake:
+	default:
+	}
+	const flushes = 1000
+	wakes, stop, counted := 0, make(chan struct{}), make(chan struct{})
+	start := time.Now()
+	go func() {
+		defer close(counted)
+		for {
+			select {
+			case <-wake:
+				wakes++
+			case <-stop:
+				return
+			}
+		}
+	}()
+	for i := 0; i < flushes; i++ {
+		appendOne()
+	}
+	time.Sleep(20 * time.Millisecond)
+	close(stop)
+	<-counted
+	elapsed := time.Since(start)
+	if limit := int(elapsed/wakeSpacing) + 1; wakes < 1 || wakes > limit {
+		t.Fatalf("%d flushes over %v woke Changed %d times; want 1..%d", flushes, elapsed, wakes, limit)
+	}
+	t.Logf("%d flushes over %v: %d wakes", flushes, elapsed, wakes)
+	if evs, err := drainTail(tail); len(evs) != flushes || !IsIncomplete(err) {
+		t.Fatalf("after the burst: %d events, err %v; want %d and ErrIncomplete", len(evs), err, flushes)
+	}
+
+	if err := tail.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-tail.watch.done:
+	default:
+		t.Fatal("Close returned with the watch goroutine still running")
+	}
+}
+
+// TestTailWatchFailpoint: a failed watch set-up leaves the tail readable
+// and unwatched, with the reason in WatchErr.
+func TestTailWatchFailpoint(t *testing.T) {
+	if err := failpoint.Enable(FailpointWatch, "error(no watch)"); err != nil {
+		t.Fatal(err)
+	}
+	defer failpoint.Disable(FailpointWatch)
+	tail, w := openLiveTail(t)
+	if tail.Changed() != nil || !errors.Is(tail.WatchErr(), failpoint.ErrInjected) {
+		t.Fatalf("Changed() = %v, WatchErr() = %v; want nil and the injected error", tail.Changed(), tail.WatchErr())
+	}
+	if err := w.WriteEvent(trace.Event{Resource: 0, State: 1, Start: 1, End: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := Flush(w); err != nil {
+		t.Fatal(err)
+	}
+	if evs, err := drainTail(tail); len(evs) != 1 || !IsIncomplete(err) {
+		t.Fatalf("unwatched tail: %d events, err %v; want 1 and ErrIncomplete", len(evs), err)
+	}
+}
