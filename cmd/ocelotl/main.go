@@ -77,7 +77,7 @@ func main() {
 		zoomSeq   = flag.String("zoom", "", "replay comma-separated lo:hi slice-range zooms incrementally (e.g. 10:20,2:7)")
 		indexName = flag.String("index", "auto", "event index backend: auto (RAM below threshold, disk above), ram, disk")
 
-		follow     = flag.Bool("follow", false, "live mode: tail -trace while it is being written, re-aggregating a sliding window on each write (stop with Ctrl-C or -follow-idle)")
+		follow     = flag.Bool("follow", false, "live mode: tail -trace while it is being written, re-aggregating a sliding window as writes land (stop with Ctrl-C or -follow-idle)")
 		followPoll = flag.Duration("follow-poll", 200*time.Millisecond, "follow mode: the longest to go without re-reading the file (a write wakes the follower at once where the file can be watched)")
 		followIdle = flag.Duration("follow-idle", 0, "follow mode: exit once no new events arrive for this long (0 = run until interrupted)")
 	)
@@ -297,7 +297,9 @@ func replayWindow(ctx context.Context, log io.Writer, in *core.Input, zoomSpec, 
 // with a live window of slices slices on the header's grid) and prints
 // the live window's aggregation once at start and after each tick that
 // carried events. A tick runs when a write to the file wakes the engine
-// (live.Follower.Changed) or poll passes without one. It returns when
+// or poll passes without one (live.Follower.Wait, which also rests the
+// loop in proportion to the last tick's cost, solve included, so a fast
+// writer cannot keep it solving without pause). It returns when
 // ctx is cancelled or, with idle > 0, once no new events have arrived
 // for idle.
 func runFollow(ctx context.Context, w io.Writer, path string, slices int, p float64, mode string, normalize bool, indexMode microscopic.IndexMode, poll, idle time.Duration) error {
@@ -328,9 +330,8 @@ func runFollow(ctx context.Context, w io.Writer, path string, slices int, p floa
 	if fl.Changed() == nil {
 		fmt.Fprintf(os.Stderr, "ocelotl: %s is not watched, polling every %v: %v\n", path, poll, fl.WatchErr())
 	}
-	ticker := time.NewTicker(poll)
-	defer ticker.Stop()
 	lastData := time.Now()
+	start := lastData // when the current tick began
 	for tick := 0; ; tick++ {
 		in := fl.Live()
 		pt, err := runMode(ctx, in.Model, in, mode, p)
@@ -344,20 +345,19 @@ func runFollow(ctx context.Context, w io.Writer, path string, slices int, p floa
 		}
 		// Tick on each write or poll until a tick carries events (or the
 		// idle timeout passes).
+		busy := time.Since(start)
 		for b := (live.Batch{}); b.Events == 0; {
-			select {
-			case <-ctx.Done():
+			if !fl.Wait(ctx, poll, busy) {
 				return nil
-			case <-ticker.C:
-			case <-fl.Changed():
 			}
-			ticker.Reset(poll)
+			start = time.Now()
 			if b, err = fl.Tick(ctx); err != nil {
 				if ctx.Err() != nil {
 					return nil
 				}
 				return err
 			}
+			busy = time.Since(start)
 			if b.Events == 0 && idle > 0 && time.Since(lastData) > idle {
 				return nil
 			}

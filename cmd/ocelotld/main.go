@@ -54,7 +54,7 @@
 // index stores, and each follower's committed resume offset are
 // journaled into a CRC'd manifest (written atomically: temp + fsync +
 // rename + directory fsync) on every load/unload and every
-// -checkpoint-ticks follow ticks. On boot the daemon recovers the
+// -checkpoint-ticks poll intervals that carried events. On boot the daemon recovers the
 // journal — sealed stores reopen in place instead of re-indexing,
 // followers resume their tail at the journaled byte offset with no event
 // lost or double-ingested, and orphaned temp/store files from the crash
@@ -109,7 +109,7 @@ func main() {
 		indexName = flag.String("index", "auto", "event index backend for loaded traces: auto (RAM below threshold, disk above), ram, disk")
 		indexDir  = flag.String("index-dir", "", "directory for on-disk index store files (default: the system temp dir; with -state-dir, <state-dir>/stores)")
 		stateDir  = flag.String("state-dir", "", "directory for durable daemon state: the manifest journal and (by default) the index stores; enables crash recovery")
-		ckptTicks = flag.Int("checkpoint-ticks", 0, "follow ticks between periodic manifest checkpoints (0 = default 50, negative disables; needs -state-dir)")
+		ckptTicks = flag.Int("checkpoint-ticks", 0, "follow ticks that carried events, at most one per poll interval, between periodic manifest checkpoints (0 = default 50, negative disables; needs -state-dir)")
 		scrub     = flag.Bool("scrub", false, "verify the -state-dir manifest and store CRCs offline, print a JSON report, and exit (non-zero if damaged)")
 		verbose   = flag.Bool("v", false, "debug-level logging")
 	)

@@ -4,8 +4,10 @@
 // Tick reads the newly flushed events, extends the event index
 // copy-on-write (Reslicer.Extend) and advances the live window's Input by
 // the slices it moved (Input.AdvanceContext — O(Δ slices)). The loop
-// that drives it ticks when a write wakes it (Changed) and, as the
-// fallback, when its poll interval passes without one.
+// that drives it waits between ticks with Wait: a write to the file
+// wakes it (Changed), and its poll interval, passing without one, is the
+// fallback. Wait also rests the loop in proportion to what its last tick
+// cost, so a writer that flushes without pause cannot keep it busy.
 //
 // The horizon is the maximum event start ingested. A time-ordered writer
 // only appends events starting at or past it, so a window whose end ≤
@@ -22,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"time"
 
 	"ocelotl/internal/core"
 	"ocelotl/internal/microscopic"
@@ -33,6 +36,16 @@ import (
 // maxBatch caps the events one Tick ingests, bounding tick latency; a
 // backlog simply drains over consecutive ticks.
 const maxBatch = 1 << 18
+
+// restFactor bounds a follow loop's duty cycle: after a tick that took d,
+// Wait holds off a write's wake for restFactor·d, so however fast the
+// writer flushes, ticking fills at most 1/(restFactor+1) of the loop's
+// time. Under a writer flushing every millisecond the CLI, whose ticks
+// solve, then ticks about 56 times a second instead of 800 (2-core Xeon);
+// the daemon's ticks, about 0.09 ms, rest about 1.7 ms, against the
+// watch's own 1 ms spacing. One flushing every 37 ms, as perfbench's
+// follow writer does, is held off only after a tick longer than 1.9 ms.
+const restFactor = 19
 
 // maxSealedSlices bounds how many slices past the anchor start the live
 // window may end: below 2^52 every boundary index is an exact float64, so
@@ -69,6 +82,8 @@ type Follower struct {
 	offset  int64
 	resl    *microscopic.Reslicer
 	live    *core.Input
+	// watchErr says why the tail's file is not watched (Changed is nil).
+	watchErr error
 	// pending holds events read but not yet committed: a failed Tick
 	// keeps them, so faults delay ingestion instead of losing events.
 	pending []trace.Event
@@ -88,8 +103,10 @@ type Batch struct {
 // flushed and anchors a grid of slices slices, each width wide, at the
 // trace start. Width 0 splits the header's declared window into slices,
 // so the live view converges to the batch view once the writer is done.
-// Start owns tail: it is closed on error, and by Close.
+// Start watches tail before reading it, so no write after the read goes
+// unnoticed. Start owns tail: it is closed on error, and by Close.
 func Start(ctx context.Context, tail *traceio.TailReader, slices int, width float64, opt Options) (*Follower, error) {
+	watchErr := tail.Watch()
 	p, err := readPrefix(tail, math.MaxInt64)
 	if err != nil {
 		tail.Close()
@@ -106,13 +123,14 @@ func Start(ctx context.Context, tail *traceio.TailReader, slices int, width floa
 		tail.Close()
 		return nil, fmt.Errorf("live: grid: %w", err)
 	}
-	return boot(ctx, tail, anchor, p, opt)
+	return boot(ctx, tail, watchErr, anchor, p, opt)
 }
 
 // Resume restarts a follow of path at the Offset and Horizon a previous
 // Follower over anchor reported, with zero loss and zero drift: the
 // prefix before offset is replayed into a fresh index and ingestion
-// continues with the next record. A file that no longer matches the
+// continues with the next record. Only the tail that continues is
+// watched, not the one that replays. A file that no longer matches the
 // resume point (truncated or rewritten since) is an error.
 func Resume(ctx context.Context, path string, offset int64, horizon float64, anchor timeslice.Slicer, opt Options) (*Follower, error) {
 	pre, err := traceio.OpenTail(path)
@@ -136,12 +154,12 @@ func Resume(ctx context.Context, path string, offset int64, horizon float64, anc
 	if err != nil {
 		return nil, err
 	}
-	return boot(ctx, tail, anchor, p, opt)
+	return boot(ctx, tail, tail.Watch(), anchor, p, opt)
 }
 
 // boot indexes the prefix and builds the live window sealed at its
 // horizon. It owns tail.
-func boot(ctx context.Context, tail *traceio.TailReader, anchor timeslice.Slicer, p *prefix, opt Options) (*Follower, error) {
+func boot(ctx context.Context, tail *traceio.TailReader, watchErr error, anchor timeslice.Slicer, p *prefix, opt Options) (*Follower, error) {
 	pan, err := SealedPan(anchor, p.end)
 	var resl *microscopic.Reslicer
 	if err == nil {
@@ -152,7 +170,7 @@ func boot(ctx context.Context, tail *traceio.TailReader, anchor timeslice.Slicer
 		return nil, err
 	}
 	f := &Follower{tail: tail, opt: opt.Input, anchor: anchor, pan: pan,
-		horizon: p.end, offset: tail.Offset(), resl: resl}
+		horizon: p.end, offset: tail.Offset(), resl: resl, watchErr: watchErr}
 	if f.live, err = f.build(ctx, resl, pan); err != nil {
 		tail.Close()
 		resl.Close()
@@ -233,13 +251,40 @@ func (f *Follower) Reslicer() *microscopic.Reslicer { return f.resl }
 // Live is the live window's Input.
 func (f *Follower) Live() *core.Input { return f.live }
 
-// Changed is the tail's write wake (traceio.TailReader.Changed): a loop
-// driving the Follower ticks when it fires as well as on its poll. It is
-// nil when the file is not watched; WatchErr says why.
+// Changed is the tail's write wake (traceio.TailReader.Changed), which
+// Wait selects on. It is nil when the file is not watched; WatchErr says
+// why.
 func (f *Follower) Changed() <-chan struct{} { return f.tail.Changed() }
 
 // WatchErr reports why the tail's file is not watched (Changed is nil).
-func (f *Follower) WatchErr() error { return f.tail.WatchErr() }
+func (f *Follower) WatchErr() error { return f.watchErr }
+
+// Wait blocks until the loop driving f should tick again, given that its
+// last tick, publishing included, just ended after busy: when a write
+// wakes f (Changed) but no sooner than restFactor·busy from now, or once
+// poll has passed with no wake. The rest never exceeds poll, so poll
+// stays the longest gap between reads of the file. Wait reports false
+// when ctx is done.
+func (f *Follower) Wait(ctx context.Context, poll, busy time.Duration) bool {
+	rest := min(restFactor*busy, poll)
+	t := time.NewTimer(rest)
+	defer t.Stop()
+	if rest > 0 {
+		select {
+		case <-ctx.Done():
+			return false
+		case <-t.C:
+		}
+	}
+	t.Reset(poll - rest)
+	select {
+	case <-ctx.Done():
+		return false
+	case <-t.C:
+	case <-f.Changed():
+	}
+	return true
+}
 
 // Close releases the tail. The index stays open (see Reslicer).
 func (f *Follower) Close() error { return f.tail.Close() }

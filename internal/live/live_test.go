@@ -7,12 +7,15 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"ocelotl/internal/core"
 	"ocelotl/internal/eventstore"
 	"ocelotl/internal/failpoint"
 	"ocelotl/internal/microscopic"
+	"ocelotl/internal/testutil"
 	"ocelotl/internal/timeslice"
 	"ocelotl/internal/trace"
 	"ocelotl/internal/traceio"
@@ -254,4 +257,124 @@ func TestFollowMalformedTimesIsTerminal(t *testing.T) {
 		}
 	}
 	requireScratch(t, f, events(0, 100))
+}
+
+// newLiveFile creates a trace file with a flushed header and returns
+// its path and writer; the file is closed at cleanup.
+func newLiveFile(t *testing.T) (string, traceio.Writer) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "live.bin")
+	file, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { file.Close() })
+	w, err := traceio.NewWriter(file, traceio.FormatBinary, header)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := traceio.Flush(w); err != nil {
+		t.Fatal(err)
+	}
+	return path, w
+}
+
+// startFollower starts a RAM-indexed Follower over path with a 10-slice
+// live window, closed at cleanup.
+func startFollower(t *testing.T, path string) *Follower {
+	t.Helper()
+	tail, err := traceio.OpenTail(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := Start(context.Background(), tail, 10, 0, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		f.Close()
+		f.Reslicer().Close()
+	})
+	return f
+}
+
+// TestResumeWatchesOnlyItsTail: Resume replays the prefix through one
+// tail and continues on another; only the one it keeps sets up a watch.
+func TestResumeWatchesOnlyItsTail(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	path, w := newLiveFile(t)
+	appendFlushed(t, w, events(0, 100))
+	f := startFollower(t, path)
+
+	var setups atomic.Int32
+	failpoint.EnableFunc(traceio.FailpointWatch, func(context.Context) error {
+		setups.Add(1)
+		return nil
+	})
+	defer failpoint.Disable(traceio.FailpointWatch)
+	r, err := Resume(context.Background(), path, f.Offset(), f.Horizon(), f.Anchor(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		r.Close()
+		r.Reslicer().Close()
+	}()
+	if n := setups.Load(); n != 1 {
+		t.Fatalf("Resume set up %d watches; want 1, on the tail it continues on", n)
+	}
+}
+
+// TestWaitRests: after a tick that cost nothing a write wakes Wait at
+// once; after a costly one the wake waits out restFactor times its cost;
+// the rest never outlasts poll; and a done context ends the wait.
+func TestWaitRests(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	path, w := newLiveFile(t)
+	appendFlushed(t, w, events(0, 100))
+	f := startFollower(t, path)
+	if f.Changed() == nil {
+		t.Skipf("file not watched, so only the poll runs: %v", f.WatchErr())
+	}
+	ctx := context.Background()
+	// settle drains the wakes earlier writes left pending.
+	settle := func() {
+		time.Sleep(20 * time.Millisecond)
+		select {
+		case <-f.Changed():
+		default:
+		}
+	}
+
+	appendFlushed(t, w, events(100, 10))
+	t0 := time.Now()
+	if !f.Wait(ctx, time.Minute, 0) {
+		t.Fatal("Wait reported a done context")
+	}
+	if d := time.Since(t0); d > 2*time.Second {
+		t.Fatalf("a write woke Wait after %v at a one-minute poll", d)
+	}
+
+	const busy = 5 * time.Millisecond
+	settle()
+	appendFlushed(t, w, events(110, 10))
+	t0 = time.Now()
+	f.Wait(ctx, time.Minute, busy)
+	if d := time.Since(t0); d < restFactor*busy || d > 10*time.Second {
+		t.Fatalf("after a %v tick a write woke Wait after %v; want no sooner than %v", busy, d, restFactor*busy)
+	}
+
+	const poll = 50 * time.Millisecond
+	settle()
+	t0 = time.Now()
+	f.Wait(ctx, poll, time.Hour)
+	if d := time.Since(t0); d < poll || d > 10*time.Second {
+		t.Fatalf("with no write and a %v poll, Wait returned after %v", poll, d)
+	}
+
+	done, cancel := context.WithCancel(ctx)
+	cancel()
+	if f.Wait(done, time.Minute, busy) {
+		t.Fatal("Wait on a done context reported a tick")
+	}
 }

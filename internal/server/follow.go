@@ -81,6 +81,12 @@ type follower struct {
 	cancel context.CancelFunc
 	ctx    context.Context
 	done   chan struct{}
+	// A tick that ingested events counts toward the next checkpoint only
+	// once a poll interval has passed since the last one that counted
+	// (at countedAt): checkpoints come every checkpointTicks polls that
+	// carried events, however often writes wake the loop.
+	countedAt time.Time
+	counted   int
 }
 
 // state is the follow view of the engine's committed state.
@@ -229,30 +235,25 @@ func (s *Server) openTailWait(ctx context.Context, path string, poll time.Durati
 }
 
 // runFollower is the per-trace ingestion loop: wait for a write to the
-// file (the engine's Changed) or, failing one, for the poll interval to
-// pass since the last tick; tick; repeat until cancelled (DELETE or
-// drain). Retryable tick errors — I/O hiccups, armed failpoints — are
-// logged and retried with the engine's pending batch intact, under the
-// shared jittered backoff (counted in follow_retries, reset on the first
-// good tick) so a persistent fault doesn't spin the loop; a terminal
-// error (a corrupt trace, a horizon the live grid cannot place —
+// file or, failing one, for the poll interval to pass since the last
+// tick (live.Follower.Wait, which also rests the loop in proportion to
+// the last tick's cost); tick; repeat until cancelled (DELETE or drain).
+// Retryable tick errors — I/O hiccups, armed failpoints — are logged and
+// retried with the engine's pending batch intact, under the shared
+// jittered backoff (counted in follow_retries, reset on the first good
+// tick) so a persistent fault doesn't spin the loop; a terminal error
+// (a corrupt trace, a horizon the live grid cannot place —
 // live.Terminal) never repairs, so the loop parks with the last good
 // snapshot still served.
 func (s *Server) runFollower(f *follower) {
 	defer close(f.done)
 	defer f.eng.Close()
-	ticker := time.NewTicker(f.poll)
-	defer ticker.Stop()
 	failures := 0
-	for {
-		select {
-		case <-f.ctx.Done():
-			return
-		case <-ticker.C:
-		case <-f.eng.Changed():
-		}
-		ticker.Reset(f.poll)
+	var busy time.Duration
+	for f.eng.Wait(f.ctx, f.poll, busy) {
+		start := time.Now()
 		err := s.followTick(f)
+		busy = time.Since(start)
 		if err == nil {
 			failures = 0
 			continue
@@ -307,10 +308,15 @@ func (s *Server) followTick(f *follower) error {
 	s.cache.Seed(ntr, f.eng.Live())
 	s.cache.stats.FollowTicks.Add(1)
 	s.cache.stats.FollowEvents.Add(int64(b.Events))
-	// Journal the advanced resume offset every checkpointTicks ticks —
-	// a non-blocking kick to the keeper, nothing durable on this path.
-	if s.state != nil && s.checkpointTicks > 0 && nfs.ticks%int64(s.checkpointTicks) == 0 {
-		s.requestCheckpoint()
+	// Journal the advanced resume offset every checkpointTicks counted
+	// ticks — a non-blocking kick to the keeper, nothing durable on this
+	// path.
+	if s.state != nil && s.checkpointTicks > 0 && time.Since(f.countedAt) >= f.poll {
+		f.countedAt = time.Now()
+		if f.counted++; f.counted == s.checkpointTicks {
+			f.counted = 0
+			s.requestCheckpoint()
+		}
 	}
 	s.log.Debug("follow tick", "trace", f.id, "events", b.Events,
 		"horizon", nfs.horizon, "pan", nfs.pan, "advanced_slices", b.Advanced, "reorder", b.Reorder)

@@ -817,3 +817,41 @@ func TestFollowPollMsOverflow(t *testing.T) {
 		t.Fatalf("live=1 after the refused loads: status %d (%s)", resp.StatusCode, body)
 	}
 }
+
+// TestFollowCheckpointsPerPoll: a writer that flushes every few
+// milliseconds wakes many ticks, but a tick counts toward a checkpoint
+// only once a poll interval has passed since the last one that counted,
+// so with checkpoint_ticks 1 and poll_ms 200 the keeper writes about one
+// checkpoint per poll, not one per flush.
+func TestFollowCheckpointsPerPoll(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	path := filepath.Join(t.TempDir(), "live.bin")
+	all := followEvents(3100)
+	lw := newLiveWriter(t, path)
+	lw.append(all[:100])
+
+	s, ts, _ := newStateServer(t, t.TempDir(), microscopic.IndexAuto)
+	defer shutdown(t, s, ts)
+	const poll = 200 * time.Millisecond
+	followLoad(t, ts, "live", path, int(poll/time.Millisecond))
+	if f := followerOf(t, s, "live"); f.eng.Changed() == nil {
+		t.Skipf("file not watched, so ticks come only from the poll: %v", f.eng.WatchErr())
+	}
+	before := s.CacheStats()
+	start := time.Now()
+	for next := 110; next <= len(all); next += 10 {
+		lw.append(all[next-10 : next])
+		time.Sleep(2 * time.Millisecond)
+	}
+	if !horizonWithin(s, "live", all[len(all)-1].Start, 5*time.Second) {
+		t.Fatal("the follower did not ingest the writer's flushes")
+	}
+	elapsed := time.Since(start)
+	time.Sleep(50 * time.Millisecond) // let the keeper finish a pending kick
+	after := s.CacheStats()
+	ticks, ckpts := after.FollowTicks-before.FollowTicks, after.Checkpoints-before.Checkpoints
+	t.Logf("%d flushes over %v: %d ticks, %d checkpoints", len(all)/10-10, elapsed, ticks, ckpts)
+	if limit := int64(elapsed/poll) + 2; ckpts < 1 || ckpts > limit {
+		t.Fatalf("%d ticks over %v wrote %d checkpoints; want 1..%d, one per poll that ingested events", ticks, elapsed, ckpts, limit)
+	}
+}

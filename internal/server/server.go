@@ -157,8 +157,10 @@ type Config struct {
 	// between periodic manifest checkpoints (0 = DefaultCheckpointTicks;
 	// negative disables tick-driven checkpoints, leaving load/unload/
 	// shutdown as the only checkpoint sites). Only meaningful with
-	// StateDir set. On a watched file a write wakes a tick, so this
-	// counts the writer's flushes rather than polls.
+	// StateDir set. A tick counts only once the follower's poll interval
+	// has passed since the last one that counted, so a writer whose
+	// flushes each wake a tick does not multiply manifest writes: the
+	// count is of poll intervals that carried events.
 	CheckpointTicks int
 }
 

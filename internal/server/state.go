@@ -23,7 +23,7 @@ import (
 // serving state — which traces are loaded, where their sealed index
 // stores live, and each follower's committed resume offset — into a CRC'd
 // manifest (internal/manifest) written atomically on every load, unload
-// and every CheckpointTicks follow ticks. Recover replays the manifest on
+// and every CheckpointTicks poll intervals that carried events. Recover replays the manifest on
 // boot: sealed stores are reopened in place instead of re-indexed,
 // followers resume their tail at the journaled byte offset
 // (live.Resume), and anything the manifest doesn't vouch for —
@@ -44,11 +44,11 @@ import (
 // trace, so chaos at boot degrades to extra work, not data loss.
 const FailpointRecoverOpen = "recover/open"
 
-// DefaultCheckpointTicks is how many event-carrying follow ticks elapse
-// between periodic checkpoints when Config.CheckpointTicks is 0. Each
-// tick advances the journaled resume offset; more frequent checkpoints
-// shrink the prefix a restart replays, at the price of more manifest
-// writes.
+// DefaultCheckpointTicks is how many event-carrying follow ticks, at
+// most one per poll interval, elapse between periodic checkpoints when
+// Config.CheckpointTicks is 0. Each tick advances the journaled resume
+// offset; more frequent checkpoints shrink the prefix a restart replays,
+// at the price of more manifest writes.
 const DefaultCheckpointTicks = 50
 
 // stateKeeper owns the manifest journal: one goroutine drains kicks and

@@ -59,19 +59,19 @@ const wakeSpacing = time.Millisecond
 // always a line boundary. Window is the header's declared window: for a
 // live trace its end is the writer's plan, not what has been ingested.
 //
-// Changed wakes the follower when the writer appends: on Linux an
-// inotify watch on the file feeds it, opened with the tail and ended by
-// Close. It is nil where the watch could not be set up (WatchErr says
-// why), and a follower then only polls. A wake says the file changed,
-// not that a whole record arrived, and wakes coalesce: one pending wake
-// stands for any number of writes, at most one per wakeSpacing.
+// Changed wakes the follower when the writer appends, once Watch has set
+// up a watch on the file (on Linux an inotify watch, ended by Close). It
+// is nil until then and where the watch could not be set up, and a
+// follower then only polls. A wake says the file changed, not that a
+// whole record arrived, and wakes coalesce: one pending wake stands for
+// any number of writes, at most one per wakeSpacing.
 //
 // A TailReader is not safe for concurrent use; the channel Changed
 // returns may be received from on any goroutine.
 type TailReader struct {
 	*records
-	watch    *watcher
-	watchErr error
+	path  string
+	watch *watcher
 }
 
 // OpenTail opens path for follow-mode reading. The header must already be
@@ -127,14 +127,29 @@ func openTail(path string, offset int64) (*TailReader, error) {
 		}
 		r.lo, r.hi, r.off, r.line = 0, 0, offset, 0
 	}
-	t := &TailReader{records: r}
-	if t.watchErr = failpoint.Inject(FailpointWatch); t.watchErr == nil {
-		t.watch, t.watchErr = watch(path)
-	}
+	return &TailReader{records: r, path: path}, nil
+}
+
+// Watch sets up the watch that feeds Changed; Close ends it. A write
+// after Watch returns wakes Changed, so a follower calls it before the
+// reads the wakes should follow, and only on a tail it keeps: each watch
+// holds an OS instance (on Linux, one of the per-user inotify instances)
+// and a goroutine. On error Changed stays nil and the follower polls.
+// Watching a watched tail does nothing.
+func (t *TailReader) Watch() error {
 	if t.watch != nil {
-		r.closers = append(r.closers, t.watch)
+		return nil
 	}
-	return t, nil
+	if err := failpoint.Inject(FailpointWatch); err != nil {
+		return err
+	}
+	w, err := watch(t.path)
+	if err != nil {
+		return err
+	}
+	t.watch = w
+	t.closers = append(t.closers, w)
+	return nil
 }
 
 // Changed returns the channel a write to the file wakes, or nil when the
@@ -146,12 +161,9 @@ func (t *TailReader) Changed() <-chan struct{} {
 	return t.watch.c
 }
 
-// WatchErr reports why the file is not watched (Changed is nil).
-func (t *TailReader) WatchErr() error { return t.watchErr }
-
 // watcher turns the events an OS file watch reports into wakes on the
-// one-slot channel c. Its goroutine blocks in a read of events, which
-// Close ends by closing the watch.
+// one-slot channel c. Its goroutine blocks in a read of events or in the
+// send of a wake, and Close ends either.
 type watcher struct {
 	c    chan struct{}
 	f    *os.File // the watch's event stream, read through the runtime poller
@@ -165,8 +177,11 @@ func newWatcher(f *os.File) *watcher {
 }
 
 // run reads batches of events until the watch is closed. What a batch
-// holds does not matter, only that it arrived: it becomes one wake (or
-// none, if one is still pending), and the next read waits wakeSpacing.
+// holds does not matter, only that it arrived: it becomes one wake. While
+// a wake is pending the goroutine waits for the follower to take it
+// rather than read on, so a resting follower is not woken by each write
+// (the kernel queues the events, and merges repeats, meanwhile); after a
+// wake is sent the next read waits wakeSpacing.
 func (w *watcher) run() {
 	defer close(w.done)
 	buf := make([]byte, 4096)
@@ -174,17 +189,20 @@ func (w *watcher) run() {
 		if _, err := w.f.Read(buf); err != nil {
 			return
 		}
-		select {
-		case w.c <- struct{}{}:
-		default:
-		}
+		w.c <- struct{}{}
 		time.Sleep(wakeSpacing)
 	}
 }
 
-// Close ends the watch and waits for its goroutine.
+// Close ends the watch and waits for its goroutine, taking the wakes it
+// is blocked sending.
 func (w *watcher) Close() error {
 	err := w.f.Close()
-	<-w.done
-	return err
+	for {
+		select {
+		case <-w.done:
+			return err
+		case <-w.c:
+		}
+	}
 }

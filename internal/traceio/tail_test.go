@@ -432,15 +432,21 @@ func openLiveTail(t *testing.T) (*TailReader, Writer) {
 	return tail, w
 }
 
-// TestTailChangedOnAppend: an append wakes Changed, a burst of flushes
-// wakes it at most once per wakeSpacing (plus the first), and Close ends
-// the watch's goroutine.
+// TestTailChangedOnAppend: a tail is unwatched until Watch; then an
+// append wakes Changed, a burst of flushes wakes it at most once per
+// wakeSpacing (plus the first), and Close ends the watch's goroutine.
 func TestTailChangedOnAppend(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	tail, w := openLiveTail(t)
+	if tail.Changed() != nil {
+		t.Fatal("Changed() is set before Watch")
+	}
+	if err := tail.Watch(); err != nil {
+		t.Skipf("file not watched on this system: %v", err)
+	}
 	wake := tail.Changed()
-	if wake == nil {
-		t.Skipf("file not watched on this system: %v", tail.WatchErr())
+	if err := tail.Watch(); err != nil || tail.Changed() != wake {
+		t.Fatalf("a second Watch: err %v, Changed() %v; want nil and the first watch's %v", err, tail.Changed(), wake)
 	}
 	select {
 	case <-wake:
@@ -513,16 +519,16 @@ func TestTailChangedOnAppend(t *testing.T) {
 	}
 }
 
-// TestTailWatchFailpoint: a failed watch set-up leaves the tail readable
-// and unwatched, with the reason in WatchErr.
+// TestTailWatchFailpoint: a failed watch set-up returns its error and
+// leaves the tail readable and unwatched.
 func TestTailWatchFailpoint(t *testing.T) {
 	if err := failpoint.Enable(FailpointWatch, "error(no watch)"); err != nil {
 		t.Fatal(err)
 	}
 	defer failpoint.Disable(FailpointWatch)
 	tail, w := openLiveTail(t)
-	if tail.Changed() != nil || !errors.Is(tail.WatchErr(), failpoint.ErrInjected) {
-		t.Fatalf("Changed() = %v, WatchErr() = %v; want nil and the injected error", tail.Changed(), tail.WatchErr())
+	if err := tail.Watch(); tail.Changed() != nil || !errors.Is(err, failpoint.ErrInjected) {
+		t.Fatalf("Watch() = %v, Changed() = %v; want the injected error and nil", err, tail.Changed())
 	}
 	if err := w.WriteEvent(trace.Event{Resource: 0, State: 1, Start: 1, End: 2}); err != nil {
 		t.Fatal(err)
