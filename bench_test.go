@@ -151,6 +151,91 @@ func BenchmarkTable2_Microscopic_B(b *testing.B) { benchTable2Microscopic(b, gri
 func BenchmarkTable2_Microscopic_C(b *testing.B) { benchTable2Microscopic(b, grid5000.CaseC) }
 func BenchmarkTable2_Microscopic_D(b *testing.B) { benchTable2Microscopic(b, grid5000.CaseD) }
 
+// The load: reading a binary trace file into the RAM event index, the
+// fixed first cost of every served trace (perfbench explore's lag_p50_ms
+// is dominated by it).
+
+// loadIndexScale generates perfbench explore's trace: case A at scale
+// 0.3, about 0.9M events.
+const loadIndexScale = 0.3
+
+var (
+	loadIndexPath   string
+	loadIndexEvents int
+)
+
+// loadIndexTrace writes (once per process) the explore-shaped binary
+// trace and returns its path and event count.
+func loadIndexTrace(b *testing.B) (string, int) {
+	b.Helper()
+	caseMu.Lock()
+	defer caseMu.Unlock()
+	if loadIndexPath != "" {
+		return loadIndexPath, loadIndexEvents
+	}
+	if benchDir == "" {
+		dir, err := os.MkdirTemp("", "ocelotl-bench-")
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchDir = dir
+	}
+	res, err := mpisim.GenerateCase(grid5000.CaseA, mpisim.Config{Seed: 42, Scale: loadIndexScale})
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(benchDir, "load-index.bin")
+	if err := traceio.WriteFile(path, res.Trace); err != nil {
+		b.Fatal(err)
+	}
+	loadIndexPath, loadIndexEvents = path, len(res.Trace.Events)
+	return loadIndexPath, loadIndexEvents
+}
+
+func benchLoadIndex(b *testing.B, opt func(events int) microscopic.IndexOptions) {
+	path, events := loadIndexTrace(b)
+	o := opt(events)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src, err := traceio.OpenFile(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r, err := microscopic.NewReslicerIndexed(src, o)
+		src.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if r.NumEvents() != events {
+			b.Fatalf("indexed %d events, want %d", r.NumEvents(), events)
+		}
+		if err := r.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(events), "events")
+}
+
+// BenchmarkLoadIndex_RAM measures one load of the explore trace into the
+// RAM index: open, decode, validate, index and freeze.
+func BenchmarkLoadIndex_RAM(b *testing.B) {
+	benchLoadIndex(b, func(int) microscopic.IndexOptions {
+		return microscopic.IndexOptions{Mode: microscopic.IndexRAM}
+	})
+}
+
+// BenchmarkLoadIndex_AutoSpill loads the same trace with an IndexAuto
+// threshold at half its events, so the load spills to the disk store
+// mid-stream: the RAM columns drain into the store builder, which takes
+// the rest of the stream.
+func BenchmarkLoadIndex_AutoSpill(b *testing.B) {
+	dir := b.TempDir()
+	benchLoadIndex(b, func(events int) microscopic.IndexOptions {
+		return microscopic.IndexOptions{Mode: microscopic.IndexAuto, Threshold: int64(events / 2), Dir: dir}
+	})
+}
+
 // The aggregation column measures both phases: building the tree of
 // triangular matrices (Aggregation_Input) and one Algorithm 1 pass
 // (Aggregation_Run — the per-slider-stop cost, "instantaneous" in §V).

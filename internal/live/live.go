@@ -6,7 +6,7 @@
 // the slices it moved (Input.AdvanceContext — O(Δ slices)). The loop
 // that drives it waits between ticks with Wait: a write to the file
 // wakes it (Changed), and its poll interval, passing without one, is the
-// fallback. Wait also rests the loop in proportion to what its last tick
+// fallback. Wait also rests the loop in proportion to what its recent ticks
 // cost, so a writer that flushes without pause cannot keep it busy.
 //
 // The horizon is the maximum event start ingested. A time-ordered writer
@@ -37,14 +37,14 @@ import (
 // backlog simply drains over consecutive ticks.
 const maxBatch = 1 << 18
 
-// restFactor bounds a follow loop's duty cycle: after a tick that took d,
-// Wait holds off a write's wake for restFactor·d, so however fast the
-// writer flushes, ticking fills at most 1/(restFactor+1) of the loop's
-// time. Under a writer flushing every millisecond the CLI, whose ticks
+// restFactor bounds a follow loop's duty cycle: after ticks that took d
+// (the median of the last three), Wait holds off a write's wake for
+// restFactor·d, so however fast the writer flushes, ticking fills at most
+// about 1/(restFactor+1) of the loop's time. Under a writer flushing every millisecond the CLI, whose ticks
 // solve, then ticks about 56 times a second instead of 800 (2-core Xeon);
 // the daemon's ticks, about 0.09 ms, rest about 1.7 ms, against the
 // watch's own 1 ms spacing. One flushing every 37 ms, as perfbench's
-// follow writer does, is held off only after a tick longer than 1.9 ms.
+// follow writer does, is held off only after ticks longer than 1.9 ms.
 const restFactor = 19
 
 // maxSealedSlices bounds how many slices past the anchor start the live
@@ -87,6 +87,10 @@ type Follower struct {
 	// pending holds events read but not yet committed: a failed Tick
 	// keeps them, so faults delay ingestion instead of losing events.
 	pending []trace.Event
+	// costs holds the last three ticks' costs Wait was given, the newest
+	// at costs[next-1]; Wait rests on their median.
+	costs [3]time.Duration
+	next  int
 }
 
 // Batch is one Tick's outcome: the events ingested (0: nothing new was
@@ -261,12 +265,19 @@ func (f *Follower) WatchErr() error { return f.watchErr }
 
 // Wait blocks until the loop driving f should tick again, given that its
 // last tick, publishing included, just ended after busy: when a write
-// wakes f (Changed) but no sooner than restFactor·busy from now, or once
-// poll has passed with no wake. The rest never exceeds poll, so poll
-// stays the longest gap between reads of the file. Wait reports false
-// when ctx is done.
+// wakes f (Changed) but no sooner than restFactor times the median cost
+// of the last three ticks from now, or once poll has passed with no
+// wake. The median lets a cost that persists over two of three ticks
+// rest the loop, while one slow tick (a GC pause, a stall) does not hold
+// off the next write's wake. The rest never exceeds poll, so poll stays
+// the longest gap between reads of the file. Wait reports false when ctx
+// is done.
 func (f *Follower) Wait(ctx context.Context, poll, busy time.Duration) bool {
-	rest := min(restFactor*busy, poll)
+	f.costs[f.next] = busy
+	f.next = (f.next + 1) % len(f.costs)
+	a, b, c := f.costs[0], f.costs[1], f.costs[2]
+	median := max(min(a, b), min(max(a, b), c))
+	rest := min(restFactor*median, poll)
 	t := time.NewTimer(rest)
 	defer t.Stop()
 	if rest > 0 {

@@ -326,8 +326,9 @@ func TestResumeWatchesOnlyItsTail(t *testing.T) {
 }
 
 // TestWaitRests: after a tick that cost nothing a write wakes Wait at
-// once; after a costly one the wake waits out restFactor times its cost;
-// the rest never outlasts poll; and a done context ends the wait.
+// once; one slow tick after cheap ones does not hold off the next wake,
+// but two costly ticks in a row make it wait out restFactor times their
+// cost; the rest never outlasts poll; and a done context ends the wait.
 func TestWaitRests(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	path, w := newLiveFile(t)
@@ -345,28 +346,46 @@ func TestWaitRests(t *testing.T) {
 		default:
 		}
 	}
-
-	appendFlushed(t, w, events(100, 10))
-	t0 := time.Now()
-	if !f.Wait(ctx, time.Minute, 0) {
-		t.Fatal("Wait reported a done context")
+	// cheapTicks records three 0.1 ms ticks; a 1 ms poll ends each wait.
+	cheapTicks := func() {
+		for range 3 {
+			f.Wait(ctx, time.Millisecond, 100*time.Microsecond)
+		}
 	}
-	if d := time.Since(t0); d > 2*time.Second {
+	// wake writes and times the Wait that follows a tick costing busy.
+	wake := func(busy time.Duration, at int) time.Duration {
+		settle()
+		appendFlushed(t, w, events(at, 10))
+		t0 := time.Now()
+		if !f.Wait(ctx, time.Minute, busy) {
+			t.Fatal("Wait reported a done context")
+		}
+		return time.Since(t0)
+	}
+
+	if d := wake(0, 100); d > 2*time.Second {
 		t.Fatalf("a write woke Wait after %v at a one-minute poll", d)
 	}
 
+	// One 50 ms stall among 0.1 ms ticks: resting on it alone would hold
+	// the wake off for 950 ms.
+	cheapTicks()
+	if d := wake(50*time.Millisecond, 110); d > 50*time.Millisecond {
+		t.Fatalf("after one 50ms tick among 0.1ms ones a write woke Wait after %v; want the 0.1ms ticks' rest", d)
+	}
+
 	const busy = 5 * time.Millisecond
-	settle()
-	appendFlushed(t, w, events(110, 10))
-	t0 = time.Now()
-	f.Wait(ctx, time.Minute, busy)
-	if d := time.Since(t0); d < restFactor*busy || d > 10*time.Second {
-		t.Fatalf("after a %v tick a write woke Wait after %v; want no sooner than %v", busy, d, restFactor*busy)
+	cheapTicks()
+	if d := wake(busy, 120); d > 50*time.Millisecond {
+		t.Fatalf("after the first %v tick a write woke Wait after %v; want the 0.1ms ticks' rest", busy, d)
+	}
+	if d := wake(busy, 130); d < restFactor*busy || d > 10*time.Second {
+		t.Fatalf("after two %v ticks a write woke Wait after %v; want no sooner than %v", busy, d, restFactor*busy)
 	}
 
 	const poll = 50 * time.Millisecond
 	settle()
-	t0 = time.Now()
+	t0 := time.Now()
 	f.Wait(ctx, poll, time.Hour)
 	if d := time.Since(t0); d < poll || d > 10*time.Second {
 		t.Fatalf("with no write and a %v poll, Wait returned after %v", poll, d)

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"slices"
 	"sort"
@@ -189,8 +190,9 @@ func sortLeaf(evs []indexedEvent) {
 }
 
 // freezeRAM orders each leaf's events by start (sortLeaf) and flattens
-// them into a ramIndex with the running-max-end column. The disk
-// backend's per-tick overlay is frozen the same way.
+// them into a ramIndex with the running-max-end column: how a disk
+// backend's first extend freezes its RAM overlay. (A load freezes its
+// leaves with freezeColumns.)
 func freezeRAM(tmp [][]indexedEvent) *ramIndex {
 	ix := &ramIndex{leaves: make([]ramLeaf, len(tmp))}
 	for s, evs := range tmp {
@@ -293,14 +295,24 @@ func (s *memSource) Next(ev *trace.Event) error {
 // mid-stream (the buffer drains into the builder; the stream is never
 // re-read). The returned Reslicer must be Closed when disk-backed — the
 // store file is a temporary that Close removes.
+//
+// The source is read to its end on a goroutine of the constructor's own,
+// which decodes and validates the next events while the calling
+// goroutine indexes the last ones; the source must not be used by anyone
+// else until NewReslicerIndexed returns, and it is never read after that,
+// on success or on error, so the caller may close it at once. The first
+// bad event in stream order decides the error: a read failure wrapped as
+// "microscopic: reading events", an event checkEvent rejects, or a store
+// builder failure.
 func NewReslicerIndexed(src EventSource, opt IndexOptions) (*Reslicer, error) {
-	h, err := hierarchy.FromPaths(src.Resources())
+	resources := src.Resources()
+	h, err := hierarchy.FromPaths(resources)
 	if err != nil {
 		return nil, err
 	}
 	start, end := src.Window()
 	states := src.States()
-	r2leaf, err := leafMap(h, src.Resources())
+	r2leaf, err := leafMap(h, resources)
 	if err != nil {
 		return nil, err
 	}
@@ -311,69 +323,75 @@ func NewReslicerIndexed(src EventSource, opt IndexOptions) (*Reslicer, error) {
 	r.r2leaf = r2leaf
 
 	var (
-		tmp     [][]indexedEvent // RAM buffer (nil once spilled)
-		total   int64
+		cols    []leafColumns // RAM columns (nil once spilled)
 		builder *eventstore.Builder
 	)
+	// startBuilder opens the store builder and drains the RAM columns
+	// into it leaf by leaf, each leaf in stream order.
 	startBuilder := func() error {
-		b, err := newStoreBuilder(h, r2leaf, src.Resources(), states, start, end, opt)
+		b, err := newStoreBuilder(h, r2leaf, resources, states, start, end, opt)
 		if err != nil {
 			return err
 		}
 		builder = b
-		for leaf, evs := range tmp {
-			for _, e := range evs {
-				if err := builder.Add(uint32(leaf), e.state, e.start, e.end); err != nil {
-					builder.Abort()
-					return err
+		for leaf := range cols {
+			for _, ch := range cols[leaf].chunks {
+				for i := range ch.start {
+					if err := builder.Add(uint32(leaf), ch.state[i], ch.start[i], ch.end[i]); err != nil {
+						builder.Abort()
+						return err
+					}
 				}
 			}
 		}
-		tmp = nil
+		cols = nil
 		return nil
 	}
 	if opt.Mode != IndexDisk {
-		tmp = make([][]indexedEvent, h.NumLeaves())
+		cols = make([]leafColumns, h.NumLeaves())
 	} else if err := startBuilder(); err != nil {
 		return nil, err
 	}
+	limit := int64(math.MaxInt64) // RAM events before the spill
+	if opt.Mode == IndexAuto {
+		limit = opt.Threshold
+	}
 
-	var ev trace.Event
-	for k := 0; ; k++ {
-		if err := src.Next(&ev); err != nil {
-			if err == io.EOF {
-				break
-			}
-			if builder != nil {
-				builder.Abort()
-			}
-			return nil, fmt.Errorf("microscopic: reading events: %w", err)
-		}
-		if builder == nil {
-			if err := indexEvent(tmp, r2leaf, len(states), k, ev); err != nil {
-				return nil, err
-			}
-			total++
-			if opt.Mode == IndexAuto && total > opt.Threshold {
+	lr := startLoadReader(src, r2leaf, len(states))
+	defer lr.halt()
+	var total int64
+	for last := false; !last; {
+		b := <-lr.full
+		evs := b.evs[:b.n]
+		for len(evs) > 0 && builder == nil {
+			e := evs[0]
+			evs = evs[1:]
+			cols[e.leaf].push(e.start, e.end, e.state)
+			if total++; total > limit {
 				if err := startBuilder(); err != nil {
 					return nil, err
 				}
 			}
-			continue
 		}
-		leaf, err := checkEvent(r2leaf, len(states), k, ev)
+		for _, e := range evs {
+			if err := builder.Add(uint32(e.leaf), e.state, e.start, e.end); err != nil {
+				builder.Abort()
+				return nil, err
+			}
+		}
+		var err error
+		last, err = b.last, b.err
+		lr.free <- b
 		if err != nil {
-			builder.Abort()
-			return nil, err
-		}
-		if err := builder.Add(uint32(leaf), int32(ev.State), ev.Start, ev.End); err != nil {
-			builder.Abort()
+			if builder != nil {
+				builder.Abort()
+			}
 			return nil, err
 		}
 	}
 
 	if builder == nil {
-		r.idx = freezeRAM(tmp)
+		r.idx = freezeColumns(cols)
 		return r, nil
 	}
 	store, err := builder.Finish()
@@ -454,8 +472,8 @@ func OpenReslicerStore(path string, opt IndexOptions) (*Reslicer, error) {
 
 // checkEvent validates event k (its index in the stream or batch) and
 // returns its leaf: the one copy of the acceptance rules, shared by
-// BuildStream, the buffered index path (indexEvent) and the
-// direct-to-store path. The event must be trace.Event.Valid (finite
+// BuildStream, the load's reader (NewReslicerIndexed) and Extend
+// (indexEvent). The event must be trace.Event.Valid (finite
 // times, End ≥ Start, non-negative IDs) and reference the tables' states
 // and resources.
 func checkEvent(r2leaf []int, numStates, k int, e trace.Event) (int, error) {

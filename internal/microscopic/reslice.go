@@ -35,6 +35,11 @@ func (ov SliceOverlap) Shared() bool { return ov.W > 0 }
 // selects the backend by IndexOptions. Both backends visit identical
 // events in identical order, so the models they produce are bit-identical.
 //
+// Construction reads the event source once, on a goroutine of the
+// constructor's own that decodes and validates events while the calling
+// goroutine indexes them; the source must not be shared until the
+// constructor returns, and it is never read after that.
+//
 // A Reslicer is immutable after construction and safe for concurrent use;
 // the Models it produces carry a back-pointer to it (Model.Reslicer), which
 // the core layer's Pan/Zoom helpers use. Disk-backed reslicers own a
@@ -53,8 +58,8 @@ type Reslicer struct {
 	idx eventIndex
 }
 
-// indexedEvent is the construction-time representation before the index is
-// frozen into struct-of-arrays form.
+// indexedEvent is an appended event before Extend merges it into the
+// index's struct-of-arrays form.
 type indexedEvent struct {
 	start, end float64
 	state      int32
@@ -68,8 +73,8 @@ func NewReslicer(tr *trace.Trace) (*Reslicer, error) {
 }
 
 // indexEvent validates event k against the tables and appends it to its
-// leaf's bucket; the validation is checkEvent's, shared with the direct-
-// to-builder path so the acceptance rules cannot drift apart.
+// leaf's bucket; the validation is checkEvent's, shared with the load so
+// the acceptance rules cannot drift apart.
 func indexEvent(tmp [][]indexedEvent, r2leaf []int, numStates, k int, e trace.Event) error {
 	s, err := checkEvent(r2leaf, numStates, k, e)
 	if err != nil {

@@ -237,7 +237,7 @@ func (s *Server) openTailWait(ctx context.Context, path string, poll time.Durati
 // runFollower is the per-trace ingestion loop: wait for a write to the
 // file or, failing one, for the poll interval to pass since the last
 // tick (live.Follower.Wait, which also rests the loop in proportion to
-// the last tick's cost); tick; repeat until cancelled (DELETE or drain).
+// the recent ticks' cost); tick; repeat until cancelled (DELETE or drain).
 // Retryable tick errors — I/O hiccups, armed failpoints — are logged and
 // retried with the engine's pending batch intact, under the shared
 // jittered backoff (counted in follow_retries, reset on the first good
