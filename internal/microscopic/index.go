@@ -360,7 +360,7 @@ func NewReslicerIndexed(src EventSource, opt IndexOptions) (*Reslicer, error) {
 	lr := startLoadReader(src, r2leaf, len(states))
 	defer lr.halt()
 	var total int64
-	for last := false; !last; {
+	for {
 		b := <-lr.full
 		evs := b.evs[:b.n]
 		for len(evs) > 0 && builder == nil {
@@ -379,9 +379,11 @@ func NewReslicerIndexed(src EventSource, opt IndexOptions) (*Reslicer, error) {
 				return nil, err
 			}
 		}
-		var err error
-		last, err = b.last, b.err
+		err := b.err
 		lr.free <- b
+		if err == io.EOF {
+			break
+		}
 		if err != nil {
 			if builder != nil {
 				builder.Abort()

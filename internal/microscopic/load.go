@@ -39,13 +39,12 @@ type loadedEvent struct {
 }
 
 // loadBlock is one batch of events in stream order. The reader's last
-// block has last set and, when the stream ended on an error instead of
-// io.EOF, carries it in err: the error of the event after evs[:n].
+// block carries in err what ended the stream after evs[:n]: io.EOF, or
+// the error of the event that failed.
 type loadBlock struct {
-	evs  [loadBlockEvents]loadedEvent
-	n    int
-	last bool
-	err  error
+	evs [loadBlockEvents]loadedEvent
+	n   int
+	err error
 }
 
 // loadReader runs the reading half of a load on its own goroutine.
@@ -92,15 +91,15 @@ func (lr *loadReader) run(src EventSource, r2leaf []int, numStates int) {
 		n, evs := 0, &b.evs
 		for ; n < len(evs); n++ {
 			if err := src.Next(&ev); err != nil {
+				b.err = err
 				if err != io.EOF {
 					b.err = fmt.Errorf("microscopic: reading events: %w", err)
 				}
-				b.last = true
 				break
 			}
 			leaf, err := checkEvent(r2leaf, numStates, k+n, ev)
 			if err != nil {
-				b.err, b.last = err, true
+				b.err = err
 				break
 			}
 			evs[n] = loadedEvent{start: ev.Start, end: ev.End, state: int32(ev.State), leaf: int32(leaf)}
@@ -109,7 +108,7 @@ func (lr *loadReader) run(src EventSource, r2leaf []int, numStates int) {
 		k += n
 		// full holds every block there is, so this never blocks.
 		lr.full <- b
-		if b.last {
+		if b.err != nil {
 			return
 		}
 	}

@@ -10,9 +10,13 @@
 # the input pass's row fill alone BenchmarkGainLossRow_{Go,AVX2}, one
 # node's rows through each relaxRow body BenchmarkRelaxRow_{Go,AVX2,AVX512},
 # the batched dichotomy BenchmarkSignificantPs{,_Batched}, cooperative
-# cancellation), the windowing families (BenchmarkWindowPan/Zoom), the
-# out-of-core store (BenchmarkStoreBuild, BenchmarkStoreBuild_TimeOrdered:
-# a 1.27M-event time-sorted trace that spills, BenchmarkStoreWindowRead with
+# cancellation), the trace load (BenchmarkLoadIndex_RAM: perfbench
+# explore's 0.9M-event binary trace opened and indexed in RAM per op;
+# BenchmarkLoadIndex_AutoSpill: the same with an IndexAuto threshold at
+# half its events, so the load spills to the disk store mid-stream), the
+# windowing families (BenchmarkWindowPan/Zoom), the out-of-core store
+# (BenchmarkStoreBuild, BenchmarkStoreBuild_TimeOrdered: a 1.27M-event
+# time-sorted trace that spills, BenchmarkStoreWindowRead with
 # chunks/op + readB/op, and BenchmarkWindowPan_DiskIndex — the disk twin
 # of the incremental pan), live ingestion (BenchmarkFollowTick: one
 # Extend + live-window advance, the follower's steady-state tick, vs
