@@ -53,6 +53,15 @@ var (
 	benchDir  string
 )
 
+// TestMain removes the benchmarks' generated trace files on exit.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if benchDir != "" {
+		os.RemoveAll(benchDir)
+	}
+	os.Exit(code)
+}
+
 // loadCase generates (once) a scaled Table II case, its on-disk binary
 // trace, its microscopic model and its prepared Input.
 func loadCase(b *testing.B, c grid5000.Case) *caseData {
