@@ -298,8 +298,8 @@ func replayWindow(ctx context.Context, log io.Writer, in *core.Input, zoomSpec, 
 // the live window's aggregation once at start and after each tick that
 // carried events. A tick runs when a write to the file wakes the engine
 // or poll passes without one (live.Follower.Wait, which also rests the
-// loop in proportion to the last tick's cost, solve included, so a fast
-// writer cannot keep it solving without pause). It returns when
+// loop in proportion to its recent ticks' cost, solve included, so a
+// fast writer cannot keep it solving without pause). It returns when
 // ctx is cancelled or, with idle > 0, once no new events have arrived
 // for idle.
 func runFollow(ctx context.Context, w io.Writer, path string, slices int, p float64, mode string, normalize bool, indexMode microscopic.IndexMode, poll, idle time.Duration) error {

@@ -39,12 +39,13 @@ const maxBatch = 1 << 18
 
 // restFactor bounds a follow loop's duty cycle: after ticks that took d
 // (the median of the last three), Wait holds off a write's wake for
-// restFactor·d, so however fast the writer flushes, ticking fills at most
-// about 1/(restFactor+1) of the loop's time. Under a writer flushing every millisecond the CLI, whose ticks
-// solve, then ticks about 56 times a second instead of 800 (2-core Xeon);
-// the daemon's ticks, about 0.09 ms, rest about 1.7 ms, against the
-// watch's own 1 ms spacing. One flushing every 37 ms, as perfbench's
-// follow writer does, is held off only after ticks longer than 1.9 ms.
+// restFactor·d, so however fast the writer flushes, ticking fills at
+// most about 1/(restFactor+1) of the loop's time. Under a writer
+// flushing every millisecond the CLI, whose ticks solve, then ticks
+// 80–110 times a second instead of 800, and the daemon 700–850 times on
+// under a tenth of a core (2-core Xeon). One flushing every 37 ms, as
+// perfbench's follow writer does, is held off only after ticks longer
+// than 1.9 ms.
 const restFactor = 19
 
 // maxSealedSlices bounds how many slices past the anchor start the live

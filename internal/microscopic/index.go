@@ -155,14 +155,19 @@ func newRAMLeaf(n int) ramLeaf {
 // push appends e, which must not start before the leaf's last event,
 // carrying the running max end forward.
 func (l *ramLeaf) push(e indexedEvent) {
-	running := e.end
-	if n := len(l.maxEnd); n > 0 && !(e.end > l.maxEnd[n-1]) {
-		running = l.maxEnd[n-1]
-	}
 	l.start = append(l.start, e.start)
 	l.end = append(l.end, e.end)
 	l.state = append(l.state, e.state)
-	l.maxEnd = append(l.maxEnd, running)
+	l.maxEnd = append(l.maxEnd, runningMaxEnd(l.maxEnd, e.end))
+}
+
+// runningMaxEnd is the maxEnd entry of an event ending at end that
+// follows the events whose entries are maxEnd.
+func runningMaxEnd(maxEnd []float64, end float64) float64 {
+	if n := len(maxEnd); n > 0 && !(end > maxEnd[n-1]) {
+		return maxEnd[n-1]
+	}
+	return end
 }
 
 // clipped returns l with its capacity cut to its length, so an append to
@@ -196,14 +201,20 @@ func sortLeaf(evs []indexedEvent) {
 func freezeRAM(tmp [][]indexedEvent) *ramIndex {
 	ix := &ramIndex{leaves: make([]ramLeaf, len(tmp))}
 	for s, evs := range tmp {
-		sortLeaf(evs)
-		l := newRAMLeaf(len(evs))
-		for _, e := range evs {
-			l.push(e)
-		}
-		ix.leaves[s] = l
+		ix.leaves[s] = freezeLeaf(evs)
 	}
 	return ix
+}
+
+// freezeLeaf orders one leaf's events by start (sortLeaf) and flattens
+// them into an exact-size ramLeaf.
+func freezeLeaf(evs []indexedEvent) ramLeaf {
+	sortLeaf(evs)
+	l := newRAMLeaf(len(evs))
+	for _, e := range evs {
+		l.push(e)
+	}
+	return l
 }
 
 func (ix *ramIndex) fill(leaf int, winLo, winHi float64, visit func(state int32, start, end float64)) error {

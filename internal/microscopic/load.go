@@ -162,13 +162,9 @@ func (c *leafColumns) push(start, end float64, state int32) {
 
 // freeze returns the leaf's events as exact-size columns ordered by
 // (start, stream order) — sortLeaf's order — with the running max end.
+// A leaf that arrived in start order is copied chunk by chunk; any other
+// goes through freezeLeaf's stable sort.
 func (c *leafColumns) freeze() ramLeaf {
-	l := ramLeaf{
-		start:  make([]float64, c.n),
-		end:    make([]float64, c.n),
-		state:  make([]int32, c.n),
-		maxEnd: make([]float64, c.n),
-	}
 	if c.unsorted {
 		evs := make([]indexedEvent, 0, c.n)
 		for _, ch := range c.chunks {
@@ -176,25 +172,23 @@ func (c *leafColumns) freeze() ramLeaf {
 				evs = append(evs, indexedEvent{start: ch.start[i], end: ch.end[i], state: ch.state[i]})
 			}
 		}
-		sortLeaf(evs)
-		for i, e := range evs {
-			l.start[i], l.end[i], l.state[i] = e.start, e.end, e.state
-		}
-	} else {
-		i := 0
-		for _, ch := range c.chunks {
-			copy(l.start[i:], ch.start)
-			copy(l.end[i:], ch.end)
-			copy(l.state[i:], ch.state)
-			i += len(ch.start)
-		}
+		return freezeLeaf(evs)
 	}
-	var running float64
+	l := ramLeaf{
+		start:  make([]float64, c.n),
+		end:    make([]float64, c.n),
+		state:  make([]int32, c.n),
+		maxEnd: make([]float64, c.n),
+	}
+	i := 0
+	for _, ch := range c.chunks {
+		copy(l.start[i:], ch.start)
+		copy(l.end[i:], ch.end)
+		copy(l.state[i:], ch.state)
+		i += len(ch.start)
+	}
 	for i, e := range l.end {
-		if i == 0 || e > running {
-			running = e
-		}
-		l.maxEnd[i] = running
+		l.maxEnd[i] = runningMaxEnd(l.maxEnd[:i], e)
 	}
 	return l
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -202,7 +201,9 @@ func FuzzLoadIndex(f *testing.F) {
 	bad5000 := rawRecs(5100)
 	bad5000[5000].state = 7
 	f.Add(rawTrace(bad5000), uint8(200))
-	backwards := rawRecs(300)
+	// Resource 1's 3000 events run backwards over four column chunks and
+	// three reader blocks.
+	backwards := rawRecs(12000)
 	for i := range backwards {
 		if backwards[i].res == 1 {
 			backwards[i].start = 5 - backwards[i].start
@@ -275,30 +276,6 @@ func FuzzLoadIndex(f *testing.F) {
 			}
 		}
 	})
-}
-
-// TestIndexedLoadBitIdentical checks the pipelined load against refLoad
-// on traces spanning many reader blocks: every leaf out of start order
-// (random starts), and every leaf in order (the same trace time-sorted).
-func TestIndexedLoadBitIdentical(t *testing.T) {
-	tr := randomTrace(rand.New(rand.NewSource(3)), 24, 30000, 50)
-	sorted := *tr
-	sorted.Events = slices.Clone(tr.Events)
-	slices.SortStableFunc(sorted.Events, func(a, b trace.Event) int { return cmp.Compare(a.Start, b.Start) })
-	for _, c := range []struct {
-		name string
-		tr   *trace.Trace
-	}{{"random", tr}, {"time-sorted", &sorted}} {
-		want, err := refLoad(TraceSource(c.tr))
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := NewReslicer(c.tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ramLeavesIdentical(t, c.name, r.idx.(*ramIndex), want)
-	}
 }
 
 // genSource streams time-ordered valid events over four resources,
